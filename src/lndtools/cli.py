@@ -3,6 +3,13 @@
 Every command takes a derivation file and reports plain text on stdout.
 Exit codes encode the verdict: 0 for yes/success, 1 for a definite no,
 2 when the bounded search was inconclusive, 64 for input errors.
+
+The commands live in one table, :data:`COMMANDS`.  An entry names the
+command, its help line and its options, says whether it is gated, and
+points to a handler ``(args, names, derivation) -> (exit code, lines)``.
+:func:`run_command` reads the derivation file and, for gated commands,
+refuses a derivation that does not preserve the relations: only then is
+there an additive group action for the handler to reason about.
 """
 
 from __future__ import annotations
@@ -10,6 +17,7 @@ from __future__ import annotations
 import argparse
 import sys
 from functools import reduce
+from typing import Callable, NamedTuple
 
 from .cylinder import (
     Outcome,
@@ -72,35 +80,83 @@ def _load(args) -> tuple[DerivationSpec, Derivation]:
     return spec, spec_derivation(spec)
 
 
+def _image(f, image, names) -> str:
+    return f"d({format_polynomial(f, names)}) = {format_polynomial(image, names)}"
+
+
 def _require_preserved(derivation: Derivation, names):
     report = derivation.check_preserves_relations()
     if not report.ok:
-        raise UsageError(
-            "derivation does not preserve the relations: d("
-            + format_polynomial(report.offender, names) + ") = "
-            + format_polynomial(report.image, names))
+        raise UsageError("derivation does not preserve the relations: "
+                         + _image(report.offender, report.image, names))
 
 
 def _bounds(args) -> SearchBounds:
     return SearchBounds(args.max_power, args.max_deg)
 
 
+def _verdict(subject, result) -> str:
+    """``subject: yes``, ``subject: no`` or ``subject: unknown at bounds
+    (...)`` for a plinth or cylinder search result."""
+    if result.outcome is not Outcome.UNKNOWN:
+        return f"{subject}: {result.outcome.value}"
+    bounds = result.bounds
+    return (f"{subject}: unknown at bounds (max power {bounds.max_power}, "
+            f"max degree {bounds.max_degree})")
+
+
+def _search_lines(subject, result, plinth, names):
+    """Verdict of a search, then the power and preimage of its plinth
+    certificate or the derivative that rules the element out."""
+    lines = [_verdict(subject, result)]
+    if result.outcome is Outcome.YES:
+        lines.append(f"n = {plinth.power}")
+        lines.append(f"f = {format_polynomial(plinth.preimage, names)}")
+    elif result.outcome is Outcome.NO:
+        lines.append(_image(result.element, result.obstruction, names))
+    return lines
+
+
+def _cylinder_lines(result, names):
+    h = format_polynomial(result.element, names)
+    cert = result.certificate
+    lines = _search_lines(f"cylinder D({h})", result, cert and cert.plinth, names)
+    if cert is not None:
+        lines.append(f"slice = {format_ratfun(cert.slice_value, names)}")
+        for name, image in zip(names, cert.dixmier_images):
+            lines.append(f"dixmier({name}) = {format_ratfun(image, names)}")
+    return lines
+
+
+def _claim_lines(report, names):
+    lines = []
+    for entry in report.entries:
+        h = format_polynomial(entry.element, names)
+        if entry.outcome is Outcome.YES:
+            cert = entry.certificate
+            lines.append(f"{h}: verified (n = {cert.power}, "
+                         f"f = {format_polynomial(cert.preimage, names)})")
+        elif entry.outcome is Outcome.NO:
+            lines.append(f"{h}: rejected, "
+                         + _image(entry.element, entry.obstruction, names))
+        else:
+            lines.append(_verdict(h, entry))
+    lines.append(f"claim verified: {report.outcome.value}")
+    return lines
+
+
 # ----------------------------------------------------------------------
 # command handlers; each returns (exit code, report lines)
 
 
-def _cmd_check(args):
-    spec, derivation = _load(args)
-    names = spec.variables
-    lines = []
+def _cmd_check(args, names, derivation):
     report = derivation.check_preserves_relations()
     if not report.ok:
-        lines.append("relations preserved: no")
-        lines.append(f"offending relation: {format_polynomial(report.offender, names)}")
-        lines.append(f"d({format_polynomial(report.offender, names)}) = "
-                     f"{format_polynomial(report.image, names)}")
-        return EXIT_NO, lines
-    lines.append("relations preserved: yes")
+        return EXIT_NO, [
+            "relations preserved: no",
+            f"offending relation: {format_polynomial(report.offender, names)}",
+            _image(report.offender, report.image, names)]
+    lines = ["relations preserved: yes"]
     witness = derivation.nilpotency_witness(args.cap)
     for name, order in zip(names, witness.orders):
         if order is None:
@@ -114,10 +170,7 @@ def _cmd_check(args):
     return EXIT_UNKNOWN, lines
 
 
-def _cmd_exp(args):
-    spec, derivation = _load(args)
-    names = spec.variables
-    _require_preserved(derivation, names)
+def _cmd_exp(args, names, derivation):
     lines = []
     for element in parse_polynomial_list(args.elem, names):
         action = derivation.exp_action(element)
@@ -126,9 +179,7 @@ def _cmd_exp(args):
     return EXIT_YES, lines
 
 
-def _cmd_orbit(args):
-    spec, derivation = _load(args)
-    _require_preserved(derivation, spec.variables)
+def _cmd_orbit(args, names, derivation):
     point = parse_point(args.point)
     time = parse_fraction(args.time)
     moved = derivation.orbit_point(point, time)
@@ -136,85 +187,38 @@ def _cmd_orbit(args):
                       f"{format_point(moved)}"]
 
 
-def _cmd_fixed(args):
-    spec, derivation = _load(args)
-    _require_preserved(derivation, spec.variables)
+def _cmd_fixed(args, names, derivation):
     locus = derivation.fixed_locus()
-    return EXIT_YES, [f"fixed locus: {format_ideal(locus.ideal, spec.variables)}"]
+    return EXIT_YES, [f"fixed locus: {format_ideal(locus.ideal, names)}"]
 
 
-def _cmd_kernel(args):
-    spec, derivation = _load(args)
-    names = spec.variables
-    _require_preserved(derivation, names)
+def _cmd_kernel(args, names, derivation):
     lines = []
     all_kernel = True
     for element in parse_polynomial_list(args.elem, names):
         image = derivation.apply(element)
-        lines.append(f"d({format_polynomial(element, names)}) = "
-                     f"{format_polynomial(image, names)}")
+        lines.append(_image(element, image, names))
         all_kernel = all_kernel and image.is_zero
     lines.append("kernel member: " + ("yes" if all_kernel else "no"))
     return (EXIT_YES if all_kernel else EXIT_NO), lines
 
 
-def _cmd_plinth(args):
-    spec, derivation = _load(args)
-    names = spec.variables
-    _require_preserved(derivation, names)
+def _cmd_plinth(args, names, derivation):
     element = parse_polynomial(args.elem, names)
-    bounds = _bounds(args)
-    result = plinth_membership(derivation, element, bounds)
+    result = plinth_membership(derivation, element, _bounds(args))
     h = format_polynomial(result.element, names)
-    lines = []
-    if result.outcome is Outcome.YES:
-        cert = result.certificate
-        lines.append(f"plinth membership of {h}: yes")
-        lines.append(f"n = {cert.power}")
-        lines.append(f"f = {format_polynomial(cert.preimage, names)}")
-    elif result.outcome is Outcome.NO:
-        lines.append(f"plinth membership of {h}: no")
-        lines.append(f"d({h}) = {format_polynomial(result.obstruction, names)}")
-    else:
-        lines.append(f"plinth membership of {h}: unknown at bounds "
-                     f"(max power {bounds.max_power}, max degree {bounds.max_degree})")
+    lines = _search_lines(f"plinth membership of {h}", result,
+                          result.certificate, names)
     return _EXIT_FOR_OUTCOME[result.outcome], lines
 
 
-def _cylinder_lines(result, names):
-    h = format_polynomial(result.element, names)
-    lines = []
-    if result.outcome is Outcome.YES:
-        cert = result.certificate
-        lines.append(f"cylinder D({h}): yes")
-        lines.append(f"n = {cert.plinth.power}")
-        lines.append(f"f = {format_polynomial(cert.plinth.preimage, names)}")
-        lines.append(f"slice = {format_ratfun(cert.slice_value, names)}")
-        for name, image in zip(names, cert.dixmier_images):
-            lines.append(f"dixmier({name}) = {format_ratfun(image, names)}")
-    elif result.outcome is Outcome.NO:
-        lines.append(f"cylinder D({h}): no")
-        lines.append(f"d({h}) = {format_polynomial(result.obstruction, names)}")
-    else:
-        lines.append(f"cylinder D({h}): unknown at bounds "
-                     f"(max power {result.bounds.max_power}, "
-                     f"max degree {result.bounds.max_degree})")
-    return lines
-
-
-def _cmd_cylinder(args):
-    spec, derivation = _load(args)
-    names = spec.variables
-    _require_preserved(derivation, names)
+def _cmd_cylinder(args, names, derivation):
     element = parse_polynomial(args.elem, names)
     result = cylinder_decision(derivation, element, _bounds(args))
     return _EXIT_FOR_OUTCOME[result.outcome], _cylinder_lines(result, names)
 
 
-def _cmd_trivialize(args):
-    spec, derivation = _load(args)
-    names = spec.variables
-    _require_preserved(derivation, names)
+def _cmd_trivialize(args, names, derivation):
     localizer = parse_polynomial(args.h, names)
     element = parse_polynomial(args.elem, names)
     decision = cylinder_decision(derivation, localizer, _bounds(args))
@@ -228,10 +232,7 @@ def _cmd_trivialize(args):
     return EXIT_YES, lines
 
 
-def _cmd_slice_none(args):
-    spec, derivation = _load(args)
-    names = spec.variables
-    _require_preserved(derivation, names)
+def _cmd_slice_none(args, names, derivation):
     result = slice_nonexistence(derivation, args.max_deg)
     if result.found:
         return EXIT_YES, [f"slice found of degree <= {args.max_deg}",
@@ -240,54 +241,29 @@ def _cmd_slice_none(args):
     multipliers = ", ".join(
         f"{format_monomial(mono, names)}: {value}"
         for mono, value in cert.nonzero_multipliers())
-    lines = [
+    return EXIT_NO, [
         f"no slice of degree <= {cert.degree_bound}",
         f"system: {cert.equations} equations, {cert.unknowns} unknowns",
         f"certificate multipliers: {{{multipliers}}}",
         f"certificate value: {cert.inconsistency.value}",
     ]
-    return EXIT_NO, lines
 
 
-def _claim_lines(report, names, bounds):
-    lines = []
-    for entry in report.entries:
-        h = format_polynomial(entry.element, names)
-        if entry.outcome is Outcome.YES:
-            cert = entry.certificate
-            lines.append(f"{h}: verified (n = {cert.power}, "
-                         f"f = {format_polynomial(cert.preimage, names)})")
-        elif entry.outcome is Outcome.NO:
-            lines.append(f"{h}: rejected, d({h}) = "
-                         f"{format_polynomial(entry.obstruction, names)}")
-        else:
-            lines.append(f"{h}: unknown at bounds (max power {bounds.max_power}, "
-                         f"max degree {bounds.max_degree})")
-    lines.append(f"claim verified: {report.outcome.value}")
-    return lines
-
-
-def _cmd_plinth_verify(args):
-    spec, derivation = _load(args)
-    names = spec.variables
-    _require_preserved(derivation, names)
+def _cmd_plinth_verify(args, names, derivation):
     generators = parse_polynomial_list(args.gens, names)
-    bounds = _bounds(args)
-    report = plinth_claim_verify(derivation, generators, bounds)
-    lines = _claim_lines(report, names, bounds)
+    report = plinth_claim_verify(derivation, generators, _bounds(args))
+    lines = _claim_lines(report, names)
     if report.outcome is Outcome.YES:
         lines.append(f"complement ideal: {format_ideal(report.complement, names)}")
     return _EXIT_FOR_OUTCOME[report.outcome], lines
 
 
-def _cmd_principal(args):
-    spec, _ = _load(args)
-    names = spec.variables
+def _cmd_principal(args, names, derivation):
     generators = parse_polynomial_list(args.gens, names)
     result = principality_check(generators)
     lines = ["generators: "
-             + "; ".join(format_polynomial(g, names) for g in generators)]
-    lines.append(f"gcd = {format_polynomial(result.gcd, names)}")
+             + "; ".join(format_polynomial(g, names) for g in generators),
+             f"gcd = {format_polynomial(result.gcd, names)}"]
     if result.is_principal:
         lines.append("principal: yes")
         lines.append(f"generator = {format_polynomial(result.generator, names)}")
@@ -296,14 +272,10 @@ def _cmd_principal(args):
     return EXIT_NO, lines
 
 
-def _cmd_maximal_cylinder(args):
-    spec, derivation = _load(args)
-    names = spec.variables
-    _require_preserved(derivation, names)
+def _cmd_maximal_cylinder(args, names, derivation):
     generators = parse_polynomial_list(args.gens, names)
-    bounds = _bounds(args)
-    report = maximal_cylinder(derivation, generators, bounds)
-    lines = _claim_lines(report.claim, names, bounds)
+    report = maximal_cylinder(derivation, generators, _bounds(args))
+    lines = _claim_lines(report.claim, names)
     if report.claim.outcome is not Outcome.YES:
         return _EXIT_FOR_OUTCOME[report.claim.outcome], lines
     principality = report.principality
@@ -315,44 +287,35 @@ def _cmd_maximal_cylinder(args):
     lines.append(f"principal: yes, generator = "
                  f"{format_polynomial(principality.generator, names)}")
     decision = report.cylinder
+    cylinder = _cylinder_lines(decision, names)
     if decision.outcome is Outcome.YES:
         h = format_polynomial(decision.element, names)
-        lines.append(f"maximal principal cylinder: D({h})")
-        lines.extend(_cylinder_lines(decision, names)[1:])
-    else:
-        lines.extend(_cylinder_lines(decision, names))
+        cylinder[0] = f"maximal principal cylinder: D({h})"
+    lines.extend(cylinder)
     return _EXIT_FOR_OUTCOME[decision.outcome], lines
 
 
 _ORDERS = {"degrevlex": DEGREVLEX, "lex": LEX}
 
 
-def _cmd_gb(args):
-    spec, _ = _load(args)
-    names = spec.variables
+def _cmd_gb(args, names, derivation):
     generators = parse_polynomial_list(args.ideal, names)
     ideal = Ideal(len(names), generators, _ORDERS[args.order])
     return EXIT_YES, [f"order: {args.order}",
                       f"basis: {format_ideal(ideal, names)}"]
 
 
-def _cmd_member(args):
-    spec, _ = _load(args)
-    names = spec.variables
+def _cmd_member(args, names, derivation):
     element = parse_polynomial(args.elem, names)
     ideal = Ideal(len(names), parse_polynomial_list(args.ideal, names))
     residue = ideal.normal_form(element)
-    lines = [f"normal form = {format_polynomial(residue, names)}"]
-    if residue.is_zero:
-        lines.append("member: yes")
-        return EXIT_YES, lines
-    lines.append("member: no")
-    return EXIT_NO, lines
+    member = residue.is_zero
+    return (EXIT_YES if member else EXIT_NO), [
+        f"normal form = {format_polynomial(residue, names)}",
+        "member: " + ("yes" if member else "no")]
 
 
-def _cmd_radmember(args):
-    spec, _ = _load(args)
-    names = spec.variables
+def _cmd_radmember(args, names, derivation):
     element = parse_polynomial(args.elem, names)
     ideal = Ideal(len(names), parse_polynomial_list(args.ideal, names))
     if radical_membership(element, ideal):
@@ -360,9 +323,7 @@ def _cmd_radmember(args):
     return EXIT_NO, ["radical member: no"]
 
 
-def _cmd_gcd(args):
-    spec, _ = _load(args)
-    names = spec.variables
+def _cmd_gcd(args, names, derivation):
     polys = parse_polynomial_list(args.elems, names)
     if len(polys) < 2:
         raise UsageError("gcd needs at least two polynomials")
@@ -371,6 +332,89 @@ def _cmd_gcd(args):
 
 
 # ----------------------------------------------------------------------
+# the command table
+
+
+class Command(NamedTuple):
+    """One ``lnd`` subcommand.  A gated command runs only on derivations
+    that preserve the relations."""
+
+    name: str
+    help: str
+    handler: Callable
+    options: tuple = ()
+    gated: bool = True
+
+
+def _option(flag, **kwargs):
+    return flag, kwargs
+
+
+def _with_help(option, text):
+    flag, kwargs = option
+    return flag, {**kwargs, "help": text}
+
+
+_LIST_HELP = "';'-separated polynomial expressions"
+_ELEM = _option("--elem", required=True)
+_GENS = _option("--gens", required=True)
+_IDEAL = _option("--ideal", required=True)
+_MAX_DEG = _option("--max-deg", type=int, default=8,
+                   help="largest preimage degree to try (default 8)")
+_BOUNDS = (_option("--max-power", type=int, default=4,
+                   help="largest power of the element to try (default 4)"),
+           _MAX_DEG)
+
+COMMANDS = (
+    Command("check",
+            "verify the relations are preserved and the generators are nilpotent",
+            _cmd_check,
+            (_option("--cap", type=int, default=64,
+                     help="iteration cap for the nilpotency search (default 64)"),),
+            gated=False),
+    Command("exp", "exponentiate the derivation on elements", _cmd_exp,
+            (_with_help(_ELEM, _LIST_HELP),)),
+    Command("orbit", "move a rational point along the action", _cmd_orbit,
+            (_option("--point", required=True,
+                     help="';'-separated rational coordinates"),
+             _option("--time", required=True, help="rational time value"))),
+    Command("fixed", "ideal of the fixed locus of the action", _cmd_fixed),
+    Command("kernel", "test kernel membership of elements", _cmd_kernel,
+            (_with_help(_ELEM, _LIST_HELP),)),
+    Command("plinth", "bounded search for a power of the element that is an image",
+            _cmd_plinth, (_ELEM, *_BOUNDS)),
+    Command("cylinder", "decide whether D(elem) is an invariant cylinder",
+            _cmd_cylinder, (_ELEM, *_BOUNDS)),
+    Command("trivialize", "express an element in slice coordinates over D(h)",
+            _cmd_trivialize,
+            (_option("--h", required=True, help="localizing kernel element"),
+             _ELEM, *_BOUNDS)),
+    Command("slice-none", "certify that no global slice of bounded degree exists",
+            _cmd_slice_none,
+            (_with_help(_MAX_DEG, "largest slice degree to rule out (default 8)"),)),
+    Command("plinth-verify", "verify a claimed plinth generating set",
+            _cmd_plinth_verify,
+            (_with_help(_GENS, "';'-separated claimed generators"), *_BOUNDS)),
+    Command("principal", "test whether generators span a principal ideal (free ring)",
+            _cmd_principal, (_GENS,), gated=False),
+    Command("maximal-cylinder", "certificate for the maximal principal invariant cylinder",
+            _cmd_maximal_cylinder,
+            (_with_help(_GENS, "';'-separated verified plinth generators"), *_BOUNDS)),
+    Command("gb", "reduced Groebner basis of an ideal", _cmd_gb,
+            (_with_help(_IDEAL, "';'-separated generators"),
+             _option("--order", choices=sorted(_ORDERS), default="degrevlex")),
+            gated=False),
+    Command("member", "ideal membership via normal form", _cmd_member,
+            (_ELEM, _IDEAL), gated=False),
+    Command("radmember", "radical membership test", _cmd_radmember,
+            (_ELEM, _IDEAL), gated=False),
+    Command("gcd", "gcd of polynomials (free ring)", _cmd_gcd,
+            (_option("--elems", required=True,
+                     help="';'-separated polynomials, at least two"),),
+            gated=False),
+)
+
+_BY_NAME = {command.name: command for command in COMMANDS}
 
 
 def build_parser() -> _ArgumentParser:
@@ -379,106 +423,31 @@ def build_parser() -> _ArgumentParser:
         description="Exact computations with locally nilpotent derivations: "
                     "actions, kernels, plinth membership, and cylinder "
                     "certificates.")
-    commands = parser.add_subparsers(dest="command", required=True)
-
-    def command(name, handler, help_text):
-        sub = commands.add_parser(name, help=help_text)
+    subparsers = parser.add_subparsers(dest="command", required=True)
+    for command in COMMANDS:
+        sub = subparsers.add_parser(command.name, help=command.help)
         sub.add_argument("spec", help="derivation file")
-        sub.set_defaults(handler=handler)
-        return sub
-
-    def add_bounds(sub):
-        sub.add_argument("--max-power", type=int, default=4, dest="max_power",
-                         help="largest power of the element to try (default 4)")
-        sub.add_argument("--max-deg", type=int, default=8, dest="max_deg",
-                         help="largest preimage degree to try (default 8)")
-
-    sub = command("check", _cmd_check,
-                  "verify the relations are preserved and the generators are nilpotent")
-    sub.add_argument("--cap", type=int, default=64,
-                     help="iteration cap for the nilpotency search (default 64)")
-
-    sub = command("exp", _cmd_exp, "exponentiate the derivation on elements")
-    sub.add_argument("--elem", required=True,
-                     help="';'-separated polynomial expressions")
-
-    sub = command("orbit", _cmd_orbit, "move a rational point along the action")
-    sub.add_argument("--point", required=True,
-                     help="';'-separated rational coordinates")
-    sub.add_argument("--time", required=True, help="rational time value")
-
-    command("fixed", _cmd_fixed, "ideal of the fixed locus of the action")
-
-    sub = command("kernel", _cmd_kernel, "test kernel membership of elements")
-    sub.add_argument("--elem", required=True,
-                     help="';'-separated polynomial expressions")
-
-    sub = command("plinth", _cmd_plinth,
-                  "bounded search for a power of the element that is an image")
-    sub.add_argument("--elem", required=True)
-    add_bounds(sub)
-
-    sub = command("cylinder", _cmd_cylinder,
-                  "decide whether D(elem) is an invariant cylinder")
-    sub.add_argument("--elem", required=True)
-    add_bounds(sub)
-
-    sub = command("trivialize", _cmd_trivialize,
-                  "express an element in slice coordinates over D(h)")
-    sub.add_argument("--h", required=True, help="localizing kernel element")
-    sub.add_argument("--elem", required=True)
-    add_bounds(sub)
-
-    sub = command("slice-none", _cmd_slice_none,
-                  "certify that no global slice of bounded degree exists")
-    sub.add_argument("--max-deg", type=int, default=8, dest="max_deg",
-                     help="largest slice degree to rule out (default 8)")
-
-    sub = command("plinth-verify", _cmd_plinth_verify,
-                  "verify a claimed plinth generating set")
-    sub.add_argument("--gens", required=True,
-                     help="';'-separated claimed generators")
-    add_bounds(sub)
-
-    sub = command("principal", _cmd_principal,
-                  "test whether generators span a principal ideal (free ring)")
-    sub.add_argument("--gens", required=True)
-
-    sub = command("maximal-cylinder", _cmd_maximal_cylinder,
-                  "certificate for the maximal principal invariant cylinder")
-    sub.add_argument("--gens", required=True,
-                     help="';'-separated verified plinth generators")
-    add_bounds(sub)
-
-    sub = command("gb", _cmd_gb, "reduced Groebner basis of an ideal")
-    sub.add_argument("--ideal", required=True,
-                     help="';'-separated generators")
-    sub.add_argument("--order", choices=sorted(_ORDERS), default="degrevlex")
-
-    sub = command("member", _cmd_member, "ideal membership via normal form")
-    sub.add_argument("--elem", required=True)
-    sub.add_argument("--ideal", required=True)
-
-    sub = command("radmember", _cmd_radmember, "radical membership test")
-    sub.add_argument("--elem", required=True)
-    sub.add_argument("--ideal", required=True)
-
-    sub = command("gcd", _cmd_gcd, "gcd of polynomials (free ring)")
-    sub.add_argument("--elems", required=True,
-                     help="';'-separated polynomials, at least two")
-
+        for flag, kwargs in command.options:
+            sub.add_argument(flag, **kwargs)
     return parser
 
 
 def run_command(argv) -> tuple[int, str]:
-    """Run one CLI invocation; returns the exit code and the report text."""
+    """Run one CLI invocation; returns the exit code and the report text.
+
+    Errors come in a fixed order: reading the file, then the relation
+    gate, then the handler's own parsing and bounds."""
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
     except UsageError as exc:
         return EXIT_USAGE, f"error: {exc}"
+    command = _BY_NAME[args.command]
     try:
-        code, lines = args.handler(args)
+        spec, derivation = _load(args)
+        if command.gated:
+            _require_preserved(derivation, spec.variables)
+        code, lines = command.handler(args, spec.variables, derivation)
     except (ParseError, UsageError, ValueError, ZeroDivisionError) as exc:
         return EXIT_USAGE, f"error: {exc}"
     except CapExceededError as exc:

@@ -172,10 +172,6 @@ class MaximalCylinderResult:
     cylinder: CylinderResult | None = None
 
 
-def kernel_check(derivation: Derivation, f: Polynomial) -> bool:
-    return derivation.apply(f).is_zero
-
-
 def build_preimage_system(derivation: Derivation, target: Polynomial,
                           max_degree: int):
     """Linear system whose solutions are coefficient vectors, over the
@@ -301,11 +297,18 @@ def cylinder_decision(derivation: Derivation, element: Polynomial,
                       bounds: SearchBounds = SearchBounds()) -> CylinderResult:
     """Decide whether the open set D(element) is an invariant cylinder,
     with a slice and invariant coordinates on success."""
-    plinth = plinth_membership(derivation, element, bounds)
+    return cylinder_from_plinth(plinth_membership(derivation, element, bounds))
+
+
+def cylinder_from_plinth(plinth: PlinthResult) -> CylinderResult:
+    """The cylinder decision that a plinth search has settled: its verdict,
+    and on success the slice and invariant coordinates built from its
+    certificate."""
     if plinth.outcome is not Outcome.YES:
-        return CylinderResult(plinth.outcome, plinth.element, bounds,
+        return CylinderResult(plinth.outcome, plinth.element, plinth.bounds,
                               obstruction=plinth.obstruction)
     cert = plinth.certificate
+    derivation = cert.derivation
     slice_value = RationalFunction(cert.preimage, cert.element ** cert.power)
     ring = derivation.ring
     images = tuple(
@@ -313,7 +316,8 @@ def cylinder_decision(derivation: Derivation, element: Polynomial,
                       Polynomial.variable(ring.nvars, i))
         for i in range(ring.nvars))
     full = CylinderCertificate(cert, slice_value, images)
-    return CylinderResult(Outcome.YES, plinth.element, bounds, certificate=full)
+    return CylinderResult(Outcome.YES, plinth.element, plinth.bounds,
+                          certificate=full)
 
 
 def slice_nonexistence(derivation: Derivation,
@@ -371,12 +375,18 @@ def maximal_cylinder(derivation: Derivation, claimed: Sequence[Polynomial],
                      bounds: SearchBounds = SearchBounds()) -> MaximalCylinderResult:
     """If the claimed plinth generators verify and span a principal ideal,
     the cylinder over the principal generator contains every other
-    principal invariant cylinder; build its certificate."""
+    principal invariant cylinder; build its certificate.  When the
+    generator is itself one of the verified claims, its certificate is
+    reused instead of searching again."""
     claim = plinth_claim_verify(derivation, claimed, bounds)
     if claim.outcome is not Outcome.YES:
         return MaximalCylinderResult(claim.outcome, claim)
     principality = principality_check([e.element for e in claim.entries])
     if not principality.is_principal:
         return MaximalCylinderResult(Outcome.NO, claim, principality)
-    decision = cylinder_decision(derivation, principality.generator, bounds)
+    h = derivation.ring.normal_form(principality.generator)
+    plinth = next((e for e in claim.entries if e.element == h), None)
+    if plinth is None:
+        plinth = plinth_membership(derivation, principality.generator, bounds)
+    decision = cylinder_from_plinth(plinth)
     return MaximalCylinderResult(decision.outcome, claim, principality, decision)

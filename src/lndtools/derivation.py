@@ -124,13 +124,17 @@ class Derivation:
         self.ring = ring
         self.images = tuple(ring.normal_form(g) for g in images)
 
-    def apply(self, f: Polynomial) -> Polynomial:
-        """Leibniz extension, reduced modulo the relations."""
+    def _leibniz(self, f: Polynomial) -> Polynomial:
+        """Leibniz extension on free-ring representatives, unreduced."""
         total = Polynomial.zero(self.ring.nvars)
         for i, image in enumerate(self.images):
             if image:
                 total = total + image * f.diff(i)
-        return self.ring.normal_form(total)
+        return total
+
+    def apply(self, f: Polynomial) -> Polynomial:
+        """Leibniz extension, reduced modulo the relations."""
+        return self.ring.normal_form(self._leibniz(f))
 
     def check_preserves_relations(self) -> PreservationReport:
         for g in self.ring.relations.generators:
@@ -185,9 +189,9 @@ class Derivation:
             self.exp_action(Polynomial.variable(self.ring.nvars, i),
                             cap).substitute(s).evaluate(p)
             for i in range(self.ring.nvars))
-        for g in self.ring.relations.generators:
-            # Holds whenever the derivation preserves the relations.
-            assert not g.evaluate(moved), "orbit left the variety"
+        # Cannot happen when the derivation preserves the relations.
+        if any(g.evaluate(moved) for g in self.ring.relations.generators):
+            raise RuntimeError("orbit left the variety")
         return moved
 
     def fixed_locus(self) -> FixedLocus:
@@ -199,18 +203,11 @@ class Derivation:
         """Quotient-rule extension to fractions with invertible denominator."""
         if self.ring.normal_form(value.den).is_zero:
             raise ZeroDivisionError("denominator lies in the relation ideal")
-        num = value.den * self.apply_free(value.num) \
-            - value.num * self.apply_free(value.den)
+        # Unreduced, so that numerator and denominator stay aligned as
+        # free-ring representatives.
+        num = value.den * self._leibniz(value.num) \
+            - value.num * self._leibniz(value.den)
         return RationalFunction(num, value.den * value.den).simplify()
-
-    def apply_free(self, f: Polynomial) -> Polynomial:
-        """Leibniz extension without reduction; used where numerator and
-        denominator must stay aligned as free-ring representatives."""
-        total = Polynomial.zero(self.ring.nvars)
-        for i, image in enumerate(self.images):
-            if image:
-                total = total + image * f.diff(i)
-        return total
 
     def __repr__(self):
         return f"Derivation on {self.ring!r}"

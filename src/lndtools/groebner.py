@@ -203,14 +203,6 @@ class Ideal:
         return f"Ideal({self.nvars} vars, basis size {len(self.basis)})"
 
 
-def normal_form(f: Polynomial, ideal: Ideal) -> Polynomial:
-    return ideal.normal_form(f)
-
-
-def ideal_membership(f: Polynomial, ideal: Ideal) -> bool:
-    return ideal.contains(f)
-
-
 def radical_membership(f: Polynomial, ideal: Ideal) -> bool:
     """Rabinowitsch test: f lies in the radical iff 1 lies in
     I + (1 - t*f) after adjoining a fresh variable t."""

@@ -4,7 +4,9 @@ from pathlib import Path
 
 import pytest
 
+import lndtools.cylinder
 from lndtools.cli import (
+    COMMANDS,
     EXIT_NO,
     EXIT_UNKNOWN,
     EXIT_USAGE,
@@ -12,7 +14,8 @@ from lndtools.cli import (
     run_command,
 )
 
-CORPUS = Path(__file__).resolve().parent.parent / "corpus"
+ROOT = Path(__file__).resolve().parent.parent
+CORPUS = ROOT / "corpus"
 FP = str(CORPUS / "ex_fp.lnd")
 A4 = str(CORPUS / "ex_a4.lnd")
 SURFACE = str(CORPUS / "ex_danielewski.lnd")
@@ -167,6 +170,68 @@ def test_non_preserving_derivation_gating(tmp_path):
     code, report = run_command(["exp", str(spec), "--elem", "x"])
     assert code == EXIT_USAGE
     assert "does not preserve" in report
+
+
+# options that make each command runnable on the hyperbola x*y = 1
+GATE_ARGS = {
+    "check": [],
+    "exp": ["--elem", "x"],
+    "orbit": ["--point", "1;1", "--time", "1"],
+    "fixed": [],
+    "kernel": ["--elem", "x"],
+    "plinth": ["--elem", "y"],
+    "cylinder": ["--elem", "y"],
+    "trivialize": ["--h", "y", "--elem", "x"],
+    "slice-none": ["--max-deg", "2"],
+    "plinth-verify": ["--gens", "y"],
+    "principal": ["--gens", "x;y"],
+    "maximal-cylinder": ["--gens", "y"],
+    "gb": ["--ideal", "x*y - 1"],
+    "member": ["--elem", "x", "--ideal", "x*y - 1"],
+    "radmember": ["--elem", "x", "--ideal", "x*y - 1"],
+    "gcd": ["--elems", "x^2 - 1; x - 1"],
+}
+PURE_ALGEBRA = {"principal", "gb", "member", "radmember", "gcd"}
+
+
+@pytest.mark.parametrize("name", [c.name for c in COMMANDS])
+def test_relation_gate_for_every_command(tmp_path, name):
+    spec = tmp_path / "hyperbola.lnd"
+    spec.write_text("ring H\nvars x y\nrel x*y - 1\nder x = 1\nder y = 0\n",
+                    encoding="utf-8")
+    code, report = run_command([name, str(spec)] + GATE_ARGS[name])
+    if name == "check":
+        assert code == EXIT_NO
+        assert report.splitlines()[0] == "relations preserved: no"
+    elif name in PURE_ALGEBRA:
+        assert code != EXIT_USAGE, report
+    else:
+        assert code == EXIT_USAGE
+        assert report == ("error: derivation does not preserve the relations: "
+                          "d(x*y - 1) = y")
+
+
+def test_maximal_cylinder_reuses_the_claimed_certificate(monkeypatch):
+    calls = []
+    search = lndtools.cylinder.plinth_membership
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return search(*args, **kwargs)
+
+    monkeypatch.setattr(lndtools.cylinder, "plinth_membership", counted)
+    code, report = run_command(["maximal-cylinder", FP, "--gens", "z"])
+    assert code == EXIT_YES
+    assert "maximal principal cylinder: D(z)" in report
+    assert len(calls) == 1
+
+
+def test_readme_lists_exactly_the_commands():
+    readme = (ROOT / "README.md").read_text(encoding="utf-8")
+    section = readme.split("## Commands", 1)[1].split("\n\n")[1]
+    rows = [line.split("|")[1:3] for line in section.splitlines()[2:]]
+    listed = {cell.strip().strip("`"): gate.strip() for cell, gate in rows}
+    assert listed == {c.name: "yes" if c.gated else "no" for c in COMMANDS}
 
 
 def test_non_nilpotent_check_is_inconclusive(tmp_path):

@@ -169,6 +169,16 @@ def test_orbit_point_validation():
         d.orbit_point((0, 1), 1)
 
 
+def test_orbit_leaving_the_variety_is_an_internal_error():
+    # x -> x + s does not preserve x*y = 1, so the orbit of (1, 1) leaves
+    # the hyperbola; that is a broken precondition, not bad user input
+    names = ["x", "y"]
+    ring = RingPresentation(names, Ideal(2, [parse_polynomial("x*y - 1", names)]))
+    d = Derivation(ring, [parse_polynomial(e, names) for e in ("1", "0")])
+    with pytest.raises(RuntimeError, match="orbit left the variety"):
+        d.orbit_point((1, 1), 1)
+
+
 def test_orbit_group_law_on_points():
     rng = random.Random(605)
     d, _ = triangular3()

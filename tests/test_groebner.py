@@ -19,7 +19,6 @@ from lndtools import (
     eliminate,
     elimination,
     gcd_via_lcm,
-    ideal_membership,
     lcm_via_intersection,
     parse_polynomial,
     radical_membership,
