@@ -189,7 +189,7 @@ def _cmd_orbit(args, names, derivation):
 
 def _cmd_fixed(args, names, derivation):
     locus = derivation.fixed_locus()
-    return EXIT_YES, [f"fixed locus: {format_ideal(locus.ideal, names)}"]
+    return EXIT_YES, [f"fixed locus: {format_ideal(locus, names)}"]
 
 
 def _cmd_kernel(args, names, derivation):
@@ -236,16 +236,16 @@ def _cmd_slice_none(args, names, derivation):
     result = slice_nonexistence(derivation, args.max_deg)
     if result.found:
         return EXIT_YES, [f"slice found of degree <= {args.max_deg}",
-                          f"slice = {format_polynomial(result.slice_poly, names)}"]
-    cert = result.certificate
+                          f"slice = {format_polynomial(result.preimage, names)}"]
     multipliers = ", ".join(
         f"{format_monomial(mono, names)}: {value}"
-        for mono, value in cert.nonzero_multipliers())
+        for mono, value in result.nonzero_multipliers())
     return EXIT_NO, [
-        f"no slice of degree <= {cert.degree_bound}",
-        f"system: {cert.equations} equations, {cert.unknowns} unknowns",
+        f"no slice of degree <= {result.degree_bound}",
+        f"system: {len(result.row_monomials)} equations, "
+        f"{len(result.column_monomials)} unknowns",
         f"certificate multipliers: {{{multipliers}}}",
-        f"certificate value: {cert.inconsistency.value}",
+        f"certificate value: {result.certificate.value}",
     ]
 
 

@@ -20,7 +20,7 @@ from enum import Enum
 from fractions import Fraction
 from typing import Sequence
 
-from .derivation import DEFAULT_NILPOTENCY_CAP, CapExceededError, Derivation
+from .derivation import Derivation
 from .groebner import Ideal, gcd_via_lcm, standard_monomials
 from .linalg import Inconsistency, QMatrix, solve_exact
 from .poly import DEGREVLEX, Monomial, Polynomial
@@ -94,23 +94,10 @@ class CylinderCertificate:
 
 
 @dataclass(frozen=True)
-class NoSliceCertificate:
-    """Exact proof that no element of total degree <= degree_bound has
-    derivative one: multipliers combining the linear system to 0 = value."""
-
-    degree_bound: int
-    equations: int
-    unknowns: int
-    row_monomials: tuple[Monomial, ...]
-    inconsistency: Inconsistency
-
-    def nonzero_multipliers(self) -> list[tuple[Monomial, Fraction]]:
-        return [(m, y) for m, y in zip(self.row_monomials,
-                                       self.inconsistency.multipliers) if y]
-
-
-@dataclass(frozen=True)
 class PreimageResult:
+    """A preimage of total degree <= degree_bound, or the exact proof that
+    none exists: multipliers of the rows combining the system to 0 = value."""
+
     preimage: Polynomial | None
     certificate: Inconsistency | None
     degree_bound: int
@@ -120,6 +107,10 @@ class PreimageResult:
     @property
     def found(self) -> bool:
         return self.preimage is not None
+
+    def nonzero_multipliers(self) -> list[tuple[Monomial, Fraction]]:
+        return [(m, y) for m, y in zip(self.row_monomials,
+                                       self.certificate.multipliers) if y]
 
 
 @dataclass(frozen=True)
@@ -138,16 +129,6 @@ class CylinderResult:
     bounds: SearchBounds
     certificate: CylinderCertificate | None = None
     obstruction: Polynomial | None = None
-
-
-@dataclass(frozen=True)
-class SliceSearchResult:
-    slice_poly: Polynomial | None
-    certificate: NoSliceCertificate | None
-
-    @property
-    def found(self) -> bool:
-        return self.slice_poly is not None
 
 
 @dataclass(frozen=True)
@@ -197,6 +178,8 @@ def preimage_search(derivation: Derivation, target: Polynomial,
                     max_degree: int) -> PreimageResult:
     """Find f of total degree <= max_degree with derivation(f) = target
     modulo the relations, or prove that none exists in that range."""
+    if max_degree < 0:
+        raise ValueError("max_degree must be non-negative")
     ring = derivation.ring
     target = ring.normal_form(target)
     columns, rows, matrix, rhs = build_preimage_system(derivation, target,
@@ -237,50 +220,34 @@ def plinth_membership(derivation: Derivation, element: Polynomial,
 
 
 def dixmier_image(derivation: Derivation, slice_value: RationalFunction,
-                  element: Polynomial,
-                  cap: int = DEFAULT_NILPOTENCY_CAP) -> RationalFunction:
+                  element: Polynomial) -> RationalFunction:
     """Projection of ``element`` onto derivation constants along the slice:
     sum((-slice)^j d^j(element) / j!)."""
     ring = derivation.ring
     total = RationalFunction.zero(ring.nvars)
     sign_slice = -slice_value
     slice_power = RationalFunction(Polynomial.constant(ring.nvars, 1), 1)
-    current = ring.normal_form(element)
-    j = 0
-    while current:
+    for j, current in enumerate(derivation.iterates(element)):
+        if j:
+            slice_power = slice_power * sign_slice
         total = total + slice_power * current * Fraction(1, math.factorial(j))
-        current = derivation.apply(current)
-        j += 1
-        if j > cap:
-            raise CapExceededError(cap)
-        slice_power = slice_power * sign_slice
     return total.reduce_mod(ring.relations).simplify()
 
 
 def dixmier_reduce(derivation: Derivation, slice_value: RationalFunction,
-                   element: Polynomial,
-                   cap: int = DEFAULT_NILPOTENCY_CAP) -> tuple[RationalFunction, ...]:
+                   element: Polynomial) -> tuple[RationalFunction, ...]:
     """Coefficients c_k, all derivation constants, with
     element = sum(c_k * slice^k) modulo the relations."""
     ring = derivation.ring
     relations = ring.relations
     if not ratfun_eq_mod(relations, derivation.apply_rational(slice_value), 1):
         raise ValueError("the given value is not a slice on this open set")
-    coefficients: list[RationalFunction] = []
-    current = ring.normal_form(element)
-    k = 0
-    while current or not coefficients:
-        c = dixmier_image(derivation, slice_value, current, cap) \
-            * Fraction(1, math.factorial(k))
+    coefficients = [dixmier_image(derivation, slice_value, current)
+                    * Fraction(1, math.factorial(k))
+                    for k, current in enumerate(derivation.iterates(element))]
+    for c in coefficients:
         if not ratfun_eq_mod(relations, derivation.apply_rational(c), 0):
             raise CertificateError("Dixmier coefficient is not a constant")
-        coefficients.append(c)
-        if not current:
-            break
-        current = derivation.apply(current)
-        k += 1
-        if k > cap:
-            raise CapExceededError(cap)
     reconstructed = RationalFunction.zero(ring.nvars)
     for k, c in enumerate(coefficients):
         reconstructed = reconstructed + c * slice_value ** k
@@ -321,17 +288,11 @@ def cylinder_from_plinth(plinth: PlinthResult) -> CylinderResult:
 
 
 def slice_nonexistence(derivation: Derivation,
-                       max_degree: int) -> SliceSearchResult:
+                       max_degree: int) -> PreimageResult:
     """Search for a global polynomial slice of bounded degree; failure is
     certified exactly."""
     one = Polynomial.constant(derivation.ring.nvars, 1)
-    result = preimage_search(derivation, one, max_degree)
-    if result.found:
-        return SliceSearchResult(result.preimage, None)
-    cert = NoSliceCertificate(max_degree, len(result.row_monomials),
-                              len(result.column_monomials),
-                              result.row_monomials, result.certificate)
-    return SliceSearchResult(None, cert)
+    return preimage_search(derivation, one, max_degree)
 
 
 def plinth_claim_verify(derivation: Derivation, claimed: Sequence[Polynomial],

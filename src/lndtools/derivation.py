@@ -26,8 +26,8 @@ class CapExceededError(Exception):
     """An iterated application failed to vanish within the cap; the
     nilpotency question stays open at this bound."""
 
-    def __init__(self, cap: int, what: str = "element"):
-        super().__init__(f"derivation did not annihilate {what} within {cap} steps")
+    def __init__(self, cap: int):
+        super().__init__(f"derivation did not annihilate element within {cap} steps")
         self.cap = cap
 
 
@@ -97,13 +97,6 @@ class NilpotencyWitness:
         return not self.exceeded
 
 
-@dataclass(frozen=True)
-class FixedLocus:
-    """Vanishing locus of all derivation images inside the variety."""
-
-    ideal: Ideal
-
-
 class Derivation:
     """A derivation of a presented ring, stored via generator images.
 
@@ -143,40 +136,42 @@ class Derivation:
                 return PreservationReport(False, g, image)
         return PreservationReport(True)
 
+    def iterates(self, f: Polynomial,
+                 cap: int = DEFAULT_NILPOTENCY_CAP) -> list[Polynomial]:
+        """The reduced iterates f, d(f), d^2(f), ... up to the last nonzero
+        one, so as many as the order of f.  Raises CapExceededError when
+        d^cap(f) is still nonzero."""
+        if cap < 0:
+            raise ValueError("cap must be non-negative")
+        out: list[Polynomial] = []
+        current = self.ring.normal_form(f)
+        while current:
+            if len(out) == cap:
+                raise CapExceededError(cap)
+            out.append(current)
+            current = self.apply(current)
+        return out
+
     def nilpotency_witness(self,
                            cap: int = DEFAULT_NILPOTENCY_CAP) -> NilpotencyWitness:
         orders: list[int | None] = []
-        exceeded: list[str] = []
-        for i, name in enumerate(self.ring.names):
-            power = self.ring.normal_form(Polynomial.variable(self.ring.nvars, i))
-            steps = 0
-            while power and steps <= cap:
-                power = self.apply(power)
-                steps += 1
-            if power:
+        for name in self.ring.names:
+            try:
+                orders.append(len(self.iterates(self.ring.variable(name), cap)))
+            except CapExceededError:
                 orders.append(None)
-                exceeded.append(name)
-            else:
-                orders.append(steps)
-        return NilpotencyWitness(tuple(orders), cap, tuple(exceeded))
+        exceeded = tuple(name for name, order in zip(self.ring.names, orders)
+                         if order is None)
+        return NilpotencyWitness(tuple(orders), cap, exceeded)
 
-    def exp_action(self, f: Polynomial,
-                   cap: int = DEFAULT_NILPOTENCY_CAP) -> SPoly:
+    def exp_action(self, f: Polynomial) -> SPoly:
         """Exponential sum(s^k d^k(f) / k!) as a parameter polynomial."""
-        coeffs = [self.ring.normal_form(f)]
-        current = coeffs[0]
-        k = 0
-        while current:
-            current = self.apply(current)
-            k += 1
-            if k > cap:
-                raise CapExceededError(cap)
-            if current:
-                coeffs.append(current * Fraction(1, math.factorial(k)))
-        return SPoly(self.ring.nvars, coeffs)
+        return SPoly(self.ring.nvars,
+                     [g * Fraction(1, math.factorial(k))
+                      for k, g in enumerate(self.iterates(f))])
 
-    def orbit_point(self, point: Sequence[Scalar], time: Scalar,
-                    cap: int = DEFAULT_NILPOTENCY_CAP) -> tuple[Fraction, ...]:
+    def orbit_point(self, point: Sequence[Scalar],
+                    time: Scalar) -> tuple[Fraction, ...]:
         """Move a rational point of the variety for the given time."""
         p = tuple(Fraction(v) for v in point)
         if len(p) != self.ring.nvars:
@@ -186,18 +181,19 @@ class Derivation:
                 raise ValueError("point does not satisfy the relations")
         s = Fraction(time)
         moved = tuple(
-            self.exp_action(Polynomial.variable(self.ring.nvars, i),
-                            cap).substitute(s).evaluate(p)
+            self.exp_action(Polynomial.variable(self.ring.nvars, i))
+            .substitute(s).evaluate(p)
             for i in range(self.ring.nvars))
         # Cannot happen when the derivation preserves the relations.
         if any(g.evaluate(moved) for g in self.ring.relations.generators):
             raise RuntimeError("orbit left the variety")
         return moved
 
-    def fixed_locus(self) -> FixedLocus:
+    def fixed_locus(self) -> Ideal:
+        """Vanishing locus of all derivation images inside the variety."""
         gens = [g for g in self.images if g]
         gens.extend(self.ring.relations.generators)
-        return FixedLocus(Ideal(self.ring.nvars, gens, self.ring.order))
+        return Ideal(self.ring.nvars, gens, self.ring.order)
 
     def apply_rational(self, value: RationalFunction) -> RationalFunction:
         """Quotient-rule extension to fractions with invertible denominator."""

@@ -28,6 +28,10 @@ from .printing import format_polynomial
 
 _DIRECTIVES = ("ring", "vars", "rel", "der")
 
+# Parenthesized expressions nest at most this deep; the parser recurses
+# once per level.
+MAX_NESTING = 100
+
 
 class ParseError(Exception):
     def __init__(self, message: str, line: int, column: int):
@@ -120,6 +124,7 @@ class _ExpressionParser(_Cursor):
         super().__init__(tokens)
         self.names = {name: i for i, name in enumerate(names)}
         self.nvars = len(names)
+        self.depth = 0
 
     def expression(self) -> Polynomial:
         node = self.term()
@@ -141,10 +146,12 @@ class _ExpressionParser(_Cursor):
         return node
 
     def factor(self) -> Polynomial:
-        if self.at_symbol("-"):
+        negate = False
+        while self.at_symbol("-"):
             self.advance()
-            return -self.factor()
-        return self.power()
+            negate = not negate
+        node = self.power()
+        return -node if negate else node
 
     def power(self) -> Polynomial:
         base = self.atom()
@@ -182,8 +189,13 @@ class _ExpressionParser(_Cursor):
                                  token.line, token.column)
             return Polynomial.variable(self.nvars, index)
         if self.at_symbol("("):
+            if self.depth == MAX_NESTING:
+                raise ParseError("expression nested too deeply",
+                                 token.line, token.column)
             self.advance()
+            self.depth += 1
             node = self.expression()
+            self.depth -= 1
             self.expect_symbol(")")
             return node
         raise ParseError("expected a number, a variable, or '('",

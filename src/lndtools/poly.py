@@ -372,15 +372,6 @@ class SPoly:
         self.coeffs = tuple(stack)
 
     @property
-    def degree(self) -> int:
-        return len(self.coeffs) - 1
-
-    def coefficient(self, k: int) -> Polynomial:
-        if 0 <= k < len(self.coeffs):
-            return self.coeffs[k]
-        return Polynomial.zero(self.nvars)
-
-    @property
     def is_zero(self) -> bool:
         return not self.coeffs
 
@@ -388,35 +379,6 @@ class SPoly:
         if not isinstance(other, SPoly):
             return NotImplemented
         return self.nvars == other.nvars and self.coeffs == other.coeffs
-
-    def __add__(self, other: "SPoly") -> "SPoly":
-        if not isinstance(other, SPoly):
-            return NotImplemented
-        n = max(len(self.coeffs), len(other.coeffs))
-        return SPoly(self.nvars,
-                     [self.coefficient(k) + other.coefficient(k) for k in range(n)])
-
-    def __neg__(self) -> "SPoly":
-        return SPoly(self.nvars, [-c for c in self.coeffs])
-
-    def __sub__(self, other: "SPoly") -> "SPoly":
-        if not isinstance(other, SPoly):
-            return NotImplemented
-        return self + (-other)
-
-    def __mul__(self, other) -> "SPoly":
-        if isinstance(other, (int, Fraction, Polynomial)):
-            return SPoly(self.nvars, [c * other for c in self.coeffs])
-        if not isinstance(other, SPoly):
-            return NotImplemented
-        out = [Polynomial.zero(self.nvars)
-               for _ in range(len(self.coeffs) + len(other.coeffs))]
-        for i, a in enumerate(self.coeffs):
-            for j, b in enumerate(other.coeffs):
-                out[i + j] = out[i + j] + a * b
-        return SPoly(self.nvars, out)
-
-    __rmul__ = __mul__
 
     def substitute(self, value: Scalar) -> Polynomial:
         """Evaluate the parameter at a rational number."""
@@ -428,56 +390,11 @@ class SPoly:
             power *= v
         return total
 
-    def substitute_sum(self) -> "SPoly2":
-        """Substitute the parameter s by s + t, expanding binomially."""
-        terms: dict[tuple[int, int], Polynomial] = {}
-        for k, c in enumerate(self.coeffs):
-            for j in range(k + 1):
-                key = (j, k - j)
-                piece = c * math.comb(k, j)
-                terms[key] = terms.get(key, Polynomial.zero(self.nvars)) + piece
-        return SPoly2(self.nvars, terms)
-
-    def derivative(self) -> "SPoly":
-        """Formal derivative with respect to the parameter."""
-        return SPoly(self.nvars,
-                     [c * k for k, c in enumerate(self.coeffs)][1:])
-
-    def map_coeffs(self, fn) -> "SPoly":
-        return SPoly(self.nvars, [fn(c) for c in self.coeffs])
-
     def __repr__(self):
         from .printing import format_spoly
 
         names = tuple(f"x{i}" for i in range(self.nvars))
         return f"<{format_spoly(self, names)}>"
-
-
-class SPoly2:
-    """Polynomial in two adjoined parameters; keys are (power of s, power of t)."""
-
-    __slots__ = ("nvars", "terms")
-
-    def __init__(self, nvars: int, terms: Mapping[tuple[int, int], Polynomial]):
-        clean = {}
-        for key, poly in terms.items():
-            if poly.nvars != nvars:
-                raise ValueError("coefficient has wrong variable count")
-            if poly:
-                clean[(int(key[0]), int(key[1]))] = poly
-        self.nvars = nvars
-        self.terms = clean
-
-    def coefficient(self, i: int, j: int) -> Polynomial:
-        return self.terms.get((i, j), Polynomial.zero(self.nvars))
-
-    def map_coeffs(self, fn) -> "SPoly2":
-        return SPoly2(self.nvars, {k: fn(p) for k, p in self.terms.items()})
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, SPoly2):
-            return NotImplemented
-        return self.nvars == other.nvars and self.terms == other.terms
 
 
 def monomials_up_to(nvars: int, max_degree: int) -> Iterator[Monomial]:

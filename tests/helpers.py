@@ -7,6 +7,7 @@ on the finished basis, and radical membership is cross-checked by
 searching small powers directly.
 """
 
+import math
 from fractions import Fraction
 
 from lndtools import (
@@ -17,6 +18,7 @@ from lndtools import (
     Polynomial,
     QMatrix,
     RingPresentation,
+    SPoly,
     monomials_up_to,
     parse_polynomial,
     solve_exact,
@@ -158,3 +160,38 @@ def radical_by_power_search(f, ideal, max_power=5):
         if ideal.contains(power):
             return True
     return False
+
+
+# ----------------------------------------------------------------------
+# the laws of exp(s*d), checked coefficient by coefficient; c_k below is
+# the coefficient of s^k in exp(s*d)(f)
+
+
+def assert_exp_multiplicative(d, f, g):
+    """exp(s*d)(f*g) is the product of exp(s*d)(f) and exp(s*d)(g): its
+    coefficient k is nf(sum of a_i*b_j over i + j = k)."""
+    nvars = d.ring.nvars
+    a, b = d.exp_action(f).coeffs, d.exp_action(g).coeffs
+    products = [Polynomial.zero(nvars) for _ in range(len(a) + len(b))]
+    for i, ai in enumerate(a):
+        for j, bj in enumerate(b):
+            products[i + j] = products[i + j] + ai * bj
+    expected = SPoly(nvars, [d.ring.normal_form(p) for p in products])
+    assert d.exp_action(d.ring.normal_form(f * g)) == expected
+
+
+def assert_exp_group_law(d, f):
+    """exp((s+t)*d) is exp(t*d) after exp(s*d): coefficient j of
+    exp(t*d)(c_m) is comb(j+m, j)*c_{j+m}."""
+    c = d.exp_action(f).coeffs
+    for m, cm in enumerate(c):
+        assert d.exp_action(cm).coeffs == tuple(
+            c[j + m] * math.comb(j + m, j) for j in range(len(c) - m))
+
+
+def assert_exp_commutes_with_d_ds(d, f):
+    """d/ds exp(s*d)(f) = exp(s*d)(d(f)): coefficient k-1 of the right
+    side is k*c_k."""
+    c = d.exp_action(f).coeffs
+    assert d.exp_action(d.apply(f)).coeffs == tuple(
+        c[k] * k for k in range(1, len(c)))

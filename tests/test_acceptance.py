@@ -33,6 +33,9 @@ from lndtools import (
 
 from helpers import (
     ALL_DERIVATIONS,
+    assert_exp_commutes_with_d_ds,
+    assert_exp_group_law,
+    assert_exp_multiplicative,
     danielewski,
     radical_by_power_search,
     random_nonzero_poly,
@@ -79,10 +82,10 @@ def test_criterion_02_kernel_memberships():
 def test_criterion_03_fixed_loci():
     with criterion(3, "fixed loci reduce to (y, z) and (u, v)"):
         d, names = triangular3()
-        assert d.fixed_locus().ideal.basis == (
+        assert d.fixed_locus().basis == (
             parse_polynomial("y", names), parse_polynomial("z", names))
         d4, names4 = translation4()
-        assert d4.fixed_locus().ideal.basis == (
+        assert d4.fixed_locus().basis == (
             parse_polynomial("u", names4), parse_polynomial("v", names4))
 
 
@@ -121,12 +124,11 @@ def test_criterion_06_no_bounded_slice():
             d, _ = build()
             result = slice_nonexistence(d, 6)
             assert not result.found
-            cert = result.certificate
-            assert cert.degree_bound == 6
+            assert result.degree_bound == 6
             one = Polynomial.constant(d.ring.nvars, 1)
             columns, rows, matrix, rhs = build_preimage_system(d, one, 6)
-            assert rows == cert.row_monomials
-            assert cert.inconsistency.verify(matrix, rhs)
+            assert rows == result.row_monomials
+            assert result.certificate.verify(matrix, rhs)
             assert time.perf_counter() - begin < 60.0
 
 
@@ -239,9 +241,7 @@ def _exp_homomorphism(rng):
         nvars = d.ring.nvars
         f = random_poly(rng, nvars, max_total=2, max_terms=2)
         g = random_poly(rng, nvars, max_total=2, max_terms=2)
-        nf = d.ring.normal_form
-        product = (d.exp_action(f) * d.exp_action(g)).map_coeffs(nf)
-        assert d.exp_action(nf(f * g)) == product
+        assert_exp_multiplicative(d, f, g)
 
 
 def _group_law(rng):
@@ -249,13 +249,7 @@ def _group_law(rng):
         d, _ = rng.choice(ALL_DERIVATIONS)()
         nvars = d.ring.nvars
         f = random_poly(rng, nvars, max_total=2, max_terms=3)
-        via_sum = d.exp_action(f).substitute_sum()
-        composed = {}
-        for m, cm in enumerate(d.exp_action(f).coeffs):
-            for j, pj in enumerate(d.exp_action(cm).coeffs):
-                composed[(j, m)] = composed.get(
-                    (j, m), Polynomial.zero(nvars)) + pj
-        assert via_sum == type(via_sum)(nvars, composed)
+        assert_exp_group_law(d, f)
 
 
 def _parameter_derivative(rng):
@@ -263,7 +257,7 @@ def _parameter_derivative(rng):
         d, _ = rng.choice(ALL_DERIVATIONS)()
         nvars = d.ring.nvars
         f = random_poly(rng, nvars, max_total=2, max_terms=3)
-        assert d.exp_action(f).derivative() == d.exp_action(d.apply(f))
+        assert_exp_commutes_with_d_ds(d, f)
 
 
 def _dixmier_reconstruction(rng):

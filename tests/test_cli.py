@@ -13,6 +13,7 @@ from lndtools.cli import (
     EXIT_YES,
     run_command,
 )
+from lndtools.parsing import MAX_NESTING
 
 ROOT = Path(__file__).resolve().parent.parent
 CORPUS = ROOT / "corpus"
@@ -26,6 +27,45 @@ def test_check_reports_orders():
     assert code == EXIT_YES
     assert "order(x) = 3" in report
     assert report.splitlines()[0] == "relations preserved: yes"
+
+
+@pytest.mark.parametrize("cap, orders, code", [
+    (2, ("order(x) > 2", "order(y) = 2", "order(z) = 1"), EXIT_UNKNOWN),
+    (3, ("order(x) = 3", "order(y) = 2", "order(z) = 1"), EXIT_YES),
+    (0, ("order(x) > 0", "order(y) > 0", "order(z) > 0"), EXIT_UNKNOWN),
+])
+def test_check_cap_bounds_the_order(cap, orders, code):
+    # an order is confirmed only when it is at most the cap
+    result, report = run_command(["check", FP, "--cap", str(cap)])
+    assert result == code
+    assert tuple(report.splitlines()[1:4]) == orders
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["slice-none", FP, "--max-deg", "-1"], "max_degree must be non-negative"),
+    (["cylinder", FP, "--elem", "z", "--max-deg", "-1"],
+     "max_degree must be non-negative"),
+    (["check", FP, "--cap", "-1"], "cap must be non-negative"),
+], ids=["slice-none", "cylinder", "check"])
+def test_negative_bounds_are_input_errors(argv, message):
+    assert run_command(argv) == (EXIT_USAGE, f"error: {message}")
+
+
+@pytest.mark.parametrize("text, code, report", [
+    ("(" * 50 + "x" + ")" * 50, EXIT_NO, "d(x) = y\nkernel member: no"),
+    ("(" * MAX_NESTING + "x" + ")" * MAX_NESTING, EXIT_NO,
+     "d(x) = y\nkernel member: no"),
+    ("-" * 3000 + "x", EXIT_NO, "d(x) = y\nkernel member: no"),
+    ("(" * (MAX_NESTING + 1) + "x" + ")" * (MAX_NESTING + 1), EXIT_USAGE,
+     f"error: line 1, column {MAX_NESTING + 1}: expression nested too deeply"),
+    ("(" * 3000 + "x" + ")" * 3000, EXIT_USAGE,
+     "error: line 1, column 101: expression nested too deeply"),
+    ("-(" * 3000 + "x" + ")" * 3000, EXIT_USAGE,
+     "error: line 1, column 202: expression nested too deeply"),
+], ids=["50 parens", "limit parens", "3000 minus", "limit+1 parens",
+        "3000 parens", "3000 minus-parens"])
+def test_deep_expressions_end_cleanly(text, code, report):
+    assert run_command(["kernel", FP, f"--elem={text}"]) == (code, report)
 
 
 def test_exp_canonical_output():

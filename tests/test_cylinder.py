@@ -316,12 +316,11 @@ def test_no_global_slice_certificates():
         d, _ = builder()
         result = slice_nonexistence(d, 6)
         assert not result.found
-        cert = result.certificate
-        assert cert.degree_bound == 6
+        assert result.degree_bound == 6
         one = Polynomial.constant(d.ring.nvars, 1)
         columns, rows, matrix, rhs = build_preimage_system(d, one, 6)
-        assert cert.inconsistency.verify(matrix, rhs)
-        assert cert.nonzero_multipliers()
+        assert result.certificate.verify(matrix, rhs)
+        assert result.nonzero_multipliers()
 
 
 def test_slice_found_when_one_exists():
@@ -331,7 +330,7 @@ def test_slice_found_when_one_exists():
                               parse_polynomial("0", names)])
     result = slice_nonexistence(shift, 3)
     assert result.found
-    assert result.slice_poly == parse_polynomial("x", names)
+    assert result.preimage == parse_polynomial("x", names)
     assert result.certificate is None
 
 

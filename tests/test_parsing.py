@@ -46,6 +46,7 @@ def test_rational_literals():
 def test_unary_minus():
     assert parse_polynomial("-x + -2", XY) == Polynomial(2, {(1, 0): -1, (0, 0): -2})
     assert parse_polynomial("x - -y", XY) == Polynomial(2, {(1, 0): 1, (0, 1): 1})
+    assert parse_polynomial("---x", XY) == parse_polynomial("-x", XY)
     assert parse_polynomial("-(x + y)*2", XY) == \
         Polynomial(2, {(1, 0): -2, (0, 1): -2})
 
