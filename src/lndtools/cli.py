@@ -15,6 +15,7 @@ there an additive group action for the handler to reason about.
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 from functools import reduce
 from typing import Callable, NamedTuple
@@ -461,7 +462,12 @@ def main(argv=None) -> int:
     except SystemExit as exc:  # argparse --help
         return exc.code or 0
     if report:
-        print(report, file=sys.stderr if code == EXIT_USAGE else sys.stdout)
+        stream = sys.stderr if code == EXIT_USAGE else sys.stdout
+        try:
+            print(report, file=stream, flush=True)
+        except BrokenPipeError:
+            # the reader has gone; send the exit-time flush to devnull
+            os.dup2(os.open(os.devnull, os.O_WRONLY), stream.fileno())
     return code
 
 

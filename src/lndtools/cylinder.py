@@ -20,7 +20,7 @@ from enum import Enum
 from fractions import Fraction
 from typing import Sequence
 
-from .derivation import Derivation
+from .derivation import Derivation, RingPresentation
 from .groebner import Ideal, gcd_via_lcm, standard_monomials
 from .linalg import Inconsistency, QMatrix, solve_exact
 from .poly import DEGREVLEX, Monomial, Polynomial
@@ -165,11 +165,14 @@ def build_preimage_system(derivation: Derivation, target: Polynomial,
     columns = tuple(standard_monomials(ring.relations, max_degree))
     images = [derivation.apply(Polynomial.monomial(ring.nvars, m))
               for m in columns]
-    seen = set(target.terms)
-    for img in images:
-        seen.update(img.terms)
-    rows = tuple(sorted(seen, key=ring.order.key, reverse=True))
-    matrix = QMatrix([[img.coefficient(r) for img in images] for r in rows])
+    rows = tuple(sorted(set(target.terms).union(*(img.terms for img in images)),
+                        key=ring.order.key, reverse=True))
+    index = {r: i for i, r in enumerate(rows)}
+    entries: list[list] = [[] for _ in rows]
+    for col, img in enumerate(images):
+        for mono, coeff in img.terms.items():
+            entries[index[mono]].append((col, coeff))
+    matrix = QMatrix(len(columns), entries)
     rhs = tuple(target.coefficient(r) for r in rows)
     return columns, rows, matrix, rhs
 
@@ -223,11 +226,17 @@ def dixmier_image(derivation: Derivation, slice_value: RationalFunction,
                   element: Polynomial) -> RationalFunction:
     """Projection of ``element`` onto derivation constants along the slice:
     sum((-slice)^j d^j(element) / j!)."""
-    ring = derivation.ring
+    return _dixmier_sum(derivation.ring, slice_value,
+                        derivation.iterates(element))
+
+
+def _dixmier_sum(ring: RingPresentation, slice_value: RationalFunction,
+                 iterates: Sequence[Polynomial]) -> RationalFunction:
+    """sum((-slice)^j iterates[j] / j!), reduced and simplified."""
     total = RationalFunction.zero(ring.nvars)
     sign_slice = -slice_value
     slice_power = RationalFunction(Polynomial.constant(ring.nvars, 1), 1)
-    for j, current in enumerate(derivation.iterates(element)):
+    for j, current in enumerate(iterates):
         if j:
             slice_power = slice_power * sign_slice
         total = total + slice_power * current * Fraction(1, math.factorial(j))
@@ -242,9 +251,9 @@ def dixmier_reduce(derivation: Derivation, slice_value: RationalFunction,
     relations = ring.relations
     if not ratfun_eq_mod(relations, derivation.apply_rational(slice_value), 1):
         raise ValueError("the given value is not a slice on this open set")
-    coefficients = [dixmier_image(derivation, slice_value, current)
-                    * Fraction(1, math.factorial(k))
-                    for k, current in enumerate(derivation.iterates(element))]
+    its = derivation.iterates(element)
+    coefficients = [_dixmier_sum(ring, slice_value, its[k:])
+                    * Fraction(1, math.factorial(k)) for k in range(len(its))]
     for c in coefficients:
         if not ratfun_eq_mod(relations, derivation.apply_rational(c), 0):
             raise CertificateError("Dixmier coefficient is not a constant")

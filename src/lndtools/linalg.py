@@ -1,66 +1,40 @@
 """Exact linear algebra over the rationals.
 
-Dense Gaussian elimination with fraction-free-ish pivoting: the pivot in
-each column is the candidate with the smallest numerator (then smallest
-denominator), which keeps intermediate fractions modest.  Infeasible
-systems come back with a checkable certificate: a row vector y with
-y*A = 0 and y*b != 0.
+Sparse Gaussian elimination on row dicts with fraction-free-ish pivoting:
+the pivot in each column is the candidate with the smallest numerator
+(then smallest denominator, then row), which keeps intermediate fractions
+modest.  Infeasible systems come back with a checkable certificate: a row
+vector y with y*A = 0 and y*b != 0.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Sequence
-
-Row = tuple[Fraction, ...]
+from typing import Iterable, Sequence
 
 _ZERO = Fraction(0)
 
 
 class QMatrix:
-    """Immutable dense matrix of Fractions."""
+    """Immutable sparse matrix of Fractions: ``entries[i]`` holds the
+    nonzero ``(column, value)`` pairs of row i in column order, the values
+    given for one column summed."""
 
     __slots__ = ("rows", "cols", "entries")
 
-    def __init__(self, entries: Sequence[Sequence]):
-        data = tuple(tuple(Fraction(v) for v in row) for row in entries)
-        if data and any(len(r) != len(data[0]) for r in data):
-            raise ValueError("ragged rows")
-        self.entries = data
+    def __init__(self, cols: int, rows: Iterable[Iterable[tuple[int, object]]]):
+        data = []
+        for row in rows:
+            merged: dict[int, Fraction] = {}
+            for col, value in row:
+                if not 0 <= col < cols:
+                    raise ValueError(f"column {col} outside range({cols})")
+                merged[col] = merged.get(col, _ZERO) + Fraction(value)
+            data.append(tuple(sorted((c, v) for c, v in merged.items() if v)))
+        self.entries = tuple(data)
         self.rows = len(data)
-        self.cols = len(data[0]) if data else 0
-
-    @classmethod
-    def zeros(cls, rows: int, cols: int) -> "QMatrix":
-        return cls([[0] * cols for _ in range(rows)])
-
-    @classmethod
-    def identity(cls, n: int) -> "QMatrix":
-        return cls([[1 if i == j else 0 for j in range(n)] for i in range(n)])
-
-    def entry(self, i: int, j: int) -> Fraction:
-        return self.entries[i][j]
-
-    def apply(self, vector: Sequence) -> Row:
-        """Matrix-vector product."""
-        vec = [Fraction(v) for v in vector]
-        if len(vec) != self.cols:
-            raise ValueError("vector length does not match column count")
-        return tuple(sum((r[j] * vec[j] for j in range(self.cols)), _ZERO)
-                     for r in self.entries)
-
-    def transpose(self) -> "QMatrix":
-        return QMatrix([[self.entries[i][j] for i in range(self.rows)]
-                        for j in range(self.cols)])
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, QMatrix):
-            return NotImplemented
-        return self.entries == other.entries
-
-    def __repr__(self):
-        return f"QMatrix({self.rows}x{self.cols})"
+        self.cols = cols
 
 
 @dataclass(frozen=True)
@@ -68,26 +42,31 @@ class Inconsistency:
     """Proof that A*x = b has no solution: multipliers combining the rows
     of A to zero while combining b to a nonzero value."""
 
-    multipliers: Row
+    multipliers: tuple[Fraction, ...]
     value: Fraction
-    rows: int
-    cols: int
 
     def verify(self, matrix: QMatrix, rhs: Sequence) -> bool:
         ys = self.multipliers
-        if len(ys) != matrix.rows:
+        if len(ys) != matrix.rows or len(rhs) != matrix.rows:
             return False
-        for j in range(matrix.cols):
-            if sum((ys[i] * matrix.entry(i, j) for i in range(matrix.rows)),
-                   _ZERO):
-                return False
-        combined = sum((ys[i] * Fraction(rhs[i]) for i in range(matrix.rows)),
-                       _ZERO)
-        return combined == self.value and self.value != 0
+        combined: dict[int, Fraction] = {}
+        for y, row in zip(ys, matrix.entries):
+            for col, value in row:
+                combined[col] = combined.get(col, _ZERO) + y * value
+        if any(combined.values()):
+            return False
+        total = sum((y * Fraction(v) for y, v in zip(ys, rhs)), _ZERO)
+        return total == self.value and self.value != 0
 
 
-def _pivot_weight(value: Fraction):
-    return (abs(value.numerator), value.denominator)
+def _subtract(target: dict, factor: Fraction, source: dict) -> None:
+    """target -= factor * source, dropping the entries that cancel."""
+    for key, value in source.items():
+        updated = target.get(key, _ZERO) - factor * value
+        if updated:
+            target[key] = updated
+        else:
+            del target[key]
 
 
 def solve_exact(matrix: QMatrix, rhs: Sequence):
@@ -100,16 +79,17 @@ def solve_exact(matrix: QMatrix, rhs: Sequence):
     b = [Fraction(v) for v in rhs]
     if len(b) != m:
         raise ValueError("right-hand side length does not match row count")
-    a = [list(row) for row in matrix.entries]
-    # Trace row operations so an inconsistent row yields its multipliers.
-    trace = [[Fraction(1) if i == j else _ZERO for j in range(m)]
-             for i in range(m)]
+    a = [dict(row) for row in matrix.entries]
+    # Trace row operations so an inconsistent row yields its multipliers:
+    # trace[i] maps original rows to their multiplier in current row i.
+    trace = [{i: Fraction(1)} for i in range(m)]
 
     def certificate(row: int) -> Inconsistency:
-        return Inconsistency(tuple(trace[row]), b[row], m, n)
+        return Inconsistency(tuple(trace[row].get(i, _ZERO) for i in range(m)),
+                             b[row])
 
     for i in range(m):
-        if not any(a[i]) and b[i]:
+        if not a[i] and b[i]:
             return certificate(i)
 
     pivots: list[tuple[int, int]] = []
@@ -117,62 +97,32 @@ def solve_exact(matrix: QMatrix, rhs: Sequence):
     for col in range(n):
         if pivot_row >= m:
             break
-        candidates = [r for r in range(pivot_row, m) if a[r][col]]
+        candidates = [r for r in range(pivot_row, m) if col in a[r]]
         if not candidates:
             continue
-        best = min(candidates, key=lambda r: (_pivot_weight(a[r][col]), r))
-        if best != pivot_row:
-            a[best], a[pivot_row] = a[pivot_row], a[best]
-            b[best], b[pivot_row] = b[pivot_row], b[best]
-            trace[best], trace[pivot_row] = trace[pivot_row], trace[best]
-        inv = 1 / a[pivot_row][col]
-        for r in range(pivot_row + 1, m):
+        best = min(candidates, key=lambda r: (abs(a[r][col].numerator),
+                                              a[r][col].denominator, r))
+        a[best], a[pivot_row] = a[pivot_row], a[best]
+        b[best], b[pivot_row] = b[pivot_row], b[best]
+        trace[best], trace[pivot_row] = trace[pivot_row], trace[best]
+        pivot, inv = a[pivot_row], 1 / a[pivot_row][col]
+        # after the swap the old pivot row, if it was a candidate, sits at best
+        for r in sorted(best if r == pivot_row else r
+                        for r in candidates if r != best):
             factor = a[r][col] * inv
-            if not factor:
-                continue
-            for c in range(col, n):
-                a[r][c] -= factor * a[pivot_row][c]
+            _subtract(a[r], factor, pivot)
             b[r] -= factor * b[pivot_row]
-            for c in range(m):
-                trace[r][c] -= factor * trace[pivot_row][c]
-            if not any(a[r]) and b[r]:
+            _subtract(trace[r], factor, trace[pivot_row])
+            if not a[r] and b[r]:
                 return certificate(r)
         pivots.append((pivot_row, col))
         pivot_row += 1
 
-    for r in range(pivot_row, m):
-        if b[r]:
-            return certificate(r)
-
+    # Every row below the pivots is now empty with b[r] = 0: an empty row
+    # is never updated, and the checks above return on any other one.
+    # solution[col] is still zero when its own row is summed.
     solution = [_ZERO] * n
     for row, col in reversed(pivots):
-        acc = b[row]
-        for c in range(col + 1, n):
-            if a[row][c]:
-                acc -= a[row][c] * solution[c]
-        solution[col] = acc / a[row][col]
+        known = sum((v * solution[c] for c, v in a[row].items()), _ZERO)
+        solution[col] = (b[row] - known) / a[row][col]
     return tuple(solution)
-
-
-def rank(matrix: QMatrix) -> int:
-    m, n = matrix.rows, matrix.cols
-    a = [list(row) for row in matrix.entries]
-    count = 0
-    pivot_row = 0
-    for col in range(n):
-        if pivot_row >= m:
-            break
-        candidates = [r for r in range(pivot_row, m) if a[r][col]]
-        if not candidates:
-            continue
-        best = min(candidates, key=lambda r: (_pivot_weight(a[r][col]), r))
-        a[best], a[pivot_row] = a[pivot_row], a[best]
-        inv = 1 / a[pivot_row][col]
-        for r in range(pivot_row + 1, m):
-            factor = a[r][col] * inv
-            if factor:
-                for c in range(col, n):
-                    a[r][c] -= factor * a[pivot_row][c]
-        count += 1
-        pivot_row += 1
-    return count

@@ -117,13 +117,13 @@ def membership_by_linear_algebra(f, generators, cofactor_degree):
             rows.add(tuple(a + b for a, b in zip(mono, gmono)))
     rows = sorted(rows)
     row_index = {mono: i for i, mono in enumerate(rows)}
-    entries = [[Fraction(0)] * len(unknowns) for _ in rows]
+    entries = [[] for _ in rows]
     for col, (g, mono) in enumerate(unknowns):
         for gmono, coeff in g.terms.items():
             prod = tuple(a + b for a, b in zip(mono, gmono))
-            entries[row_index[prod]][col] += coeff
+            entries[row_index[prod]].append((col, coeff))
     rhs = [f.coefficient(mono) for mono in rows]
-    outcome = solve_exact(QMatrix(entries), rhs)
+    outcome = solve_exact(QMatrix(len(unknowns), entries), rhs)
     return not isinstance(outcome, Inconsistency)
 
 

@@ -1,3 +1,4 @@
+import os
 import subprocess
 import sys
 from pathlib import Path
@@ -20,6 +21,7 @@ CORPUS = ROOT / "corpus"
 FP = str(CORPUS / "ex_fp.lnd")
 A4 = str(CORPUS / "ex_a4.lnd")
 SURFACE = str(CORPUS / "ex_danielewski.lnd")
+PLANE = str(CORPUS / "ex_plane.lnd")
 
 
 def test_check_reports_orders():
@@ -300,3 +302,37 @@ def test_installed_entry_point_streams():
     done = subprocess.run(script + ["--help"], capture_output=True, text=True)
     assert done.returncode == 0
     assert "locally nilpotent" in done.stdout
+
+
+def test_closed_stdout_keeps_the_verdict():
+    # the reader of stdout is gone before the verdict is printed
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        done = subprocess.run(
+            [sys.executable, "-m", "lndtools.cli", "cylinder", PLANE,
+             "--elem", "y"], stdout=write_end, stderr=subprocess.PIPE,
+            text=True)
+    finally:
+        os.close(write_end)
+    assert done.returncode == EXIT_YES
+    assert "Traceback" not in done.stderr
+
+
+@pytest.mark.parametrize("spec, lines", [
+    (A4, ["no slice of degree <= 12",
+          "system: 1730 equations, 1820 unknowns",
+          "certificate multipliers: {1: 1}",
+          "certificate value: 1"]),
+    (SURFACE, ["no slice of degree <= 12",
+               "system: 167 equations, 169 unknowns",
+               "certificate multipliers: {x^6*z^6: 1, x^5*z^5: -13/6, "
+               "x^4*z^4: 143/30, x^3*z^3: -429/40, x^2*z^2: 1001/40, "
+               "x*z: -1001/16, 1: 3003/16}",
+               "certificate value: 3003/16"]),
+], ids=["a4", "danielewski"])
+def test_slice_none_certificates_at_degree_12(spec, lines):
+    # pins the pivot order on systems larger than the goldens' degree 6
+    code, report = run_command(["slice-none", spec, "--max-deg", "12"])
+    assert code == EXIT_NO
+    assert report.splitlines() == lines

@@ -1,5 +1,6 @@
 import random
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -24,14 +25,17 @@ from lndtools import (
     cylinder_decision,
     dixmier_image,
     dixmier_reduce,
+    format_ratfun,
     maximal_cylinder,
     parse_polynomial,
+    parse_spec,
     plinth_claim_verify,
     plinth_membership,
     preimage_search,
     principality_check,
     ratfun_eq_mod,
     slice_nonexistence,
+    spec_derivation,
 )
 
 XYZ = ["x", "y", "z"]
@@ -239,6 +243,28 @@ def test_dixmier_reconstruction_on_the_surface():
         for k, c in enumerate(coeffs):
             total = total + c * sigma ** k
         assert ratfun_eq_mod(relations, total, RationalFunction.from_polynomial(b))
+
+
+def test_dixmier_reduce_applies_d_once_per_iterate(monkeypatch):
+    # the coefficients c_k come from the tails of one list of iterates
+    path = Path(__file__).resolve().parent.parent / "corpus" / "ex_fp.lnd"
+    d = spec_derivation(parse_spec(path.read_text(encoding="utf-8")))
+    sigma = RationalFunction(P("y"), P("z"))
+    calls = []
+    apply = Derivation.apply
+
+    def counted(self, f):
+        calls.append(f)
+        return apply(self, f)
+
+    monkeypatch.setattr(Derivation, "apply", counted)
+    coeffs = dixmier_reduce(d, sigma, P("x^3*y^2"))
+    assert len(calls) == 9
+    assert [format_ratfun(c, XYZ) for c in coeffs] == [
+        "0", "0",
+        "(-1/8*y^6 + 3/4*x*y^4*z - 3/2*x^2*y^2*z^2 + x^3*z^3)/z", "0",
+        "3/8*y^4*z - 3/2*x*y^2*z^2 + 3/2*x^2*z^3", "0",
+        "-3/8*y^2*z^3 + 3/4*x*z^4", "0", "1/8*z^5"]
 
 
 def test_dixmier_reduce_rejects_non_slices():
