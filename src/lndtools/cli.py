@@ -17,7 +17,7 @@ from __future__ import annotations
 import argparse
 import os
 import sys
-from functools import reduce
+from functools import cache, reduce
 from typing import Callable, NamedTuple
 
 from .cylinder import (
@@ -418,7 +418,10 @@ COMMANDS = (
 _BY_NAME = {command.name: command for command in COMMANDS}
 
 
+@cache
 def build_parser() -> _ArgumentParser:
+    """The ``lnd`` argument parser, built once per process; parsing leaves
+    it unchanged, so every call of :func:`run_command` shares it."""
     parser = _ArgumentParser(
         prog="lnd",
         description="Exact computations with locally nilpotent derivations: "

@@ -16,7 +16,7 @@ from fractions import Fraction
 from typing import Sequence
 
 from .groebner import Ideal
-from .poly import DEGREVLEX, Polynomial, Scalar, SPoly
+from .poly import DEGREVLEX, Polynomial, Scalar
 from .ratfun import RationalFunction
 
 DEFAULT_NILPOTENCY_CAP = 64
@@ -164,11 +164,11 @@ class Derivation:
                          if order is None)
         return NilpotencyWitness(tuple(orders), cap, exceeded)
 
-    def exp_action(self, f: Polynomial) -> SPoly:
-        """Exponential sum(s^k d^k(f) / k!) as a parameter polynomial."""
-        return SPoly(self.ring.nvars,
-                     [g * Fraction(1, math.factorial(k))
-                      for k, g in enumerate(self.iterates(f))])
+    def exp_action(self, f: Polynomial) -> tuple[Polynomial, ...]:
+        """Coefficients d^k(f) / k! of exp(s*d)(f) by power of s; the last
+        one is nonzero, and there are none when f reduces to zero."""
+        return tuple(g * Fraction(1, math.factorial(k))
+                     for k, g in enumerate(self.iterates(f)))
 
     def orbit_point(self, point: Sequence[Scalar],
                     time: Scalar) -> tuple[Fraction, ...]:
@@ -181,9 +181,10 @@ class Derivation:
                 raise ValueError("point does not satisfy the relations")
         s = Fraction(time)
         moved = tuple(
-            self.exp_action(Polynomial.variable(self.ring.nvars, i))
-            .substitute(s).evaluate(p)
-            for i in range(self.ring.nvars))
+            sum((c.evaluate(p) * s ** k
+                 for k, c in enumerate(self.exp_action(self.ring.variable(name)))),
+                Fraction(0))
+            for name in self.ring.names)
         # Cannot happen when the derivation preserves the relations.
         if any(g.evaluate(moved) for g in self.ring.relations.generators):
             raise RuntimeError("orbit left the variety")

@@ -32,6 +32,18 @@ from .poly import (
 _ZERO = Fraction(0)
 
 
+def _subtract_shifted(work: dict[Monomial, Fraction], factor: Fraction,
+                      shift: Monomial, g: Polynomial) -> None:
+    """work -= factor * x^shift * g, in place; zero terms are dropped."""
+    for m2, c2 in g.terms.items():
+        m = mono_mul(m2, shift)
+        c = work.get(m, _ZERO) - factor * c2
+        if c:
+            work[m] = c
+        else:
+            del work[m]
+
+
 def reduce_poly(f: Polynomial, divisors: Sequence[Polynomial],
                 order: MonomialOrder) -> Polynomial:
     """Remainder of multivariate division of f by the divisor list.
@@ -50,45 +62,31 @@ def reduce_poly(f: Polynomial, divisors: Sequence[Polynomial],
         coeff = work[mono]
         for (lm, lc), d in lead:
             if mono_divides(lm, mono):
-                shift = mono_div(mono, lm)
-                factor = coeff / lc
-                for m2, c2 in d.terms.items():
-                    m = mono_mul(m2, shift)
-                    c = work.get(m, _ZERO) - factor * c2
-                    if c:
-                        work[m] = c
-                    elif m in work:
-                        del work[m]
+                _subtract_shifted(work, coeff / lc, mono_div(mono, lm), d)
                 break
         else:
             remainder[mono] = coeff
             del work[mono]
-    return Polynomial(f.nvars, remainder)
+    return Polynomial._from_clean(f.nvars, remainder)
 
 
-def divide_exact(f: Polynomial, g: Polynomial,
-                 order: MonomialOrder = DEGREVLEX) -> Polynomial:
+def divide_exact(f: Polynomial, g: Polynomial) -> Polynomial:
     """Quotient f/g when the division is exact; raises otherwise."""
     if g.is_zero:
         raise ZeroDivisionError("division by the zero polynomial")
     quotient: dict[Monomial, Fraction] = {}
-    lm, lc = g.leading_term(order)
+    lm, lc = g.leading_term(DEGREVLEX)
     work = dict(f.terms)
     while work:
-        mono = max(work, key=order.key)
+        mono = max(work, key=DEGREVLEX.key)
         if not mono_divides(lm, mono):
             raise ValueError("division is not exact")
         shift = mono_div(mono, lm)
         factor = work[mono] / lc
+        # the leading monomial of work falls at each step, so no shift repeats
         quotient[shift] = factor
-        for m2, c2 in g.terms.items():
-            m = mono_mul(m2, shift)
-            c = work.get(m, _ZERO) - factor * c2
-            if c:
-                work[m] = c
-            elif m in work:
-                del work[m]
-    return Polynomial(f.nvars, quotient)
+        _subtract_shifted(work, factor, shift, g)
+    return Polynomial._from_clean(f.nvars, quotient)
 
 
 def _s_polynomial(f: Polynomial, g: Polynomial,
@@ -251,7 +249,7 @@ def gcd_via_lcm(f: Polynomial, g: Polynomial) -> Polynomial:
     if f.is_zero or g.is_zero:
         raise ValueError("gcd of a zero polynomial")
     l = lcm_via_intersection(f, g)
-    q = divide_exact(f * g, l, DEGREVLEX)
+    q = divide_exact(f * g, l)
     return q.content_split(DEGREVLEX)[1]
 
 

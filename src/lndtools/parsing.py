@@ -118,6 +118,22 @@ class _Cursor:
         if token.kind != "end":
             raise ParseError("unexpected trailing input", token.line, token.column)
 
+    def rational_literal(self) -> Fraction:
+        """Read ``int`` or ``int / int`` from the current integer token; the
+        denominator must be a nonzero integer literal."""
+        value = Fraction(self.advance().value)
+        if not self.at_symbol("/"):
+            return value
+        self.advance()
+        den = self.peek()
+        if den.kind != "int":
+            raise ParseError("expected an integer denominator",
+                             den.line, den.column)
+        if den.value == 0:
+            raise ParseError("zero denominator", den.line, den.column)
+        self.advance()
+        return value / den.value
+
 
 class _ExpressionParser(_Cursor):
     def __init__(self, tokens: Sequence[Token], names: Sequence[str]):
@@ -168,19 +184,7 @@ class _ExpressionParser(_Cursor):
     def atom(self) -> Polynomial:
         token = self.peek()
         if token.kind == "int":
-            self.advance()
-            value = Fraction(token.value)
-            if self.at_symbol("/"):
-                self.advance()
-                den = self.peek()
-                if den.kind != "int":
-                    raise ParseError("expected an integer denominator",
-                                     den.line, den.column)
-                if den.value == 0:
-                    raise ParseError("zero denominator", den.line, den.column)
-                self.advance()
-                value = Fraction(token.value, den.value)
-            return Polynomial.constant(self.nvars, value)
+            return Polynomial.constant(self.nvars, self.rational_literal())
         if token.kind == "ident":
             self.advance()
             index = self.names.get(token.value)
@@ -228,19 +232,7 @@ def _parse_rational(cursor: _Cursor) -> Fraction:
     token = cursor.peek()
     if token.kind != "int":
         raise ParseError("expected a rational number", token.line, token.column)
-    cursor.advance()
-    value = Fraction(token.value)
-    if cursor.at_symbol("/"):
-        cursor.advance()
-        den = cursor.peek()
-        if den.kind != "int":
-            raise ParseError("expected an integer denominator",
-                             den.line, den.column)
-        if den.value == 0:
-            raise ParseError("zero denominator", den.line, den.column)
-        cursor.advance()
-        value = Fraction(token.value, den.value)
-    return sign * value
+    return sign * cursor.rational_literal()
 
 
 def parse_fraction(text: str) -> Fraction:

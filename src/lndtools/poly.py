@@ -126,12 +126,24 @@ class Polynomial:
         self.nvars = nvars
         self.terms = clean
 
+    @classmethod
+    def _from_clean(cls, nvars: int,
+                    terms: dict[Monomial, Fraction]) -> "Polynomial":
+        """Wrap terms that are clean by construction, without checks or a
+        copy: every key is an exponent tuple of length ``nvars`` and every
+        value a nonzero ``Fraction``.  Outside data goes through
+        ``Polynomial(...)``."""
+        out = cls.__new__(cls)
+        out.nvars = nvars
+        out.terms = terms
+        return out
+
     # ------------------------------------------------------------------
     # constructors
 
     @classmethod
     def zero(cls, nvars: int) -> "Polynomial":
-        return cls(nvars)
+        return cls._from_clean(nvars, {})
 
     @classmethod
     def constant(cls, nvars: int, value: Scalar) -> "Polynomial":
@@ -224,20 +236,15 @@ class Polynomial:
             s = terms.get(mono, _ZERO) + c
             if s:
                 terms[mono] = s
-            elif mono in terms:
+            else:
                 del terms[mono]
-        out = Polynomial.__new__(Polynomial)
-        out.nvars = self.nvars
-        out.terms = terms
-        return out
+        return Polynomial._from_clean(self.nvars, terms)
 
     __radd__ = __add__
 
     def __neg__(self) -> "Polynomial":
-        out = Polynomial.__new__(Polynomial)
-        out.nvars = self.nvars
-        out.terms = {m: -c for m, c in self.terms.items()}
-        return out
+        return Polynomial._from_clean(
+            self.nvars, {m: -c for m, c in self.terms.items()})
 
     def __sub__(self, other) -> "Polynomial":
         other = self._coerce(other)
@@ -256,10 +263,8 @@ class Polynomial:
             c = Fraction(other)
             if not c:
                 return Polynomial.zero(self.nvars)
-            out = Polynomial.__new__(Polynomial)
-            out.nvars = self.nvars
-            out.terms = {m: v * c for m, v in self.terms.items()}
-            return out
+            return Polynomial._from_clean(
+                self.nvars, {m: v * c for m, v in self.terms.items()})
         other = self._coerce(other)
         if other is None:
             return NotImplemented
@@ -270,12 +275,9 @@ class Polynomial:
                 s = terms.get(m, _ZERO) + c1 * c2
                 if s:
                     terms[m] = s
-                elif m in terms:
+                else:
                     del terms[m]
-        out = Polynomial.__new__(Polynomial)
-        out.nvars = self.nvars
-        out.terms = terms
-        return out
+        return Polynomial._from_clean(self.nvars, terms)
 
     __rmul__ = __mul__
 
@@ -306,14 +308,10 @@ class Polynomial:
         """Formal partial derivative with respect to variable ``index``."""
         if not 0 <= index < self.nvars:
             raise ValueError(f"variable index {index} out of range")
-        terms: dict[Monomial, Fraction] = {}
-        for mono, c in self.terms.items():
-            e = mono[index]
-            if e == 0:
-                continue
-            lowered = mono[:index] + (e - 1,) + mono[index + 1:]
-            terms[lowered] = terms.get(lowered, _ZERO) + c * e
-        return Polynomial(self.nvars, terms)
+        # Lowering one exponent is injective on the terms that have it.
+        return Polynomial._from_clean(self.nvars, {
+            mono[:index] + (mono[index] - 1,) + mono[index + 1:]: c * mono[index]
+            for mono, c in self.terms.items() if mono[index]})
 
     def evaluate(self, point: Sequence[Scalar]) -> Fraction:
         if len(point) != self.nvars:
@@ -335,7 +333,7 @@ class Polynomial:
         """Embed into a ring with extra variables on either side."""
         n = self.nvars + left + right
         terms = {(0,) * left + m + (0,) * right: c for m, c in self.terms.items()}
-        return Polynomial(n, terms)
+        return Polynomial._from_clean(n, terms)
 
     def drop_first(self, k: int) -> "Polynomial":
         """Forget the first k variables; they must not occur."""
@@ -344,57 +342,13 @@ class Polynomial:
             if any(mono[:k]):
                 raise ValueError("polynomial involves a dropped variable")
             terms[mono[k:]] = c
-        return Polynomial(self.nvars - k, terms)
+        return Polynomial._from_clean(self.nvars - k, terms)
 
     def __repr__(self):
         from .printing import format_polynomial
 
         names = tuple(f"x{i}" for i in range(self.nvars))
         return f"<{format_polynomial(self, names)}>"
-
-
-class SPoly:
-    """Polynomial in one adjoined parameter with ring-polynomial coefficients.
-
-    ``coeffs[k]`` is the coefficient of the k-th power of the parameter.
-    """
-
-    __slots__ = ("nvars", "coeffs")
-
-    def __init__(self, nvars: int, coeffs: Iterable[Polynomial] = ()):
-        stack = list(coeffs)
-        for c in stack:
-            if c.nvars != nvars:
-                raise ValueError("coefficient has wrong variable count")
-        while stack and stack[-1].is_zero:
-            stack.pop()
-        self.nvars = nvars
-        self.coeffs = tuple(stack)
-
-    @property
-    def is_zero(self) -> bool:
-        return not self.coeffs
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, SPoly):
-            return NotImplemented
-        return self.nvars == other.nvars and self.coeffs == other.coeffs
-
-    def substitute(self, value: Scalar) -> Polynomial:
-        """Evaluate the parameter at a rational number."""
-        v = Fraction(value)
-        total = Polynomial.zero(self.nvars)
-        power = Fraction(1)
-        for c in self.coeffs:
-            total = total + c * power
-            power *= v
-        return total
-
-    def __repr__(self):
-        from .printing import format_spoly
-
-        names = tuple(f"x{i}" for i in range(self.nvars))
-        return f"<{format_spoly(self, names)}>"
 
 
 def monomials_up_to(nvars: int, max_degree: int) -> Iterator[Monomial]:

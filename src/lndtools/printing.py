@@ -10,7 +10,7 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Sequence
 
-from .poly import DEGREVLEX, Monomial, MonomialOrder, Polynomial, SPoly
+from .poly import DEGREVLEX, Monomial, MonomialOrder, Polynomial
 
 
 def _term_body(coeff_abs: Fraction, mono: Monomial, names: Sequence[str],
@@ -49,21 +49,20 @@ def format_polynomial(poly: Polynomial, names: Sequence[str],
     return "".join(pieces)
 
 
-def format_spoly(value: SPoly, names: Sequence[str],
-                 order: MonomialOrder = DEGREVLEX, parameter: str = "s") -> str:
-    if value.is_zero:
+def format_spoly(coeffs: Sequence[Polynomial], names: Sequence[str]) -> str:
+    """The polynomial in s with the given nonzero coefficients by power
+    of s, as ``Derivation.exp_action`` returns them."""
+    if not coeffs:
         return "0"
     pieces = []
-    for k, c in enumerate(value.coeffs):
-        if c.is_zero:
-            continue
-        ppart = None if k == 0 else (parameter if k == 1 else f"{parameter}^{k}")
+    for k, c in enumerate(coeffs):
+        ppart = None if k == 0 else ("s" if k == 1 else f"s^{k}")
         if len(c.terms) == 1:
             ((mono, coeff),) = c.terms.items()
             body = _term_body(abs(coeff), mono, names, ppart)
             negative = coeff < 0
         else:
-            inner = format_polynomial(c, names, order)
+            inner = format_polynomial(c, names)
             body = f"{ppart}*({inner})" if ppart else inner
             negative = False
         if not pieces:

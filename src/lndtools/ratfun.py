@@ -67,17 +67,8 @@ class RationalFunction:
 
     # ------------------------------------------------------------------
 
-    def _coerce(self, other: _Operand) -> "RationalFunction | None":
-        if isinstance(other, RationalFunction):
-            return other
-        if isinstance(other, Polynomial):
-            return RationalFunction(other, 1)
-        if isinstance(other, (int, Fraction)):
-            return RationalFunction(Polynomial.constant(self.nvars, other), 1)
-        return None
-
     def __add__(self, other: _Operand) -> "RationalFunction":
-        other = self._coerce(other)
+        other = _as_ratfun(other, self.nvars)
         if other is None:
             return NotImplemented
         return RationalFunction(self.num * other.den + other.num * self.den,
@@ -89,19 +80,19 @@ class RationalFunction:
         return RationalFunction(-self.num, self.den)
 
     def __sub__(self, other: _Operand) -> "RationalFunction":
-        other = self._coerce(other)
+        other = _as_ratfun(other, self.nvars)
         if other is None:
             return NotImplemented
         return self + (-other)
 
     def __rsub__(self, other: _Operand) -> "RationalFunction":
-        other = self._coerce(other)
+        other = _as_ratfun(other, self.nvars)
         if other is None:
             return NotImplemented
         return other + (-self)
 
     def __mul__(self, other: _Operand) -> "RationalFunction":
-        other = self._coerce(other)
+        other = _as_ratfun(other, self.nvars)
         if other is None:
             return NotImplemented
         return RationalFunction(self.num * other.num, self.den * other.den)
@@ -115,7 +106,7 @@ class RationalFunction:
 
     def __eq__(self, other) -> bool:
         """Equality as fractions of the free polynomial ring."""
-        other = self._coerce(other)
+        other = _as_ratfun(other, self.nvars)
         if other is None:
             return NotImplemented
         return (self.num * other.den - other.num * self.den).is_zero
@@ -161,8 +152,9 @@ def _cancel_monomial(num: Polynomial, den: Polynomial):
                 min(a, b) for a, b in zip(shared, mono))
             if not any(shared):
                 return num, den
-    strip = lambda p: Polynomial(p.nvars, {mono_div(m, shared): c
-                                           for m, c in p.terms.items()})
+    # dividing every term by a shared monomial keeps the terms distinct
+    strip = lambda p: Polynomial._from_clean(
+        p.nvars, {mono_div(m, shared): c for m, c in p.terms.items()})
     return strip(num), strip(den)
 
 
@@ -173,15 +165,22 @@ def ratfun_eq_mod(ideal, a: _Operand, b: _Operand) -> bool:
     nvars = ideal.nvars
     a = _as_ratfun(a, nvars)
     b = _as_ratfun(b, nvars)
+    if a is None or b is None:
+        raise TypeError("ratfun_eq_mod compares rational functions, "
+                        "polynomials, ints and Fractions")
     for side in (a, b):
         if ideal.normal_form(side.den).is_zero:
             raise ZeroDivisionError("denominator lies in the ideal")
     return ideal.normal_form(a.num * b.den - b.num * a.den).is_zero
 
 
-def _as_ratfun(value: _Operand, nvars: int) -> RationalFunction:
+def _as_ratfun(value, nvars: int) -> RationalFunction | None:
+    """``value`` as a rational function in ``nvars`` variables, or None
+    when it is not a RationalFunction, Polynomial, int or Fraction."""
     if isinstance(value, RationalFunction):
         return value
     if isinstance(value, Polynomial):
         return RationalFunction(value, 1)
-    return RationalFunction(Polynomial.constant(nvars, value), 1)
+    if isinstance(value, (int, Fraction)):
+        return RationalFunction(Polynomial.constant(nvars, value), 1)
+    return None

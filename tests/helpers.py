@@ -18,7 +18,6 @@ from lndtools import (
     Polynomial,
     QMatrix,
     RingPresentation,
-    SPoly,
     monomials_up_to,
     parse_polynomial,
     solve_exact,
@@ -171,27 +170,29 @@ def assert_exp_multiplicative(d, f, g):
     """exp(s*d)(f*g) is the product of exp(s*d)(f) and exp(s*d)(g): its
     coefficient k is nf(sum of a_i*b_j over i + j = k)."""
     nvars = d.ring.nvars
-    a, b = d.exp_action(f).coeffs, d.exp_action(g).coeffs
+    a, b = d.exp_action(f), d.exp_action(g)
     products = [Polynomial.zero(nvars) for _ in range(len(a) + len(b))]
     for i, ai in enumerate(a):
         for j, bj in enumerate(b):
             products[i + j] = products[i + j] + ai * bj
-    expected = SPoly(nvars, [d.ring.normal_form(p) for p in products])
-    assert d.exp_action(d.ring.normal_form(f * g)) == expected
+    expected = [d.ring.normal_form(p) for p in products]
+    while expected and expected[-1].is_zero:
+        expected.pop()
+    assert d.exp_action(d.ring.normal_form(f * g)) == tuple(expected)
 
 
 def assert_exp_group_law(d, f):
     """exp((s+t)*d) is exp(t*d) after exp(s*d): coefficient j of
     exp(t*d)(c_m) is comb(j+m, j)*c_{j+m}."""
-    c = d.exp_action(f).coeffs
+    c = d.exp_action(f)
     for m, cm in enumerate(c):
-        assert d.exp_action(cm).coeffs == tuple(
+        assert d.exp_action(cm) == tuple(
             c[j + m] * math.comb(j + m, j) for j in range(len(c) - m))
 
 
 def assert_exp_commutes_with_d_ds(d, f):
     """d/ds exp(s*d)(f) = exp(s*d)(d(f)): coefficient k-1 of the right
     side is k*c_k."""
-    c = d.exp_action(f).coeffs
-    assert d.exp_action(d.apply(f)).coeffs == tuple(
+    c = d.exp_action(f)
+    assert d.exp_action(d.apply(f)) == tuple(
         c[k] * k for k in range(1, len(c)))

@@ -1,6 +1,7 @@
 import os
 import subprocess
 import sys
+import types
 from pathlib import Path
 
 import pytest
@@ -12,6 +13,7 @@ from lndtools.cli import (
     EXIT_UNKNOWN,
     EXIT_USAGE,
     EXIT_YES,
+    build_parser,
     run_command,
 )
 from lndtools.parsing import MAX_NESTING
@@ -274,6 +276,26 @@ def test_readme_lists_exactly_the_commands():
     rows = [line.split("|")[1:3] for line in section.splitlines()[2:]]
     listed = {cell.strip().strip("`"): gate.strip() for cell, gate in rows}
     assert listed == {c.name: "yes" if c.gated else "no" for c in COMMANDS}
+
+
+def test_exports_are_exactly_the_package_names():
+    public = {name for name, value in vars(lndtools).items()
+              if not name.startswith("_")
+              and not isinstance(value, types.ModuleType)}
+    assert sorted(lndtools.__all__) == sorted(public)
+    for name in lndtools.__all__:
+        assert getattr(lndtools, name) is not None
+
+
+def test_shared_parser_keeps_no_option_values():
+    assert build_parser() is build_parser()
+    command = ["plinth", FP, "--elem", "y^2 - 2*x*z"]
+    code, report = run_command(command + ["--max-deg", "3"])
+    assert code == EXIT_UNKNOWN
+    assert report.endswith("(max power 4, max degree 3)")
+    code, report = run_command(command)
+    assert code == EXIT_UNKNOWN
+    assert report.endswith("(max power 4, max degree 8)")
 
 
 def test_non_nilpotent_check_is_inconclusive(tmp_path):

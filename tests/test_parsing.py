@@ -43,6 +43,17 @@ def test_rational_literals():
         parse_polynomial("x/2", XY)
 
 
+@pytest.mark.parametrize("text, reason", [
+    ("1/0", "zero denominator"),
+    ("1/x", "expected an integer denominator"),
+])
+def test_rational_literal_errors_agree(text, reason):
+    for parse in (lambda t: parse_polynomial(t, XY), parse_fraction, parse_point):
+        with pytest.raises(ParseError) as info:
+            parse(text)
+        assert (info.value.reason, info.value.column) == (reason, 3)
+
+
 def test_unary_minus():
     assert parse_polynomial("-x + -2", XY) == Polynomial(2, {(1, 0): -1, (0, 0): -2})
     assert parse_polynomial("x - -y", XY) == Polynomial(2, {(1, 0): 1, (0, 1): 1})

@@ -4,14 +4,21 @@ from fractions import Fraction
 
 import pytest
 
-from helpers import random_fraction, random_monomial, random_poly
+from helpers import (
+    random_fraction,
+    random_monomial,
+    random_nonzero_poly,
+    random_poly,
+)
 from lndtools import (
     DEGREVLEX,
     LEX,
     Polynomial,
-    SPoly,
+    RationalFunction,
+    divide_exact,
     elimination,
     monomials_up_to,
+    reduce_poly,
 )
 
 
@@ -178,24 +185,32 @@ def test_monomials_up_to_counts():
 
 
 # ----------------------------------------------------------------------
-# the adjoined-parameter polynomials
+# computed terms skip the constructor's checks, so they must be clean
 
 
-def test_spoly_substitute_matches_direct_sum():
-    rng = random.Random(110)
-    for _ in range(200):
-        coeffs = [random_poly(rng, 2, max_total=2, max_terms=2)
-                  for _ in range(rng.randint(0, 4))]
-        action = SPoly(2, coeffs)
-        s0 = random_fraction(rng)
-        expected = Polynomial.zero(2)
-        for k, c in enumerate(coeffs):
-            expected = expected + c * s0 ** k
-        assert action.substitute(s0) == expected
+def assert_clean(p):
+    """Exponent tuples of length nvars mapped to nonzero Fractions."""
+    assert p == Polynomial(p.nvars, p.terms)
+    for mono, c in p.terms.items():
+        assert type(mono) is tuple and len(mono) == p.nvars
+        assert type(c) is Fraction and c != 0
 
 
-def test_spoly_trims_trailing_zeros():
-    zero = Polynomial.zero(1)
-    one = Polynomial.constant(1, 1)
-    assert SPoly(1, [one, zero, zero]).coeffs == (one,)
-    assert SPoly(1, [zero]).is_zero
+def test_computed_terms_are_clean_random():
+    rng = random.Random(111)
+    for _ in range(300):
+        f = random_poly(rng, 3)
+        g = random_poly(rng, 3)
+        scalar = rng.choice((random_fraction(rng), rng.randint(-3, 3)))
+        results = [f + g, f - g, -f, f + (-f), f * g, f * scalar, scalar * f,
+                   f.diff(rng.randrange(3)), f.pad(left=1, right=2),
+                   f.pad(left=2).drop_first(2), Polynomial.zero(3)]
+        divisors = [random_nonzero_poly(rng, 3, max_terms=3) for _ in range(2)]
+        for order in (LEX, DEGREVLEX, elimination(1)):
+            results.append(reduce_poly(f, divisors, order))
+        results.append(divide_exact(f * divisors[0], divisors[0]))
+        shared = Polynomial.monomial(3, random_monomial(rng, 3))
+        fraction = RationalFunction(f * shared, divisors[1] * shared)
+        results.extend((fraction.num, fraction.den))
+        for p in results:
+            assert_clean(p)

@@ -130,6 +130,17 @@ def test_eq_mod_surface_identity():
         ratfun_eq_mod(surface, R("x", "y^2 - 2*x*z - 1"), a)
 
 
+@pytest.mark.parametrize("operand", [1.5, "x", object()])
+def test_other_operands_are_refused(operand):
+    surface = Ideal(3, [P("y^2 - 2*x*z - 1")])
+    with pytest.raises(TypeError):
+        ratfun_eq_mod(surface, operand, R("x"))
+    with pytest.raises(TypeError):
+        ratfun_eq_mod(surface, R("x"), operand)
+    with pytest.raises(TypeError):
+        R("x") + operand
+
+
 def test_eq_mod_zero_ideal_is_free_equality():
     rng = random.Random(404)
     free = Ideal(2, [])
