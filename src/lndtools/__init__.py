@@ -8,14 +8,7 @@ cylinder trivializations through slice coordinates.
 from .cylinder import (
     CertificateError,
     CylinderCertificate,
-    CylinderResult,
-    MaximalCylinderResult,
     Outcome,
-    PlinthCertificate,
-    PlinthClaimReport,
-    PlinthResult,
-    PreimageResult,
-    PrincipalityResult,
     SearchBounds,
     build_preimage_system,
     cylinder_decision,
@@ -28,14 +21,7 @@ from .cylinder import (
     principality_check,
     slice_nonexistence,
 )
-from .derivation import (
-    DEFAULT_NILPOTENCY_CAP,
-    CapExceededError,
-    Derivation,
-    NilpotencyWitness,
-    PreservationReport,
-    RingPresentation,
-)
+from .derivation import CapExceededError, Derivation, RingPresentation
 from .groebner import (
     Ideal,
     buchberger,
@@ -49,7 +35,6 @@ from .groebner import (
 )
 from .linalg import Inconsistency, QMatrix, solve_exact
 from .parsing import (
-    DerivationSpec,
     ParseError,
     format_spec,
     parse_fraction,
@@ -58,23 +43,13 @@ from .parsing import (
     parse_polynomial_list,
     parse_spec,
     spec_derivation,
-    spec_ring,
 )
-from .poly import (
-    DEGREVLEX,
-    LEX,
-    MonomialOrder,
-    Polynomial,
-    elimination,
-    monomials_up_to,
-)
+from .poly import DEGREVLEX, LEX, Polynomial, elimination, monomials_up_to
 from .printing import (
+    format_exp_action,
     format_ideal,
-    format_monomial,
-    format_point,
     format_polynomial,
     format_ratfun,
-    format_spoly,
 )
 from .ratfun import RationalFunction, ratfun_eq_mod
 
@@ -84,26 +59,14 @@ __all__ = [
     "CapExceededError",
     "CertificateError",
     "CylinderCertificate",
-    "CylinderResult",
-    "DEFAULT_NILPOTENCY_CAP",
     "DEGREVLEX",
     "Derivation",
-    "DerivationSpec",
     "Ideal",
     "Inconsistency",
     "LEX",
-    "MaximalCylinderResult",
-    "MonomialOrder",
-    "NilpotencyWitness",
     "Outcome",
     "ParseError",
-    "PlinthCertificate",
-    "PlinthClaimReport",
-    "PlinthResult",
     "Polynomial",
-    "PreimageResult",
-    "PreservationReport",
-    "PrincipalityResult",
     "QMatrix",
     "RationalFunction",
     "RingPresentation",
@@ -116,13 +79,11 @@ __all__ = [
     "dixmier_reduce",
     "eliminate",
     "elimination",
+    "format_exp_action",
     "format_ideal",
-    "format_monomial",
-    "format_point",
     "format_polynomial",
     "format_ratfun",
     "format_spec",
-    "format_spoly",
     "gcd_via_lcm",
     "lcm_via_intersection",
     "maximal_cylinder",
@@ -142,6 +103,5 @@ __all__ = [
     "slice_nonexistence",
     "solve_exact",
     "spec_derivation",
-    "spec_ring",
     "standard_monomials",
 ]

@@ -45,12 +45,12 @@ from .parsing import (
 )
 from .poly import DEGREVLEX, LEX
 from .printing import (
+    format_exp_action,
     format_ideal,
     format_monomial,
     format_point,
     format_polynomial,
     format_ratfun,
-    format_spoly,
 )
 
 EXIT_YES = 0
@@ -146,6 +146,17 @@ def _claim_lines(report, names):
     return lines
 
 
+def _not_principal(derivation):
+    """Exit code and verdict lines for a gcd outside the ideal: a no in a
+    free ring, but only unknown on a ring with relations, which
+    principality_check does not use."""
+    if derivation.ring.relations.is_zero:
+        return EXIT_NO, ["principal: no (gcd is not in the ideal)"]
+    return EXIT_UNKNOWN, [
+        "principal: unknown (gcd is not in the ideal of the free ring)",
+        "principality was decided in the free ring only, without the relations"]
+
+
 # ----------------------------------------------------------------------
 # command handlers; each returns (exit code, report lines)
 
@@ -176,7 +187,7 @@ def _cmd_exp(args, names, derivation):
     for element in parse_polynomial_list(args.elem, names):
         action = derivation.exp_action(element)
         lines.append(f"exp(s*d)({format_polynomial(element, names)}) = "
-                     f"{format_spoly(action, names)}")
+                     f"{format_exp_action(action, names)}")
     return EXIT_YES, lines
 
 
@@ -269,8 +280,8 @@ def _cmd_principal(args, names, derivation):
         lines.append("principal: yes")
         lines.append(f"generator = {format_polynomial(result.generator, names)}")
         return EXIT_YES, lines
-    lines.append("principal: no (gcd is not in the ideal)")
-    return EXIT_NO, lines
+    code, verdict = _not_principal(derivation)
+    return code, lines + verdict
 
 
 def _cmd_maximal_cylinder(args, names, derivation):
@@ -282,9 +293,9 @@ def _cmd_maximal_cylinder(args, names, derivation):
     principality = report.principality
     lines.append(f"gcd = {format_polynomial(principality.gcd, names)}")
     if not principality.is_principal:
-        lines.append("principal: no (gcd is not in the ideal)")
-        lines.append("maximal principal cylinder: none")
-        return EXIT_NO, lines
+        code, verdict = _not_principal(derivation)
+        found = "none" if code == EXIT_NO else "unknown"
+        return code, lines + verdict + [f"maximal principal cylinder: {found}"]
     lines.append(f"principal: yes, generator = "
                  f"{format_polynomial(principality.generator, names)}")
     decision = report.cylinder

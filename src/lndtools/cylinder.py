@@ -18,7 +18,7 @@ import math
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 from .derivation import Derivation, RingPresentation
 from .groebner import Ideal, gcd_via_lcm, standard_monomials
@@ -153,48 +153,64 @@ class MaximalCylinderResult:
     cylinder: CylinderResult | None = None
 
 
-def build_preimage_system(derivation: Derivation, target: Polynomial,
-                          max_degree: int):
-    """Linear system whose solutions are coefficient vectors, over the
-    standard monomials of degree <= max_degree, of elements mapping to
-    ``target``.  Requires a degree-compatible order so that this captures
-    every residue class of bounded degree."""
+class PreimageSystem(NamedTuple):
+    """The linear map d on the standard monomials of degree <= max_degree:
+    column j is ``columns[j]``, sent to ``images[j]``, its reduced image.
+    Every target of a search is solved against the same images."""
+
+    columns: tuple[Monomial, ...]
+    images: tuple[Polynomial, ...]
+    max_degree: int
+    derivation: Derivation
+
+    def equations(self, target: Polynomial):
+        """``(rows, matrix, rhs)`` of d(f) = target, for a target reduced
+        modulo the relations: one row per monomial of the target or of an
+        image, in descending order."""
+        monomials = set(target.terms).union(*(img.terms for img in self.images))
+        rows = tuple(sorted(monomials, key=self.derivation.ring.order.key,
+                            reverse=True))
+        index = {r: i for i, r in enumerate(rows)}
+        entries: list[list] = [[] for _ in rows]
+        for col, img in enumerate(self.images):
+            for mono, coeff in img.terms.items():
+                entries[index[mono]].append((col, coeff))
+        matrix = QMatrix(len(self.columns), entries)
+        rhs = tuple(target.coefficient(r) for r in rows)
+        return rows, matrix, rhs
+
+
+def build_preimage_system(derivation: Derivation,
+                          max_degree: int) -> PreimageSystem:
+    """The images under the derivation of the standard monomials of degree
+    <= max_degree.  Requires a degree-compatible order so that these span
+    the image of every residue class of bounded degree."""
+    if max_degree < 0:
+        raise ValueError("max_degree must be non-negative")
     ring = derivation.ring
     if ring.order != DEGREVLEX:
         raise ValueError("bounded preimage search needs a degree-compatible order")
     columns = tuple(standard_monomials(ring.relations, max_degree))
-    images = [derivation.apply(Polynomial.monomial(ring.nvars, m))
-              for m in columns]
-    rows = tuple(sorted(set(target.terms).union(*(img.terms for img in images)),
-                        key=ring.order.key, reverse=True))
-    index = {r: i for i, r in enumerate(rows)}
-    entries: list[list] = [[] for _ in rows]
-    for col, img in enumerate(images):
-        for mono, coeff in img.terms.items():
-            entries[index[mono]].append((col, coeff))
-    matrix = QMatrix(len(columns), entries)
-    rhs = tuple(target.coefficient(r) for r in rows)
-    return columns, rows, matrix, rhs
+    images = tuple(derivation.apply(Polynomial.monomial(ring.nvars, m))
+                   for m in columns)
+    return PreimageSystem(columns, images, max_degree, derivation)
 
 
-def preimage_search(derivation: Derivation, target: Polynomial,
-                    max_degree: int) -> PreimageResult:
-    """Find f of total degree <= max_degree with derivation(f) = target
-    modulo the relations, or prove that none exists in that range."""
-    if max_degree < 0:
-        raise ValueError("max_degree must be non-negative")
+def preimage_search(system: PreimageSystem, target: Polynomial) -> PreimageResult:
+    """Find f of total degree <= the system's bound with derivation(f) =
+    target modulo the relations, or prove that none exists in that range."""
+    derivation = system.derivation
     ring = derivation.ring
     target = ring.normal_form(target)
-    columns, rows, matrix, rhs = build_preimage_system(derivation, target,
-                                                       max_degree)
+    rows, matrix, rhs = system.equations(target)
     solved = solve_exact(matrix, rhs)
     if isinstance(solved, Inconsistency):
-        return PreimageResult(None, solved, max_degree, rows, columns)
+        return PreimageResult(None, solved, system.max_degree, rows, system.columns)
     preimage = Polynomial(ring.nvars,
-                          {m: c for m, c in zip(columns, solved) if c})
+                          {m: c for m, c in zip(system.columns, solved) if c})
     if derivation.apply(preimage) != target:
         raise CertificateError("solver returned a spurious preimage")
-    return PreimageResult(preimage, None, max_degree, rows, columns)
+    return PreimageResult(preimage, None, system.max_degree, rows, system.columns)
 
 
 def plinth_membership(derivation: Derivation, element: Polynomial,
@@ -212,10 +228,11 @@ def plinth_membership(derivation: Derivation, element: Polynomial,
         # Kernels are factorially closed in a domain, so no power of a
         # non-kernel element can ever land in the kernel: a conclusive no.
         return PlinthResult(Outcome.NO, h, bounds, obstruction=image)
+    system = build_preimage_system(derivation, bounds.max_degree)
     power = Polynomial.constant(ring.nvars, 1)
     for n in range(1, bounds.max_power + 1):
         power = ring.normal_form(power * h)
-        search = preimage_search(derivation, power, bounds.max_degree)
+        search = preimage_search(system, power)
         if search.found:
             cert = PlinthCertificate(derivation, h, n, search.preimage)
             return PlinthResult(Outcome.YES, h, bounds, certificate=cert)
@@ -301,7 +318,7 @@ def slice_nonexistence(derivation: Derivation,
     """Search for a global polynomial slice of bounded degree; failure is
     certified exactly."""
     one = Polynomial.constant(derivation.ring.nvars, 1)
-    return preimage_search(derivation, one, max_degree)
+    return preimage_search(build_preimage_system(derivation, max_degree), one)
 
 
 def plinth_claim_verify(derivation: Derivation, claimed: Sequence[Polynomial],
@@ -347,13 +364,17 @@ def maximal_cylinder(derivation: Derivation, claimed: Sequence[Polynomial],
     the cylinder over the principal generator contains every other
     principal invariant cylinder; build its certificate.  When the
     generator is itself one of the verified claims, its certificate is
-    reused instead of searching again."""
+    reused instead of searching again.  Principality is decided in the
+    free ring, so on a ring with relations a gcd outside the ideal leaves
+    the outcome unknown instead of no."""
     claim = plinth_claim_verify(derivation, claimed, bounds)
     if claim.outcome is not Outcome.YES:
         return MaximalCylinderResult(claim.outcome, claim)
     principality = principality_check([e.element for e in claim.entries])
     if not principality.is_principal:
-        return MaximalCylinderResult(Outcome.NO, claim, principality)
+        free = derivation.ring.relations.is_zero
+        return MaximalCylinderResult(Outcome.NO if free else Outcome.UNKNOWN,
+                                     claim, principality)
     h = derivation.ring.normal_form(principality.generator)
     plinth = next((e for e in claim.entries if e.element == h), None)
     if plinth is None:

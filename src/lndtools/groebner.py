@@ -177,6 +177,8 @@ class Ideal:
         self.basis = buchberger(gens, order, nvars)
 
     def normal_form(self, f: Polynomial) -> Polynomial:
+        if f.nvars != self.nvars:
+            raise ValueError("polynomial has wrong variable count")
         return reduce_poly(f, self.basis, self.order)
 
     def contains(self, f: Polynomial) -> bool:

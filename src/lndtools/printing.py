@@ -49,7 +49,7 @@ def format_polynomial(poly: Polynomial, names: Sequence[str],
     return "".join(pieces)
 
 
-def format_spoly(coeffs: Sequence[Polynomial], names: Sequence[str]) -> str:
+def format_exp_action(coeffs: Sequence[Polynomial], names: Sequence[str]) -> str:
     """The polynomial in s with the given nonzero coefficients by power
     of s, as ``Derivation.exp_action`` returns them."""
     if not coeffs:

@@ -19,8 +19,8 @@ from lndtools import (
     build_preimage_system,
     cylinder_decision,
     dixmier_reduce,
+    format_exp_action,
     format_ideal,
-    format_spoly,
     maximal_cylinder,
     parse_polynomial,
     plinth_claim_verify,
@@ -61,7 +61,7 @@ def test_criterion_01_exponential_action_verbatim():
     with criterion(1, "exponential action of the triangular derivation"):
         start = time.perf_counter()
         d, names = triangular3()
-        printed = [format_spoly(d.exp_action(d.ring.variable(n)), names)
+        printed = [format_exp_action(d.exp_action(d.ring.variable(n)), names)
                    for n in names]
         assert printed == ["x + s*y + 1/2*s^2*z", "y + s*z", "z"]
         assert time.perf_counter() - start < 1.0
@@ -126,7 +126,7 @@ def test_criterion_06_no_bounded_slice():
             assert not result.found
             assert result.degree_bound == 6
             one = Polynomial.constant(d.ring.nvars, 1)
-            columns, rows, matrix, rhs = build_preimage_system(d, one, 6)
+            rows, matrix, rhs = build_preimage_system(d, 6).equations(one)
             assert rows == result.row_monomials
             assert result.certificate.verify(matrix, rhs)
             assert time.perf_counter() - begin < 60.0
@@ -294,7 +294,8 @@ def _preimage_reverification(rng):
         f = d.ring.normal_form(random_poly(rng, nvars, max_total=3,
                                            max_terms=3))
         target = d.apply(f)
-        result = preimage_search(d, target, max(f.total_degree(), 0))
+        system = build_preimage_system(d, max(f.total_degree(), 0))
+        result = preimage_search(system, target)
         assert result.found
         assert d.apply(result.preimage) == target
 

@@ -1,3 +1,5 @@
+import ast
+import importlib
 import os
 import subprocess
 import sys
@@ -16,6 +18,7 @@ from lndtools.cli import (
     build_parser,
     run_command,
 )
+from lndtools.derivation import Derivation
 from lndtools.parsing import MAX_NESTING
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -160,6 +163,65 @@ def test_maximal_cylinder_outcomes():
     code, report = run_command(["maximal-cylinder", A4, "--gens", "u;v"])
     assert code == EXIT_NO
     assert report.splitlines()[-1] == "maximal principal cylinder: none"
+
+
+def test_principality_with_relations_is_unknown_when_not_principal(tmp_path):
+    # k[x,y,z,w]/(w - z^2) is k[x,y,z], where (z, w) = (z); the free-ring
+    # gcd of z and w is 1, which is not in (z, w) there
+    spec = tmp_path / "graph.lnd"
+    spec.write_text("ring G\nvars x y z w\nrel w - z^2\n"
+                    "der x = y\nder y = z\nder z = 0\nder w = 0\n",
+                    encoding="utf-8")
+    verdict = ["principal: unknown (gcd is not in the ideal of the free ring)",
+               "principality was decided in the free ring only, without the relations"]
+    code, report = run_command(["principal", str(spec), "--gens", "z;w"])
+    assert code == EXIT_UNKNOWN
+    assert report.splitlines() == ["generators: z; w", "gcd = 1", *verdict]
+    code, report = run_command(["maximal-cylinder", str(spec), "--gens", "z;w"])
+    assert code == EXIT_UNKNOWN
+    assert report.splitlines()[-4:] == ["gcd = 1", *verdict,
+                                        "maximal principal cylinder: unknown"]
+    # a yes still holds modulo the relations
+    code, report = run_command(["principal", str(spec), "--gens", "z;z^2"])
+    assert code == EXIT_YES
+    assert "generator = z" in report
+
+
+def test_plinth_builds_one_system_for_every_power(monkeypatch):
+    counts = {"build": 0, "apply": 0}
+    build, apply = lndtools.cylinder.build_preimage_system, Derivation.apply
+
+    def counted_build(*args):
+        counts["build"] += 1
+        return build(*args)
+
+    def counted_apply(self, f):
+        counts["apply"] += 1
+        return apply(self, f)
+
+    monkeypatch.setattr(lndtools.cylinder, "build_preimage_system", counted_build)
+    monkeypatch.setattr(Derivation, "apply", counted_apply)
+    code, _ = run_command(["plinth", FP, "--elem", "y^2 - 2*x*z"])
+    assert code == EXIT_UNKNOWN
+    # powers 1 to 4 share one system: d on the 165 monomials of degree
+    # <= 8 once, after the kernel test d(h) = 0
+    assert counts == {"build": 1, "apply": 166}
+
+
+def test_benchmark_traced_names_resolve():
+    # the benchmark's tracer wraps these by name and reports a missing one
+    # only as a zero per-layer metric
+    source = (ROOT / "perfbench" / "tracing.py").read_text(encoding="utf-8")
+    targets = next(ast.literal_eval(node.value)
+                   for node in ast.parse(source).body
+                   if isinstance(node, ast.Assign)
+                   and [t.id for t in node.targets] == ["TARGETS"])
+    assert targets
+    for module_name, path in targets.values():
+        obj = importlib.import_module(module_name)
+        for part in path.split("."):
+            obj = getattr(obj, part)
+        assert callable(obj), (module_name, path)
 
 
 def test_algebra_commands():

@@ -68,7 +68,7 @@ def test_kernel_check():
 def test_preimage_of_z_is_exactly_y():
     d, _ = triangular3()
     for bound in (1, 4, 8):
-        result = preimage_search(d, P("z"), bound)
+        result = preimage_search(build_preimage_system(d, bound), P("z"))
         assert result.found
         assert result.preimage == P("y")
 
@@ -81,7 +81,8 @@ def test_constructed_targets_always_resolve():
         nvars = d.ring.nvars
         f = d.ring.normal_form(random_poly(rng, nvars, max_total=3, max_terms=3))
         target = d.apply(f)
-        result = preimage_search(d, target, max(f.total_degree(), 0))
+        system = build_preimage_system(d, max(f.total_degree(), 0))
+        result = preimage_search(system, target)
         assert result.found
         assert d.apply(result.preimage) == target
 
@@ -92,8 +93,9 @@ def test_feasibility_is_monotone_in_the_bound():
     for _ in range(50):
         f = random_poly(rng, 3, max_total=2, max_terms=3)
         target = d.apply(f)
-        low = preimage_search(d, target, max(f.total_degree(), 0))
-        high = preimage_search(d, target, max(f.total_degree(), 0) + 2)
+        bound = max(f.total_degree(), 0)
+        low = preimage_search(build_preimage_system(d, bound), target)
+        high = preimage_search(build_preimage_system(d, bound + 2), target)
         assert low.found and high.found
 
 
@@ -101,12 +103,35 @@ def test_unreachable_target_yields_checkable_certificate():
     d, _ = triangular3()
     one = P("1")
     for bound in (0, 3, 6):
-        result = preimage_search(d, one, bound)
+        system = build_preimage_system(d, bound)
+        result = preimage_search(system, one)
         assert not result.found
-        columns, rows, matrix, rhs = build_preimage_system(d, one, bound)
+        rows, matrix, rhs = system.equations(one)
         assert rows == result.row_monomials
-        assert columns == result.column_monomials
+        assert system.columns == result.column_monomials
         assert result.certificate.verify(matrix, rhs)
+
+
+def test_shared_system_matches_a_fresh_one():
+    # one system serves every target, found or not; equal results have the
+    # same preimage, certificate (multipliers and value), rows and columns
+    rng = random.Random(703)
+    outcomes = set()
+    for example in (triangular3, danielewski, translation4, plane):
+        d, _ = example()
+        nvars = d.ring.nvars
+        for bound in (1, 3):
+            shared = build_preimage_system(d, bound)
+            targets = [Polynomial.constant(nvars, 1)]
+            for _ in range(12):
+                f = random_poly(rng, nvars, max_total=bound, max_terms=3)
+                targets += [d.apply(f), random_poly(rng, nvars, max_total=3)]
+            for target in targets:
+                result = preimage_search(shared, target)
+                fresh = preimage_search(build_preimage_system(d, bound), target)
+                assert result == fresh
+                outcomes.add(result.found)
+    assert outcomes == {True, False}
 
 
 def test_preimage_search_requires_degree_compatible_order():
@@ -117,7 +142,7 @@ def test_preimage_search_requires_degree_compatible_order():
     d = Derivation(ring, [parse_polynomial("y", names),
                           parse_polynomial("0", names)])
     with pytest.raises(ValueError):
-        preimage_search(d, parse_polynomial("y", names), 2)
+        preimage_search(build_preimage_system(d, 2), parse_polynomial("y", names))
 
 
 # ----------------------------------------------------------------------
@@ -344,7 +369,7 @@ def test_no_global_slice_certificates():
         assert not result.found
         assert result.degree_bound == 6
         one = Polynomial.constant(d.ring.nvars, 1)
-        columns, rows, matrix, rhs = build_preimage_system(d, one, 6)
+        rows, matrix, rhs = build_preimage_system(d, 6).equations(one)
         assert result.certificate.verify(matrix, rhs)
         assert result.nonzero_multipliers()
 
@@ -427,6 +452,21 @@ def test_maximal_cylinder_blocked_by_non_principality():
     assert result.outcome is Outcome.NO
     assert result.claim.outcome is Outcome.YES
     assert not result.principality.is_principal
+    assert result.cylinder is None
+
+
+def test_maximal_cylinder_with_relations_never_says_no_for_a_gcd():
+    # k[x,y,z,w]/(w - z^2) is k[x,y,z]: (z, w) = (z) there, but not in the
+    # free ring where principality is decided
+    names = ["x", "y", "z", "w"]
+    relation = parse_polynomial("w - z^2", names)
+    ring = RingPresentation(names, Ideal(4, [relation]))
+    d = Derivation(ring, [parse_polynomial(e, names) for e in ("y", "z", "0", "0")])
+    gens = [parse_polynomial(g, names) for g in ("z", "w")]
+    result = maximal_cylinder(d, gens)
+    assert result.claim.outcome is Outcome.YES
+    assert not result.principality.is_principal
+    assert result.outcome is Outcome.UNKNOWN
     assert result.cylinder is None
 
 

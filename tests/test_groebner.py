@@ -1,5 +1,8 @@
 import random
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -316,3 +319,19 @@ def test_reduce_poly_remainder_is_irreducible():
         for mono in r.terms:
             assert not any(all(a >= b for a, b in zip(mono, lm))
                            for lm in leading)
+
+
+def test_normal_form_refuses_a_polynomial_in_more_variables():
+    # run apart, so that a division that never ends fails on the timeout
+    # instead of hanging the suite
+    script = ("from lndtools import Ideal, Polynomial\n"
+              "try:\n"
+              "    Ideal(2, [Polynomial.variable(2, 0)])"
+              ".normal_form(Polynomial.variable(3, 0))\n"
+              "except ValueError as exc:\n"
+              "    print(exc)\n")
+    src = Path(__file__).resolve().parent.parent / "src"
+    done = subprocess.run([sys.executable, "-c", script], capture_output=True,
+                          text=True, timeout=10, cwd=src)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout == "polynomial has wrong variable count\n"
