@@ -14,11 +14,12 @@ are factorially closed.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
-from typing import NamedTuple, Sequence
+from typing import Callable, NamedTuple, Sequence
 
 from .derivation import Derivation, RingPresentation
 from .groebner import Ideal, gcd_via_lcm, standard_monomials
@@ -214,9 +215,13 @@ def preimage_search(system: PreimageSystem, target: Polynomial) -> PreimageResul
 
 
 def plinth_membership(derivation: Derivation, element: Polynomial,
-                      bounds: SearchBounds = SearchBounds()) -> PlinthResult:
+                      bounds: SearchBounds = SearchBounds(),
+                      system: Callable[[], PreimageSystem] | None = None
+                      ) -> PlinthResult:
     """Decide whether some power of ``element`` is a kernel element that
-    is also an image, within the given bounds."""
+    is also an image, within the given bounds.  ``system``, when given,
+    returns the derivation's preimage system at ``bounds.max_degree``, for
+    callers that search several elements against one system."""
     if element.is_zero:
         raise ValueError("the zero element is excluded; its open set is empty")
     ring = derivation.ring
@@ -228,11 +233,12 @@ def plinth_membership(derivation: Derivation, element: Polynomial,
         # Kernels are factorially closed in a domain, so no power of a
         # non-kernel element can ever land in the kernel: a conclusive no.
         return PlinthResult(Outcome.NO, h, bounds, obstruction=image)
-    system = build_preimage_system(derivation, bounds.max_degree)
+    preimages = (build_preimage_system(derivation, bounds.max_degree)
+                 if system is None else system())
     power = Polynomial.constant(ring.nvars, 1)
     for n in range(1, bounds.max_power + 1):
         power = ring.normal_form(power * h)
-        search = preimage_search(system, power)
+        search = preimage_search(preimages, power)
         if search.found:
             cert = PlinthCertificate(derivation, h, n, search.preimage)
             return PlinthResult(Outcome.YES, h, bounds, certificate=cert)
@@ -321,15 +327,30 @@ def slice_nonexistence(derivation: Derivation,
     return preimage_search(build_preimage_system(derivation, max_degree), one)
 
 
+def _shared_system(derivation: Derivation,
+                   bounds: SearchBounds) -> Callable[[], PreimageSystem]:
+    """The derivation's preimage system at ``bounds.max_degree``, built on
+    the first call and returned again on the others."""
+    return functools.cache(
+        lambda: build_preimage_system(derivation, bounds.max_degree))
+
+
 def plinth_claim_verify(derivation: Derivation, claimed: Sequence[Polynomial],
-                        bounds: SearchBounds = SearchBounds()) -> PlinthClaimReport:
+                        bounds: SearchBounds = SearchBounds(),
+                        system: Callable[[], PreimageSystem] | None = None
+                        ) -> PlinthClaimReport:
     """Check a claimed plinth generating set: every generator must pass the
     kernel test and exhibit a power with a preimage.  Also returns the
     ideal the claimed generators span; on the variety its zero locus is
-    the complement of the union of invariant principal cylinders."""
+    the complement of the union of invariant principal cylinders.  One
+    preimage system serves every generator: ``system``, as for
+    ``plinth_membership``, or else one built when first needed."""
     if not claimed:
         raise ValueError("no generators claimed")
-    entries = tuple(plinth_membership(derivation, g, bounds) for g in claimed)
+    if system is None:
+        system = _shared_system(derivation, bounds)
+    entries = tuple(plinth_membership(derivation, g, bounds, system)
+                    for g in claimed)
     if any(e.outcome is Outcome.NO for e in entries):
         outcome = Outcome.NO
     elif any(e.outcome is Outcome.UNKNOWN for e in entries):
@@ -367,7 +388,8 @@ def maximal_cylinder(derivation: Derivation, claimed: Sequence[Polynomial],
     reused instead of searching again.  Principality is decided in the
     free ring, so on a ring with relations a gcd outside the ideal leaves
     the outcome unknown instead of no."""
-    claim = plinth_claim_verify(derivation, claimed, bounds)
+    system = _shared_system(derivation, bounds)
+    claim = plinth_claim_verify(derivation, claimed, bounds, system)
     if claim.outcome is not Outcome.YES:
         return MaximalCylinderResult(claim.outcome, claim)
     principality = principality_check([e.element for e in claim.entries])
@@ -378,6 +400,7 @@ def maximal_cylinder(derivation: Derivation, claimed: Sequence[Polynomial],
     h = derivation.ring.normal_form(principality.generator)
     plinth = next((e for e in claim.entries if e.element == h), None)
     if plinth is None:
-        plinth = plinth_membership(derivation, principality.generator, bounds)
+        plinth = plinth_membership(derivation, principality.generator, bounds,
+                                   system)
     decision = cylinder_from_plinth(plinth)
     return MaximalCylinderResult(decision.outcome, claim, principality, decision)

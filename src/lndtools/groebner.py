@@ -1,8 +1,15 @@
 """Ideal arithmetic over the rationals.
 
-Buchberger's algorithm with the normal selection strategy, normal forms,
-membership and radical-membership tests, elimination ideals, and the
-lcm/gcd of polynomials through an ideal intersection.
+Buchberger's algorithm, normal forms, membership and radical-membership
+tests, elimination ideals, and the lcm/gcd of polynomials through an
+ideal intersection.
+
+Division takes each leading term from a heap keyed by
+``MonomialOrder.descending_key``, so every monomial's order key is
+computed once.  Buchberger keeps the leading monomials of its elements
+in a list, selects pairs from a heap by the normal strategy, and prunes
+them by the Gebauer–Möller update (Gebauer & Möller 1988), which applies
+Buchberger's coprime rule and chain criterion.
 
 Every basis returned here is the reduced Groebner basis: monic,
 auto-reduced, sorted by descending leading monomial.  Reduced bases are
@@ -13,6 +20,8 @@ never change the output; the verification layers rely on that.
 from __future__ import annotations
 
 from fractions import Fraction
+from heapq import heapify, heappop, heappush
+from operator import add, le
 from typing import Iterable, Sequence
 
 from .poly import (
@@ -29,19 +38,76 @@ from .poly import (
     monomials_up_to,
 )
 
-_ZERO = Fraction(0)
+_ONE = Fraction(1)
+
+# A divisor as division uses it: leading monomial, leading coefficient and
+# the remaining terms.
+Lead = tuple[Monomial, Fraction, tuple[tuple[Monomial, Fraction], ...]]
 
 
-def _subtract_shifted(work: dict[Monomial, Fraction], factor: Fraction,
-                      shift: Monomial, g: Polynomial) -> None:
-    """work -= factor * x^shift * g, in place; zero terms are dropped."""
-    for m2, c2 in g.terms.items():
-        m = mono_mul(m2, shift)
-        c = work.get(m, _ZERO) - factor * c2
-        if c:
-            work[m] = c
+def _lead(g: Polynomial, order: MonomialOrder) -> Lead:
+    lm, lc = g.leading_term(order)
+    return lm, lc, tuple((m, c) for m, c in g.terms.items() if m != lm)
+
+
+class _Dividend:
+    """The terms of a polynomial under division, with a heap of
+    ``(order.descending_key(m), m)`` entries that yields them leading term
+    first.  A term that cancels leaves its entry behind, and popping skips
+    it; a term that cancels and comes back gets a second entry, and the
+    two pop one after the other, since division only ever adds terms below
+    the one being divided."""
+
+    __slots__ = ("terms", "heap", "key")
+
+    def __init__(self, terms: Iterable[tuple[Monomial, Fraction]],
+                 order: MonomialOrder):
+        self.key = key = order.descending_key
+        self.terms = dict(terms)
+        self.heap = [(key(m), m) for m in self.terms]
+        heapify(self.heap)
+
+    def pop_leading(self) -> tuple[Monomial, Fraction] | None:
+        """Remove the leading term and return it; None when none is left."""
+        heap, terms = self.heap, self.terms
+        while heap:
+            mono = heappop(heap)[1]
+            coeff = terms.pop(mono, None)
+            if coeff is not None:
+                return mono, coeff
+        return None
+
+    def subtract(self, factor: Fraction, shift: Monomial,
+                 tail: Iterable[tuple[Monomial, Fraction]]) -> None:
+        """terms -= factor * x^shift * tail; zero terms are dropped."""
+        terms, heap, key = self.terms, self.heap, self.key
+        for m2, c2 in tail:
+            m = tuple(map(add, m2, shift))
+            c = terms.get(m)
+            if c is None:
+                terms[m] = -factor * c2
+                heappush(heap, (key(m), m))
+            else:
+                c -= factor * c2
+                if c:
+                    terms[m] = c
+                else:
+                    del terms[m]
+
+
+def _remainder(work: _Dividend, divisors: Sequence[Lead]) -> dict[Monomial, Fraction]:
+    """Divide until no term is left; divisors are tried in list order.  The
+    remainder's terms come in descending order, leading term first."""
+    remainder: dict[Monomial, Fraction] = {}
+    while (term := work.pop_leading()) is not None:
+        mono, coeff = term
+        for lm, lc, tail in divisors:
+            if all(map(le, lm, mono)):
+                work.subtract(coeff / lc, mono_div(mono, lm), tail)
+                break
         else:
-            del work[m]
+            remainder[mono] = coeff
+    return remainder
 
 
 def reduce_poly(f: Polynomial, divisors: Sequence[Polynomial],
@@ -51,22 +117,12 @@ def reduce_poly(f: Polynomial, divisors: Sequence[Polynomial],
     Divisors are tried in list order, so the result is deterministic; for
     a Groebner basis it is the normal form regardless of that order.
     """
-    divisors = [d for d in divisors if d]
+    if any(d.nvars != f.nvars for d in divisors):
+        raise ValueError("polynomial has wrong variable count")
+    divisors = [_lead(d, order) for d in divisors if d]
     if not divisors or f.is_zero:
         return f
-    lead = [(d.leading_term(order), d) for d in divisors]
-    work = dict(f.terms)
-    remainder: dict[Monomial, Fraction] = {}
-    while work:
-        mono = max(work, key=order.key)
-        coeff = work[mono]
-        for (lm, lc), d in lead:
-            if mono_divides(lm, mono):
-                _subtract_shifted(work, coeff / lc, mono_div(mono, lm), d)
-                break
-        else:
-            remainder[mono] = coeff
-            del work[mono]
+    remainder = _remainder(_Dividend(f.terms.items(), order), divisors)
     return Polynomial._from_clean(f.nvars, remainder)
 
 
@@ -74,47 +130,21 @@ def divide_exact(f: Polynomial, g: Polynomial) -> Polynomial:
     """Quotient f/g when the division is exact; raises otherwise."""
     if g.is_zero:
         raise ZeroDivisionError("division by the zero polynomial")
+    if g.nvars != f.nvars:
+        raise ValueError("polynomial has wrong variable count")
+    lm, lc, tail = _lead(g, DEGREVLEX)
+    work = _Dividend(f.terms.items(), DEGREVLEX)
     quotient: dict[Monomial, Fraction] = {}
-    lm, lc = g.leading_term(DEGREVLEX)
-    work = dict(f.terms)
-    while work:
-        mono = max(work, key=DEGREVLEX.key)
+    while (term := work.pop_leading()) is not None:
+        mono, coeff = term
         if not mono_divides(lm, mono):
             raise ValueError("division is not exact")
         shift = mono_div(mono, lm)
-        factor = work[mono] / lc
+        factor = coeff / lc
         # the leading monomial of work falls at each step, so no shift repeats
         quotient[shift] = factor
-        _subtract_shifted(work, factor, shift, g)
+        work.subtract(factor, shift, tail)
     return Polynomial._from_clean(f.nvars, quotient)
-
-
-def _s_polynomial(f: Polynomial, g: Polynomial,
-                  order: MonomialOrder) -> Polynomial:
-    lmf, lcf = f.leading_term(order)
-    lmg, lcg = g.leading_term(order)
-    l = mono_lcm(lmf, lmg)
-    mf = Polynomial.monomial(f.nvars, mono_div(l, lmf), 1 / lcf)
-    mg = Polynomial.monomial(g.nvars, mono_div(l, lmg), 1 / lcg)
-    return mf * f - mg * g
-
-
-def _reduced_basis(basis: list[Polynomial],
-                   order: MonomialOrder) -> tuple[Polynomial, ...]:
-    # Minimal set of leading terms, smallest first so ties drop later entries.
-    kept: list[Polynomial] = []
-    for g in sorted(basis, key=lambda p: order.key(p.leading_monomial(order))):
-        lm = g.leading_monomial(order)
-        if any(mono_divides(h.leading_monomial(order), lm) for h in kept):
-            continue
-        kept.append(g)
-    # Tail-reduce each element against the rest; leading terms are already
-    # pairwise non-divisible, so one pass lands on the reduced basis.
-    for i in range(len(kept)):
-        others = kept[:i] + kept[i + 1:]
-        kept[i] = reduce_poly(kept[i], others, order).monic(order)
-    kept.sort(key=lambda p: order.key(p.leading_monomial(order)), reverse=True)
-    return tuple(kept)
 
 
 def buchberger(generators: Iterable[Polynomial],
@@ -122,39 +152,89 @@ def buchberger(generators: Iterable[Polynomial],
                nvars: int | None = None) -> tuple[Polynomial, ...]:
     """Reduced Groebner basis of the ideal spanned by ``generators``.
 
-    Pairs are processed by ascending lcm of the leading monomials with
-    ties broken by generator index (normal selection strategy); pairs with
-    coprime leading terms are skipped.
+    Each generator, then each S-polynomial, is reduced by the elements in
+    play, and a nonzero remainder joins them, made monic, through the
+    Gebauer–Möller update:
+
+    - of its pairs with the elements in play, it keeps one per minimal lcm
+      and drops those with coprime leading monomials (Buchberger's first
+      criterion);
+    - of the pairs waiting, it drops those it chains out: its leading
+      monomial divides their lcm and differs from both of its lcms with
+      them (the chain criterion);
+    - it retires the elements whose leading monomial it divides.
+
+    Pairs are taken by ascending lcm of the leading monomials, ties broken
+    by index (normal selection strategy).  A remainder that is a nonzero
+    constant ends the run with the basis of the unit ideal.  The elements
+    left in play are then a minimal basis, and reducing their tails gives
+    the reduced one.
     """
     gens = list(generators)
     if nvars is None:
         if not gens:
             raise ValueError("cannot infer the variable count of an empty ideal")
         nvars = gens[0].nvars
-    basis = [g.monic(order) for g in gens if g]
-    if not basis:
-        return ()
-    pairs = [(i, j) for j in range(len(basis)) for i in range(j)]
+    one = (0,) * nvars
+    leads: list[Lead] = []      # every element found, monic, by index
+    active: list[int] = []      # indices of the elements in play
+    pairs: list = []            # heap of (order.key(lcm), i, j, lcm), i < j
 
-    def pair_key(ij):
-        i, j = ij
-        l = mono_lcm(basis[i].leading_monomial(order),
-                     basis[j].leading_monomial(order))
-        return (order.key(l), i, j)
+    def add(work: _Dividend) -> bool:
+        """Reduce work and add its remainder; False when that is a constant."""
+        r = _remainder(work, [leads[a] for a in active])
+        if not r:
+            return True
+        lk = next(iter(r))
+        lc = r.pop(lk)
+        if lk == one:
+            return False
+        k = len(leads)
+        leads.append((lk, _ONE, tuple((m, c / lc) for m, c in r.items())))
+        # new pairs: one is kept unless a later one, or one kept already,
+        # has an lcm dividing its own; coprime ones are kept here only so
+        # that they still count as divisors
+        new = [(i, mono_lcm(leads[i][0], lk)) for i in active]
+        kept: list[tuple[int, Monomial]] = []
+        for n, (i, l) in enumerate(new):
+            if (mono_mul(leads[i][0], lk) == l
+                    or not any(mono_divides(l2, l) for _, l2 in new[n + 1:])
+                    and not any(mono_divides(l2, l) for _, l2 in kept)):
+                kept.append((i, l))
+        waiting = [entry for entry in pairs
+                   if not mono_divides(lk, entry[3])
+                   or mono_lcm(leads[entry[1]][0], lk) == entry[3]
+                   or mono_lcm(leads[entry[2]][0], lk) == entry[3]]
+        waiting.extend((order.key(l), i, k, l) for i, l in kept
+                       if mono_mul(leads[i][0], lk) != l)
+        heapify(waiting)
+        pairs[:] = waiting
+        active[:] = [a for a in active if not mono_divides(lk, leads[a][0])]
+        active.append(k)
+        return True
 
+    unit = (Polynomial.constant(nvars, 1),)
+    for g in gens:
+        if not add(_Dividend(g.terms.items(), order)):
+            return unit
     while pairs:
-        best = min(pairs, key=pair_key)
-        pairs.remove(best)
-        i, j = best
-        lmi = basis[i].leading_monomial(order)
-        lmj = basis[j].leading_monomial(order)
-        if mono_lcm(lmi, lmj) == mono_mul(lmi, lmj):
-            continue
-        r = reduce_poly(_s_polynomial(basis[i], basis[j], order), basis, order)
-        if r:
-            basis.append(r.monic(order))
-            pairs.extend((k, len(basis) - 1) for k in range(len(basis) - 1))
-    return _reduced_basis(basis, order)
+        _, i, j, l = heappop(pairs)
+        lmi, _, tail_i = leads[i]
+        lmj, _, tail_j = leads[j]
+        si = mono_div(l, lmi)
+        work = _Dividend(((mono_mul(m, si), c) for m, c in tail_i), order)
+        work.subtract(_ONE, mono_div(l, lmj), tail_j)
+        if not add(work):
+            return unit
+    # No tail term of an element is divisible by its own leading monomial,
+    # so reducing by the others gives the normal form of the tail.
+    basis = []
+    for a in sorted(active, key=lambda a: order.key(leads[a][0]), reverse=True):
+        lm, lc, tail = leads[a]
+        others = [leads[b] for b in active if b != a]
+        rest = _remainder(_Dividend(tail, order), others)
+        basis.append(Polynomial._from_clean(nvars, {lm: lc, **rest}))
+    return tuple(basis)
 
 
 class Ideal:

@@ -73,6 +73,16 @@ class MonomialOrder:
         k = self.block
         return (_grevlex_key(mono[:k]), _grevlex_key(mono[k:]))
 
+    def descending_key(self, mono: Monomial):
+        """A key whose ascending order is this order's descending order, so
+        a ``heapq`` of ``(descending_key(m), m)`` pops the largest first."""
+        if self.kind == "lex":
+            return tuple(-e for e in mono)
+        if self.kind == "degrevlex":
+            return (-sum(mono), mono[::-1])
+        head, tail = mono[:self.block], mono[self.block:]
+        return (-sum(head), head[::-1], -sum(tail), tail[::-1])
+
     def is_elimination_for(self, k: int) -> bool:
         """Whether every monomial touching the first k variables dominates
         every monomial free of them."""

@@ -60,6 +60,35 @@ ALL_DERIVATIONS = (triangular3, danielewski, translation4, plane)
 
 
 # ----------------------------------------------------------------------
+# standard Groebner benchmarks
+
+
+def katsura(n):
+    """Katsura-n in the n + 1 variables u_0, ..., u_n."""
+    nvars = n + 1
+    zero = Polynomial.zero(nvars)
+
+    def u(i):
+        i = abs(i)
+        return Polynomial.variable(nvars, i) if i <= n else zero
+
+    eqs = [sum((u(l) * u(m - l) for l in range(-n, n + 1)), zero) - u(m)
+           for m in range(n)]
+    eqs.append(sum((u(l) for l in range(-n, n + 1)), zero) - 1)
+    return eqs
+
+
+def cyclic(n):
+    """Cyclic-n in n variables."""
+    x = [Polynomial.variable(n, i) for i in range(n)]
+    eqs = [sum((math.prod(x[(i + j) % n] for j in range(d)) for i in range(n)),
+               Polynomial.zero(n))
+           for d in range(1, n)]
+    eqs.append(math.prod(x) - 1)
+    return eqs
+
+
+# ----------------------------------------------------------------------
 # random data
 
 

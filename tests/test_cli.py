@@ -208,6 +208,29 @@ def test_plinth_builds_one_system_for_every_power(monkeypatch):
     assert counts == {"build": 1, "apply": 166}
 
 
+@pytest.mark.parametrize("command, gens, code", [
+    ("plinth-verify", "u;v", EXIT_YES),
+    ("maximal-cylinder", "u;v", EXIT_NO),
+    # the principal generator u is not a claimed one, so it is searched
+    # again, on the same system
+    ("maximal-cylinder", "2*u;3*u", EXIT_YES),
+])
+def test_claim_builds_one_system_for_every_generator(monkeypatch, command,
+                                                     gens, code):
+    builds = []
+    build = lndtools.cylinder.build_preimage_system
+
+    def counted_build(*args):
+        builds.append(args)
+        return build(*args)
+
+    monkeypatch.setattr(lndtools.cylinder, "build_preimage_system", counted_build)
+    result, report = run_command([command, A4, "--gens", gens])
+    assert result == code, report
+    assert "claim verified: yes" in report
+    assert len(builds) == 1
+
+
 def test_benchmark_traced_names_resolve():
     # the benchmark's tracer wraps these by name and reports a missing one
     # only as a zero per-layer metric

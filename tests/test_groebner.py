@@ -1,3 +1,4 @@
+import json
 import random
 import subprocess
 import sys
@@ -7,7 +8,9 @@ from pathlib import Path
 import pytest
 
 from helpers import (
+    cyclic,
     is_groebner_basis,
+    katsura,
     membership_by_linear_algebra,
     radical_by_power_search,
     random_nonzero_poly,
@@ -21,6 +24,7 @@ from lndtools import (
     divide_exact,
     eliminate,
     elimination,
+    format_ideal,
     gcd_via_lcm,
     lcm_via_intersection,
     parse_polynomial,
@@ -30,6 +34,7 @@ from lndtools import (
 )
 
 XYZ = ["x", "y", "z"]
+ROOT = Path(__file__).resolve().parent.parent
 
 
 def P(text, names=XYZ):
@@ -71,6 +76,8 @@ def test_unit_ideal():
                       parse_polynomial("x + 1", ["x", "y"])])
     assert ideal.is_trivial
     assert ideal.basis == (Polynomial.constant(2, 1),)
+    xy = parse_polynomial("x*y", ["x", "y"])
+    assert Ideal(2, [xy, Polynomial.constant(2, 3)]).basis == ideal.basis
 
 
 def test_zero_ideal():
@@ -79,6 +86,59 @@ def test_zero_ideal():
     assert not ideal.is_trivial
     f = parse_polynomial("x*y + 1", ["x", "y"])
     assert ideal.normal_form(f) == f
+
+
+@pytest.mark.parametrize("key, generators, order", [
+    ("katsura4-degrevlex", katsura(4), DEGREVLEX),
+    ("cyclic4-degrevlex", cyclic(4), DEGREVLEX),
+    ("katsura3-lex", katsura(3), LEX),
+])
+def test_standard_systems_give_the_pinned_bases(key, generators, order):
+    pinned = json.loads((ROOT / "perfbench" / "data" / "bases.json")
+                        .read_text(encoding="utf-8"))
+    nvars = generators[0].nvars
+    ideal = Ideal(nvars, generators, order)
+    assert format_ideal(ideal, "abcde"[:nvars]) == pinned[key]
+
+
+def test_cyclic5_basis():
+    generators = cyclic(5)
+    ideal = Ideal(5, generators)
+    assert len(ideal.basis) == 20
+    assert is_groebner_basis(ideal.basis, DEGREVLEX)
+    assert all(ideal.contains(g) for g in generators)
+
+
+def random_form(rng, nvars, degree, nterms):
+    """A homogeneous polynomial of the given degree with nterms terms."""
+    terms = {}
+    while len(terms) < nterms:
+        exps = [0] * nvars
+        for _ in range(degree):
+            exps[rng.randrange(nvars)] += 1
+        terms[tuple(exps)] = Fraction(rng.choice([-3, -2, -1, 1, 2, 3]),
+                                      rng.randint(1, 2))
+    return Polynomial(nvars, terms)
+
+
+@pytest.mark.parametrize("order", [LEX, DEGREVLEX, elimination(1)],
+                         ids=repr)
+def test_pair_criteria_keep_the_basis_complete(order):
+    # Homogeneous generators keep every basis element homogeneous, and a
+    # form of degree d in the ideal has cofactors of degree d minus the
+    # generator's, so the linear-algebra oracle is complete at that bound.
+    rng = random.Random(315)
+    for _ in range(25):
+        nvars = rng.randint(3, 4)
+        gens = [random_form(rng, nvars, rng.randint(2, 3), rng.randint(2, 3))
+                for _ in range(rng.randint(3, 4))]
+        ideal = Ideal(nvars, gens, order)
+        assert is_groebner_basis(ideal.basis, order)
+        for g in gens:
+            assert reduce_poly(g, ideal.basis, order).is_zero
+        low = min(g.total_degree() for g in gens)
+        for b in ideal.basis:
+            assert membership_by_linear_algebra(b, gens, b.total_degree() - low)
 
 
 # ----------------------------------------------------------------------
@@ -330,8 +390,21 @@ def test_normal_form_refuses_a_polynomial_in_more_variables():
               ".normal_form(Polynomial.variable(3, 0))\n"
               "except ValueError as exc:\n"
               "    print(exc)\n")
-    src = Path(__file__).resolve().parent.parent / "src"
+    assert _run_apart(script) == "polynomial has wrong variable count\n"
+
+
+def test_reduce_poly_refuses_a_polynomial_in_more_variables():
+    script = ("from lndtools import DEGREVLEX, Polynomial, reduce_poly\n"
+              "try:\n"
+              "    reduce_poly(Polynomial.variable(3, 0), "
+              "[Polynomial.variable(2, 0)], DEGREVLEX)\n"
+              "except ValueError as exc:\n"
+              "    print(exc)\n")
+    assert _run_apart(script) == "polynomial has wrong variable count\n"
+
+
+def _run_apart(script):
     done = subprocess.run([sys.executable, "-c", script], capture_output=True,
-                          text=True, timeout=10, cwd=src)
+                          text=True, timeout=10, cwd=ROOT / "src")
     assert done.returncode == 0, done.stderr
-    assert done.stdout == "polynomial has wrong variable count\n"
+    return done.stdout

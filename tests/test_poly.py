@@ -86,6 +86,9 @@ def test_order_keys_are_total_and_multiplicative():
             b = random_monomial(rng, 3)
             c = random_monomial(rng, 3)
             assert (key(a) == key(b)) == (a == b)
+            # the heap key of division lists the same order backwards
+            down = order.descending_key
+            assert (down(a) < down(b)) == (key(a) > key(b))
             if key(a) < key(b):
                 shifted_a = tuple(i + j for i, j in zip(a, c))
                 shifted_b = tuple(i + j for i, j in zip(b, c))
