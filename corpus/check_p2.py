@@ -43,7 +43,7 @@ def run() -> tuple[int, str]:
                      + ("" if ok else "  MISMATCH"))
         failures += not ok
 
-    check("d(h)", derivation.apply_rational(RationalFunction.from_polynomial(h)),
+    check("d(h)", derivation.apply_rational(RationalFunction(h)),
           RationalFunction.zero(len(names)))
     check("d(z^2/h)", derivation.apply_rational(level),
           RationalFunction.zero(len(names)))

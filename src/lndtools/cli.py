@@ -119,6 +119,7 @@ def _search_lines(subject, result, plinth, names):
 
 
 def _cylinder_lines(result, names):
+    """Lines of a cylinder decision, or of a plinth search that is not a yes."""
     h = format_polynomial(result.element, names)
     cert = result.certificate
     lines = _search_lines(f"cylinder D({h})", result, cert and cert.plinth, names)
@@ -146,15 +147,14 @@ def _claim_lines(report, names):
     return lines
 
 
-def _not_principal(derivation):
-    """Exit code and verdict lines for a gcd outside the ideal: a no in a
-    free ring, but only unknown on a ring with relations, which
-    principality_check does not use."""
-    if derivation.ring.relations.is_zero:
-        return EXIT_NO, ["principal: no (gcd is not in the ideal)"]
-    return EXIT_UNKNOWN, [
-        "principal: unknown (gcd is not in the ideal of the free ring)",
-        "principality was decided in the free ring only, without the relations"]
+# a gcd outside the ideal: verdict lines, and what that leaves of the cylinder
+_NOT_PRINCIPAL = {
+    Outcome.NO: (["principal: no (gcd is not in the ideal)"], "none"),
+    Outcome.UNKNOWN: (
+        ["principal: unknown (gcd is not in the ideal of the free ring)",
+         "principality was decided in the free ring only, without the relations"],
+        "unknown"),
+}
 
 
 # ----------------------------------------------------------------------
@@ -233,15 +233,14 @@ def _cmd_cylinder(args, names, derivation):
 def _cmd_trivialize(args, names, derivation):
     localizer = parse_polynomial(args.h, names)
     element = parse_polynomial(args.elem, names)
-    decision = cylinder_decision(derivation, localizer, _bounds(args))
-    if decision.outcome is not Outcome.YES:
-        return _EXIT_FOR_OUTCOME[decision.outcome], _cylinder_lines(decision, names)
-    slice_value = decision.certificate.slice_value
+    plinth = plinth_membership(derivation, localizer, _bounds(args))
+    if plinth.outcome is not Outcome.YES:
+        return _EXIT_FOR_OUTCOME[plinth.outcome], _cylinder_lines(plinth, names)
+    slice_value = plinth.certificate.slice_value
     coefficients = dixmier_reduce(derivation, slice_value, element)
-    lines = [f"slice = {format_ratfun(slice_value, names)}"]
-    for k, c in enumerate(coefficients):
-        lines.append(f"c{k} = {format_ratfun(c, names)}")
-    return EXIT_YES, lines
+    return EXIT_YES, [f"slice = {format_ratfun(slice_value, names)}",
+                      *(f"c{k} = {format_ratfun(c, names)}"
+                        for k, c in enumerate(coefficients))]
 
 
 def _cmd_slice_none(args, names, derivation):
@@ -272,16 +271,17 @@ def _cmd_plinth_verify(args, names, derivation):
 
 def _cmd_principal(args, names, derivation):
     generators = parse_polynomial_list(args.gens, names)
-    result = principality_check(generators)
+    result = principality_check(Ideal(len(names), generators),
+                                derivation.ring.relations)
     lines = ["generators: "
              + "; ".join(format_polynomial(g, names) for g in generators),
              f"gcd = {format_polynomial(result.gcd, names)}"]
-    if result.is_principal:
+    if result.outcome is Outcome.YES:
         lines.append("principal: yes")
         lines.append(f"generator = {format_polynomial(result.generator, names)}")
-        return EXIT_YES, lines
-    code, verdict = _not_principal(derivation)
-    return code, lines + verdict
+    else:
+        lines.extend(_NOT_PRINCIPAL[result.outcome][0])
+    return _EXIT_FOR_OUTCOME[result.outcome], lines
 
 
 def _cmd_maximal_cylinder(args, names, derivation):
@@ -292,10 +292,10 @@ def _cmd_maximal_cylinder(args, names, derivation):
         return _EXIT_FOR_OUTCOME[report.claim.outcome], lines
     principality = report.principality
     lines.append(f"gcd = {format_polynomial(principality.gcd, names)}")
-    if not principality.is_principal:
-        code, verdict = _not_principal(derivation)
-        found = "none" if code == EXIT_NO else "unknown"
-        return code, lines + verdict + [f"maximal principal cylinder: {found}"]
+    if principality.outcome is not Outcome.YES:
+        verdict, found = _NOT_PRINCIPAL[principality.outcome]
+        lines += [*verdict, f"maximal principal cylinder: {found}"]
+        return _EXIT_FOR_OUTCOME[principality.outcome], lines
     lines.append(f"principal: yes, generator = "
                  f"{format_polynomial(principality.generator, names)}")
     decision = report.cylinder

@@ -71,6 +71,11 @@ class PlinthCertificate:
         if self.derivation.apply(self.preimage) != target:
             raise CertificateError("preimage does not hit the claimed power")
 
+    @property
+    def slice_value(self) -> RationalFunction:
+        """preimage / element^power, which has derivative one on D(element)."""
+        return RationalFunction(self.preimage, self.element ** self.power)
+
 
 @dataclass(frozen=True)
 class CylinderCertificate:
@@ -141,7 +146,7 @@ class PlinthClaimReport:
 
 @dataclass(frozen=True)
 class PrincipalityResult:
-    is_principal: bool
+    outcome: Outcome
     gcd: Polynomial
     generator: Polynomial | None
 
@@ -308,7 +313,7 @@ def cylinder_from_plinth(plinth: PlinthResult) -> CylinderResult:
                               obstruction=plinth.obstruction)
     cert = plinth.certificate
     derivation = cert.derivation
-    slice_value = RationalFunction(cert.preimage, cert.element ** cert.power)
+    slice_value = cert.slice_value
     ring = derivation.ring
     images = tuple(
         dixmier_image(derivation, slice_value,
@@ -363,20 +368,24 @@ def plinth_claim_verify(derivation: Derivation, claimed: Sequence[Polynomial],
     return PlinthClaimReport(outcome, entries, complement)
 
 
-def principality_check(generators: Sequence[Polynomial]) -> PrincipalityResult:
-    """Whether the ideal spanned by the generators is principal, in a free
-    polynomial ring.  Callers working inside a kernel subalgebra must
-    present the generators in free coordinates for that subalgebra."""
-    gens = [g for g in generators if g]
+def principality_check(ideal: Ideal, relations: Ideal) -> PrincipalityResult:
+    """Whether ``ideal`` is principal modulo ``relations``.  Yes when the
+    free-ring gcd of its generators lies in the ideal, which it then
+    generates, with or without relations.  Otherwise no in a free ring,
+    and unknown with relations, which can still make the ideal principal:
+    (z, w) = (z) modulo w - z^2."""
+    if relations.nvars != ideal.nvars:
+        raise ValueError("relation ideal has wrong variable count")
+    gens = [g for g in ideal.generators if g]
     if not gens:
         raise ValueError("need at least one nonzero generator")
     gcd = gens[0].content_split(DEGREVLEX)[1]
     for g in gens[1:]:
         gcd = gcd_via_lcm(gcd, g)
-    ideal = Ideal(gens[0].nvars, tuple(gens), DEGREVLEX)
     if ideal.contains(gcd):
-        return PrincipalityResult(True, gcd, gcd)
-    return PrincipalityResult(False, gcd, None)
+        return PrincipalityResult(Outcome.YES, gcd, gcd)
+    outcome = Outcome.NO if relations.is_zero else Outcome.UNKNOWN
+    return PrincipalityResult(outcome, gcd, None)
 
 
 def maximal_cylinder(derivation: Derivation, claimed: Sequence[Polynomial],
@@ -385,18 +394,17 @@ def maximal_cylinder(derivation: Derivation, claimed: Sequence[Polynomial],
     the cylinder over the principal generator contains every other
     principal invariant cylinder; build its certificate.  When the
     generator is itself one of the verified claims, its certificate is
-    reused instead of searching again.  Principality is decided in the
-    free ring, so on a ring with relations a gcd outside the ideal leaves
-    the outcome unknown instead of no."""
+    reused instead of searching again.  A claim that does not verify, or
+    a principality check on its ideal that is not a yes, passes its
+    outcome on."""
     system = _shared_system(derivation, bounds)
     claim = plinth_claim_verify(derivation, claimed, bounds, system)
     if claim.outcome is not Outcome.YES:
         return MaximalCylinderResult(claim.outcome, claim)
-    principality = principality_check([e.element for e in claim.entries])
-    if not principality.is_principal:
-        free = derivation.ring.relations.is_zero
-        return MaximalCylinderResult(Outcome.NO if free else Outcome.UNKNOWN,
-                                     claim, principality)
+    principality = principality_check(claim.complement,
+                                      derivation.ring.relations)
+    if principality.outcome is not Outcome.YES:
+        return MaximalCylinderResult(principality.outcome, claim, principality)
     h = derivation.ring.normal_form(principality.generator)
     plinth = next((e for e in claim.entries if e.element == h), None)
     if plinth is None:

@@ -52,10 +52,6 @@ class RingPresentation:
         self.names = names
         self.relations = relations
 
-    @classmethod
-    def free(cls, names: Sequence[str]) -> "RingPresentation":
-        return cls(names, None)
-
     @property
     def nvars(self) -> int:
         return len(self.names)

@@ -23,7 +23,7 @@ from typing import NamedTuple, Sequence
 
 from .derivation import Derivation, RingPresentation
 from .groebner import Ideal
-from .poly import DEGREVLEX, MonomialOrder, Polynomial
+from .poly import Polynomial
 from .printing import format_polynomial
 
 _DIRECTIVES = ("ring", "vars", "rel", "der")
@@ -354,12 +354,6 @@ def format_spec(spec: DerivationSpec) -> str:
     return "\n".join(lines) + "\n"
 
 
-def spec_ring(spec: DerivationSpec,
-              order: MonomialOrder = DEGREVLEX) -> RingPresentation:
-    relations = Ideal(len(spec.variables), spec.relations, order)
-    return RingPresentation(spec.variables, relations)
-
-
-def spec_derivation(spec: DerivationSpec,
-                    order: MonomialOrder = DEGREVLEX) -> Derivation:
-    return Derivation(spec_ring(spec, order), spec.images)
+def spec_derivation(spec: DerivationSpec) -> Derivation:
+    relations = Ideal(len(spec.variables), spec.relations)
+    return Derivation(RingPresentation(spec.variables, relations), spec.images)

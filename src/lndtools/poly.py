@@ -201,12 +201,6 @@ class Polynomial:
     def leading_monomial(self, order: MonomialOrder) -> Monomial:
         return self.leading_term(order)[0]
 
-    def monic(self, order: MonomialOrder) -> "Polynomial":
-        _, lc = self.leading_term(order)
-        if lc == 1:
-            return self
-        return self * (1 / lc)
-
     def content_split(self, order: MonomialOrder) -> tuple[Fraction, "Polynomial"]:
         """Split into (content, primitive part).
 

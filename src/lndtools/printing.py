@@ -78,12 +78,11 @@ def _wrap_side(text: str) -> str:
     return text
 
 
-def format_ratfun(value, names: Sequence[str],
-                  order: MonomialOrder = DEGREVLEX) -> str:
-    num = format_polynomial(value.num, names, order)
+def format_ratfun(value, names: Sequence[str]) -> str:
+    num = format_polynomial(value.num, names)
     if value.is_polynomial:
         return num
-    den = format_polynomial(value.den, names, order)
+    den = format_polynomial(value.den, names)
     return f"{_wrap_side(num)}/{_wrap_side(den)}"
 
 

@@ -41,10 +41,6 @@ class RationalFunction:
         self.den = den
 
     @classmethod
-    def from_polynomial(cls, poly: Polynomial) -> "RationalFunction":
-        return cls(poly, 1)
-
-    @classmethod
     def zero(cls, nvars: int) -> "RationalFunction":
         return cls(Polynomial.zero(nvars), 1)
 

@@ -29,7 +29,7 @@ from lndtools import (
 
 def triangular3():
     names = ["x", "y", "z"]
-    ring = RingPresentation.free(names)
+    ring = RingPresentation(names)
     images = [parse_polynomial(e, names) for e in ("y", "z", "0")]
     return Derivation(ring, images), names
 
@@ -44,14 +44,14 @@ def danielewski():
 
 def translation4():
     names = ["x", "y", "u", "v"]
-    ring = RingPresentation.free(names)
+    ring = RingPresentation(names)
     images = [parse_polynomial(e, names) for e in ("u", "v", "0", "0")]
     return Derivation(ring, images), names
 
 
 def plane():
     names = ["x", "y"]
-    ring = RingPresentation.free(names)
+    ring = RingPresentation(names)
     images = [parse_polynomial(e, names) for e in ("y^2", "0")]
     return Derivation(ring, images), names
 

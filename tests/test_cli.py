@@ -9,6 +9,14 @@ from pathlib import Path
 import pytest
 
 import lndtools.cylinder
+from lndtools import (
+    Ideal,
+    Outcome,
+    parse_polynomial_list,
+    parse_spec,
+    principality_check,
+    spec_derivation,
+)
 from lndtools.cli import (
     COMMANDS,
     EXIT_NO,
@@ -229,6 +237,66 @@ def test_claim_builds_one_system_for_every_generator(monkeypatch, command,
     assert result == code, report
     assert "claim verified: yes" in report
     assert len(builds) == 1
+
+
+def test_trivialize_builds_no_dixmier_images(monkeypatch):
+    calls = []
+    image = lndtools.cylinder.dixmier_image
+
+    def counted(*args):
+        calls.append(args)
+        return image(*args)
+
+    monkeypatch.setattr(lndtools.cylinder, "dixmier_image", counted)
+    code, report = run_command(["trivialize", FP, "--h", "z", "--elem", "x"])
+    assert code == EXIT_YES
+    assert report == ("slice = y/z\n"
+                      "c0 = (-1/2*y^2 + x*z)/z\n"
+                      "c1 = 0\n"
+                      "c2 = 1/2*z")
+    # the slice comes from the plinth certificate; the coordinates of the
+    # cylinder are never printed, so none is built
+    assert calls == []
+
+
+@pytest.mark.parametrize("spec, gens, code", [
+    (A4, "u;v", EXIT_NO),
+    (FP, "z", EXIT_YES),
+])
+def test_maximal_cylinder_builds_the_claimed_ideal_once(monkeypatch, spec,
+                                                        gens, code):
+    ideals = []
+    ideal = lndtools.cylinder.Ideal
+
+    def counted(*args, **kwargs):
+        ideals.append(args)
+        return ideal(*args, **kwargs)
+
+    monkeypatch.setattr(lndtools.cylinder, "Ideal", counted)
+    result, report = run_command(["maximal-cylinder", spec, "--gens", gens])
+    assert result == code, report
+    # principality is decided on the ideal the claim verification built
+    assert len(ideals) == 1
+
+
+def test_principal_agrees_with_the_library(tmp_path):
+    graph = tmp_path / "graph.lnd"
+    graph.write_text("ring G\nvars x y z w\nrel w - z^2\n"
+                     "der x = y\nder y = z\nder z = 0\nder w = 0\n",
+                     encoding="utf-8")
+    exits = {Outcome.YES: EXIT_YES, Outcome.NO: EXIT_NO,
+             Outcome.UNKNOWN: EXIT_UNKNOWN}
+    seen = set()
+    for path, gens in ((A4, "u;v"), (A4, "u;2*u"), (FP, "x*y;x^2"),
+                       (FP, "z;z^2"), (str(graph), "z;w"), (str(graph), "z;z^2")):
+        text = Path(path).read_text(encoding="utf-8")
+        ring = spec_derivation(parse_spec(text)).ring
+        ideal = Ideal(ring.nvars, parse_polynomial_list(gens, ring.names))
+        outcome = principality_check(ideal, ring.relations).outcome
+        code, report = run_command(["principal", path, "--gens", gens])
+        assert code == exits[outcome], (path, gens, report)
+        seen.add(outcome)
+    assert seen == set(Outcome)
 
 
 def test_benchmark_traced_names_resolve():

@@ -253,7 +253,7 @@ def test_dixmier_reconstruction_random():
         total = RationalFunction.zero(3)
         for k, c in enumerate(coeffs):
             total = total + c * sigma ** k
-        assert total == RationalFunction.from_polynomial(b)
+        assert total == RationalFunction(b)
 
 
 def test_dixmier_reconstruction_on_the_surface():
@@ -267,7 +267,7 @@ def test_dixmier_reconstruction_on_the_surface():
         total = RationalFunction.zero(3)
         for k, c in enumerate(coeffs):
             total = total + c * sigma ** k
-        assert ratfun_eq_mod(relations, total, RationalFunction.from_polynomial(b))
+        assert ratfun_eq_mod(relations, total, RationalFunction(b))
 
 
 def test_dixmier_reduce_applies_d_once_per_iterate(monkeypatch):
@@ -376,7 +376,7 @@ def test_no_global_slice_certificates():
 
 def test_slice_found_when_one_exists():
     names = ["x", "y"]
-    ring = RingPresentation.free(names)
+    ring = RingPresentation(names)
     shift = Derivation(ring, [parse_polynomial("1", names),
                               parse_polynomial("0", names)])
     result = slice_nonexistence(shift, 3)
@@ -419,20 +419,47 @@ def test_plinth_claim_rejection_and_unknown():
 
 
 def test_principality_check():
-    assert principality_check([P("z")]).generator == P("z")
-    assert principality_check([P("2*z"), P("z^2")]).generator == P("z")
+    free3 = Ideal(3)
+    assert principality_check(Ideal(3, [P("z")]), free3).generator == P("z")
+    assert principality_check(Ideal(3, [P("2*z"), P("z^2")]),
+                              free3).generator == P("z")
     names4 = ["x", "y", "u", "v"]
-    split = principality_check([parse_polynomial("u", names4),
-                                parse_polynomial("v", names4)])
-    assert not split.is_principal
+    split = principality_check(Ideal(4, [parse_polynomial("u", names4),
+                                         parse_polynomial("v", names4)]),
+                               Ideal(4))
+    assert split.outcome is Outcome.NO
     assert split.gcd == parse_polynomial("1", names4)
     assert split.generator is None
     # gcd can be a proper divisor that is not in the ideal
-    corner = principality_check([P("x*y"), P("x^2")])
-    assert not corner.is_principal
+    corner = principality_check(Ideal(3, [P("x*y"), P("x^2")]), free3)
+    assert corner.outcome is Outcome.NO
     assert corner.gcd == P("x")
     with pytest.raises(ValueError):
-        principality_check([Polynomial.zero(3)])
+        principality_check(Ideal(3, [Polynomial.zero(3)]), free3)
+
+
+def test_principality_outcome_follows_the_relations():
+    names = ["x", "y", "z", "w"]
+    one, z = parse_polynomial("1", names), parse_polynomial("z", names)
+    # k[x,y,z,w]/(w - z^2) is k[x,y,z]
+    relations = Ideal(4, [parse_polynomial("w - z^2", names)])
+
+    def check(texts, relations):
+        gens = [parse_polynomial(t, names) for t in texts]
+        return principality_check(Ideal(4, gens), relations)
+
+    # a free ring: (z, w) is not principal, a certified no
+    free = check(["z", "w"], Ideal(4))
+    assert (free.outcome, free.gcd, free.generator) == (Outcome.NO, one, None)
+    # modulo the relation (z, w) = (z), but the free-ring gcd 1 is not in
+    # the ideal: unknown, never no
+    graph = check(["z", "w"], relations)
+    assert (graph.outcome, graph.gcd, graph.generator) == (Outcome.UNKNOWN, one, None)
+    # a gcd inside the ideal is a yes with or without relations
+    square = check(["z", "z^2"], relations)
+    assert (square.outcome, square.gcd, square.generator) == (Outcome.YES, z, z)
+    with pytest.raises(ValueError):
+        check(["z"], Ideal(3))
 
 
 def test_maximal_cylinder_over_triangular_and_surface():
@@ -451,7 +478,7 @@ def test_maximal_cylinder_blocked_by_non_principality():
                                    parse_polynomial("v", names4)])
     assert result.outcome is Outcome.NO
     assert result.claim.outcome is Outcome.YES
-    assert not result.principality.is_principal
+    assert result.principality.outcome is Outcome.NO
     assert result.cylinder is None
 
 
@@ -465,7 +492,7 @@ def test_maximal_cylinder_with_relations_never_says_no_for_a_gcd():
     gens = [parse_polynomial(g, names) for g in ("z", "w")]
     result = maximal_cylinder(d, gens)
     assert result.claim.outcome is Outcome.YES
-    assert not result.principality.is_principal
+    assert result.principality.outcome is Outcome.UNKNOWN
     assert result.outcome is Outcome.UNKNOWN
     assert result.cylinder is None
 
