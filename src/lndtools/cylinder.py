@@ -24,7 +24,7 @@ from typing import Callable, NamedTuple, Sequence
 from .derivation import Derivation, RingPresentation
 from .groebner import Ideal, gcd_via_lcm, standard_monomials
 from .linalg import Inconsistency, QMatrix, solve_exact
-from .poly import DEGREVLEX, Monomial, Polynomial
+from .poly import DEGREVLEX, Monomial, Polynomial, Scalar
 from .ratfun import RationalFunction, ratfun_eq_mod
 
 
@@ -81,9 +81,11 @@ class PlinthCertificate:
 class CylinderCertificate:
     """A verified product decomposition over the open set D(element).
 
-    ``slice_value`` has derivative one there, and the Dixmier images of
-    the ring generators are derivation constants; together they give the
-    coordinates of the decomposition."""
+    ``slice_value`` is the plinth's slice preimage/element^power modulo
+    the relations, so its only poles lie off D(element), and it has
+    derivative one there; the Dixmier images, one per ring generator, are
+    derivation constants.  Together they give the coordinates of the
+    decomposition."""
 
     plinth: PlinthCertificate
     slice_value: RationalFunction
@@ -92,6 +94,10 @@ class CylinderCertificate:
     def __post_init__(self):
         deriv = self.plinth.derivation
         relations = deriv.ring.relations
+        if len(self.dixmier_images) != deriv.ring.nvars:
+            raise CertificateError("need one Dixmier image per ring variable")
+        if not ratfun_eq_mod(relations, self.slice_value, self.plinth.slice_value):
+            raise CertificateError("slice is not the plinth's preimage over its power")
         if not ratfun_eq_mod(relations, deriv.apply_rational(self.slice_value), 1):
             raise CertificateError("slice does not have derivative one")
         for image in self.dixmier_images:
@@ -162,35 +168,39 @@ class MaximalCylinderResult:
 class PreimageSystem(NamedTuple):
     """The linear map d on the standard monomials of degree <= max_degree:
     column j is ``columns[j]``, sent to ``images[j]``, its reduced image.
-    Every target of a search is solved against the same images."""
+    ``image_rows`` maps each monomial of an image, in descending order, to
+    its row of the matrix: the ``(column, coefficient)`` pairs in column
+    order.  Every target of a search is solved against the same rows."""
 
     columns: tuple[Monomial, ...]
     images: tuple[Polynomial, ...]
     max_degree: int
     derivation: Derivation
+    image_rows: dict[Monomial, tuple[tuple[int, Scalar], ...]]
 
     def equations(self, target: Polynomial):
         """``(rows, matrix, rhs)`` of d(f) = target, for a target reduced
         modulo the relations: one row per monomial of the target or of an
         image, in descending order."""
-        monomials = set(target.terms).union(*(img.terms for img in self.images))
-        rows = tuple(sorted(monomials, key=self.derivation.ring.order.key,
-                            reverse=True))
-        index = {r: i for i, r in enumerate(rows)}
-        entries: list[list] = [[] for _ in rows]
-        for col, img in enumerate(self.images):
-            for mono, coeff in img.terms.items():
-                entries[index[mono]].append((col, coeff))
-        matrix = QMatrix(len(self.columns), entries)
-        rhs = tuple(target.coefficient(r) for r in rows)
+        image_rows = self.image_rows
+        extra = [m for m in target.terms if m not in image_rows]
+        if extra:
+            rows = tuple(sorted((*image_rows, *extra),
+                                key=self.derivation.ring.order.key, reverse=True))
+            entries = [image_rows.get(r, ()) for r in rows]
+        else:
+            rows, entries = tuple(image_rows), image_rows.values()
+        matrix = QMatrix._from_clean(len(self.columns), entries)
+        rhs = tuple(target.terms.get(r, 0) for r in rows)
         return rows, matrix, rhs
 
 
 def build_preimage_system(derivation: Derivation,
                           max_degree: int) -> PreimageSystem:
     """The images under the derivation of the standard monomials of degree
-    <= max_degree.  Requires a degree-compatible order so that these span
-    the image of every residue class of bounded degree."""
+    <= max_degree, and the rows they make.  Requires a degree-compatible
+    order so that these span the image of every residue class of bounded
+    degree."""
     if max_degree < 0:
         raise ValueError("max_degree must be non-negative")
     ring = derivation.ring
@@ -199,7 +209,15 @@ def build_preimage_system(derivation: Derivation,
     columns = tuple(standard_monomials(ring.relations, max_degree))
     images = tuple(derivation.apply(Polynomial.monomial(ring.nvars, m))
                    for m in columns)
-    return PreimageSystem(columns, images, max_degree, derivation)
+    monomials = set().union(*(img.terms for img in images))
+    rows: dict[Monomial, list] = {
+        m: [] for m in sorted(monomials, key=ring.order.key, reverse=True)}
+    # columns in ascending order, so each row's pairs come sorted
+    for col, img in enumerate(images):
+        for mono, coeff in img.terms.items():
+            rows[mono].append((col, coeff))
+    image_rows = {m: tuple(pairs) for m, pairs in rows.items()}
+    return PreimageSystem(columns, images, max_degree, derivation, image_rows)
 
 
 def preimage_search(system: PreimageSystem, target: Polynomial) -> PreimageResult:

@@ -19,7 +19,6 @@ never change the output; the verification layers rely on that.
 
 from __future__ import annotations
 
-from fractions import Fraction
 from heapq import heapify, heappop, heappush
 from operator import add, le
 from typing import Iterable, Sequence
@@ -30,6 +29,9 @@ from .poly import (
     Monomial,
     MonomialOrder,
     Polynomial,
+    Scalar,
+    _divide,
+    _integral,
     elimination,
     mono_div,
     mono_divides,
@@ -38,16 +40,15 @@ from .poly import (
     monomials_up_to,
 )
 
-_ONE = Fraction(1)
-
 # A divisor as division uses it: leading monomial, leading coefficient and
 # the remaining terms.
-Lead = tuple[Monomial, Fraction, tuple[tuple[Monomial, Fraction], ...]]
+Lead = tuple[Monomial, Scalar, tuple[tuple[Monomial, Scalar], ...]]
 
 
 def _lead(g: Polynomial, order: MonomialOrder) -> Lead:
-    lm, lc = g.leading_term(order)
-    return lm, lc, tuple((m, c) for m, c in g.terms.items() if m != lm)
+    terms = g.terms
+    lm = max(terms, key=order.key)
+    return lm, terms[lm], tuple((m, c) for m, c in terms.items() if m != lm)
 
 
 class _Dividend:
@@ -60,14 +61,14 @@ class _Dividend:
 
     __slots__ = ("terms", "heap", "key")
 
-    def __init__(self, terms: Iterable[tuple[Monomial, Fraction]],
+    def __init__(self, terms: Iterable[tuple[Monomial, Scalar]],
                  order: MonomialOrder):
         self.key = key = order.descending_key
         self.terms = dict(terms)
         self.heap = [(key(m), m) for m in self.terms]
         heapify(self.heap)
 
-    def pop_leading(self) -> tuple[Monomial, Fraction] | None:
+    def pop_leading(self) -> tuple[Monomial, Scalar] | None:
         """Remove the leading term and return it; None when none is left."""
         heap, terms = self.heap, self.terms
         while heap:
@@ -77,33 +78,33 @@ class _Dividend:
                 return mono, coeff
         return None
 
-    def subtract(self, factor: Fraction, shift: Monomial,
-                 tail: Iterable[tuple[Monomial, Fraction]]) -> None:
+    def subtract(self, factor: Scalar, shift: Monomial,
+                 tail: Iterable[tuple[Monomial, Scalar]]) -> None:
         """terms -= factor * x^shift * tail; zero terms are dropped."""
         terms, heap, key = self.terms, self.heap, self.key
         for m2, c2 in tail:
             m = tuple(map(add, m2, shift))
             c = terms.get(m)
             if c is None:
-                terms[m] = -factor * c2
+                terms[m] = _integral(-factor * c2)
                 heappush(heap, (key(m), m))
             else:
-                c -= factor * c2
+                c = _integral(c - factor * c2)
                 if c:
                     terms[m] = c
                 else:
                     del terms[m]
 
 
-def _remainder(work: _Dividend, divisors: Sequence[Lead]) -> dict[Monomial, Fraction]:
+def _remainder(work: _Dividend, divisors: Sequence[Lead]) -> dict[Monomial, Scalar]:
     """Divide until no term is left; divisors are tried in list order.  The
     remainder's terms come in descending order, leading term first."""
-    remainder: dict[Monomial, Fraction] = {}
+    remainder: dict[Monomial, Scalar] = {}
     while (term := work.pop_leading()) is not None:
         mono, coeff = term
         for lm, lc, tail in divisors:
             if all(map(le, lm, mono)):
-                work.subtract(coeff / lc, mono_div(mono, lm), tail)
+                work.subtract(_divide(coeff, lc), mono_div(mono, lm), tail)
                 break
         else:
             remainder[mono] = coeff
@@ -111,18 +112,22 @@ def _remainder(work: _Dividend, divisors: Sequence[Lead]) -> dict[Monomial, Frac
 
 
 def reduce_poly(f: Polynomial, divisors: Sequence[Polynomial],
-                order: MonomialOrder) -> Polynomial:
+                order: MonomialOrder, *,
+                leads: Sequence[Lead] | None = None) -> Polynomial:
     """Remainder of multivariate division of f by the divisor list.
 
     Divisors are tried in list order, so the result is deterministic; for
     a Groebner basis it is the normal form regardless of that order.
+    ``leads``, when given, holds the ``Lead`` of each nonzero divisor
+    under ``order``, in list order, as ``Ideal`` keeps them for its basis.
     """
     if any(d.nvars != f.nvars for d in divisors):
         raise ValueError("polynomial has wrong variable count")
-    divisors = [_lead(d, order) for d in divisors if d]
-    if not divisors or f.is_zero:
+    if leads is None:
+        leads = [_lead(d, order) for d in divisors if d]
+    if not leads or f.is_zero:
         return f
-    remainder = _remainder(_Dividend(f.terms.items(), order), divisors)
+    remainder = _remainder(_Dividend(f.terms.items(), order), leads)
     return Polynomial._from_clean(f.nvars, remainder)
 
 
@@ -134,13 +139,13 @@ def divide_exact(f: Polynomial, g: Polynomial) -> Polynomial:
         raise ValueError("polynomial has wrong variable count")
     lm, lc, tail = _lead(g, DEGREVLEX)
     work = _Dividend(f.terms.items(), DEGREVLEX)
-    quotient: dict[Monomial, Fraction] = {}
+    quotient: dict[Monomial, Scalar] = {}
     while (term := work.pop_leading()) is not None:
         mono, coeff = term
         if not mono_divides(lm, mono):
             raise ValueError("division is not exact")
         shift = mono_div(mono, lm)
-        factor = coeff / lc
+        factor = _divide(coeff, lc)
         # the leading monomial of work falls at each step, so no shift repeats
         quotient[shift] = factor
         work.subtract(factor, shift, tail)
@@ -190,7 +195,7 @@ def buchberger(generators: Iterable[Polynomial],
         if lk == one:
             return False
         k = len(leads)
-        leads.append((lk, _ONE, tuple((m, c / lc) for m, c in r.items())))
+        leads.append((lk, 1, tuple((m, _divide(c, lc)) for m, c in r.items())))
         # new pairs: one is kept unless a later one, or one kept already,
         # has an lcm dividing its own; coprime ones are kept here only so
         # that they still count as divisors
@@ -223,7 +228,7 @@ def buchberger(generators: Iterable[Polynomial],
         lmj, _, tail_j = leads[j]
         si = mono_div(l, lmi)
         work = _Dividend(((mono_mul(m, si), c) for m, c in tail_i), order)
-        work.subtract(_ONE, mono_div(l, lmj), tail_j)
+        work.subtract(1, mono_div(l, lmj), tail_j)
         if not add(work):
             return unit
     # No tail term of an element is divisible by its own leading monomial,
@@ -240,10 +245,11 @@ def buchberger(generators: Iterable[Polynomial],
 class Ideal:
     """An ideal together with its reduced Groebner basis.
 
-    The basis is computed once at construction; instances are immutable.
+    The basis, and the ``Lead`` of each of its elements that division
+    uses, are computed once at construction; instances are immutable.
     """
 
-    __slots__ = ("nvars", "order", "generators", "basis")
+    __slots__ = ("nvars", "order", "generators", "basis", "leads")
 
     def __init__(self, nvars: int, generators: Iterable[Polynomial] = (),
                  order: MonomialOrder = DEGREVLEX):
@@ -255,11 +261,12 @@ class Ideal:
         self.order = order
         self.generators = gens
         self.basis = buchberger(gens, order, nvars)
+        self.leads = tuple(_lead(g, order) for g in self.basis)
 
     def normal_form(self, f: Polynomial) -> Polynomial:
         if f.nvars != self.nvars:
             raise ValueError("polynomial has wrong variable count")
-        return reduce_poly(f, self.basis, self.order)
+        return reduce_poly(f, self.basis, self.order, leads=self.leads)
 
     def contains(self, f: Polynomial) -> bool:
         return self.normal_form(f).is_zero
@@ -339,7 +346,7 @@ def standard_monomials(ideal: Ideal, max_degree: int) -> list[Monomial]:
     """Monomials of total degree <= max_degree not divisible by any leading
     monomial of the basis; a vector-space basis of the quotient up to that
     degree when the order is degree compatible."""
-    lts = [g.leading_monomial(ideal.order) for g in ideal.basis]
+    lts = [lm for lm, _, _ in ideal.leads]
     out = [m for m in monomials_up_to(ideal.nvars, max_degree)
            if not any(mono_divides(l, m) for l in lts)]
     out.sort(key=ideal.order.key)

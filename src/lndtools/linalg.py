@@ -5,6 +5,11 @@ the pivot in each column is the candidate with the smallest numerator
 (then smallest denominator, then row), which keeps intermediate fractions
 modest.  Infeasible systems come back with a checkable certificate: a row
 vector y with y*A = 0 and y*b != 0.
+
+Entries follow the coefficient rule of :mod:`lndtools.poly`: a plain
+``int`` when integral, otherwise a ``Fraction`` whose denominator is not
+1, and two ``int``s are divided only through ``_divide``.  Solutions and
+certificates are handed out as ``Fraction``s.
 """
 
 from __future__ import annotations
@@ -13,11 +18,16 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Sequence
 
-_ZERO = Fraction(0)
+from .poly import Scalar, _divide, _integral
+
+
+def _scalar(value) -> Scalar:
+    """An outside value as an entry: an ``int`` when integral."""
+    return value if type(value) is int else _integral(Fraction(value))
 
 
 class QMatrix:
-    """Immutable sparse matrix of Fractions: ``entries[i]`` holds the
+    """Immutable sparse matrix of rationals: ``entries[i]`` holds the
     nonzero ``(column, value)`` pairs of row i in column order, the values
     given for one column summed."""
 
@@ -26,15 +36,32 @@ class QMatrix:
     def __init__(self, cols: int, rows: Iterable[Iterable[tuple[int, object]]]):
         data = []
         for row in rows:
-            merged: dict[int, Fraction] = {}
+            merged: dict[int, Scalar] = {}
             for col, value in row:
                 if not 0 <= col < cols:
                     raise ValueError(f"column {col} outside range({cols})")
-                merged[col] = merged.get(col, _ZERO) + Fraction(value)
+                merged[col] = _integral(merged.get(col, 0) + _scalar(value))
             data.append(tuple(sorted((c, v) for c, v in merged.items() if v)))
         self.entries = tuple(data)
         self.rows = len(data)
         self.cols = cols
+
+    @classmethod
+    def _from_clean(cls, cols: int,
+                    rows: Iterable[tuple[tuple[int, Scalar], ...]]) -> "QMatrix":
+        """Wrap rows that are clean by construction, without merging or
+        sorting: each is a tuple of ``(column, value)`` pairs in strictly
+        increasing column order, every value a nonzero entry as the module
+        docstring states.  Columns are still checked against ``cols``."""
+        out = cls.__new__(cls)
+        out.entries = tuple(rows)
+        for row in out.entries:
+            # pairs come in column order, so the ends bound every column
+            if row and not (0 <= row[0][0] and row[-1][0] < cols):
+                raise ValueError(f"a column of {row} is outside range({cols})")
+        out.rows = len(out.entries)
+        out.cols = cols
+        return out
 
 
 @dataclass(frozen=True)
@@ -52,17 +79,17 @@ class Inconsistency:
         combined: dict[int, Fraction] = {}
         for y, row in zip(ys, matrix.entries):
             for col, value in row:
-                combined[col] = combined.get(col, _ZERO) + y * value
+                combined[col] = combined.get(col, 0) + y * value
         if any(combined.values()):
             return False
-        total = sum((y * Fraction(v) for y, v in zip(ys, rhs)), _ZERO)
+        total = sum((y * Fraction(v) for y, v in zip(ys, rhs)), Fraction(0))
         return total == self.value and self.value != 0
 
 
-def _subtract(target: dict, factor: Fraction, source: dict) -> None:
+def _subtract(target: dict, factor: Scalar, source: dict) -> None:
     """target -= factor * source, dropping the entries that cancel."""
     for key, value in source.items():
-        updated = target.get(key, _ZERO) - factor * value
+        updated = _integral(target.get(key, 0) - factor * value)
         if updated:
             target[key] = updated
         else:
@@ -76,17 +103,23 @@ def solve_exact(matrix: QMatrix, rhs: Sequence):
     :class:`Inconsistency` certificate.
     """
     m, n = matrix.rows, matrix.cols
-    b = [Fraction(v) for v in rhs]
+    b = [_scalar(v) for v in rhs]
     if len(b) != m:
         raise ValueError("right-hand side length does not match row count")
     a = [dict(row) for row in matrix.entries]
+    # where[col] holds every position whose row has an entry in col, and
+    # perhaps positions whose entry there has cancelled since
+    where: list[set[int]] = [set() for _ in range(n)]
+    for i, row in enumerate(a):
+        for col in row:
+            where[col].add(i)
     # Trace row operations so an inconsistent row yields its multipliers:
     # trace[i] maps original rows to their multiplier in current row i.
-    trace = [{i: Fraction(1)} for i in range(m)]
+    trace = [{i: 1} for i in range(m)]
 
     def certificate(row: int) -> Inconsistency:
-        return Inconsistency(tuple(trace[row].get(i, _ZERO) for i in range(m)),
-                             b[row])
+        return Inconsistency(tuple(Fraction(trace[row].get(i, 0)) for i in range(m)),
+                             Fraction(b[row]))
 
     for i in range(m):
         if not a[i] and b[i]:
@@ -97,7 +130,7 @@ def solve_exact(matrix: QMatrix, rhs: Sequence):
     for col in range(n):
         if pivot_row >= m:
             break
-        candidates = [r for r in range(pivot_row, m) if col in a[r]]
+        candidates = [r for r in where[col] if r >= pivot_row and col in a[r]]
         if not candidates:
             continue
         best = min(candidates, key=lambda r: (abs(a[r][col].numerator),
@@ -105,13 +138,18 @@ def solve_exact(matrix: QMatrix, rhs: Sequence):
         a[best], a[pivot_row] = a[pivot_row], a[best]
         b[best], b[pivot_row] = b[pivot_row], b[best]
         trace[best], trace[pivot_row] = trace[pivot_row], trace[best]
-        pivot, inv = a[pivot_row], 1 / a[pivot_row][col]
+        for r in (best, pivot_row):
+            for c in a[r]:
+                where[c].add(r)
+        pivot, value = a[pivot_row], a[pivot_row][col]
         # after the swap the old pivot row, if it was a candidate, sits at best
         for r in sorted(best if r == pivot_row else r
                         for r in candidates if r != best):
-            factor = a[r][col] * inv
+            factor = _divide(a[r][col], value)
             _subtract(a[r], factor, pivot)
-            b[r] -= factor * b[pivot_row]
+            for c in pivot:
+                where[c].add(r)
+            b[r] = _integral(b[r] - factor * b[pivot_row])
             _subtract(trace[r], factor, trace[pivot_row])
             if not a[r] and b[r]:
                 return certificate(r)
@@ -121,8 +159,8 @@ def solve_exact(matrix: QMatrix, rhs: Sequence):
     # Every row below the pivots is now empty with b[r] = 0: an empty row
     # is never updated, and the checks above return on any other one.
     # solution[col] is still zero when its own row is summed.
-    solution = [_ZERO] * n
+    solution: list[Scalar] = [0] * n
     for row, col in reversed(pivots):
-        known = sum((v * solution[c] for c, v in a[row].items()), _ZERO)
-        solution[col] = (b[row] - known) / a[row][col]
-    return tuple(solution)
+        known = sum(v * solution[c] for c, v in a[row].items())
+        solution[col] = _divide(b[row] - known, a[row][col])
+    return tuple(Fraction(v) for v in solution)

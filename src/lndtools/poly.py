@@ -2,21 +2,46 @@
 
 Monomials are tuples of non-negative exponents, one slot per ring
 variable.  A polynomial stores a sparse mapping from monomials to nonzero
-``Fraction`` coefficients, so every computation in the package is exact.
-All values are immutable by convention: operations return new objects and
-never mutate their operands.
+exact rational coefficients, so every computation in the package is
+exact.  A coefficient is a plain ``int`` when it is integral and a
+``Fraction`` whose denominator is not 1 otherwise, never a float: most
+coefficients are integers, and ``int`` arithmetic is many times faster
+than ``Fraction`` arithmetic.  Two ``int`` coefficients are divided only
+through ``_divide``, never with ``/``.  Reads that return a single
+coefficient (``leading_term``, ``coefficient``, ``constant_term``) give a
+``Fraction``, so that callers may divide what they read.  All values are
+immutable by convention: operations return new objects and never mutate
+their operands.
 """
 
 from __future__ import annotations
 
 import math
 from fractions import Fraction
-from typing import Iterable, Iterator, Mapping, Sequence, Union
+from collections.abc import Iterable, Iterator, Mapping, Sequence
+from typing import Union
 
 Monomial = tuple[int, ...]
 Scalar = Union[int, Fraction]
 
 _ZERO = Fraction(0)
+
+
+def _integral(c: Scalar) -> Scalar:
+    """``c`` as an ``int`` when it is an integral ``Fraction``; ``c``
+    itself otherwise."""
+    if type(c) is int or c.denominator != 1:
+        return c
+    return c.numerator
+
+
+def _divide(a: Scalar, b: Scalar) -> Scalar:
+    """Exact ``a / b``: an ``int`` when b divides a evenly, otherwise a
+    ``Fraction``, so two ``int``s never meet ``/``."""
+    if type(a) is int and type(b) is int:
+        q, r = divmod(a, b)
+        return Fraction(a, b) if r else q
+    return _integral(a / b)
 
 
 def mono_mul(a: Monomial, b: Monomial) -> Monomial:
@@ -121,14 +146,16 @@ class Polynomial:
     def __init__(self, nvars: int,
                  terms: Mapping[Monomial, Scalar] | Iterable = ()):
         items = terms.items() if isinstance(terms, Mapping) else terms
-        clean: dict[Monomial, Fraction] = {}
+        clean: dict[Monomial, Scalar] = {}
         for mono, coeff in items:
             mono = tuple(mono)
             if len(mono) != nvars:
                 raise ValueError(f"monomial {mono} does not fit {nvars} variables")
             if any(e < 0 for e in mono):
                 raise ValueError(f"negative exponent in {mono}")
-            c = clean.get(mono, _ZERO) + Fraction(coeff)
+            if not isinstance(coeff, (int, Fraction)):
+                raise TypeError(f"coefficient {coeff!r} is not an int or a Fraction")
+            c = _integral(clean.get(mono, 0) + coeff)
             if c:
                 clean[mono] = c
             elif mono in clean:
@@ -138,10 +165,11 @@ class Polynomial:
 
     @classmethod
     def _from_clean(cls, nvars: int,
-                    terms: dict[Monomial, Fraction]) -> "Polynomial":
+                    terms: dict[Monomial, Scalar]) -> "Polynomial":
         """Wrap terms that are clean by construction, without checks or a
         copy: every key is an exponent tuple of length ``nvars`` and every
-        value a nonzero ``Fraction``.  Outside data goes through
+        value a nonzero ``int``, or a ``Fraction`` whose denominator is not
+        1, and never a float.  Outside data goes through
         ``Polynomial(...)``."""
         out = cls.__new__(cls)
         out.nvars = nvars
@@ -181,10 +209,10 @@ class Polynomial:
         return bool(self.terms)
 
     def coefficient(self, mono: Monomial) -> Fraction:
-        return self.terms.get(tuple(mono), _ZERO)
+        return Fraction(self.terms.get(tuple(mono), 0))
 
     def constant_term(self) -> Fraction:
-        return self.terms.get((0,) * self.nvars, _ZERO)
+        return Fraction(self.terms.get((0,) * self.nvars, 0))
 
     def total_degree(self) -> int:
         """Total degree; -1 for the zero polynomial."""
@@ -196,7 +224,7 @@ class Polynomial:
         if not self.terms:
             raise ValueError("zero polynomial has no leading term")
         mono = max(self.terms, key=order.key)
-        return mono, self.terms[mono]
+        return mono, Fraction(self.terms[mono])
 
     def leading_monomial(self, order: MonomialOrder) -> Monomial:
         return self.leading_term(order)[0]
@@ -217,6 +245,8 @@ class Polynomial:
         content = Fraction(num_gcd, den_lcm)
         if self.leading_term(order)[1] < 0:
             content = -content
+        if content == 1:
+            return content, self
         return content, self * (1 / content)
 
     # ------------------------------------------------------------------
@@ -237,7 +267,7 @@ class Polynomial:
             return NotImplemented
         terms = dict(self.terms)
         for mono, c in other.terms.items():
-            s = terms.get(mono, _ZERO) + c
+            s = _integral(terms.get(mono, 0) + c)
             if s:
                 terms[mono] = s
             else:
@@ -264,19 +294,19 @@ class Polynomial:
 
     def __mul__(self, other) -> "Polynomial":
         if isinstance(other, (int, Fraction)):
-            c = Fraction(other)
+            c = _integral(other)
             if not c:
                 return Polynomial.zero(self.nvars)
             return Polynomial._from_clean(
-                self.nvars, {m: v * c for m, v in self.terms.items()})
+                self.nvars, {m: _integral(v * c) for m, v in self.terms.items()})
         other = self._coerce(other)
         if other is None:
             return NotImplemented
-        terms: dict[Monomial, Fraction] = {}
+        terms: dict[Monomial, Scalar] = {}
         for m1, c1 in self.terms.items():
             for m2, c2 in other.terms.items():
                 m = mono_mul(m1, m2)
-                s = terms.get(m, _ZERO) + c1 * c2
+                s = _integral(terms.get(m, 0) + c1 * c2)
                 if s:
                     terms[m] = s
                 else:
@@ -314,7 +344,7 @@ class Polynomial:
             raise ValueError(f"variable index {index} out of range")
         # Lowering one exponent is injective on the terms that have it.
         return Polynomial._from_clean(self.nvars, {
-            mono[:index] + (mono[index] - 1,) + mono[index + 1:]: c * mono[index]
+            mono[:index] + (mono[index] - 1,) + mono[index + 1:]: _integral(c * mono[index])
             for mono, c in self.terms.items() if mono[index]})
 
     def evaluate(self, point: Sequence[Scalar]) -> Fraction:

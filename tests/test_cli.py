@@ -315,6 +315,28 @@ def test_benchmark_traced_names_resolve():
         assert callable(obj), (module_name, path)
 
 
+@pytest.mark.parametrize("workload", ["search", "ideals"])
+def test_benchmark_round_passes_its_checks(workload, tmp_path, monkeypatch):
+    # one round of a benchmark workload, as its worker runs it, read by the
+    # benchmark's own checker: a report it cannot read, or a checker that
+    # trips over the program's values, fails here and not only at bench time
+    monkeypatch.syspath_prepend(str(ROOT / "perfbench"))
+    workloads = importlib.import_module("workloads")
+    checks = importlib.import_module("checks")
+    built = workloads.build(workload, 7, ROOT)
+    for name, text in built.files.items():
+        (tmp_path / name).write_text(text, encoding="utf-8")
+    monkeypatch.chdir(tmp_path)
+    checker = checks.Checker(built)
+    failures = []
+    for command in built.commands[:built.round_size]:
+        code, report = run_command(list(command.argv))
+        reason = checker(command, code, report)
+        if reason:
+            failures.append(f"{' '.join(command.argv)}: {reason}")
+    assert not failures
+
+
 def test_algebra_commands():
     code, report = run_command(["gb", FP, "--ideal", "x^2 + y; x*y - 1"])
     assert code == EXIT_YES

@@ -311,6 +311,25 @@ def test_certificate_constructor_rejects_doctored_slices():
                             (RationalFunction(P("x")),) + cert.dixmier_images[1:])
 
 
+def test_certificate_constructor_ties_the_slice_to_the_plinth():
+    d, _ = triangular3()
+    cert = cylinder_decision(d, P("z")).certificate
+    # derivative one, but with poles on y^2 = 2*x*z inside D(z)
+    shifted = (RationalFunction(P("y"), P("z"))
+               + RationalFunction(P("1"), P("y^2 - 2*x*z")))
+    assert ratfun_eq_mod(d.ring.relations, d.apply_rational(shifted), 1)
+    with pytest.raises(CertificateError):
+        CylinderCertificate(cert.plinth, shifted, cert.dixmier_images)
+    with pytest.raises(CertificateError):
+        CylinderCertificate(cert.plinth, shifted, ())
+    for images in ((), cert.dixmier_images[:2], cert.dixmier_images * 2):
+        with pytest.raises(CertificateError):
+            CylinderCertificate(cert.plinth, cert.slice_value, images)
+    # the same slice written another way is accepted
+    same = RationalFunction(P("y*z"), P("z^2"))
+    assert CylinderCertificate(cert.plinth, same, cert.dixmier_images)
+
+
 # ----------------------------------------------------------------------
 # cylinder decisions
 

@@ -113,3 +113,95 @@ def test_out_of_range_column_is_rejected():
         QMatrix(2, [[(0, 1)], [(2, 1)]])
     with pytest.raises(ValueError):
         QMatrix(2, [[(-1, 1)]])
+    with pytest.raises(ValueError):
+        QMatrix._from_clean(2, [((0, 1),), ((1, 1), (2, 1))])
+    with pytest.raises(ValueError):
+        QMatrix._from_clean(2, [((-1, 1), (0, 1))])
+
+
+def test_entries_are_ints_when_integral():
+    matrix = QMatrix(3, [[(0, Fraction(4, 2)), (2, Fraction(1, 2)),
+                          (2, Fraction(1, 2))], [(1, Fraction(2, 3))]])
+    assert matrix.entries == (((0, 2), (2, 1)), ((1, Fraction(2, 3)),))
+    assert [type(v) for row in matrix.entries for _, v in row] \
+        == [int, int, Fraction]
+    clean = QMatrix._from_clean(3, matrix.entries)
+    assert (clean.rows, clean.cols, clean.entries) \
+        == (matrix.rows, matrix.cols, matrix.entries)
+
+
+def reference_solve(matrix, rhs):
+    """The elimination of ``solve_exact`` written out on Fractions alone,
+    with candidate rows found by scanning: the same columns in order, the
+    same pivot rule, the same row order."""
+    m, n = matrix.rows, matrix.cols
+    a = [{c: Fraction(v) for c, v in row} for row in matrix.entries]
+    b = [Fraction(v) for v in rhs]
+    trace = [{i: Fraction(1)} for i in range(m)]
+
+    def certificate(r):
+        return Inconsistency(tuple(trace[r].get(i, Fraction(0)) for i in range(m)),
+                             b[r])
+
+    def subtract(target, factor, source):
+        for key, value in source.items():
+            target[key] = target.get(key, Fraction(0)) - factor * value
+            if not target[key]:
+                del target[key]
+
+    for i in range(m):
+        if not a[i] and b[i]:
+            return certificate(i)
+    pivots, p = [], 0
+    for col in range(n):
+        if p >= m:
+            break
+        candidates = [r for r in range(p, m) if col in a[r]]
+        if not candidates:
+            continue
+        best = min(candidates, key=lambda r: (abs(a[r][col].numerator),
+                                              a[r][col].denominator, r))
+        a[best], a[p] = a[p], a[best]
+        b[best], b[p] = b[p], b[best]
+        trace[best], trace[p] = trace[p], trace[best]
+        for r in sorted(best if r == p else r for r in candidates if r != best):
+            factor = a[r][col] / a[p][col]
+            subtract(a[r], factor, a[p])
+            b[r] -= factor * b[p]
+            subtract(trace[r], factor, trace[p])
+            if not a[r] and b[r]:
+                return certificate(r)
+        pivots.append((p, col))
+        p += 1
+    solution = [Fraction(0)] * n
+    for row, col in reversed(pivots):
+        known = sum((v * solution[c] for c, v in a[row].items()), Fraction(0))
+        solution[col] = (b[row] - known) / a[row][col]
+    return tuple(solution)
+
+
+def test_matches_the_fraction_reference():
+    # integral and fractional entries, dense and sparse, square and not:
+    # the same solution, or the same multipliers and value, every time
+    rng = random.Random(203)
+    solved = refuted = 0
+    for case in range(600):
+        size, density, _ = SHAPES[case % 2]
+        m, n = rng.randint(1, size), rng.randint(1, size)
+        if case % 3:
+            matrix = QMatrix(n, [[(j, rng.randint(-4, 4)) for j in range(n)
+                                  if rng.random() < density] for _ in range(m)])
+            rhs = [rng.randint(-3, 3) for _ in range(m)]
+        else:
+            matrix = random_matrix(rng, m, n, density)
+            rhs = [random_fraction(rng) for _ in range(m)]
+        got, want = solve_exact(matrix, rhs), reference_solve(matrix, rhs)
+        assert got == want
+        if isinstance(got, Inconsistency):
+            refuted += 1
+            assert all(type(y) is Fraction for y in got.multipliers)
+            assert type(got.value) is Fraction
+        else:
+            solved += 1
+            assert all(type(x) is Fraction for x in got)
+    assert solved >= 20 and refuted >= 20

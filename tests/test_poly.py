@@ -37,6 +37,42 @@ def test_constructor_rejects_bad_monomials():
         Polynomial(2, {(-1, 0): 1})
 
 
+def test_constructor_refuses_floats_and_strings():
+    for bad in (1.5, 2.0, "1/3", "2", None):
+        with pytest.raises(TypeError):
+            Polynomial(1, {(1,): bad})
+        with pytest.raises(TypeError):
+            Polynomial.constant(2, bad)
+    with pytest.raises(TypeError):
+        Polynomial(1, {(1,): 1}) * 1.5
+
+
+def test_integral_coefficients_are_stored_as_int():
+    f = Polynomial(2, {(1, 0): Fraction(4, 2), (0, 1): Fraction(1, 3),
+                       (0, 0): True})
+    assert f.terms == {(1, 0): 2, (0, 1): Fraction(1, 3), (0, 0): 1}
+    assert [type(c) for c in f.terms.values()] == [int, Fraction, int]
+    g = f * 3
+    assert type(g.terms[(0, 1)]) is int and g.terms[(0, 1)] == 1
+
+
+def test_coefficient_reads_return_fractions():
+    rng = random.Random(112)
+    for _ in range(100):
+        f = random_poly(rng, 3) * rng.choice((1, 2, Fraction(1, 2)))
+        if not f:
+            continue
+        mono, lc = f.leading_term(DEGREVLEX)
+        assert type(lc) is Fraction and lc == f.terms[mono]
+        for m in (mono, random_monomial(rng, 3)):
+            assert type(f.coefficient(m)) is Fraction
+            assert f.coefficient(m) == f.terms.get(m, 0)
+        assert type(f.constant_term()) is Fraction
+    # a ratio of two reads stays exact
+    g = Polynomial(1, {(1,): 2, (0,): 3})
+    assert g.leading_term(LEX)[1] / g.constant_term() == Fraction(2, 3)
+
+
 def test_ring_axioms_random():
     rng = random.Random(101)
     for _ in range(200):
@@ -192,11 +228,14 @@ def test_monomials_up_to_counts():
 
 
 def assert_clean(p):
-    """Exponent tuples of length nvars mapped to nonzero Fractions."""
+    """Exponent tuples of length nvars mapped to nonzero coefficients, each
+    a plain int or a Fraction that is not integral, never a float."""
     assert p == Polynomial(p.nvars, p.terms)
     for mono, c in p.terms.items():
         assert type(mono) is tuple and len(mono) == p.nvars
-        assert type(c) is Fraction and c != 0
+        assert all(type(e) is int for e in mono)
+        assert type(c) is int or (type(c) is Fraction and c.denominator != 1)
+        assert c != 0
 
 
 def test_computed_terms_are_clean_random():
