@@ -31,7 +31,7 @@ from .cylinder import (
     principality_check,
     slice_nonexistence,
 )
-from .derivation import CapExceededError, Derivation
+from .derivation import DEFAULT_NILPOTENCY_CAP, CapExceededError, Derivation
 from .groebner import Ideal, gcd_via_lcm, radical_membership
 from .parsing import (
     DerivationSpec,
@@ -371,25 +371,26 @@ _LIST_HELP = "';'-separated polynomial expressions"
 _ELEM = _option("--elem", required=True)
 _GENS = _option("--gens", required=True)
 _IDEAL = _option("--ideal", required=True)
-_MAX_DEG = _option("--max-deg", type=int, default=8,
-                   help="largest preimage degree to try (default 8)")
-_BOUNDS = (_option("--max-power", type=int, default=4,
-                   help="largest power of the element to try (default 4)"),
+_MAX_DEG = _option("--max-deg", type=int, default=SearchBounds().max_degree,
+                   help="largest preimage degree to try (default %(default)s)")
+_BOUNDS = (_option("--max-power", type=int, default=SearchBounds().max_power,
+                   help="largest power of the element to try (default %(default)s)"),
            _MAX_DEG)
 
 COMMANDS = (
     Command("check",
             "verify the relations are preserved and the generators are nilpotent",
             _cmd_check,
-            (_option("--cap", type=int, default=64,
-                     help="iteration cap for the nilpotency search (default 64)"),),
+            (_option("--cap", type=int, default=DEFAULT_NILPOTENCY_CAP,
+                     help="iteration cap for the nilpotency search "
+                          "(default %(default)s)"),),
             gated=False),
     Command("exp", "exponentiate the derivation on elements", _cmd_exp,
             (_with_help(_ELEM, _LIST_HELP),)),
     Command("orbit", "move a rational point along the action", _cmd_orbit,
             (_option("--point", required=True,
-                     help="';'-separated rational coordinates"),
-             _option("--time", required=True, help="rational time value"))),
+                     help="';'-separated variable-free expressions"),
+             _option("--time", required=True, help="variable-free expression"))),
     Command("fixed", "ideal of the fixed locus of the action", _cmd_fixed),
     Command("kernel", "test kernel membership of elements", _cmd_kernel,
             (_with_help(_ELEM, _LIST_HELP),)),
@@ -403,7 +404,8 @@ COMMANDS = (
              _ELEM, *_BOUNDS)),
     Command("slice-none", "certify that no global slice of bounded degree exists",
             _cmd_slice_none,
-            (_with_help(_MAX_DEG, "largest slice degree to rule out (default 8)"),)),
+            (_with_help(_MAX_DEG,
+                        "largest slice degree to rule out (default %(default)s)"),)),
     Command("plinth-verify", "verify a claimed plinth generating set",
             _cmd_plinth_verify,
             (_with_help(_GENS, "';'-separated claimed generators"), *_BOUNDS)),

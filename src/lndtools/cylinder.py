@@ -345,9 +345,15 @@ def cylinder_from_plinth(plinth: PlinthResult) -> CylinderResult:
 def slice_nonexistence(derivation: Derivation,
                        max_degree: int) -> PreimageResult:
     """Search for a global polynomial slice of bounded degree; failure is
-    certified exactly."""
+    certified exactly, and the certificate is checked before it is given."""
     one = Polynomial.constant(derivation.ring.nvars, 1)
-    return preimage_search(build_preimage_system(derivation, max_degree), one)
+    system = build_preimage_system(derivation, max_degree)
+    result = preimage_search(system, one)
+    if not result.found:
+        _, matrix, rhs = system.equations(one)
+        if not result.certificate.verify(matrix, rhs):
+            raise CertificateError("inconsistency certificate does not verify")
+    return result
 
 
 def _shared_system(derivation: Derivation,

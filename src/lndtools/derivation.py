@@ -16,7 +16,7 @@ from fractions import Fraction
 from typing import Sequence
 
 from .groebner import Ideal
-from .poly import DEGREVLEX, Polynomial, Scalar
+from .poly import DEGREVLEX, Polynomial, Scalar, _exact
 from .ratfun import RationalFunction
 
 DEFAULT_NILPOTENCY_CAP = 64
@@ -169,13 +169,13 @@ class Derivation:
     def orbit_point(self, point: Sequence[Scalar],
                     time: Scalar) -> tuple[Fraction, ...]:
         """Move a rational point of the variety for the given time."""
-        p = tuple(Fraction(v) for v in point)
+        p = tuple(_exact(v) for v in point)
         if len(p) != self.ring.nvars:
             raise ValueError("point length does not match variable count")
         for g in self.ring.relations.generators:
             if g.evaluate(p):
                 raise ValueError("point does not satisfy the relations")
-        s = Fraction(time)
+        s = _exact(time)
         moved = tuple(
             sum((c.evaluate(p) * s ** k
                  for k, c in enumerate(self.exp_action(self.ring.variable(name)))),

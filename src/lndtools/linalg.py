@@ -18,12 +18,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Sequence
 
-from .poly import Scalar, _divide, _integral
-
-
-def _scalar(value) -> Scalar:
-    """An outside value as an entry: an ``int`` when integral."""
-    return value if type(value) is int else _integral(Fraction(value))
+from .poly import Scalar, _divide, _exact, _integral
 
 
 class QMatrix:
@@ -40,7 +35,7 @@ class QMatrix:
             for col, value in row:
                 if not 0 <= col < cols:
                     raise ValueError(f"column {col} outside range({cols})")
-                merged[col] = _integral(merged.get(col, 0) + _scalar(value))
+                merged[col] = _integral(merged.get(col, 0) + _exact(value))
             data.append(tuple(sorted((c, v) for c, v in merged.items() if v)))
         self.entries = tuple(data)
         self.rows = len(data)
@@ -76,14 +71,14 @@ class Inconsistency:
         ys = self.multipliers
         if len(ys) != matrix.rows or len(rhs) != matrix.rows:
             return False
-        combined: dict[int, Fraction] = {}
-        for y, row in zip(ys, matrix.entries):
-            for col, value in row:
-                combined[col] = combined.get(col, 0) + y * value
-        if any(combined.values()):
-            return False
-        total = sum((y * Fraction(v) for y, v in zip(ys, rhs)), Fraction(0))
-        return total == self.value and self.value != 0
+        combined: dict[int, Scalar] = {}
+        total: Scalar = 0
+        for y, row, v in zip(ys, matrix.entries, rhs):
+            if y:
+                for col, value in row:
+                    combined[col] = combined.get(col, 0) + y * value
+                total += y * _exact(v)
+        return not any(combined.values()) and total == self.value != 0
 
 
 def _subtract(target: dict, factor: Scalar, source: dict) -> None:
@@ -103,7 +98,7 @@ def solve_exact(matrix: QMatrix, rhs: Sequence):
     :class:`Inconsistency` certificate.
     """
     m, n = matrix.rows, matrix.cols
-    b = [_scalar(v) for v in rhs]
+    b = [_exact(v) for v in rhs]
     if len(b) != m:
         raise ValueError("right-hand side length does not match row count")
     a = [dict(row) for row in matrix.entries]

@@ -4,6 +4,8 @@ Expression grammar, loosest to tightest binding: sums, products, powers.
 Atoms are integer or rational literals (``3``, ``1/2``), declared variable
 names, and parenthesized expressions.  There is no implicit multiplication
 and no division except inside a rational literal; unary minus is allowed.
+A digit is a decimal digit of any script, as ``int()`` reads it.  Points
+and times are expressions without variables.
 
 A derivation file is line oriented with ``#`` comments:
 
@@ -17,13 +19,14 @@ All syntax errors carry the offending line and column.
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import NamedTuple, Sequence
 
 from .derivation import Derivation, RingPresentation
 from .groebner import Ideal
-from .poly import Polynomial
+from .poly import Polynomial, Scalar
 from .printing import format_polynomial
 
 _DIRECTIVES = ("ring", "vars", "rel", "der")
@@ -48,51 +51,48 @@ class Token(NamedTuple):
     column: int
 
 
-_SYMBOLS = set("+-*^()=/;")
+# One alternative per token kind, tried in order.  A digit is a decimal
+# digit, one that int() reads (so '٣' is 3 and '²' is no digit); a name
+# starts with a letter or '_'.  Anything else is an unexpected character.
+_TOKEN = re.compile(r"""(?P<newline>\n) | (?P<blank>[ \t\r]+) | (?P<comment>\#[^\n]*)
+                      | (?P<int>\d+) | (?P<ident>\w+) | (?P<sym>[-+*^()=/;])
+                      | (?P<other>.)""", re.VERBOSE | re.DOTALL)
 
 
 def _tokenize(text: str, line: int = 1) -> list[Token]:
     tokens: list[Token] = []
-    column = 1
-    i = 0
-    while i < len(text):
-        ch = text[i]
-        if ch == "\n":
+    line_start = end = 0  # end: where the input ends but for a last comment
+    for match in _TOKEN.finditer(text):
+        kind, value = match.lastgroup, match.group()
+        column = match.start() - line_start + 1
+        end = match.start() if kind == "comment" else match.end()
+        if kind == "newline":
             line += 1
-            column = 1
-            i += 1
-        elif ch in " \t\r":
-            column += 1
-            i += 1
-        elif ch == "#":
-            while i < len(text) and text[i] != "\n":
-                i += 1
-        elif ch.isdigit():
-            start = i
-            while i < len(text) and text[i].isdigit():
-                i += 1
-            tokens.append(Token("int", int(text[start:i]), line, column))
-            column += i - start
-        elif ch.isalpha() or ch == "_":
-            start = i
-            while i < len(text) and (text[i].isalnum() or text[i] == "_"):
-                i += 1
-            tokens.append(Token("ident", text[start:i], line, column))
-            column += i - start
-        elif ch in _SYMBOLS:
-            tokens.append(Token("sym", ch, line, column))
-            column += 1
-            i += 1
-        else:
-            raise ParseError(f"unexpected character {ch!r}", line, column)
-    tokens.append(Token("end", None, line, column))
+            line_start = end
+        elif kind == "int":
+            try:
+                tokens.append(Token(kind, int(value), line, column))
+            except ValueError:  # past sys.get_int_max_str_digits()
+                raise ParseError("integer literal too long", line, column) from None
+        elif kind == "sym" or (kind == "ident"
+                               and (value[0].isalpha() or value[0] == "_")):
+            tokens.append(Token(kind, value, line, column))
+        elif kind != "blank" and kind != "comment":
+            raise ParseError(f"unexpected character {value[0]!r}", line, column)
+    tokens.append(Token("end", None, line, end - line_start + 1))
     return tokens
 
 
-class _Cursor:
-    def __init__(self, tokens: Sequence[Token]):
-        self.tokens = list(tokens)
+class _Parser:
+    """Recursive descent over one token list.  An expression may use the
+    variables in ``names``; with none it is a rational number."""
+
+    def __init__(self, tokens: Sequence[Token], names: Sequence[str] = ()):
+        self.tokens = tokens
         self.pos = 0
+        self.names = {name: i for i, name in enumerate(names)}
+        self.nvars = len(names)
+        self.depth = 0
 
     def peek(self) -> Token:
         return self.tokens[self.pos]
@@ -103,100 +103,72 @@ class _Cursor:
             self.pos += 1
         return token
 
-    def at_symbol(self, symbol: str) -> bool:
+    def accept(self, symbol: str) -> bool:
+        """Step over ``symbol`` if it comes next."""
         token = self.peek()
-        return token.kind == "sym" and token.value == symbol
+        if token.kind == "sym" and token.value == symbol:
+            self.pos += 1
+            return True
+        return False
 
-    def expect_symbol(self, symbol: str) -> Token:
-        if not self.at_symbol(symbol):
-            token = self.peek()
-            raise ParseError(f"expected {symbol!r}", token.line, token.column)
+    def expect(self, kind: str, message: str) -> Token:
+        token = self.peek()
+        if token.kind != kind:
+            raise ParseError(message, token.line, token.column)
         return self.advance()
 
+    def expect_symbol(self, symbol: str):
+        if not self.accept(symbol):
+            token = self.peek()
+            raise ParseError(f"expected {symbol!r}", token.line, token.column)
+
     def expect_end(self):
-        token = self.peek()
-        if token.kind != "end":
-            raise ParseError("unexpected trailing input", token.line, token.column)
-
-    def rational_literal(self) -> Fraction:
-        """Read ``int`` or ``int / int`` from the current integer token; the
-        denominator must be a nonzero integer literal."""
-        value = Fraction(self.advance().value)
-        if not self.at_symbol("/"):
-            return value
-        self.advance()
-        den = self.peek()
-        if den.kind != "int":
-            raise ParseError("expected an integer denominator",
-                             den.line, den.column)
-        if den.value == 0:
-            raise ParseError("zero denominator", den.line, den.column)
-        self.advance()
-        return value / den.value
-
-
-class _ExpressionParser(_Cursor):
-    def __init__(self, tokens: Sequence[Token], names: Sequence[str]):
-        super().__init__(tokens)
-        self.names = {name: i for i, name in enumerate(names)}
-        self.nvars = len(names)
-        self.depth = 0
+        self.expect("end", "unexpected trailing input")
 
     def expression(self) -> Polynomial:
         node = self.term()
         while True:
-            if self.at_symbol("+"):
-                self.advance()
+            if self.accept("+"):
                 node = node + self.term()
-            elif self.at_symbol("-"):
-                self.advance()
+            elif self.accept("-"):
                 node = node - self.term()
             else:
                 return node
 
     def term(self) -> Polynomial:
         node = self.factor()
-        while self.at_symbol("*"):
-            self.advance()
+        while self.accept("*"):
             node = node * self.factor()
         return node
 
     def factor(self) -> Polynomial:
         negate = False
-        while self.at_symbol("-"):
-            self.advance()
+        while self.accept("-"):
             negate = not negate
         node = self.power()
         return -node if negate else node
 
     def power(self) -> Polynomial:
         base = self.atom()
-        if self.at_symbol("^"):
-            self.advance()
-            token = self.peek()
-            if token.kind != "int":
-                raise ParseError("exponent must be an integer literal",
-                                 token.line, token.column)
-            self.advance()
-            return base ** token.value
+        if self.accept("^"):
+            exponent = self.expect("int", "exponent must be an integer literal")
+            return base ** exponent.value
         return base
 
     def atom(self) -> Polynomial:
-        token = self.peek()
+        token = self.advance()
         if token.kind == "int":
-            return Polynomial.constant(self.nvars, self.rational_literal())
+            return Polynomial.constant(self.nvars, self.rational_literal(token.value))
         if token.kind == "ident":
-            self.advance()
             index = self.names.get(token.value)
             if index is None:
                 raise ParseError(f"unknown variable {token.value!r}",
                                  token.line, token.column)
             return Polynomial.variable(self.nvars, index)
-        if self.at_symbol("("):
+        if token.kind == "sym" and token.value == "(":
             if self.depth == MAX_NESTING:
                 raise ParseError("expression nested too deeply",
                                  token.line, token.column)
-            self.advance()
             self.depth += 1
             node = self.expression()
             self.depth -= 1
@@ -205,9 +177,19 @@ class _ExpressionParser(_Cursor):
         raise ParseError("expected a number, a variable, or '('",
                          token.line, token.column)
 
+    def rational_literal(self, numerator: int) -> Scalar:
+        """The literal ``numerator`` or ``numerator / int``, the only rule
+        for a number; the denominator must be a nonzero integer literal."""
+        if not self.accept("/"):
+            return numerator
+        den = self.expect("int", "expected an integer denominator")
+        if den.value == 0:
+            raise ParseError("zero denominator", den.line, den.column)
+        return Fraction(numerator, den.value)
+
 
 def parse_polynomial(text: str, names: Sequence[str]) -> Polynomial:
-    parser = _ExpressionParser(_tokenize(text), names)
+    parser = _Parser(_tokenize(text), names)
     poly = parser.expression()
     parser.expect_end()
     return poly
@@ -215,42 +197,22 @@ def parse_polynomial(text: str, names: Sequence[str]) -> Polynomial:
 
 def parse_polynomial_list(text: str, names: Sequence[str]) -> list[Polynomial]:
     """Parse a ';'-separated list of polynomial expressions."""
-    parser = _ExpressionParser(_tokenize(text), names)
+    parser = _Parser(_tokenize(text), names)
     out = [parser.expression()]
-    while parser.at_symbol(";"):
-        parser.advance()
+    while parser.accept(";"):
         out.append(parser.expression())
     parser.expect_end()
     return out
 
 
-def _parse_rational(cursor: _Cursor) -> Fraction:
-    sign = 1
-    if cursor.at_symbol("-"):
-        cursor.advance()
-        sign = -1
-    token = cursor.peek()
-    if token.kind != "int":
-        raise ParseError("expected a rational number", token.line, token.column)
-    return sign * cursor.rational_literal()
-
-
 def parse_fraction(text: str) -> Fraction:
-    cursor = _Cursor(_tokenize(text))
-    value = _parse_rational(cursor)
-    cursor.expect_end()
-    return value
+    """Parse a variable-free expression as a rational number."""
+    return parse_polynomial(text, ()).constant_term()
 
 
 def parse_point(text: str) -> tuple[Fraction, ...]:
-    """Parse a ';'-separated tuple of rational numbers."""
-    cursor = _Cursor(_tokenize(text))
-    values = [_parse_rational(cursor)]
-    while cursor.at_symbol(";"):
-        cursor.advance()
-        values.append(_parse_rational(cursor))
-    cursor.expect_end()
-    return tuple(values)
+    """Parse ';'-separated variable-free expressions as a rational point."""
+    return tuple(p.constant_term() for p in parse_polynomial_list(text, ()))
 
 
 @dataclass(frozen=True)
@@ -273,65 +235,50 @@ def parse_spec(text: str) -> DerivationSpec:
 
     for lineno, raw in enumerate(text.splitlines(), start=1):
         last_line = lineno
-        tokens = _tokenize(raw, line=lineno)
-        if tokens[0].kind == "end":
+        parser = _Parser(_tokenize(raw, lineno), variables or ())
+        head = parser.advance()
+        if head.kind == "end":
             continue
-        head = tokens[0]
         if head.kind != "ident" or head.value not in _DIRECTIVES:
             raise ParseError("expected a directive: ring, vars, rel, or der",
                              head.line, head.column)
-        rest = tokens[1:]
         if head.value == "ring":
             if name is not None:
                 raise ParseError("duplicate ring directive", head.line, head.column)
-            cursor = _Cursor(rest)
-            token = cursor.peek()
-            if token.kind != "ident":
-                raise ParseError("expected a ring name", token.line, token.column)
-            cursor.advance()
-            cursor.expect_end()
-            name = token.value
+            name = parser.expect("ident", "expected a ring name").value
+            parser.expect_end()
         elif head.value == "vars":
             if variables is not None:
                 raise ParseError("duplicate vars directive", head.line, head.column)
             seen: list[str] = []
-            cursor = _Cursor(rest)
-            while cursor.peek().kind == "ident":
-                token = cursor.advance()
+            while parser.peek().kind == "ident":
+                token = parser.advance()
                 if token.value in seen:
                     raise ParseError(f"duplicate variable {token.value!r}",
                                      token.line, token.column)
                 seen.append(token.value)
-            cursor.expect_end()
+            parser.expect_end()
             if not seen:
                 raise ParseError("vars needs at least one variable",
                                  head.line, head.column)
             variables = tuple(seen)
+        elif variables is None:
+            raise ParseError("vars must be declared before rel and der lines",
+                             head.line, head.column)
+        elif head.value == "rel":
+            relations.append(parser.expression())
+            parser.expect_end()
         else:
-            if variables is None:
-                raise ParseError("vars must be declared before rel and der lines",
-                                 head.line, head.column)
-            if head.value == "rel":
-                parser = _ExpressionParser(rest, variables)
-                relations.append(parser.expression())
-                parser.expect_end()
-            else:
-                cursor = _Cursor(rest)
-                target = cursor.peek()
-                if target.kind != "ident":
-                    raise ParseError("expected a variable name",
-                                     target.line, target.column)
-                if target.value not in variables:
-                    raise ParseError(f"unknown variable {target.value!r}",
-                                     target.line, target.column)
-                if target.value in images:
-                    raise ParseError(f"duplicate der line for {target.value!r}",
-                                     target.line, target.column)
-                cursor.advance()
-                cursor.expect_symbol("=")
-                parser = _ExpressionParser(cursor.tokens[cursor.pos:], variables)
-                images[target.value] = parser.expression()
-                parser.expect_end()
+            target = parser.expect("ident", "expected a variable name")
+            if target.value not in variables:
+                raise ParseError(f"unknown variable {target.value!r}",
+                                 target.line, target.column)
+            if target.value in images:
+                raise ParseError(f"duplicate der line for {target.value!r}",
+                                 target.line, target.column)
+            parser.expect_symbol("=")
+            images[target.value] = parser.expression()
+            parser.expect_end()
 
     if name is None:
         raise ParseError("missing ring directive", last_line, 1)

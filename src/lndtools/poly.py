@@ -35,6 +35,14 @@ def _integral(c: Scalar) -> Scalar:
     return c.numerator
 
 
+def _exact(value) -> Scalar:
+    """An outside value as a coefficient, an ``int`` when integral; a value
+    that is not an ``int`` or a ``Fraction`` raises ``TypeError``."""
+    if not isinstance(value, (int, Fraction)):
+        raise TypeError(f"{value!r} is not an int or a Fraction")
+    return _integral(value)
+
+
 def _divide(a: Scalar, b: Scalar) -> Scalar:
     """Exact ``a / b``: an ``int`` when b divides a evenly, otherwise a
     ``Fraction``, so two ``int``s never meet ``/``."""
@@ -153,9 +161,7 @@ class Polynomial:
                 raise ValueError(f"monomial {mono} does not fit {nvars} variables")
             if any(e < 0 for e in mono):
                 raise ValueError(f"negative exponent in {mono}")
-            if not isinstance(coeff, (int, Fraction)):
-                raise TypeError(f"coefficient {coeff!r} is not an int or a Fraction")
-            c = _integral(clean.get(mono, 0) + coeff)
+            c = _integral(clean.get(mono, 0) + _exact(coeff))
             if c:
                 clean[mono] = c
             elif mono in clean:
@@ -350,7 +356,7 @@ class Polynomial:
     def evaluate(self, point: Sequence[Scalar]) -> Fraction:
         if len(point) != self.nvars:
             raise ValueError("point length does not match variable count")
-        values = [Fraction(v) for v in point]
+        values = [_exact(v) for v in point]
         total = _ZERO
         for mono, c in self.terms.items():
             term = c

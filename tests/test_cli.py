@@ -12,6 +12,7 @@ import lndtools.cylinder
 from lndtools import (
     Ideal,
     Outcome,
+    SearchBounds,
     parse_polynomial_list,
     parse_spec,
     principality_check,
@@ -24,9 +25,10 @@ from lndtools.cli import (
     EXIT_USAGE,
     EXIT_YES,
     build_parser,
+    main,
     run_command,
 )
-from lndtools.derivation import Derivation
+from lndtools.derivation import DEFAULT_NILPOTENCY_CAP, Derivation
 from lndtools.parsing import MAX_NESTING
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -77,8 +79,11 @@ def test_negative_bounds_are_input_errors(argv, message):
      "error: line 1, column 101: expression nested too deeply"),
     ("-(" * 3000 + "x" + ")" * 3000, EXIT_USAGE,
      "error: line 1, column 202: expression nested too deeply"),
+    ("x^²", EXIT_USAGE, "error: line 1, column 3: unexpected character '²'"),
+    ("x + " + "1" * 5000, EXIT_USAGE,
+     "error: line 1, column 5: integer literal too long"),
 ], ids=["50 parens", "limit parens", "3000 minus", "limit+1 parens",
-        "3000 parens", "3000 minus-parens"])
+        "3000 parens", "3000 minus-parens", "superscript digit", "5000 digits"])
 def test_deep_expressions_end_cleanly(text, code, report):
     assert run_command(["kernel", FP, f"--elem={text}"]) == (code, report)
 
@@ -460,6 +465,17 @@ def test_exports_are_exactly_the_package_names():
     assert sorted(lndtools.__all__) == sorted(public)
     for name in lndtools.__all__:
         assert getattr(lndtools, name) is not None
+
+
+def test_bound_defaults_come_from_the_library(capsys):
+    parser = build_parser()
+    bounds = SearchBounds()
+    args = parser.parse_args(["plinth", FP, "--elem", "z"])
+    assert (args.max_power, args.max_deg) == (bounds.max_power, bounds.max_degree)
+    assert parser.parse_args(["slice-none", FP]).max_deg == bounds.max_degree
+    assert parser.parse_args(["check", FP]).cap == DEFAULT_NILPOTENCY_CAP
+    assert main(["check", "--help"]) == 0
+    assert f"(default {DEFAULT_NILPOTENCY_CAP})" in capsys.readouterr().out
 
 
 def test_shared_parser_keeps_no_option_values():

@@ -4,6 +4,7 @@ from pathlib import Path
 
 import pytest
 
+import lndtools.cylinder
 from helpers import (
     danielewski,
     plane,
@@ -16,6 +17,7 @@ from lndtools import (
     CylinderCertificate,
     Derivation,
     Ideal,
+    Inconsistency,
     Outcome,
     Polynomial,
     RationalFunction,
@@ -391,6 +393,18 @@ def test_no_global_slice_certificates():
         rows, matrix, rhs = build_preimage_system(d, 6).equations(one)
         assert result.certificate.verify(matrix, rhs)
         assert result.nonzero_multipliers()
+
+
+def test_slice_nonexistence_checks_its_certificate(monkeypatch):
+    d, _ = triangular3()
+    one = Polynomial.constant(d.ring.nvars, 1)
+    _, matrix, rhs = build_preimage_system(d, 3).equations(one)
+    doctored = Inconsistency((Fraction(1),) * matrix.rows, Fraction(1))
+    assert not doctored.verify(matrix, rhs)
+    monkeypatch.setattr(lndtools.cylinder, "solve_exact",
+                        lambda matrix, rhs: doctored)
+    with pytest.raises(CertificateError):
+        slice_nonexistence(d, 3)
 
 
 def test_slice_found_when_one_exists():

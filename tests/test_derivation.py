@@ -175,6 +175,18 @@ def test_orbit_points_frozen():
     assert surface.orbit_point((0, 1, 1), 3) == (Fraction(15, 2), 4, 1)
 
 
+@pytest.mark.parametrize("point, time", [
+    ((0.5, Fraction(1, 3), 0), 1),
+    ((0, "1/3", 0), 1),
+    ((0, 0, 1), 0.1),
+    ((0, 0, 1), "2"),
+])
+def test_orbit_point_refuses_floats_and_strings(point, time):
+    d, _ = triangular3()
+    with pytest.raises(TypeError):
+        d.orbit_point(point, time)
+
+
 def test_orbit_point_validation():
     d, _ = danielewski()
     with pytest.raises(ValueError):

@@ -69,6 +69,24 @@ def test_doctored_certificate_fails_verification():
     assert not wrong_len.verify(matrix, rhs)
 
 
+def test_zero_multipliers_are_skipped():
+    matrix = QMatrix(1, [[(0, 1)], [(0, 1)], [(0, 2)]])
+    rhs = [1, 2, 2]
+    # rows 2 and 3 alone: 1*(2) - 2*(1) combines the rows to 0 = 2 - 4
+    assert Inconsistency((Fraction(0), Fraction(2), Fraction(-1)),
+                         Fraction(2)).verify(matrix, rhs)
+    assert Inconsistency((Fraction(0), Fraction(2), Fraction(-1)),
+                         Fraction(2)).verify(matrix, ["skipped", 2, 2])
+
+
+@pytest.mark.parametrize("bad", [0.1, 2.0, "1/3", None])
+def test_entries_and_rhs_refuse_floats_and_strings(bad):
+    with pytest.raises(TypeError):
+        QMatrix(1, [[(0, bad)]])
+    with pytest.raises(TypeError):
+        solve_exact(identity(1), [bad])
+
+
 def test_rhs_length_mismatch():
     with pytest.raises(ValueError):
         solve_exact(identity(2), [1])

@@ -96,6 +96,88 @@ def test_polynomial_lists_and_points():
         parse_point("1; ")
 
 
+def test_points_and_times_are_variable_free_expressions():
+    assert parse_fraction("1+1") == 2
+    assert parse_fraction("-(1/2)^2*3") == Fraction(-3, 4)
+    assert parse_point("2^3; --1/2") == (Fraction(8), Fraction(1, 2))
+    with pytest.raises(ParseError) as info:
+        parse_point("1; ")
+    assert (info.value.reason, info.value.column) == \
+        ("expected a number, a variable, or '('", 4)
+
+
+def test_digits_are_what_int_reads():
+    # '٣' is ARABIC-INDIC DIGIT THREE; '²' is a digit to str.isdigit only
+    assert parse_polynomial("٣*x", XY) == parse_polynomial("3*x", XY)
+    assert parse_fraction("١/٢") == Fraction(1, 2)
+    assert parse_polynomial("x²", ["x²"]) == Polynomial.variable(1, 0)
+    with pytest.raises(ParseError) as info:
+        parse_polynomial("x^²", XY)
+    assert str(info.value) == "line 1, column 3: unexpected character '²'"
+
+
+# Inputs whose errors must not move: (parser, text, (line, column, reason)).
+SPEC = "ring R\nvars x y\n"
+ERROR_POSITIONS = [
+    ("spec", "ring R\nvars x\nder x = # c", (3, 9, "expected a number, a variable, or '('")),
+    ("spec", SPEC + "der x = y # c\nder y = 0 0", (4, 11, "unexpected trailing input")),
+    ("spec", SPEC + "der x = y\nder x = 1\n", (4, 5, "duplicate der line for 'x'")),
+    ("spec", SPEC + "der x = y\n", (3, 1, "missing der line for variable 'y'")),
+    ("spec", "ring R\nvars x x\n", (2, 8, "duplicate variable 'x'")),
+    ("spec", "ring R\n  # only a comment\nvars\n", (3, 1, "vars needs at least one variable")),
+    ("spec", "ring R\nvars 1\n", (2, 6, "unexpected trailing input")),
+    ("spec", "ring\n", (1, 5, "expected a ring name")),
+    ("spec", "ring R\nrel x\n", (2, 1, "vars must be declared before rel and der lines")),
+    ("spec", SPEC + "der 2 = x\n", (3, 5, "expected a variable name")),
+    ("spec", SPEC + "der x y\n", (3, 7, "expected '='")),
+    ("spec", SPEC + "mul x\n", (3, 1, "expected a directive: ring, vars, rel, or der")),
+    ("poly", "x + ", (1, 5, "expected a number, a variable, or '('")),
+    ("poly", "x ^ y", (1, 5, "exponent must be an integer literal")),
+    ("poly", "(x + y", (1, 7, "expected ')'")),
+    ("poly", "x x", (1, 3, "unexpected trailing input")),
+    ("poly", "x/2", (1, 2, "unexpected trailing input")),
+    ("poly", "1/0", (1, 3, "zero denominator")),
+    ("poly", "x +\n  w", (2, 3, "unknown variable 'w'")),
+    ("poly", "x\u00a0+ y", (1, 2, "unexpected character '\\xa0'")),
+    ("poly", "x + ½", (1, 5, "unexpected character '½'")),
+    ("poly", "2 + 1" + "0" * 5000, (1, 5, "integer literal too long")),
+    ("list", "x; y;", (1, 6, "expected a number, a variable, or '('")),
+    ("list", "x; y # z\n w", (2, 2, "unexpected trailing input")),
+    ("list", "x; # y", (1, 4, "expected a number, a variable, or '('")),
+]
+
+
+@pytest.mark.parametrize("kind, text, error", ERROR_POSITIONS,
+                         ids=[f"{kind} {text[:24]!r}" for kind, text, _ in ERROR_POSITIONS])
+def test_error_positions(kind, text, error):
+    parse = {"spec": parse_spec,
+             "poly": lambda t: parse_polynomial(t, XY),
+             "list": lambda t: parse_polynomial_list(t, XY)}[kind]
+    with pytest.raises(ParseError) as info:
+        parse(text)
+    assert (info.value.line, info.value.column, info.value.reason) == error
+
+
+FUZZ_ALPHABET = [*"xyz0123456789+-*^()/;= _", "#", "\n", "\t",
+                 "²", "٣", "½", "α", "\u00a0"]
+FUZZ_PREFIXES = ["", "ring R\n", "ring R\nvars x y\n", "ring R\nvars x y\nder x = "]
+
+
+def test_parsers_return_or_raise_parse_error_on_random_text():
+    rng = random.Random(20)
+    parsers = (lambda t: parse_polynomial(t, XY),
+               lambda t: parse_polynomial_list(t, XY),
+               parse_point, parse_fraction,
+               lambda t: parse_spec(rng.choice(FUZZ_PREFIXES) + t))
+    for _ in range(600):
+        text = "".join(rng.choices(FUZZ_ALPHABET, k=rng.randint(0, 16)))
+        for parse in parsers:
+            try:
+                parse(text)
+            except ParseError:
+                pass
+
+
 def test_spec_round_trip_through_printer():
     source = (CORPUS / "ex_danielewski.lnd").read_text(encoding="utf-8")
     spec = parse_spec(source)

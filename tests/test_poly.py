@@ -47,6 +47,14 @@ def test_constructor_refuses_floats_and_strings():
         Polynomial(1, {(1,): 1}) * 1.5
 
 
+def test_evaluate_refuses_floats_and_strings():
+    f = Polynomial(2, {(1, 0): 1})
+    assert f.evaluate((Fraction(1, 2), 2)) == Fraction(1, 2)
+    for bad in (0.1, "1/3", None):
+        with pytest.raises(TypeError):
+            f.evaluate((bad, 2))
+
+
 def test_integral_coefficients_are_stored_as_int():
     f = Polynomial(2, {(1, 0): Fraction(4, 2), (0, 1): Fraction(1, 3),
                        (0, 0): True})
