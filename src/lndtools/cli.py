@@ -2,7 +2,8 @@
 
 Every command takes a derivation file and reports plain text on stdout.
 Exit codes encode the verdict: 0 for yes/success, 1 for a definite no,
-2 when the bounded search was inconclusive, 64 for input errors.
+2 when the bounded search was inconclusive, 64 for input errors, and 70
+for an internal failure, such as a certificate that does not verify.
 
 The commands live in one table, :data:`COMMANDS`.  An entry names the
 command, its help line and its options, says whether it is gated, and
@@ -48,6 +49,7 @@ from .printing import (
     format_exp_action,
     format_ideal,
     format_monomial,
+    format_number,
     format_point,
     format_polynomial,
     format_ratfun,
@@ -57,6 +59,7 @@ EXIT_YES = 0
 EXIT_NO = 1
 EXIT_UNKNOWN = 2
 EXIT_USAGE = 64
+EXIT_SOFTWARE = 70
 
 _EXIT_FOR_OUTCOME = {Outcome.YES: EXIT_YES, Outcome.NO: EXIT_NO,
                      Outcome.UNKNOWN: EXIT_UNKNOWN}
@@ -106,13 +109,14 @@ def _verdict(subject, result) -> str:
             f"max degree {bounds.max_degree})")
 
 
-def _search_lines(subject, result, plinth, names):
-    """Verdict of a search, then the power and preimage of its plinth
-    certificate or the derivative that rules the element out."""
+def _search_lines(subject, result, names):
+    """Verdict of a search, then the power and preimage of its certificate
+    or the derivative that rules the element out."""
     lines = [_verdict(subject, result)]
     if result.outcome is Outcome.YES:
-        lines.append(f"n = {plinth.power}")
-        lines.append(f"f = {format_polynomial(plinth.preimage, names)}")
+        cert = result.certificate
+        lines.append(f"n = {cert.power}")
+        lines.append(f"f = {format_polynomial(cert.preimage, names)}")
     elif result.outcome is Outcome.NO:
         lines.append(_image(result.element, result.obstruction, names))
     return lines
@@ -122,7 +126,7 @@ def _cylinder_lines(result, names):
     """Lines of a cylinder decision, or of a plinth search that is not a yes."""
     h = format_polynomial(result.element, names)
     cert = result.certificate
-    lines = _search_lines(f"cylinder D({h})", result, cert and cert.plinth, names)
+    lines = _search_lines(f"cylinder D({h})", result, names)
     if cert is not None:
         lines.append(f"slice = {format_ratfun(cert.slice_value, names)}")
         for name, image in zip(names, cert.dixmier_images):
@@ -195,8 +199,8 @@ def _cmd_orbit(args, names, derivation):
     point = parse_point(args.point)
     time = parse_fraction(args.time)
     moved = derivation.orbit_point(point, time)
-    return EXIT_YES, [f"orbit{format_point(point)} at time {time} = "
-                      f"{format_point(moved)}"]
+    return EXIT_YES, [f"orbit{format_point(point)} at time "
+                      f"{format_number(time)} = {format_point(moved)}"]
 
 
 def _cmd_fixed(args, names, derivation):
@@ -219,8 +223,7 @@ def _cmd_plinth(args, names, derivation):
     element = parse_polynomial(args.elem, names)
     result = plinth_membership(derivation, element, _bounds(args))
     h = format_polynomial(result.element, names)
-    lines = _search_lines(f"plinth membership of {h}", result,
-                          result.certificate, names)
+    lines = _search_lines(f"plinth membership of {h}", result, names)
     return _EXIT_FOR_OUTCOME[result.outcome], lines
 
 
@@ -249,14 +252,14 @@ def _cmd_slice_none(args, names, derivation):
         return EXIT_YES, [f"slice found of degree <= {args.max_deg}",
                           f"slice = {format_polynomial(result.preimage, names)}"]
     multipliers = ", ".join(
-        f"{format_monomial(mono, names)}: {value}"
+        f"{format_monomial(mono, names)}: {format_number(value)}"
         for mono, value in result.nonzero_multipliers())
     return EXIT_NO, [
         f"no slice of degree <= {result.degree_bound}",
         f"system: {len(result.row_monomials)} equations, "
         f"{len(result.column_monomials)} unknowns",
         f"certificate multipliers: {{{multipliers}}}",
-        f"certificate value: {result.certificate.value}",
+        f"certificate value: {format_number(result.certificate.value)}",
     ]
 
 
@@ -469,6 +472,8 @@ def run_command(argv) -> tuple[int, str]:
         return EXIT_USAGE, f"error: {exc}"
     except CapExceededError as exc:
         return EXIT_UNKNOWN, f"unknown at bounds: {exc}"
+    except Exception as exc:  # a fault of the program, never a verdict
+        return EXIT_SOFTWARE, f"internal error: {type(exc).__name__}: {exc}"
     return code, "\n".join(lines)
 
 
@@ -478,7 +483,7 @@ def main(argv=None) -> int:
     except SystemExit as exc:  # argparse --help
         return exc.code or 0
     if report:
-        stream = sys.stderr if code == EXIT_USAGE else sys.stdout
+        stream = sys.stderr if code in (EXIT_USAGE, EXIT_SOFTWARE) else sys.stdout
         try:
             print(report, file=stream, flush=True)
         except BrokenPipeError:

@@ -16,13 +16,13 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from enum import Enum
 from fractions import Fraction
 from typing import Callable, NamedTuple, Sequence
 
 from .derivation import Derivation, RingPresentation
-from .groebner import Ideal, gcd_via_lcm, standard_monomials
+from .groebner import Ideal, gcd_via_lcm, radical_membership, standard_monomials
 from .linalg import Inconsistency, QMatrix, solve_exact
 from .poly import DEGREVLEX, Monomial, Polynomial, Scalar
 from .ratfun import RationalFunction, ratfun_eq_mod
@@ -78,28 +78,21 @@ class PlinthCertificate:
 
 
 @dataclass(frozen=True)
-class CylinderCertificate:
-    """A verified product decomposition over the open set D(element).
-
-    ``slice_value`` is the plinth's slice preimage/element^power modulo
-    the relations, so its only poles lie off D(element), and it has
-    derivative one there; the Dixmier images, one per ring generator, are
+class CylinderCertificate(PlinthCertificate):
+    """A verified product decomposition over the open set D(element): a
+    plinth certificate, whose slice preimage/element^power has derivative
+    one there, and the Dixmier images, one per ring generator, which are
     derivation constants.  Together they give the coordinates of the
     decomposition."""
 
-    plinth: PlinthCertificate
-    slice_value: RationalFunction
     dixmier_images: tuple[RationalFunction, ...]
 
     def __post_init__(self):
-        deriv = self.plinth.derivation
+        super().__post_init__()
+        deriv = self.derivation
         relations = deriv.ring.relations
         if len(self.dixmier_images) != deriv.ring.nvars:
             raise CertificateError("need one Dixmier image per ring variable")
-        if not ratfun_eq_mod(relations, self.slice_value, self.plinth.slice_value):
-            raise CertificateError("slice is not the plinth's preimage over its power")
-        if not ratfun_eq_mod(relations, deriv.apply_rational(self.slice_value), 1):
-            raise CertificateError("slice does not have derivative one")
         for image in self.dixmier_images:
             if not ratfun_eq_mod(relations, deriv.apply_rational(image), 0):
                 raise CertificateError("Dixmier image is not a derivation constant")
@@ -126,7 +119,11 @@ class PreimageResult:
 
 
 @dataclass(frozen=True)
-class PlinthResult:
+class SearchResult:
+    """The verdict of a plinth or cylinder search on ``element``: on a yes
+    the certificate, a ``CylinderCertificate`` for a cylinder decision; on
+    a no the nonzero derivative of the element."""
+
     outcome: Outcome
     element: Polynomial
     bounds: SearchBounds
@@ -135,18 +132,9 @@ class PlinthResult:
 
 
 @dataclass(frozen=True)
-class CylinderResult:
-    outcome: Outcome
-    element: Polynomial
-    bounds: SearchBounds
-    certificate: CylinderCertificate | None = None
-    obstruction: Polynomial | None = None
-
-
-@dataclass(frozen=True)
 class PlinthClaimReport:
     outcome: Outcome
-    entries: tuple[PlinthResult, ...]
+    entries: tuple[SearchResult, ...]
     complement: Ideal
 
 
@@ -162,18 +150,17 @@ class MaximalCylinderResult:
     outcome: Outcome
     claim: PlinthClaimReport
     principality: PrincipalityResult | None = None
-    cylinder: CylinderResult | None = None
+    cylinder: SearchResult | None = None
 
 
 class PreimageSystem(NamedTuple):
     """The linear map d on the standard monomials of degree <= max_degree:
-    column j is ``columns[j]``, sent to ``images[j]``, its reduced image.
-    ``image_rows`` maps each monomial of an image, in descending order, to
-    its row of the matrix: the ``(column, coefficient)`` pairs in column
-    order.  Every target of a search is solved against the same rows."""
+    column j is ``columns[j]``.  ``image_rows`` maps each monomial of a
+    reduced image, in descending order, to its row of the matrix: the
+    ``(column, coefficient)`` pairs in column order.  Every target of a
+    search is solved against the same rows."""
 
     columns: tuple[Monomial, ...]
-    images: tuple[Polynomial, ...]
     max_degree: int
     derivation: Derivation
     image_rows: dict[Monomial, tuple[tuple[int, Scalar], ...]]
@@ -217,18 +204,21 @@ def build_preimage_system(derivation: Derivation,
         for mono, coeff in img.terms.items():
             rows[mono].append((col, coeff))
     image_rows = {m: tuple(pairs) for m, pairs in rows.items()}
-    return PreimageSystem(columns, images, max_degree, derivation, image_rows)
+    return PreimageSystem(columns, max_degree, derivation, image_rows)
 
 
 def preimage_search(system: PreimageSystem, target: Polynomial) -> PreimageResult:
     """Find f of total degree <= the system's bound with derivation(f) =
-    target modulo the relations, or prove that none exists in that range."""
+    target modulo the relations, or prove that none exists in that range.
+    Either answer is checked before it is returned."""
     derivation = system.derivation
     ring = derivation.ring
     target = ring.normal_form(target)
     rows, matrix, rhs = system.equations(target)
     solved = solve_exact(matrix, rhs)
     if isinstance(solved, Inconsistency):
+        if not solved.verify(matrix, rhs):
+            raise CertificateError("inconsistency certificate does not verify")
         return PreimageResult(None, solved, system.max_degree, rows, system.columns)
     preimage = Polynomial(ring.nvars,
                           {m: c for m, c in zip(system.columns, solved) if c})
@@ -240,7 +230,7 @@ def preimage_search(system: PreimageSystem, target: Polynomial) -> PreimageResul
 def plinth_membership(derivation: Derivation, element: Polynomial,
                       bounds: SearchBounds = SearchBounds(),
                       system: Callable[[], PreimageSystem] | None = None
-                      ) -> PlinthResult:
+                      ) -> SearchResult:
     """Decide whether some power of ``element`` is a kernel element that
     is also an image, within the given bounds.  ``system``, when given,
     returns the derivation's preimage system at ``bounds.max_degree``, for
@@ -249,13 +239,15 @@ def plinth_membership(derivation: Derivation, element: Polynomial,
         raise ValueError("the zero element is excluded; its open set is empty")
     ring = derivation.ring
     h = ring.normal_form(element)
-    if h.is_zero:
+    # D(h) is empty when h is nilpotent: in the radical of the relations
+    if h.is_zero or (not ring.relations.is_zero
+                     and radical_membership(h, ring.relations)):
         raise ValueError("element vanishes on the variety; its open set is empty")
     image = derivation.apply(h)
     if image:
         # Kernels are factorially closed in a domain, so no power of a
         # non-kernel element can ever land in the kernel: a conclusive no.
-        return PlinthResult(Outcome.NO, h, bounds, obstruction=image)
+        return SearchResult(Outcome.NO, h, bounds, obstruction=image)
     preimages = (build_preimage_system(derivation, bounds.max_degree)
                  if system is None else system())
     power = Polynomial.constant(ring.nvars, 1)
@@ -264,8 +256,8 @@ def plinth_membership(derivation: Derivation, element: Polynomial,
         search = preimage_search(preimages, power)
         if search.found:
             cert = PlinthCertificate(derivation, h, n, search.preimage)
-            return PlinthResult(Outcome.YES, h, bounds, certificate=cert)
-    return PlinthResult(Outcome.UNKNOWN, h, bounds)
+            return SearchResult(Outcome.YES, h, bounds, certificate=cert)
+    return SearchResult(Outcome.UNKNOWN, h, bounds)
 
 
 def dixmier_image(derivation: Derivation, slice_value: RationalFunction,
@@ -308,52 +300,40 @@ def dixmier_reduce(derivation: Derivation, slice_value: RationalFunction,
         reconstructed = reconstructed + c * slice_value ** k
     if not ratfun_eq_mod(relations, reconstructed, element):
         raise CertificateError("Dixmier coefficients do not reconstruct the element")
-    while coefficients and coefficients[-1].is_zero:
-        coefficients.pop()
-    if not coefficients:
-        coefficients = [RationalFunction.zero(ring.nvars)]
-    return tuple(coefficients)
+    # no trailing zero: the last is d^(J-1)(element)/(J-1)!; 0 has no iterates
+    return tuple(coefficients) or (RationalFunction.zero(ring.nvars),)
 
 
 def cylinder_decision(derivation: Derivation, element: Polynomial,
-                      bounds: SearchBounds = SearchBounds()) -> CylinderResult:
+                      bounds: SearchBounds = SearchBounds()) -> SearchResult:
     """Decide whether the open set D(element) is an invariant cylinder,
     with a slice and invariant coordinates on success."""
     return cylinder_from_plinth(plinth_membership(derivation, element, bounds))
 
 
-def cylinder_from_plinth(plinth: PlinthResult) -> CylinderResult:
-    """The cylinder decision that a plinth search has settled: its verdict,
-    and on success the slice and invariant coordinates built from its
-    certificate."""
+def cylinder_from_plinth(plinth: SearchResult) -> SearchResult:
+    """The cylinder decision that a plinth search has settled: the search
+    itself unless it is a yes, and otherwise the search with its
+    certificate extended by the Dixmier images of the ring generators."""
     if plinth.outcome is not Outcome.YES:
-        return CylinderResult(plinth.outcome, plinth.element, plinth.bounds,
-                              obstruction=plinth.obstruction)
+        return plinth
     cert = plinth.certificate
     derivation = cert.derivation
-    slice_value = cert.slice_value
-    ring = derivation.ring
-    images = tuple(
-        dixmier_image(derivation, slice_value,
-                      Polynomial.variable(ring.nvars, i))
-        for i in range(ring.nvars))
-    full = CylinderCertificate(cert, slice_value, images)
-    return CylinderResult(Outcome.YES, plinth.element, plinth.bounds,
-                          certificate=full)
+    nvars = derivation.ring.nvars
+    images = tuple(dixmier_image(derivation, cert.slice_value,
+                                 Polynomial.variable(nvars, i))
+                   for i in range(nvars))
+    full = CylinderCertificate(derivation, cert.element, cert.power,
+                               cert.preimage, images)
+    return replace(plinth, certificate=full)
 
 
 def slice_nonexistence(derivation: Derivation,
                        max_degree: int) -> PreimageResult:
     """Search for a global polynomial slice of bounded degree; failure is
     certified exactly, and the certificate is checked before it is given."""
-    one = Polynomial.constant(derivation.ring.nvars, 1)
-    system = build_preimage_system(derivation, max_degree)
-    result = preimage_search(system, one)
-    if not result.found:
-        _, matrix, rhs = system.equations(one)
-        if not result.certificate.verify(matrix, rhs):
-            raise CertificateError("inconsistency certificate does not verify")
-    return result
+    return preimage_search(build_preimage_system(derivation, max_degree),
+                           Polynomial.constant(derivation.ring.nvars, 1))
 
 
 def _shared_system(derivation: Derivation,

@@ -4,8 +4,10 @@ Expression grammar, loosest to tightest binding: sums, products, powers.
 Atoms are integer or rational literals (``3``, ``1/2``), declared variable
 names, and parenthesized expressions.  There is no implicit multiplication
 and no division except inside a rational literal; unary minus is allowed.
-A digit is a decimal digit of any script, as ``int()`` reads it.  Points
-and times are expressions without variables.
+A digit is a decimal digit of any script, as ``int()`` reads it.  An
+exponent is an integer literal of at most ``MAX_EXPONENT``, and a power
+may have at most ``MAX_POWER_TERMS`` terms.  Points and times are
+expressions without variables.
 
 A derivation file is line oriented with ``#`` comments:
 
@@ -19,6 +21,7 @@ All syntax errors carry the offending line and column.
 
 from __future__ import annotations
 
+import math
 import re
 from dataclasses import dataclass
 from fractions import Fraction
@@ -34,6 +37,12 @@ _DIRECTIVES = ("ring", "vars", "rel", "der")
 # Parenthesized expressions nest at most this deep; the parser recurses
 # once per level.
 MAX_NESTING = 100
+
+# A power has an exponent of at most MAX_EXPONENT, and a power of a base
+# with t terms at most MAX_POWER_TERMS terms by the multinomial bound
+# C(t - 1 + e, e), so that a short input cannot ask for a huge polynomial.
+MAX_EXPONENT = 10_000
+MAX_POWER_TERMS = 1_000
 
 
 class ParseError(Exception):
@@ -151,8 +160,15 @@ class _Parser:
     def power(self) -> Polynomial:
         base = self.atom()
         if self.accept("^"):
-            exponent = self.expect("int", "exponent must be an integer literal")
-            return base ** exponent.value
+            token = self.expect("int", "exponent must be an integer literal")
+            e = token.value
+            if e > MAX_EXPONENT:
+                raise ParseError(f"exponent above {MAX_EXPONENT}",
+                                 token.line, token.column)
+            if math.comb(max(len(base.terms), 1) - 1 + e, e) > MAX_POWER_TERMS:
+                raise ParseError(f"power may have more than {MAX_POWER_TERMS} "
+                                 "terms", token.line, token.column)
+            return base ** e
         return base
 
     def atom(self) -> Polynomial:

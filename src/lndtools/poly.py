@@ -8,10 +8,10 @@ exact.  A coefficient is a plain ``int`` when it is integral and a
 coefficients are integers, and ``int`` arithmetic is many times faster
 than ``Fraction`` arithmetic.  Two ``int`` coefficients are divided only
 through ``_divide``, never with ``/``.  Reads that return a single
-coefficient (``leading_term``, ``coefficient``, ``constant_term``) give a
-``Fraction``, so that callers may divide what they read.  All values are
-immutable by convention: operations return new objects and never mutate
-their operands.
+coefficient (``leading_term``, ``constant_term``) give a ``Fraction``, so
+that callers may divide what they read.  All values are immutable by
+convention: operations return new objects and never mutate their
+operands.
 """
 
 from __future__ import annotations
@@ -214,9 +214,6 @@ class Polynomial:
     def __bool__(self) -> bool:
         return bool(self.terms)
 
-    def coefficient(self, mono: Monomial) -> Fraction:
-        return Fraction(self.terms.get(tuple(mono), 0))
-
     def constant_term(self) -> Fraction:
         return Fraction(self.terms.get((0,) * self.nvars, 0))
 
@@ -231,9 +228,6 @@ class Polynomial:
             raise ValueError("zero polynomial has no leading term")
         mono = max(self.terms, key=order.key)
         return mono, Fraction(self.terms[mono])
-
-    def leading_monomial(self, order: MonomialOrder) -> Monomial:
-        return self.leading_term(order)[0]
 
     def content_split(self, order: MonomialOrder) -> tuple[Fraction, "Polynomial"]:
         """Split into (content, primitive part).
@@ -330,8 +324,9 @@ class Polynomial:
         while e:
             if e & 1:
                 result = result * base
-            base = base * base
             e >>= 1
+            if e:
+                base = base * base
         return result
 
     def __eq__(self, other) -> bool:

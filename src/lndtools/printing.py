@@ -7,17 +7,28 @@ polynomials re-parse to themselves.
 
 from __future__ import annotations
 
+from decimal import Decimal
 from fractions import Fraction
 from typing import Sequence
 
-from .poly import DEGREVLEX, Monomial, MonomialOrder, Polynomial
+from .poly import DEGREVLEX, Monomial, MonomialOrder, Polynomial, Scalar
+
+
+def format_number(value: Scalar) -> str:
+    """An integer, or a fraction as ``numerator/denominator``, in full:
+    ``str`` of an ``int`` refuses more digits than
+    ``sys.get_int_max_str_digits()``, and ``Decimal`` has no such limit."""
+    if isinstance(value, Fraction) and value.denominator != 1:
+        return (f"{format_number(value.numerator)}/"
+                f"{format_number(value.denominator)}")
+    return str(Decimal(int(value)))
 
 
 def _term_body(coeff_abs: Fraction, mono: Monomial, names: Sequence[str],
                parameter_part: str | None = None) -> str:
     factors = []
     if coeff_abs != 1:
-        factors.append(str(coeff_abs))
+        factors.append(format_number(coeff_abs))
     if parameter_part:
         factors.append(parameter_part)
     for name, e in zip(names, mono):
@@ -95,4 +106,4 @@ def format_ideal(ideal, names: Sequence[str]) -> str:
 
 
 def format_point(values: Sequence) -> str:
-    return "(" + ", ".join(str(Fraction(v)) for v in values) + ")"
+    return "(" + ", ".join(format_number(v) for v in values) + ")"

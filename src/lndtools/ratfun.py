@@ -56,11 +56,6 @@ class RationalFunction:
     def is_polynomial(self) -> bool:
         return self.den.total_degree() == 0 and self.den.constant_term() == 1
 
-    def as_polynomial(self) -> Polynomial:
-        if not self.is_polynomial:
-            raise ValueError("denominator is not 1")
-        return self.num
-
     # ------------------------------------------------------------------
 
     def __add__(self, other: _Operand) -> "RationalFunction":

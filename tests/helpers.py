@@ -150,7 +150,7 @@ def membership_by_linear_algebra(f, generators, cofactor_degree):
         for gmono, coeff in g.terms.items():
             prod = tuple(a + b for a, b in zip(mono, gmono))
             entries[row_index[prod]].append((col, coeff))
-    rhs = [f.coefficient(mono) for mono in rows]
+    rhs = [f.terms.get(mono, 0) for mono in rows]
     outcome = solve_exact(QMatrix(len(unknowns), entries), rhs)
     return not isinstance(outcome, Inconsistency)
 
@@ -164,8 +164,8 @@ def is_groebner_basis(basis, order):
     for i in range(len(basis)):
         for j in range(i + 1, len(basis)):
             f, g = basis[i], basis[j]
-            lf = f.leading_monomial(order)
-            lg = g.leading_monomial(order)
+            lf = f.leading_term(order)[0]
+            lg = g.leading_term(order)[0]
             lcm = tuple(max(a, b) for a, b in zip(lf, lg))
             sf = Polynomial.monomial(
                 f.nvars, tuple(a - b for a, b in zip(lcm, lf)),

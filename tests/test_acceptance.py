@@ -99,7 +99,7 @@ def test_criterion_04_cylinders_certified():
             result = cylinder_decision(d, parse_polynomial(text, names))
             assert result.outcome is Outcome.YES
             cert = result.certificate
-            assert cert.plinth.power == 1
+            assert cert.power == 1
             relations = d.ring.relations
             assert ratfun_eq_mod(relations,
                                  d.apply_rational(cert.slice_value), 1)

@@ -3,7 +3,9 @@ import importlib
 import os
 import subprocess
 import sys
+import time
 import types
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -11,6 +13,7 @@ import pytest
 import lndtools.cylinder
 from lndtools import (
     Ideal,
+    Inconsistency,
     Outcome,
     SearchBounds,
     parse_polynomial_list,
@@ -21,6 +24,7 @@ from lndtools import (
 from lndtools.cli import (
     COMMANDS,
     EXIT_NO,
+    EXIT_SOFTWARE,
     EXIT_UNKNOWN,
     EXIT_USAGE,
     EXIT_YES,
@@ -86,6 +90,43 @@ def test_negative_bounds_are_input_errors(argv, message):
         "3000 parens", "3000 minus-parens", "superscript digit", "5000 digits"])
 def test_deep_expressions_end_cleanly(text, code, report):
     assert run_command(["kernel", FP, f"--elem={text}"]) == (code, report)
+
+
+NILPOTENT = "ring N\nvars x y\nrel x^2\nder x = 0\nder y = x\n"
+TEN_5000 = "1" + "0" * 5000
+
+
+@pytest.mark.parametrize("argv, code, stdout, stderr", [
+    (["exp", FP, "--elem", "10^5000*x"], EXIT_YES,
+     f"exp(s*d)({TEN_5000}*x) = {TEN_5000}*x + {TEN_5000}*s*y + 5{'0' * 4999}*s^2*z",
+     ""),
+    (["kernel", FP, "--elem", "10^5000*x"], EXIT_NO,
+     f"d({TEN_5000}*x) = {TEN_5000}*y\nkernel member: no", ""),
+    (["gb", FP, "--ideal", "10^5000*x - 1"], EXIT_YES,
+     f"order: degrevlex\nbasis: (x - 1/{TEN_5000})", ""),
+    (["kernel", FP, "--elem", "(x+y+z)^300"], EXIT_USAGE, "",
+     "error: line 1, column 9: power may have more than 1000 terms"),
+    (["kernel", FP, "--elem", "3^1000000000"], EXIT_USAGE, "",
+     "error: line 1, column 3: exponent above 10000"),
+    (["slice-none", FP], EXIT_SOFTWARE, "", "internal error: CertificateError: "
+     "inconsistency certificate does not verify"),
+    (["cylinder", "nilpotent.lnd", "--elem", "x"], EXIT_USAGE, "",
+     "error: element vanishes on the variety; its open set is empty"),
+], ids=["huge integer", "huge integer, kernel", "huge fraction", "huge power",
+        "huge exponent", "doctored certificate", "nilpotent element"])
+def test_hostile_inputs_end_with_their_exit_code(argv, code, stdout, stderr,
+                                                 tmp_path, monkeypatch, capsys):
+    if "slice-none" in argv:
+        # a solver whose certificate does not verify, as a fault would give
+        monkeypatch.setattr(lndtools.cylinder, "solve_exact", lambda matrix, rhs:
+                            Inconsistency((Fraction(1),) * matrix.rows, Fraction(1)))
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "nilpotent.lnd").write_text(NILPOTENT, encoding="utf-8")
+    begin = time.perf_counter()
+    assert main(argv) == code
+    assert time.perf_counter() - begin < 2.0
+    out, err = capsys.readouterr()
+    assert (out, err) == (stdout + "\n" * bool(stdout), stderr + "\n" * bool(stderr))
 
 
 def test_exp_canonical_output():

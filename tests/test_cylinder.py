@@ -5,6 +5,7 @@ from pathlib import Path
 import pytest
 
 import lndtools.cylinder
+from lndtools.cylinder import PlinthCertificate
 from helpers import (
     danielewski,
     plane,
@@ -193,6 +194,23 @@ def test_plinth_membership_validation():
         plinth_membership(surface, P("y^2 - 2*x*z - 1"))
 
 
+def test_nilpotent_elements_are_refused():
+    # with x^2 = 0, D(x) is empty although d(y) = x is a plinth identity
+    names = ["x", "y"]
+    ring = RingPresentation(names, Ideal(2, [parse_polynomial("x^2", names)]))
+    d = Derivation(ring, [parse_polynomial(e, names) for e in ("0", "x")])
+    for text in ("x", "3*x", "x*y", "x^3"):
+        element = parse_polynomial(text, names)
+        with pytest.raises(ValueError, match="open set is empty"):
+            plinth_membership(d, element)
+        with pytest.raises(ValueError, match="open set is empty"):
+            cylinder_decision(d, element)
+    # y is not nilpotent, and d(y) = x rules it out
+    result = plinth_membership(d, parse_polynomial("y", names))
+    assert (result.outcome, result.obstruction) == (Outcome.NO,
+                                                    parse_polynomial("x", names))
+
+
 def test_kernel_multiples_of_z_are_plinth_members():
     # pl contains z*Ker: z*k = d(y*k) whenever k is constant
     rng = random.Random(703)
@@ -302,34 +320,33 @@ def test_dixmier_reduce_rejects_non_slices():
 
 def test_certificate_constructor_rejects_doctored_slices():
     d, _ = triangular3()
-    decision = cylinder_decision(d, P("z"))
-    cert = decision.certificate
+    cert = cylinder_decision(d, P("z")).certificate
     with pytest.raises(CertificateError):
-        CylinderCertificate(cert.plinth,
-                            RationalFunction(P("y"), P("z^2")),
+        # slice y*z/z^2: the preimage y*z hits z^2, not the claimed z^1
+        CylinderCertificate(d, cert.element, cert.power, P("y*z"),
                             cert.dixmier_images)
     with pytest.raises(CertificateError):
-        CylinderCertificate(cert.plinth, cert.slice_value,
+        CylinderCertificate(d, cert.element, cert.power, cert.preimage,
                             (RationalFunction(P("x")),) + cert.dixmier_images[1:])
 
 
 def test_certificate_constructor_ties_the_slice_to_the_plinth():
     d, _ = triangular3()
     cert = cylinder_decision(d, P("z")).certificate
-    # derivative one, but with poles on y^2 = 2*x*z inside D(z)
-    shifted = (RationalFunction(P("y"), P("z"))
-               + RationalFunction(P("1"), P("y^2 - 2*x*z")))
-    assert ratfun_eq_mod(d.ring.relations, d.apply_rational(shifted), 1)
-    with pytest.raises(CertificateError):
-        CylinderCertificate(cert.plinth, shifted, cert.dixmier_images)
-    with pytest.raises(CertificateError):
-        CylinderCertificate(cert.plinth, shifted, ())
+    # a cylinder certificate is the plinth certificate it extends, so its
+    # slice is that plinth's preimage over its power and nothing else
+    assert isinstance(cert, PlinthCertificate)
+    assert cert.slice_value == RationalFunction(cert.preimage,
+                                                cert.element ** cert.power)
+    plinth = PlinthCertificate(d, cert.element, cert.power, cert.preimage)
+    assert plinth.slice_value == cert.slice_value
     for images in ((), cert.dixmier_images[:2], cert.dixmier_images * 2):
         with pytest.raises(CertificateError):
-            CylinderCertificate(cert.plinth, cert.slice_value, images)
-    # the same slice written another way is accepted
-    same = RationalFunction(P("y*z"), P("z^2"))
-    assert CylinderCertificate(cert.plinth, same, cert.dixmier_images)
+            CylinderCertificate(d, cert.element, cert.power, cert.preimage,
+                                images)
+    # the same slice, as y*z over the power z^2, is accepted
+    assert CylinderCertificate(d, cert.element, 2, P("y*z"),
+                               cert.dixmier_images)
 
 
 # ----------------------------------------------------------------------
@@ -405,6 +422,29 @@ def test_slice_nonexistence_checks_its_certificate(monkeypatch):
                         lambda matrix, rhs: doctored)
     with pytest.raises(CertificateError):
         slice_nonexistence(d, 3)
+
+
+def test_every_inconsistency_is_verified(monkeypatch):
+    d, _ = triangular3()
+    verified = []
+    verify = Inconsistency.verify
+
+    def counted(self, matrix, rhs):
+        verified.append(self)
+        return verify(self, matrix, rhs)
+
+    monkeypatch.setattr(Inconsistency, "verify", counted)
+    # y^2 - 2*x*z is a kernel element with no preimage of its powers
+    result = plinth_membership(d, P("y^2 - 2*x*z"), SearchBounds(3, 4))
+    assert result.outcome is Outcome.UNKNOWN
+    assert len(verified) == 3
+    result = slice_nonexistence(d, 2)
+    assert verified[-1] is result.certificate and len(verified) == 4
+    # a certificate that fails its check ends the search
+    monkeypatch.setattr(lndtools.cylinder, "solve_exact", lambda matrix, rhs:
+                        Inconsistency((Fraction(1),) * matrix.rows, Fraction(1)))
+    with pytest.raises(CertificateError):
+        plinth_membership(d, P("z"))
 
 
 def test_slice_found_when_one_exists():

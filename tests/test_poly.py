@@ -72,9 +72,6 @@ def test_coefficient_reads_return_fractions():
             continue
         mono, lc = f.leading_term(DEGREVLEX)
         assert type(lc) is Fraction and lc == f.terms[mono]
-        for m in (mono, random_monomial(rng, 3)):
-            assert type(f.coefficient(m)) is Fraction
-            assert f.coefficient(m) == f.terms.get(m, 0)
         assert type(f.constant_term()) is Fraction
     # a ratio of two reads stays exact
     g = Polynomial(1, {(1,): 2, (0,): 3})
