@@ -21,7 +21,7 @@ from .cylinder import (
     principality_check,
     slice_nonexistence,
 )
-from .derivation import CapExceededError, Derivation, RingPresentation
+from .derivation import CapExceededError, Derivation
 from .groebner import (
     Ideal,
     buchberger,
@@ -69,7 +69,6 @@ __all__ = [
     "Polynomial",
     "QMatrix",
     "RationalFunction",
-    "RingPresentation",
     "SearchBounds",
     "buchberger",
     "build_preimage_system",

@@ -274,8 +274,7 @@ def _cmd_plinth_verify(args, names, derivation):
 
 def _cmd_principal(args, names, derivation):
     generators = parse_polynomial_list(args.gens, names)
-    result = principality_check(Ideal(len(names), generators),
-                                derivation.ring.relations)
+    result = principality_check(Ideal(len(names), generators), derivation.ring)
     lines = ["generators: "
              + "; ".join(format_polynomial(g, names) for g in generators),
              f"gcd = {format_polynomial(result.gcd, names)}"]

@@ -21,7 +21,7 @@ from enum import Enum
 from fractions import Fraction
 from typing import Callable, NamedTuple, Sequence
 
-from .derivation import Derivation, RingPresentation
+from .derivation import Derivation
 from .groebner import Ideal, gcd_via_lcm, radical_membership, standard_monomials
 from .linalg import Inconsistency, QMatrix, solve_exact
 from .poly import DEGREVLEX, Monomial, Polynomial, Scalar
@@ -64,10 +64,9 @@ class PlinthCertificate:
     preimage: Polynomial
 
     def __post_init__(self):
-        ring = self.derivation.ring
         if self.derivation.apply(self.element):
             raise CertificateError("claimed element is not in the kernel")
-        target = ring.normal_form(self.element ** self.power)
+        target = self.derivation.ring.normal_form(self.element ** self.power)
         if self.derivation.apply(self.preimage) != target:
             raise CertificateError("preimage does not hit the claimed power")
 
@@ -90,11 +89,10 @@ class CylinderCertificate(PlinthCertificate):
     def __post_init__(self):
         super().__post_init__()
         deriv = self.derivation
-        relations = deriv.ring.relations
         if len(self.dixmier_images) != deriv.ring.nvars:
             raise CertificateError("need one Dixmier image per ring variable")
         for image in self.dixmier_images:
-            if not ratfun_eq_mod(relations, deriv.apply_rational(image), 0):
+            if not ratfun_eq_mod(deriv.ring, deriv.apply_rational(image), 0):
                 raise CertificateError("Dixmier image is not a derivation constant")
 
 
@@ -167,17 +165,14 @@ class PreimageSystem(NamedTuple):
 
     def equations(self, target: Polynomial):
         """``(rows, matrix, rhs)`` of d(f) = target, for a target reduced
-        modulo the relations: one row per monomial of the target or of an
-        image, in descending order."""
+        modulo the relations: the image rows, then an empty row for each
+        other monomial of the target, both in descending order."""
         image_rows = self.image_rows
-        extra = [m for m in target.terms if m not in image_rows]
-        if extra:
-            rows = tuple(sorted((*image_rows, *extra),
-                                key=self.derivation.ring.order.key, reverse=True))
-            entries = [image_rows.get(r, ()) for r in rows]
-        else:
-            rows, entries = tuple(image_rows), image_rows.values()
-        matrix = QMatrix._from_clean(len(self.columns), entries)
+        extra = sorted((m for m in target.terms if m not in image_rows),
+                       key=self.derivation.ring.order.key, reverse=True)
+        rows = (*image_rows, *extra)
+        matrix = QMatrix._from_clean(len(self.columns),
+                                     [*image_rows.values(), *[()] * len(extra)])
         rhs = tuple(target.terms.get(r, 0) for r in rows)
         return rows, matrix, rhs
 
@@ -193,7 +188,7 @@ def build_preimage_system(derivation: Derivation,
     ring = derivation.ring
     if ring.order != DEGREVLEX:
         raise ValueError("bounded preimage search needs a degree-compatible order")
-    columns = tuple(standard_monomials(ring.relations, max_degree))
+    columns = tuple(standard_monomials(ring, max_degree))
     images = tuple(derivation.apply(Polynomial.monomial(ring.nvars, m))
                    for m in columns)
     monomials = set().union(*(img.terms for img in images))
@@ -237,11 +232,11 @@ def plinth_membership(derivation: Derivation, element: Polynomial,
     callers that search several elements against one system."""
     if element.is_zero:
         raise ValueError("the zero element is excluded; its open set is empty")
-    ring = derivation.ring
-    h = ring.normal_form(element)
+    relations = derivation.ring
+    h = relations.normal_form(element)
     # D(h) is empty when h is nilpotent: in the radical of the relations
-    if h.is_zero or (not ring.relations.is_zero
-                     and radical_membership(h, ring.relations)):
+    if h.is_zero or (not relations.is_zero
+                     and radical_membership(h, relations)):
         raise ValueError("element vanishes on the variety; its open set is empty")
     image = derivation.apply(h)
     if image:
@@ -250,9 +245,9 @@ def plinth_membership(derivation: Derivation, element: Polynomial,
         return SearchResult(Outcome.NO, h, bounds, obstruction=image)
     preimages = (build_preimage_system(derivation, bounds.max_degree)
                  if system is None else system())
-    power = Polynomial.constant(ring.nvars, 1)
+    power = Polynomial.constant(relations.nvars, 1)
     for n in range(1, bounds.max_power + 1):
-        power = ring.normal_form(power * h)
+        power = relations.normal_form(power * h)
         search = preimage_search(preimages, power)
         if search.found:
             cert = PlinthCertificate(derivation, h, n, search.preimage)
@@ -268,40 +263,39 @@ def dixmier_image(derivation: Derivation, slice_value: RationalFunction,
                         derivation.iterates(element))
 
 
-def _dixmier_sum(ring: RingPresentation, slice_value: RationalFunction,
+def _dixmier_sum(relations: Ideal, slice_value: RationalFunction,
                  iterates: Sequence[Polynomial]) -> RationalFunction:
     """sum((-slice)^j iterates[j] / j!), reduced and simplified."""
-    total = RationalFunction.zero(ring.nvars)
+    total = RationalFunction.zero(relations.nvars)
     sign_slice = -slice_value
-    slice_power = RationalFunction(Polynomial.constant(ring.nvars, 1), 1)
+    slice_power = RationalFunction(Polynomial.constant(relations.nvars, 1), 1)
     for j, current in enumerate(iterates):
         if j:
             slice_power = slice_power * sign_slice
         total = total + slice_power * current * Fraction(1, math.factorial(j))
-    return total.reduce_mod(ring.relations).simplify()
+    return total.reduce_mod(relations).simplify()
 
 
 def dixmier_reduce(derivation: Derivation, slice_value: RationalFunction,
                    element: Polynomial) -> tuple[RationalFunction, ...]:
     """Coefficients c_k, all derivation constants, with
     element = sum(c_k * slice^k) modulo the relations."""
-    ring = derivation.ring
-    relations = ring.relations
+    relations = derivation.ring
     if not ratfun_eq_mod(relations, derivation.apply_rational(slice_value), 1):
         raise ValueError("the given value is not a slice on this open set")
     its = derivation.iterates(element)
-    coefficients = [_dixmier_sum(ring, slice_value, its[k:])
+    coefficients = [_dixmier_sum(relations, slice_value, its[k:])
                     * Fraction(1, math.factorial(k)) for k in range(len(its))]
     for c in coefficients:
         if not ratfun_eq_mod(relations, derivation.apply_rational(c), 0):
             raise CertificateError("Dixmier coefficient is not a constant")
-    reconstructed = RationalFunction.zero(ring.nvars)
+    reconstructed = RationalFunction.zero(relations.nvars)
     for k, c in enumerate(coefficients):
         reconstructed = reconstructed + c * slice_value ** k
     if not ratfun_eq_mod(relations, reconstructed, element):
         raise CertificateError("Dixmier coefficients do not reconstruct the element")
     # no trailing zero: the last is d^(J-1)(element)/(J-1)!; 0 has no iterates
-    return tuple(coefficients) or (RationalFunction.zero(ring.nvars),)
+    return tuple(coefficients) or (RationalFunction.zero(relations.nvars),)
 
 
 def cylinder_decision(derivation: Derivation, element: Polynomial,
@@ -405,8 +399,7 @@ def maximal_cylinder(derivation: Derivation, claimed: Sequence[Polynomial],
     claim = plinth_claim_verify(derivation, claimed, bounds, system)
     if claim.outcome is not Outcome.YES:
         return MaximalCylinderResult(claim.outcome, claim)
-    principality = principality_check(claim.complement,
-                                      derivation.ring.relations)
+    principality = principality_check(claim.complement, derivation.ring)
     if principality.outcome is not Outcome.YES:
         return MaximalCylinderResult(principality.outcome, claim, principality)
     h = derivation.ring.normal_form(principality.generator)

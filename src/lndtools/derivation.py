@@ -16,7 +16,7 @@ from fractions import Fraction
 from typing import Sequence
 
 from .groebner import Ideal
-from .poly import DEGREVLEX, Polynomial, Scalar, _exact
+from .poly import Polynomial, Scalar, _exact
 from .ratfun import RationalFunction
 
 DEFAULT_NILPOTENCY_CAP = 64
@@ -31,45 +31,6 @@ class CapExceededError(Exception):
         self.cap = cap
 
 
-class RingPresentation:
-    """Named variables together with a relation ideal."""
-
-    __slots__ = ("names", "relations")
-
-    def __init__(self, names: Sequence[str], relations: Ideal | None = None):
-        names = tuple(names)
-        if len(set(names)) != len(names):
-            raise ValueError("duplicate variable names")
-        if not names:
-            raise ValueError("a presentation needs at least one variable")
-        if relations is None:
-            relations = Ideal(len(names), (), DEGREVLEX)
-        if relations.nvars != len(names):
-            raise ValueError("relation ideal has wrong variable count")
-        if relations.is_trivial:
-            raise ValueError("relations generate the unit ideal; "
-                             "the presented ring is zero")
-        self.names = names
-        self.relations = relations
-
-    @property
-    def nvars(self) -> int:
-        return len(self.names)
-
-    @property
-    def order(self):
-        return self.relations.order
-
-    def normal_form(self, f: Polynomial) -> Polynomial:
-        return self.relations.normal_form(f)
-
-    def variable(self, name: str) -> Polynomial:
-        return Polynomial.variable(self.nvars, self.names.index(name))
-
-    def __repr__(self):
-        return f"RingPresentation({', '.join(self.names)})"
-
-
 @dataclass(frozen=True)
 class PreservationReport:
     """Outcome of checking that the relation ideal is preserved."""
@@ -82,19 +43,19 @@ class PreservationReport:
 @dataclass(frozen=True)
 class NilpotencyWitness:
     """Per-generator vanishing orders: orders[i] applications kill the
-    i-th variable.  Entries in ``exceeded`` did not vanish within the cap."""
+    i-th variable, and None means it did not vanish within the cap."""
 
     orders: tuple[int | None, ...]
     cap: int
-    exceeded: tuple[str, ...]
 
     @property
     def is_nilpotent(self) -> bool:
-        return not self.exceeded
+        return None not in self.orders
 
 
 class Derivation:
-    """A derivation of a presented ring, stored via generator images.
+    """A derivation of the ring presented by the relation ideal ``ring``,
+    stored via generator images.
 
     Images are kept in normal form modulo the relations.  ``apply`` is
     well defined on the quotient only when the derivation preserves the
@@ -103,7 +64,12 @@ class Derivation:
 
     __slots__ = ("ring", "images")
 
-    def __init__(self, ring: RingPresentation, images: Sequence[Polynomial]):
+    def __init__(self, ring: Ideal, images: Sequence[Polynomial]):
+        if not ring.nvars:
+            raise ValueError("a ring needs at least one variable")
+        if ring.is_trivial:
+            raise ValueError("relations generate the unit ideal; "
+                             "the presented ring is zero")
         images = tuple(images)
         if len(images) != ring.nvars:
             raise ValueError("need exactly one image per variable")
@@ -126,7 +92,7 @@ class Derivation:
         return self.ring.normal_form(self._leibniz(f))
 
     def check_preserves_relations(self) -> PreservationReport:
-        for g in self.ring.relations.generators:
+        for g in self.ring.generators:
             image = self.apply(g)
             if image:
                 return PreservationReport(False, g, image)
@@ -150,15 +116,14 @@ class Derivation:
 
     def nilpotency_witness(self,
                            cap: int = DEFAULT_NILPOTENCY_CAP) -> NilpotencyWitness:
+        n = self.ring.nvars
         orders: list[int | None] = []
-        for name in self.ring.names:
+        for i in range(n):
             try:
-                orders.append(len(self.iterates(self.ring.variable(name), cap)))
+                orders.append(len(self.iterates(Polynomial.variable(n, i), cap)))
             except CapExceededError:
                 orders.append(None)
-        exceeded = tuple(name for name, order in zip(self.ring.names, orders)
-                         if order is None)
-        return NilpotencyWitness(tuple(orders), cap, exceeded)
+        return NilpotencyWitness(tuple(orders), cap)
 
     def exp_action(self, f: Polynomial) -> tuple[Polynomial, ...]:
         """Coefficients d^k(f) / k! of exp(s*d)(f) by power of s; the last
@@ -170,26 +135,27 @@ class Derivation:
                     time: Scalar) -> tuple[Fraction, ...]:
         """Move a rational point of the variety for the given time."""
         p = tuple(_exact(v) for v in point)
-        if len(p) != self.ring.nvars:
+        n = self.ring.nvars
+        if len(p) != n:
             raise ValueError("point length does not match variable count")
-        for g in self.ring.relations.generators:
-            if g.evaluate(p):
-                raise ValueError("point does not satisfy the relations")
+        relations = self.ring.generators
+        if any(g.evaluate(p) for g in relations):
+            raise ValueError("point does not satisfy the relations")
         s = _exact(time)
         moved = tuple(
             sum((c.evaluate(p) * s ** k
-                 for k, c in enumerate(self.exp_action(self.ring.variable(name)))),
+                 for k, c in enumerate(self.exp_action(Polynomial.variable(n, i)))),
                 Fraction(0))
-            for name in self.ring.names)
+            for i in range(n))
         # Cannot happen when the derivation preserves the relations.
-        if any(g.evaluate(moved) for g in self.ring.relations.generators):
+        if any(g.evaluate(moved) for g in relations):
             raise RuntimeError("orbit left the variety")
         return moved
 
     def fixed_locus(self) -> Ideal:
         """Vanishing locus of all derivation images inside the variety."""
         gens = [g for g in self.images if g]
-        gens.extend(self.ring.relations.generators)
+        gens.extend(self.ring.generators)
         return Ideal(self.ring.nvars, gens, self.ring.order)
 
     def apply_rational(self, value: RationalFunction) -> RationalFunction:

@@ -6,8 +6,8 @@ names, and parenthesized expressions.  There is no implicit multiplication
 and no division except inside a rational literal; unary minus is allowed.
 A digit is a decimal digit of any script, as ``int()`` reads it.  An
 exponent is an integer literal of at most ``MAX_EXPONENT``, and a power
-may have at most ``MAX_POWER_TERMS`` terms.  Points and times are
-expressions without variables.
+may have at most ``MAX_POWER_TERMS`` terms and ``MAX_POWER_BITS``
+coefficient bits.  Points and times are expressions without variables.
 
 A derivation file is line oriented with ``#`` comments:
 
@@ -27,7 +27,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import NamedTuple, Sequence
 
-from .derivation import Derivation, RingPresentation
+from .derivation import Derivation
 from .groebner import Ideal
 from .poly import Polynomial, Scalar
 from .printing import format_polynomial
@@ -41,8 +41,13 @@ MAX_NESTING = 100
 # A power has an exponent of at most MAX_EXPONENT, and a power of a base
 # with t terms at most MAX_POWER_TERMS terms by the multinomial bound
 # C(t - 1 + e, e), so that a short input cannot ask for a huge polynomial.
+# Each of their numerators and denominators is estimated at
+# e * (b + bit length of t) bits, b the longest in the base, and the term
+# bound times that estimate may be at most MAX_POWER_BITS, so that short
+# input cannot ask for huge coefficients either.
 MAX_EXPONENT = 10_000
 MAX_POWER_TERMS = 1_000
+MAX_POWER_BITS = 4_000_000
 
 
 class ParseError(Exception):
@@ -165,9 +170,16 @@ class _Parser:
             if e > MAX_EXPONENT:
                 raise ParseError(f"exponent above {MAX_EXPONENT}",
                                  token.line, token.column)
-            if math.comb(max(len(base.terms), 1) - 1 + e, e) > MAX_POWER_TERMS:
+            t = len(base.terms)
+            terms = math.comb(max(t, 1) - 1 + e, e)
+            if terms > MAX_POWER_TERMS:
                 raise ParseError(f"power may have more than {MAX_POWER_TERMS} "
                                  "terms", token.line, token.column)
+            b = max((max(abs(c.numerator), c.denominator).bit_length()
+                     for c in base.terms.values()), default=0)
+            if terms * e * (b + t.bit_length()) > MAX_POWER_BITS:
+                raise ParseError(f"power may have more than {MAX_POWER_BITS} "
+                                 "coefficient bits", token.line, token.column)
             return base ** e
         return base
 
@@ -318,5 +330,4 @@ def format_spec(spec: DerivationSpec) -> str:
 
 
 def spec_derivation(spec: DerivationSpec) -> Derivation:
-    relations = Ideal(len(spec.variables), spec.relations)
-    return Derivation(RingPresentation(spec.variables, relations), spec.images)
+    return Derivation(Ideal(len(spec.variables), spec.relations), spec.images)

@@ -318,6 +318,11 @@ class Polynomial:
     def __pow__(self, exponent: int) -> "Polynomial":
         if not isinstance(exponent, int) or exponent < 0:
             raise ValueError("exponent must be a non-negative integer")
+        if any(isinstance(c, Fraction) for c in self.terms.values()):
+            # the primitive part has integer coefficients, whose products
+            # need no gcd; the content is raised on its own
+            content, primitive = self.content_split(DEGREVLEX)
+            return primitive ** exponent * content ** exponent
         result = Polynomial.constant(self.nvars, 1)
         base = self
         e = exponent

@@ -17,7 +17,6 @@ from lndtools import (
     Inconsistency,
     Polynomial,
     QMatrix,
-    RingPresentation,
     monomials_up_to,
     parse_polynomial,
     solve_exact,
@@ -29,31 +28,28 @@ from lndtools import (
 
 def triangular3():
     names = ["x", "y", "z"]
-    ring = RingPresentation(names)
     images = [parse_polynomial(e, names) for e in ("y", "z", "0")]
-    return Derivation(ring, images), names
+    return Derivation(Ideal(3), images), names
 
 
 def danielewski():
     names = ["x", "y", "z"]
     relation = parse_polynomial("y^2 - 2*x*z - 1", names)
-    ring = RingPresentation(names, Ideal(3, [relation]))
+    ring = Ideal(3, [relation])
     images = [parse_polynomial(e, names) for e in ("y", "z", "0")]
     return Derivation(ring, images), names
 
 
 def translation4():
     names = ["x", "y", "u", "v"]
-    ring = RingPresentation(names)
     images = [parse_polynomial(e, names) for e in ("u", "v", "0", "0")]
-    return Derivation(ring, images), names
+    return Derivation(Ideal(4), images), names
 
 
 def plane():
     names = ["x", "y"]
-    ring = RingPresentation(names)
     images = [parse_polynomial(e, names) for e in ("y^2", "0")]
-    return Derivation(ring, images), names
+    return Derivation(Ideal(2), images), names
 
 
 ALL_DERIVATIONS = (triangular3, danielewski, translation4, plane)

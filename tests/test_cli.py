@@ -93,6 +93,7 @@ def test_deep_expressions_end_cleanly(text, code, report):
 
 
 NILPOTENT = "ring N\nvars x y\nrel x^2\nder x = 0\nder y = x\n"
+ZERO_RING = "ring Z\nvars x\nrel x\nrel x - 1\nder x = 0\n"
 TEN_5000 = "1" + "0" * 5000
 
 
@@ -108,12 +109,19 @@ TEN_5000 = "1" + "0" * 5000
      "error: line 1, column 9: power may have more than 1000 terms"),
     (["kernel", FP, "--elem", "3^1000000000"], EXIT_USAGE, "",
      "error: line 1, column 3: exponent above 10000"),
+    (["kernel", FP, "--elem", "(10^10*x+y)^999"], EXIT_USAGE, "",
+     "error: line 1, column 13: power may have more than 4000000 coefficient bits"),
+    (["kernel", FP, "--elem", "(10^100*x+y)^999"], EXIT_USAGE, "",
+     "error: line 1, column 14: power may have more than 4000000 coefficient bits"),
     (["slice-none", FP], EXIT_SOFTWARE, "", "internal error: CertificateError: "
      "inconsistency certificate does not verify"),
     (["cylinder", "nilpotent.lnd", "--elem", "x"], EXIT_USAGE, "",
      "error: element vanishes on the variety; its open set is empty"),
+    (["check", "zero.lnd"], EXIT_USAGE, "",
+     "error: relations generate the unit ideal; the presented ring is zero"),
 ], ids=["huge integer", "huge integer, kernel", "huge fraction", "huge power",
-        "huge exponent", "doctored certificate", "nilpotent element"])
+        "huge exponent", "huge coefficients", "huger coefficients",
+        "doctored certificate", "nilpotent element", "zero ring"])
 def test_hostile_inputs_end_with_their_exit_code(argv, code, stdout, stderr,
                                                  tmp_path, monkeypatch, capsys):
     if "slice-none" in argv:
@@ -122,6 +130,7 @@ def test_hostile_inputs_end_with_their_exit_code(argv, code, stdout, stderr,
                             Inconsistency((Fraction(1),) * matrix.rows, Fraction(1)))
     monkeypatch.chdir(tmp_path)
     (tmp_path / "nilpotent.lnd").write_text(NILPOTENT, encoding="utf-8")
+    (tmp_path / "zero.lnd").write_text(ZERO_RING, encoding="utf-8")
     begin = time.perf_counter()
     assert main(argv) == code
     assert time.perf_counter() - begin < 2.0
@@ -336,9 +345,9 @@ def test_principal_agrees_with_the_library(tmp_path):
     for path, gens in ((A4, "u;v"), (A4, "u;2*u"), (FP, "x*y;x^2"),
                        (FP, "z;z^2"), (str(graph), "z;w"), (str(graph), "z;z^2")):
         text = Path(path).read_text(encoding="utf-8")
-        ring = spec_derivation(parse_spec(text)).ring
-        ideal = Ideal(ring.nvars, parse_polynomial_list(gens, ring.names))
-        outcome = principality_check(ideal, ring.relations).outcome
+        spec = parse_spec(text)
+        ideal = Ideal(len(spec.variables), parse_polynomial_list(gens, spec.variables))
+        outcome = principality_check(ideal, spec_derivation(spec).ring).outcome
         code, report = run_command(["principal", path, "--gens", gens])
         assert code == exits[outcome], (path, gens, report)
         seen.add(outcome)

@@ -1,4 +1,5 @@
 import random
+import time
 from fractions import Fraction
 from pathlib import Path
 
@@ -31,6 +32,17 @@ def test_precedence():
     assert parse_polynomial("-x^2", XY) == Polynomial(2, {(2, 0): -1})
     assert parse_polynomial("(x + y)^2", XY) == \
         parse_polynomial("x^2 + 2*x*y + y^2", XY)
+
+
+def test_powers_within_the_bounds_are_read_quickly():
+    # the largest powers the term and coefficient bounds let through; a
+    # fractional base is raised as its content times an integer power
+    begin = time.perf_counter()
+    assert len(parse_polynomial("(x+y+z)^43", XYZ).terms) == 990
+    power = parse_polynomial("(1/3*x+y)^999", XY)
+    assert time.perf_counter() - begin < 4.0
+    assert power.terms[(999, 0)] == Fraction(1, 3 ** 999)
+    assert power.terms[(1, 998)] == 333
 
 
 def test_rational_literals():
