@@ -26,7 +26,6 @@ from .groebner import (
     Ideal,
     buchberger,
     divide_exact,
-    eliminate,
     gcd_via_lcm,
     lcm_via_intersection,
     radical_membership,
@@ -36,7 +35,6 @@ from .groebner import (
 from .linalg import Inconsistency, QMatrix, solve_exact
 from .parsing import (
     ParseError,
-    format_spec,
     parse_fraction,
     parse_point,
     parse_polynomial,
@@ -76,13 +74,11 @@ __all__ = [
     "divide_exact",
     "dixmier_image",
     "dixmier_reduce",
-    "eliminate",
     "elimination",
     "format_exp_action",
     "format_ideal",
     "format_polynomial",
     "format_ratfun",
-    "format_spec",
     "gcd_via_lcm",
     "lcm_via_intersection",
     "maximal_cylinder",

@@ -1,8 +1,7 @@
 """Ideal arithmetic over the rationals.
 
 Buchberger's algorithm, normal forms, membership and radical-membership
-tests, elimination ideals, and the lcm/gcd of polynomials through an
-ideal intersection.
+tests, and the lcm/gcd of polynomials through an ideal intersection.
 
 Division takes each leading term from a heap keyed by
 ``MonomialOrder.descending_key``, so every monomial's order key is
@@ -25,7 +24,6 @@ from typing import Iterable, Sequence
 
 from .poly import (
     DEGREVLEX,
-    LEX,
     Monomial,
     MonomialOrder,
     Polynomial,
@@ -152,10 +150,10 @@ def divide_exact(f: Polynomial, g: Polynomial) -> Polynomial:
     return Polynomial._from_clean(f.nvars, quotient)
 
 
-def buchberger(generators: Iterable[Polynomial],
-               order: MonomialOrder = DEGREVLEX,
-               nvars: int | None = None) -> tuple[Polynomial, ...]:
-    """Reduced Groebner basis of the ideal spanned by ``generators``.
+def buchberger(generators: Iterable[Polynomial], order: MonomialOrder,
+               nvars: int) -> tuple[Polynomial, ...]:
+    """Reduced Groebner basis of the ideal spanned by ``generators``, which
+    have ``nvars`` variables.
 
     Each generator, then each S-polynomial, is reduced by the elements in
     play, and a nonzero remainder joins them, made monic, through the
@@ -175,11 +173,6 @@ def buchberger(generators: Iterable[Polynomial],
     left in play are then a minimal basis, and reducing their tails gives
     the reduced one.
     """
-    gens = list(generators)
-    if nvars is None:
-        if not gens:
-            raise ValueError("cannot infer the variable count of an empty ideal")
-        nvars = gens[0].nvars
     one = (0,) * nvars
     leads: list[Lead] = []      # every element found, monic, by index
     active: list[int] = []      # indices of the elements in play
@@ -219,7 +212,7 @@ def buchberger(generators: Iterable[Polynomial],
         return True
 
     unit = (Polynomial.constant(nvars, 1),)
-    for g in gens:
+    for g in generators:
         if not add(_Dividend(g.terms.items(), order)):
             return unit
     while pairs:
@@ -280,12 +273,6 @@ class Ideal:
         """True when the ideal is the whole ring."""
         return len(self.basis) == 1 and self.basis[0].total_degree() == 0
 
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, Ideal):
-            return NotImplemented
-        return (self.nvars == other.nvars and self.order == other.order
-                and self.basis == other.basis)
-
     def __repr__(self):
         return f"Ideal({self.nvars} vars, basis size {len(self.basis)})"
 
@@ -303,21 +290,6 @@ def radical_membership(f: Polynomial, ideal: Ideal) -> bool:
     return trick.is_trivial
 
 
-def eliminate(ideal: Ideal, k: int) -> Ideal:
-    """Intersection with the subring omitting the first k variables."""
-    if k == 0:
-        return ideal
-    if not 0 < k <= ideal.nvars:
-        raise ValueError(f"cannot eliminate {k} of {ideal.nvars} variables")
-    if not ideal.order.is_elimination_for(k):
-        raise ValueError(f"{ideal.order!r} is not an elimination order "
-                         f"for the first {k} variables")
-    kept = [g for g in ideal.basis
-            if all(not any(m[:k]) for m in g.terms)]
-    rest_order = LEX if ideal.order.kind == "lex" else DEGREVLEX
-    return Ideal(ideal.nvars - k, [g.drop_first(k) for g in kept], rest_order)
-
-
 def lcm_via_intersection(f: Polynomial, g: Polynomial) -> Polynomial:
     """Monic lcm of two nonzero polynomials, via (f) ∩ (g)."""
     if f.is_zero or g.is_zero:
@@ -326,10 +298,15 @@ def lcm_via_intersection(f: Polynomial, g: Polynomial) -> Polynomial:
     t = Polynomial.variable(n + 1, 0)
     a = t * f.pad(left=1)
     b = (Polynomial.constant(n + 1, 1) - t) * g.pad(left=1)
-    meet = eliminate(Ideal(n + 1, (a, b), elimination(1)), 1)
-    if len(meet.basis) != 1:
+    # (f) ∩ (g) = (t*f, (1 - t)*g) ∩ k[x].  Under a block order that puts
+    # every monomial with t above those free of t, the elements free of t of
+    # the reduced basis are the reduced basis of that intersection
+    # (Elimination Theorem): the monic lcm alone.
+    meet = [h for h in buchberger((a, b), elimination(1), n + 1)
+            if not any(m[0] for m in h.terms)]
+    if len(meet) != 1:
         raise ArithmeticError("intersection of principal ideals is principal")
-    return meet.basis[0]
+    return Polynomial._from_clean(n, {m[1:]: c for m, c in meet[0].terms.items()})
 
 
 def gcd_via_lcm(f: Polynomial, g: Polynomial) -> Polynomial:

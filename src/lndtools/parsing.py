@@ -30,7 +30,6 @@ from typing import NamedTuple, Sequence
 from .derivation import Derivation
 from .groebner import Ideal
 from .poly import Polynomial, Scalar
-from .printing import format_polynomial
 
 _DIRECTIVES = ("ring", "vars", "rel", "der")
 
@@ -317,16 +316,6 @@ def parse_spec(text: str) -> DerivationSpec:
             raise ParseError(f"missing der line for variable {v!r}", last_line, 1)
     return DerivationSpec(name, variables, tuple(relations),
                           tuple(images[v] for v in variables))
-
-
-def format_spec(spec: DerivationSpec) -> str:
-    """Canonical text of a derivation file; parses back to ``spec``."""
-    lines = [f"ring {spec.name}", "vars " + " ".join(spec.variables)]
-    for rel in spec.relations:
-        lines.append("rel " + format_polynomial(rel, spec.variables))
-    for variable, image in zip(spec.variables, spec.images):
-        lines.append(f"der {variable} = " + format_polynomial(image, spec.variables))
-    return "\n".join(lines) + "\n"
 
 
 def spec_derivation(spec: DerivationSpec) -> Derivation:

@@ -116,13 +116,6 @@ class MonomialOrder:
         head, tail = mono[:self.block], mono[self.block:]
         return (-sum(head), head[::-1], -sum(tail), tail[::-1])
 
-    def is_elimination_for(self, k: int) -> bool:
-        """Whether every monomial touching the first k variables dominates
-        every monomial free of them."""
-        if k == 0 or self.kind == "lex":
-            return True
-        return self.kind == "elimination" and self.block == k
-
     def __eq__(self, other):
         if not isinstance(other, MonomialOrder):
             return NotImplemented
@@ -367,22 +360,13 @@ class Polynomial:
         return total
 
     # ------------------------------------------------------------------
-    # variable plumbing (used by elimination and saturation tricks)
+    # variable plumbing (used by the lcm and the radical test)
 
     def pad(self, left: int = 0, right: int = 0) -> "Polynomial":
         """Embed into a ring with extra variables on either side."""
         n = self.nvars + left + right
         terms = {(0,) * left + m + (0,) * right: c for m, c in self.terms.items()}
         return Polynomial._from_clean(n, terms)
-
-    def drop_first(self, k: int) -> "Polynomial":
-        """Forget the first k variables; they must not occur."""
-        terms = {}
-        for mono, c in self.terms.items():
-            if any(mono[:k]):
-                raise ValueError("polynomial involves a dropped variable")
-            terms[mono[k:]] = c
-        return Polynomial._from_clean(self.nvars - k, terms)
 
     def __repr__(self):
         from .printing import format_polynomial

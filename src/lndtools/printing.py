@@ -7,11 +7,14 @@ polynomials re-parse to themselves.
 
 from __future__ import annotations
 
-from decimal import Decimal
+from decimal import MAX_EMAX, MAX_PREC, Context, Decimal, Inexact, localcontext
 from fractions import Fraction
 from typing import Sequence
 
 from .poly import DEGREVLEX, Monomial, MonomialOrder, Polynomial, Scalar
+
+# Integers of at most this many bits go to ``Decimal`` whole.
+_DECIMAL_BITS = 4096
 
 
 def format_number(value: Scalar) -> str:
@@ -21,7 +24,20 @@ def format_number(value: Scalar) -> str:
     if isinstance(value, Fraction) and value.denominator != 1:
         return (f"{format_number(value.numerator)}/"
                 f"{format_number(value.denominator)}")
-    return str(Decimal(int(value)))
+    n = int(value)
+    if n.bit_length() <= _DECIMAL_BITS:
+        return str(Decimal(n))
+    # Decimal(n) takes time quadratic in the digits, a Decimal product less:
+    # split n by a power of two, convert the halves, recombine them exactly.
+    def convert(m: int, w: int) -> Decimal:
+        if w <= _DECIMAL_BITS:
+            return Decimal(m)
+        half = w >> 1
+        high = m >> half
+        return convert(high, w - half) * Decimal(2) ** half + convert(m - (high << half), half)
+
+    with localcontext(Context(prec=MAX_PREC, Emax=MAX_EMAX, traps=[Inexact])):
+        return str(convert(n, n.bit_length()))
 
 
 def _term_body(coeff_abs: Fraction, mono: Monomial, names: Sequence[str],

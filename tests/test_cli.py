@@ -109,10 +109,16 @@ TEN_5000 = "1" + "0" * 5000
      "error: line 1, column 9: power may have more than 1000 terms"),
     (["kernel", FP, "--elem", "3^1000000000"], EXIT_USAGE, "",
      "error: line 1, column 3: exponent above 10000"),
+    (["kernel", FP, "--elem", "(10^1000*x)^300"], EXIT_NO,
+     f"d(1{'0' * 300000}*x^300) = 3{'0' * 300002}*x^299*y\nkernel member: no", ""),
     (["kernel", FP, "--elem", "(10^10*x+y)^999"], EXIT_USAGE, "",
      "error: line 1, column 13: power may have more than 4000000 coefficient bits"),
     (["kernel", FP, "--elem", "(10^100*x+y)^999"], EXIT_USAGE, "",
      "error: line 1, column 14: power may have more than 4000000 coefficient bits"),
+    # argparse reads a separate "-x" as an option; "--elem=-x" passes it
+    (["kernel", FP, "--elem", "-x"], EXIT_USAGE, "",
+     "error: argument --elem: expected one argument"),
+    (["kernel", FP, "--elem=-x"], EXIT_NO, "d(-x) = -y\nkernel member: no", ""),
     (["slice-none", FP], EXIT_SOFTWARE, "", "internal error: CertificateError: "
      "inconsistency certificate does not verify"),
     (["cylinder", "nilpotent.lnd", "--elem", "x"], EXIT_USAGE, "",
@@ -120,7 +126,8 @@ TEN_5000 = "1" + "0" * 5000
     (["check", "zero.lnd"], EXIT_USAGE, "",
      "error: relations generate the unit ideal; the presented ring is zero"),
 ], ids=["huge integer", "huge integer, kernel", "huge fraction", "huge power",
-        "huge exponent", "huge coefficients", "huger coefficients",
+        "huge exponent", "huge printed coefficients", "huge coefficients",
+        "huger coefficients", "value with minus", "value with minus after =",
         "doctored certificate", "nilpotent element", "zero ring"])
 def test_hostile_inputs_end_with_their_exit_code(argv, code, stdout, stderr,
                                                  tmp_path, monkeypatch, capsys):

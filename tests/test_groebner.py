@@ -21,8 +21,8 @@ from lndtools import (
     LEX,
     Ideal,
     Polynomial,
+    buchberger,
     divide_exact,
-    eliminate,
     elimination,
     format_ideal,
     gcd_via_lcm,
@@ -276,6 +276,22 @@ def test_lcm_and_gcd_known_values():
     assert lcm_via_intersection(P("x + y"), P("x - y")) == P("x^2 - y^2")
 
 
+def test_gcd_runs_one_groebner_basis(monkeypatch):
+    from lndtools import groebner
+
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return buchberger(*args)
+
+    monkeypatch.setattr(groebner, "buchberger", counted)
+    assert gcd_via_lcm(P("x^2 - y^2"), P("x^2 + 2*x*y + y^2")) == P("x + y")
+    assert len(calls) == 1
+    assert lcm_via_intersection(P("2"), P("3")) == P("1")
+    assert lcm_via_intersection(P("x*y"), P("y*z")) == P("x*y*z")
+
+
 def test_gcd_times_lcm_matches_product():
     rng = random.Random(309)
     for _ in range(60):
@@ -311,37 +327,7 @@ def test_common_factor_shows_up_in_gcd():
 
 
 # ----------------------------------------------------------------------
-# elimination and standard monomials
-
-
-def test_eliminate_parametrized_curve():
-    # t -> (t, t^2): eliminating t leaves the parabola
-    names = ["t", "x", "y"]
-    ideal = Ideal(3, [parse_polynomial("x - t", names),
-                      parse_polynomial("y - t^2", names)],
-                  elimination(1))
-    shadow = eliminate(ideal, 1)
-    assert shadow.nvars == 2
-    assert shadow.basis == (parse_polynomial("x^2 - y", ["x", "y"]),)
-
-
-def test_eliminate_requires_elimination_order():
-    ideal = Ideal(3, [P("x - y")], DEGREVLEX)
-    with pytest.raises(ValueError):
-        eliminate(ideal, 1)
-
-
-def test_eliminated_members_lift():
-    rng = random.Random(312)
-    for _ in range(50):
-        gens = [random_nonzero_poly(rng, 3, max_total=2, max_terms=2, bound=3)
-                for _ in range(2)]
-        ideal = Ideal(3, gens, elimination(1))
-        if ideal.is_trivial:
-            continue
-        shadow = eliminate(ideal, 1)
-        for g in shadow.basis:
-            assert ideal.contains(g.pad(left=1))
+# standard monomials
 
 
 def test_standard_monomials_known_quotients():

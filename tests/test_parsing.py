@@ -1,4 +1,5 @@
 import random
+import sys
 import time
 from fractions import Fraction
 from pathlib import Path
@@ -10,7 +11,6 @@ from lndtools import (
     ParseError,
     Polynomial,
     format_polynomial,
-    format_spec,
     parse_fraction,
     parse_point,
     parse_polynomial,
@@ -18,6 +18,7 @@ from lndtools import (
     parse_spec,
     spec_derivation,
 )
+from lndtools.printing import format_number
 
 CORPUS = Path(__file__).resolve().parent.parent / "corpus"
 XY = ["x", "y"]
@@ -196,13 +197,20 @@ def test_spec_round_trip_through_printer():
     assert spec.name == "Danielewski"
     assert spec.variables == ("x", "y", "z")
     assert len(spec.relations) == 1
-    assert parse_spec(format_spec(spec)) == spec
+    assert_polynomials_round_trip(spec)
+
+
+def assert_polynomials_round_trip(spec):
+    """Each relation and image of the spec prints and re-parses to itself."""
+    for poly in spec.relations + spec.images:
+        text = format_polynomial(poly, spec.variables)
+        assert parse_polynomial(text, spec.variables) == poly
 
 
 def test_all_corpus_files_round_trip():
     for path in sorted(CORPUS.glob("*.lnd")):
         spec = parse_spec(path.read_text(encoding="utf-8"))
-        assert parse_spec(format_spec(spec)) == spec
+        assert_polynomials_round_trip(spec)
         # and they all define consistent derivations
         derivation = spec_derivation(spec)
         assert derivation.check_preserves_relations().ok
@@ -259,6 +267,22 @@ def test_print_then_parse_is_identity_on_random_polynomials():
         f = random_poly(rng, 3, max_total=4, max_terms=5, bound=9)
         text = format_polynomial(f, names)
         assert parse_polynomial(text, names) == f
+
+
+def test_format_number_prints_huge_values_in_full():
+    big = random.Random(1000000).getrandbits(1_000_000) | 1 << 999_999
+    # big and big + 1 are coprime, so the fraction is in lowest terms at once
+    fraction = Fraction(-big, big + 1)
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
+    try:
+        expected = str(fraction)
+    finally:
+        sys.set_int_max_str_digits(limit)
+    numerator = expected.split("/")[0]
+    assert format_number(fraction) == expected
+    assert format_number(-big) == numerator
+    assert format_number(big) == numerator[1:]
 
 
 def test_format_polynomial_canonical_examples():
