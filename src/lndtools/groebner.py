@@ -3,6 +3,9 @@
 Buchberger's algorithm, normal forms, membership and radical-membership
 tests, and the lcm/gcd of polynomials through an ideal intersection.
 
+Division and Buchberger work on primitive integer polynomials by
+pseudo-division (Becker & Weispfenning 1993); fractions are made, and
+basis elements made monic, only where a ``Polynomial`` is returned.
 Division takes each leading term from a heap keyed by
 ``MonomialOrder.descending_key``, so every monomial's order key is
 computed once.  Buchberger keeps the leading monomials of its elements
@@ -19,6 +22,7 @@ never change the output; the verification layers rely on that.
 from __future__ import annotations
 
 from heapq import heapify, heappop, heappush
+from math import gcd, lcm
 from operator import add, le
 from typing import Iterable, Sequence
 
@@ -27,9 +31,7 @@ from .poly import (
     Monomial,
     MonomialOrder,
     Polynomial,
-    Scalar,
     _divide,
-    _integral,
     elimination,
     mono_div,
     mono_divides,
@@ -39,18 +41,29 @@ from .poly import (
 )
 
 # A divisor as division uses it: leading monomial, leading coefficient and
-# the remaining terms.
-Lead = tuple[Monomial, Scalar, tuple[tuple[Monomial, Scalar], ...]]
+# the remaining terms of a primitive integer polynomial, with lc > 0.
+Lead = tuple[Monomial, int, tuple[tuple[Monomial, int], ...]]
+_CONTENT_EVERY = 8   # pseudo-division steps between two divisions by the content
 
 
-def _lead(g: Polynomial, order: MonomialOrder) -> Lead:
-    terms = g.terms
+def _cleared(f: Polynomial) -> tuple[dict[Monomial, int], int]:
+    """Integer terms F and the positive integer d with f = F/d."""
+    d = lcm(*[c.denominator for c in f.terms.values()])
+    return f.terms if d == 1 else {m: c.numerator * (d // c.denominator)
+                                   for m, c in f.terms.items()}, d
+
+
+def _primitive(f: Polynomial, order: MonomialOrder) -> tuple[Lead, int, int]:
+    """(``Lead`` of the primitive part P of a nonzero f, n, d) with f = n/d*P."""
+    terms, d = _cleared(f)
     lm = max(terms, key=order.key)
-    return lm, terms[lm], tuple((m, c) for m, c in terms.items() if m != lm)
+    n = gcd(*terms.values()) * (1 if terms[lm] > 0 else -1)
+    tail = tuple((m, c // n) for m, c in terms.items() if m != lm)
+    return (lm, terms[lm] // n, tail), n, d
 
 
 class _Dividend:
-    """The terms of a polynomial under division, with a heap of
+    """The integer terms of a polynomial under division, with a heap of
     ``(order.descending_key(m), m)`` entries that yields them leading term
     first.  A term that cancels leaves its entry behind, and popping skips
     it; a term that cancels and comes back gets a second entry, and the
@@ -59,14 +72,14 @@ class _Dividend:
 
     __slots__ = ("terms", "heap", "key")
 
-    def __init__(self, terms: Iterable[tuple[Monomial, Scalar]],
+    def __init__(self, terms: Iterable[tuple[Monomial, int]],
                  order: MonomialOrder):
         self.key = key = order.descending_key
         self.terms = dict(terms)
         self.heap = [(key(m), m) for m in self.terms]
         heapify(self.heap)
 
-    def pop_leading(self) -> tuple[Monomial, Scalar] | None:
+    def pop_leading(self) -> tuple[Monomial, int] | None:
         """Remove the leading term and return it; None when none is left."""
         heap, terms = self.heap, self.terms
         while heap:
@@ -76,37 +89,55 @@ class _Dividend:
                 return mono, coeff
         return None
 
-    def subtract(self, factor: Scalar, shift: Monomial,
-                 tail: Iterable[tuple[Monomial, Scalar]]) -> None:
+    def scale(self, a: int) -> None:
+        """terms *= a."""
+        self.terms = {m: c * a for m, c in self.terms.items()}
+
+    def subtract(self, factor: int, shift: Monomial,
+                 tail: Iterable[tuple[Monomial, int]]) -> None:
         """terms -= factor * x^shift * tail; zero terms are dropped."""
         terms, heap, key = self.terms, self.heap, self.key
         for m2, c2 in tail:
             m = tuple(map(add, m2, shift))
             c = terms.get(m)
             if c is None:
-                terms[m] = _integral(-factor * c2)
+                terms[m] = -factor * c2
                 heappush(heap, (key(m), m))
             else:
-                c = _integral(c - factor * c2)
+                c -= factor * c2
                 if c:
                     terms[m] = c
                 else:
                     del terms[m]
 
 
-def _remainder(work: _Dividend, divisors: Sequence[Lead]) -> dict[Monomial, Scalar]:
-    """Divide until no term is left; divisors are tried in list order.  The
-    remainder's terms come in descending order, leading term first."""
-    remainder: dict[Monomial, Scalar] = {}
+def _remainder(work: _Dividend, divisors: Sequence[Lead],
+               scale: int = 1) -> tuple[dict[Monomial, int], int]:
+    """Pseudo-divide, trying divisors in list order; returns (r, s) where r/s
+    is the rational remainder of work/scale, r's terms in descending order."""
+    remainder: dict[Monomial, int] = {}
+    steps = 0
     while (term := work.pop_leading()) is not None:
         mono, coeff = term
         for lm, lc, tail in divisors:
             if all(map(le, lm, mono)):
-                work.subtract(_divide(coeff, lc), mono_div(mono, lm), tail)
+                g = gcd(coeff, lc)
+                if g != lc:
+                    a = lc // g
+                    work.scale(a)
+                    remainder = {m: c * a for m, c in remainder.items()}
+                    scale *= a
+                work.subtract(coeff // g, mono_div(mono, lm), tail)
+                steps += 1
+                if steps % _CONTENT_EVERY == 0 and scale > 1 and (
+                        g := gcd(scale, *work.terms.values(), *remainder.values())) > 1:
+                    work.terms = {m: c // g for m, c in work.terms.items()}
+                    remainder = {m: c // g for m, c in remainder.items()}
+                    scale //= g
                 break
         else:
             remainder[mono] = coeff
-    return remainder
+    return remainder, scale
 
 
 def reduce_poly(f: Polynomial, divisors: Sequence[Polynomial],
@@ -122,32 +153,38 @@ def reduce_poly(f: Polynomial, divisors: Sequence[Polynomial],
     if any(d.nvars != f.nvars for d in divisors):
         raise ValueError("polynomial has wrong variable count")
     if leads is None:
-        leads = [_lead(d, order) for d in divisors if d]
+        leads = [_primitive(d, order)[0] for d in divisors if d]
     if not leads or f.is_zero:
         return f
-    remainder = _remainder(_Dividend(f.terms.items(), order), leads)
-    return Polynomial._from_clean(f.nvars, remainder)
+    terms, d = _cleared(f)
+    r, s = _remainder(_Dividend(terms.items(), order), leads, d)
+    return Polynomial._from_clean(
+        f.nvars, r if s == 1 else {m: _divide(c, s) for m, c in r.items()})
 
 
 def divide_exact(f: Polynomial, g: Polynomial) -> Polynomial:
-    """Quotient f/g when the division is exact; raises otherwise."""
+    """Quotient f/g when the division is exact; raises ArithmeticError
+    otherwise.  With f = F/e and g = (n/d)*G, G primitive, F/G is integral
+    when it exists (Gauss's lemma), so each step is an exact divmod."""
     if g.is_zero:
         raise ZeroDivisionError("division by the zero polynomial")
     if g.nvars != f.nvars:
         raise ValueError("polynomial has wrong variable count")
-    lm, lc, tail = _lead(g, DEGREVLEX)
-    work = _Dividend(f.terms.items(), DEGREVLEX)
-    quotient: dict[Monomial, Scalar] = {}
+    (lm, lc, tail), n, d = _primitive(g, DEGREVLEX)
+    terms, e = _cleared(f)
+    work = _Dividend(terms.items(), DEGREVLEX)
+    quotient: dict[Monomial, int] = {}
     while (term := work.pop_leading()) is not None:
         mono, coeff = term
-        if not mono_divides(lm, mono):
-            raise ValueError("division is not exact")
+        factor, rest = divmod(coeff, lc)
+        if rest or not mono_divides(lm, mono):
+            raise ArithmeticError("division is not exact")
         shift = mono_div(mono, lm)
-        factor = _divide(coeff, lc)
         # the leading monomial of work falls at each step, so no shift repeats
         quotient[shift] = factor
         work.subtract(factor, shift, tail)
-    return Polynomial._from_clean(f.nvars, quotient)
+    return Polynomial._from_clean(
+        f.nvars, {m: _divide(q * d, e * n) for m, q in quotient.items()})
 
 
 def buchberger(generators: Iterable[Polynomial], order: MonomialOrder,
@@ -156,7 +193,7 @@ def buchberger(generators: Iterable[Polynomial], order: MonomialOrder,
     have ``nvars`` variables.
 
     Each generator, then each S-polynomial, is reduced by the elements in
-    play, and a nonzero remainder joins them, made monic, through the
+    play, and a nonzero remainder joins them, made primitive, through the
     Gebauer–Möller update:
 
     - of its pairs with the elements in play, it keeps one per minimal lcm
@@ -170,25 +207,26 @@ def buchberger(generators: Iterable[Polynomial], order: MonomialOrder,
     Pairs are taken by ascending lcm of the leading monomials, ties broken
     by index (normal selection strategy).  A remainder that is a nonzero
     constant ends the run with the basis of the unit ideal.  The elements
-    left in play are then a minimal basis, and reducing their tails gives
-    the reduced one.
+    left in play are then a minimal basis, and reducing their tails and
+    making them monic gives the reduced one.
     """
     one = (0,) * nvars
-    leads: list[Lead] = []      # every element found, monic, by index
+    leads: list[Lead] = []      # every element found, primitive, by index
     active: list[int] = []      # indices of the elements in play
     pairs: list = []            # heap of (order.key(lcm), i, j, lcm), i < j
 
     def add(work: _Dividend) -> bool:
         """Reduce work and add its remainder; False when that is a constant."""
-        r = _remainder(work, [leads[a] for a in active])
+        r = _remainder(work, [leads[a] for a in active])[0]
         if not r:
             return True
         lk = next(iter(r))
-        lc = r.pop(lk)
         if lk == one:
             return False
+        n = gcd(*r.values()) * (1 if r[lk] > 0 else -1)
+        lc = r.pop(lk) // n
         k = len(leads)
-        leads.append((lk, 1, tuple((m, _divide(c, lc)) for m, c in r.items())))
+        leads.append((lk, lc, tuple((m, c // n) for m, c in r.items())))
         # new pairs: one is kept unless a later one, or one kept already,
         # has an lcm dividing its own; coprime ones are kept here only so
         # that they still count as divisors
@@ -213,15 +251,15 @@ def buchberger(generators: Iterable[Polynomial], order: MonomialOrder,
 
     unit = (Polynomial.constant(nvars, 1),)
     for g in generators:
-        if not add(_Dividend(g.terms.items(), order)):
+        if not add(_Dividend(_cleared(g)[0].items(), order)):
             return unit
     while pairs:
         _, i, j, l = heappop(pairs)
-        lmi, _, tail_i = leads[i]
-        lmj, _, tail_j = leads[j]
-        si = mono_div(l, lmi)
-        work = _Dividend(((mono_mul(m, si), c) for m, c in tail_i), order)
-        work.subtract(1, mono_div(l, lmj), tail_j)
+        lmi, lci, tail_i = leads[i]
+        lmj, lcj, tail_j = leads[j]
+        si, ci = mono_div(l, lmi), lcm(lci, lcj) // lci
+        work = _Dividend(((mono_mul(m, si), ci * c) for m, c in tail_i), order)
+        work.subtract(ci * lci // lcj, mono_div(l, lmj), tail_j)
         if not add(work):
             return unit
     # No tail term of an element is divisible by its own leading monomial,
@@ -230,8 +268,9 @@ def buchberger(generators: Iterable[Polynomial], order: MonomialOrder,
     for a in sorted(active, key=lambda a: order.key(leads[a][0]), reverse=True):
         lm, lc, tail = leads[a]
         others = [leads[b] for b in active if b != a]
-        rest = _remainder(_Dividend(tail, order), others)
-        basis.append(Polynomial._from_clean(nvars, {lm: lc, **rest}))
+        rest, s = _remainder(_Dividend(tail, order), others)
+        basis.append(Polynomial._from_clean(
+            nvars, {lm: 1, **{m: _divide(c, s * lc) for m, c in rest.items()}}))
     return tuple(basis)
 
 
@@ -254,7 +293,7 @@ class Ideal:
         self.order = order
         self.generators = gens
         self.basis = buchberger(gens, order, nvars)
-        self.leads = tuple(_lead(g, order) for g in self.basis)
+        self.leads = tuple(_primitive(g, order)[0] for g in self.basis)
 
     def normal_form(self, f: Polynomial) -> Polynomial:
         if f.nvars != self.nvars:

@@ -6,12 +6,13 @@ exact rational coefficients, so every computation in the package is
 exact.  A coefficient is a plain ``int`` when it is integral and a
 ``Fraction`` whose denominator is not 1 otherwise, never a float: most
 coefficients are integers, and ``int`` arithmetic is many times faster
-than ``Fraction`` arithmetic.  Two ``int`` coefficients are divided only
-through ``_divide``, never with ``/``.  Reads that return a single
-coefficient (``leading_term``, ``constant_term``) give a ``Fraction``, so
-that callers may divide what they read.  All values are immutable by
-convention: operations return new objects and never mutate their
-operands.
+than ``Fraction`` arithmetic.  ``groebner`` works on integer coefficients
+internally; only the ``Polynomial``s it returns follow this rule.  Two
+``int`` coefficients are divided only through ``_divide``, never with
+``/``.  Reads that return a single coefficient (``leading_term``,
+``constant_term``) give a ``Fraction``, so that callers may divide what
+they read.  All values are immutable by convention: operations return new
+objects and never mutate their operands.
 """
 
 from __future__ import annotations

@@ -2,9 +2,10 @@
 
 The oracles here deliberately avoid the code paths they are used to
 check: membership is decided by solving a linear system over monomial
-coefficients, Groebner bases are verified through the S-pair criterion
-on the finished basis, and radical membership is cross-checked by
-searching small powers directly.
+coefficients, division is done in plain ``Fraction`` arithmetic without
+the ``groebner`` module, Groebner bases are verified through the S-pair
+criterion on the finished basis with that division, and radical
+membership is cross-checked by searching small powers directly.
 """
 
 import math
@@ -151,11 +152,33 @@ def membership_by_linear_algebra(f, generators, cofactor_degree):
     return not isinstance(outcome, Inconsistency)
 
 
+def reference_remainder(f, divisors, order):
+    """Remainder of multivariate division of f by the divisor list, tried
+    in list order, in plain ``Fraction`` arithmetic: each step subtracts
+    the multiple of the first divisor whose leading monomial divides the
+    leading monomial left (Cox, Little & O'Shea, ch. 2 §3)."""
+    leads = [(g, *g.leading_term(order)) for g in divisors if g]
+    p = {m: Fraction(c) for m, c in f.terms.items()}
+    remainder = {}
+    while p:
+        mono = max(p, key=order.key)
+        for g, lm, lc in leads:
+            if all(a >= b for a, b in zip(mono, lm)):
+                factor = p[mono] / lc
+                for gm, c in g.terms.items():
+                    m = tuple(a + b - e for a, b, e in zip(gm, mono, lm))
+                    p[m] = p.get(m, 0) - factor * c
+                    if not p[m]:
+                        del p[m]
+                break
+        else:
+            remainder[mono] = p.pop(mono)
+    return Polynomial(f.nvars, remainder)
+
+
 def is_groebner_basis(basis, order):
     """S-pair criterion on a finished basis: every S-polynomial must
-    reduce to zero against the basis itself."""
-    from lndtools import reduce_poly
-
+    reduce to zero against the basis itself, by the reference division."""
     basis = list(basis)
     for i in range(len(basis)):
         for j in range(i + 1, len(basis)):
@@ -170,7 +193,7 @@ def is_groebner_basis(basis, order):
                 g.nvars, tuple(a - b for a, b in zip(lcm, lg)),
                 1 / g.leading_term(order)[1])
             spair = sf * f - sg * g
-            if reduce_poly(spair, basis, order):
+            if reference_remainder(spair, basis, order):
                 return False
     return True
 

@@ -11,6 +11,7 @@ from pathlib import Path
 import pytest
 
 import lndtools.cylinder
+import lndtools.groebner
 from lndtools import (
     Ideal,
     Inconsistency,
@@ -413,6 +414,16 @@ def test_algebra_commands():
                                 "x^2 - y^2; x^2 + 2*x*y + y^2"])
     assert code == EXIT_YES
     assert report == "gcd = x + y"
+
+
+def test_a_wrong_lcm_is_an_internal_error(monkeypatch, capsys):
+    # gcd divides the product of its arguments by their lcm, which must
+    # divide it; a division that fails there is a fault of the program
+    monkeypatch.setattr(lndtools.groebner, "lcm_via_intersection",
+                        lambda f, g: f + 1)
+    assert main(["gcd", FP, "--elems", "x^2 - 1; x - 1"]) == EXIT_SOFTWARE
+    out, err = capsys.readouterr()
+    assert (out, err) == ("", "internal error: ArithmeticError: division is not exact\n")
 
 
 def test_usage_errors(tmp_path):

@@ -15,6 +15,7 @@ from helpers import (
     radical_by_power_search,
     random_nonzero_poly,
     random_poly,
+    reference_remainder,
 )
 from lndtools import (
     DEGREVLEX,
@@ -99,6 +100,14 @@ def test_standard_systems_give_the_pinned_bases(key, generators, order):
     nvars = generators[0].nvars
     ideal = Ideal(nvars, generators, order)
     assert format_ideal(ideal, "abcde"[:nvars]) == pinned[key]
+
+
+def test_katsura5_gives_the_pinned_basis():
+    # pinned from the rational-coefficient implementation
+    ideal = Ideal(6, katsura(5))
+    assert len(ideal.basis) == 22
+    pinned = (ROOT / "tests" / "data" / "katsura5.txt").read_text(encoding="utf-8")
+    assert format_ideal(ideal, "abcdef") + "\n" == pinned
 
 
 def test_cyclic5_basis():
@@ -262,10 +271,14 @@ def test_divide_exact_round_trip():
 
 
 def test_divide_exact_rejects_non_multiples():
-    with pytest.raises(ValueError):
+    # its callers only divide what must divide, so a failure is internal
+    with pytest.raises(ArithmeticError):
         divide_exact(P("x"), P("y"))
-    with pytest.raises(ValueError):
+    with pytest.raises(ArithmeticError):
         divide_exact(P("x^2 + 1"), P("x + 1"))
+    # each leading monomial divides, but a leading coefficient does not
+    with pytest.raises(ArithmeticError):
+        divide_exact(P("-3/4*x^2 + 2"), P("-1/2*x + 2/3"))
 
 
 def test_lcm_and_gcd_known_values():
@@ -365,6 +378,43 @@ def test_reduce_poly_remainder_is_irreducible():
         for mono in r.terms:
             assert not any(all(a >= b for a, b in zip(mono, lm))
                            for lm in leading)
+
+
+def random_divisor(rng, nvars):
+    """A divisor with a leading coefficient other than ±1 as often as not:
+    integral, or with fractions whose lcm of denominators is not 1."""
+    g = random_nonzero_poly(rng, nvars, max_total=2, max_terms=3)
+    return g * rng.choice((1, 2, 3, -6, Fraction(5, 4)))
+
+
+@pytest.mark.parametrize("order", [LEX, DEGREVLEX, elimination(1)], ids=repr)
+def test_reduce_poly_matches_the_reference_division(order):
+    # divisor lists that are not Groebner bases: the remainder depends on
+    # the list order, and pseudo-division must follow the rational steps
+    rng = random.Random(316)
+    for _ in range(150):
+        divisors = [random_divisor(rng, 3) for _ in range(rng.randint(1, 3))]
+        f = random_poly(rng, 3, max_total=4, max_terms=6)
+        assert reduce_poly(f, divisors, order) == reference_remainder(f, divisors, order)
+
+
+def test_normal_form_matches_the_reference_division():
+    rng = random.Random(317)
+    for _ in range(60):
+        ideal = Ideal(3, [random_divisor(rng, 3) for _ in range(rng.randint(1, 3))])
+        f = random_poly(rng, 3, max_total=4, max_terms=6)
+        assert ideal.normal_form(f) == reference_remainder(f, ideal.basis, ideal.order)
+
+
+def test_long_pseudo_divisions_match_the_reference_division():
+    # many steps by leading coefficients 2 and 3, so the dividend is scaled
+    # often and its content is divided out along the way
+    f = P("(x + 2*y + 1/3*z - 5)^6")
+    divisors = [P("2*x + 3*y - 1"), P("3*y^2 - 2*z + 7/2")]
+    for order in (LEX, DEGREVLEX):
+        assert reduce_poly(f, divisors, order) == reference_remainder(f, divisors, order)
+        ideal = Ideal(3, divisors, order)
+        assert ideal.normal_form(f) == reference_remainder(f, ideal.basis, order)
 
 
 def test_normal_form_refuses_a_polynomial_in_more_variables():
