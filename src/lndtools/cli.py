@@ -89,10 +89,10 @@ def _image(f, image, names) -> str:
 
 
 def _require_preserved(derivation: Derivation, names):
-    report = derivation.check_preserves_relations()
-    if not report.ok:
+    offence = derivation.check_preserves_relations()
+    if offence is not None:
         raise UsageError("derivation does not preserve the relations: "
-                         + _image(report.offender, report.image, names))
+                         + _image(*offence, names))
 
 
 def _bounds(args) -> SearchBounds:
@@ -166,23 +166,23 @@ _NOT_PRINCIPAL = {
 
 
 def _cmd_check(args, names, derivation):
-    report = derivation.check_preserves_relations()
-    if not report.ok:
+    offence = derivation.check_preserves_relations()
+    if offence is not None:
         return EXIT_NO, [
             "relations preserved: no",
-            f"offending relation: {format_polynomial(report.offender, names)}",
-            _image(report.offender, report.image, names)]
+            f"offending relation: {format_polynomial(offence[0], names)}",
+            _image(*offence, names)]
     lines = ["relations preserved: yes"]
-    witness = derivation.nilpotency_witness(args.cap)
-    for name, order in zip(names, witness.orders):
+    orders = derivation.nilpotency_orders(args.cap)
+    for name, order in zip(names, orders):
         if order is None:
-            lines.append(f"order({name}) > {witness.cap}")
+            lines.append(f"order({name}) > {args.cap}")
         else:
             lines.append(f"order({name}) = {order}")
-    if witness.is_nilpotent:
-        lines.append(f"locally nilpotent on generators: yes (cap {witness.cap})")
+    if None not in orders:
+        lines.append(f"locally nilpotent on generators: yes (cap {args.cap})")
         return EXIT_YES, lines
-    lines.append(f"locally nilpotent on generators: unknown (cap {witness.cap} exceeded)")
+    lines.append(f"locally nilpotent on generators: unknown (cap {args.cap} exceeded)")
     return EXIT_UNKNOWN, lines
 
 
@@ -255,7 +255,7 @@ def _cmd_slice_none(args, names, derivation):
         f"{format_monomial(mono, names)}: {format_number(value)}"
         for mono, value in result.nonzero_multipliers())
     return EXIT_NO, [
-        f"no slice of degree <= {result.degree_bound}",
+        f"no slice of degree <= {args.max_deg}",
         f"system: {len(result.row_monomials)} equations, "
         f"{len(result.column_monomials)} unknowns",
         f"certificate multipliers: {{{multipliers}}}",
@@ -280,7 +280,7 @@ def _cmd_principal(args, names, derivation):
              f"gcd = {format_polynomial(result.gcd, names)}"]
     if result.outcome is Outcome.YES:
         lines.append("principal: yes")
-        lines.append(f"generator = {format_polynomial(result.generator, names)}")
+        lines.append(f"generator = {format_polynomial(result.gcd, names)}")
     else:
         lines.extend(_NOT_PRINCIPAL[result.outcome][0])
     return _EXIT_FOR_OUTCOME[result.outcome], lines
@@ -299,7 +299,7 @@ def _cmd_maximal_cylinder(args, names, derivation):
         lines += [*verdict, f"maximal principal cylinder: {found}"]
         return _EXIT_FOR_OUTCOME[principality.outcome], lines
     lines.append(f"principal: yes, generator = "
-                 f"{format_polynomial(principality.generator, names)}")
+                 f"{format_polynomial(principality.gcd, names)}")
     decision = report.cylinder
     cylinder = _cylinder_lines(decision, names)
     if decision.outcome is Outcome.YES:

@@ -98,12 +98,11 @@ class CylinderCertificate(PlinthCertificate):
 
 @dataclass(frozen=True)
 class PreimageResult:
-    """A preimage of total degree <= degree_bound, or the exact proof that
+    """A preimage within its system's degree bound, or the exact proof that
     none exists: multipliers of the rows combining the system to 0 = value."""
 
     preimage: Polynomial | None
     certificate: Inconsistency | None
-    degree_bound: int
     row_monomials: tuple[Monomial, ...]
     column_monomials: tuple[Monomial, ...]
 
@@ -140,7 +139,6 @@ class PlinthClaimReport:
 class PrincipalityResult:
     outcome: Outcome
     gcd: Polynomial
-    generator: Polynomial | None
 
 
 @dataclass(frozen=True)
@@ -152,14 +150,13 @@ class MaximalCylinderResult:
 
 
 class PreimageSystem(NamedTuple):
-    """The linear map d on the standard monomials of degree <= max_degree:
-    column j is ``columns[j]``.  ``image_rows`` maps each monomial of a
-    reduced image, in descending order, to its row of the matrix: the
-    ``(column, coefficient)`` pairs in column order.  Every target of a
-    search is solved against the same rows."""
+    """The linear map d on the standard monomials up to the degree bound it
+    was built with: column j is ``columns[j]``.  ``image_rows`` maps each
+    monomial of a reduced image, in descending order, to its row of the
+    matrix: the ``(column, coefficient)`` pairs in column order.  Every
+    target of a search is solved against the same rows."""
 
     columns: tuple[Monomial, ...]
-    max_degree: int
     derivation: Derivation
     image_rows: dict[Monomial, tuple[tuple[int, Scalar], ...]]
 
@@ -199,7 +196,7 @@ def build_preimage_system(derivation: Derivation,
         for mono, coeff in img.terms.items():
             rows[mono].append((col, coeff))
     image_rows = {m: tuple(pairs) for m, pairs in rows.items()}
-    return PreimageSystem(columns, max_degree, derivation, image_rows)
+    return PreimageSystem(columns, derivation, image_rows)
 
 
 def preimage_search(system: PreimageSystem, target: Polynomial) -> PreimageResult:
@@ -214,12 +211,12 @@ def preimage_search(system: PreimageSystem, target: Polynomial) -> PreimageResul
     if isinstance(solved, Inconsistency):
         if not solved.verify(matrix, rhs):
             raise CertificateError("inconsistency certificate does not verify")
-        return PreimageResult(None, solved, system.max_degree, rows, system.columns)
+        return PreimageResult(None, solved, rows, system.columns)
     preimage = Polynomial(ring.nvars,
                           {m: c for m, c in zip(system.columns, solved) if c})
     if derivation.apply(preimage) != target:
         raise CertificateError("solver returned a spurious preimage")
-    return PreimageResult(preimage, None, system.max_degree, rows, system.columns)
+    return PreimageResult(preimage, None, rows, system.columns)
 
 
 def plinth_membership(derivation: Derivation, element: Polynomial,
@@ -381,9 +378,9 @@ def principality_check(ideal: Ideal, relations: Ideal) -> PrincipalityResult:
     for g in gens[1:]:
         gcd = gcd_via_lcm(gcd, g)
     if ideal.contains(gcd):
-        return PrincipalityResult(Outcome.YES, gcd, gcd)
+        return PrincipalityResult(Outcome.YES, gcd)
     outcome = Outcome.NO if relations.is_zero else Outcome.UNKNOWN
-    return PrincipalityResult(outcome, gcd, None)
+    return PrincipalityResult(outcome, gcd)
 
 
 def maximal_cylinder(derivation: Derivation, claimed: Sequence[Polynomial],
@@ -402,10 +399,9 @@ def maximal_cylinder(derivation: Derivation, claimed: Sequence[Polynomial],
     principality = principality_check(claim.complement, derivation.ring)
     if principality.outcome is not Outcome.YES:
         return MaximalCylinderResult(principality.outcome, claim, principality)
-    h = derivation.ring.normal_form(principality.generator)
+    h = derivation.ring.normal_form(principality.gcd)
     plinth = next((e for e in claim.entries if e.element == h), None)
     if plinth is None:
-        plinth = plinth_membership(derivation, principality.generator, bounds,
-                                   system)
+        plinth = plinth_membership(derivation, principality.gcd, bounds, system)
     decision = cylinder_from_plinth(plinth)
     return MaximalCylinderResult(decision.outcome, claim, principality, decision)

@@ -11,7 +11,6 @@ is sound once the derivation is known to preserve that ideal.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
@@ -31,35 +30,14 @@ class CapExceededError(Exception):
         self.cap = cap
 
 
-@dataclass(frozen=True)
-class PreservationReport:
-    """Outcome of checking that the relation ideal is preserved."""
-
-    ok: bool
-    offender: Polynomial | None = None
-    image: Polynomial | None = None
-
-
-@dataclass(frozen=True)
-class NilpotencyWitness:
-    """Per-generator vanishing orders: orders[i] applications kill the
-    i-th variable, and None means it did not vanish within the cap."""
-
-    orders: tuple[int | None, ...]
-    cap: int
-
-    @property
-    def is_nilpotent(self) -> bool:
-        return None not in self.orders
-
-
 class Derivation:
     """A derivation of the ring presented by the relation ideal ``ring``,
     stored via generator images.
 
     Images are kept in normal form modulo the relations.  ``apply`` is
     well defined on the quotient only when the derivation preserves the
-    relation ideal; use :meth:`check_preserves_relations` to confirm.
+    relation ideal, which is exactly when
+    :meth:`check_preserves_relations` returns None.
     """
 
     __slots__ = ("ring", "images")
@@ -91,12 +69,14 @@ class Derivation:
         """Leibniz extension, reduced modulo the relations."""
         return self.ring.normal_form(self._leibniz(f))
 
-    def check_preserves_relations(self) -> PreservationReport:
+    def check_preserves_relations(self) -> tuple[Polynomial, Polynomial] | None:
+        """``(relation, image)`` for the first relation whose image does
+        not reduce to zero, or None when the derivation preserves them."""
         for g in self.ring.generators:
             image = self.apply(g)
             if image:
-                return PreservationReport(False, g, image)
-        return PreservationReport(True)
+                return g, image
+        return None
 
     def iterates(self, f: Polynomial,
                  cap: int = DEFAULT_NILPOTENCY_CAP) -> list[Polynomial]:
@@ -114,8 +94,10 @@ class Derivation:
             current = self.apply(current)
         return out
 
-    def nilpotency_witness(self,
-                           cap: int = DEFAULT_NILPOTENCY_CAP) -> NilpotencyWitness:
+    def nilpotency_orders(self, cap: int = DEFAULT_NILPOTENCY_CAP
+                          ) -> tuple[int | None, ...]:
+        """Per-generator vanishing orders: orders[i] applications kill the
+        i-th variable, and None means it did not vanish within the cap."""
         n = self.ring.nvars
         orders: list[int | None] = []
         for i in range(n):
@@ -123,7 +105,7 @@ class Derivation:
                 orders.append(len(self.iterates(Polynomial.variable(n, i), cap)))
             except CapExceededError:
                 orders.append(None)
-        return NilpotencyWitness(tuple(orders), cap)
+        return tuple(orders)
 
     def exp_action(self, f: Polynomial) -> tuple[Polynomial, ...]:
         """Coefficients d^k(f) / k! of exp(s*d)(f) by power of s; the last

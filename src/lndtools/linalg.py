@@ -2,9 +2,9 @@
 
 Sparse Gaussian elimination on row dicts with fraction-free-ish pivoting:
 the pivot in each column is the candidate with the smallest numerator
-(then smallest denominator, then row), which keeps intermediate fractions
-modest.  Infeasible systems come back with a checkable certificate: a row
-vector y with y*A = 0 and y*b != 0.
+(then smallest denominator, then earliest in the elimination order), which
+keeps intermediate fractions modest.  Infeasible systems come back with a
+checkable certificate: a row vector y with y*A = 0 and y*b != 0.
 
 Entries follow the coefficient rule of :mod:`lndtools.poly`: a plain
 ``int`` when integral, otherwise a ``Fraction`` whose denominator is not
@@ -102,14 +102,14 @@ def solve_exact(matrix: QMatrix, rhs: Sequence):
     if len(b) != m:
         raise ValueError("right-hand side length does not match row count")
     a = [dict(row) for row in matrix.entries]
-    # where[col] holds every position whose row has an entry in col, and
-    # perhaps positions whose entry there has cancelled since
+    # where[col] holds every row with an entry in col, and perhaps rows
+    # whose entry there has cancelled since
     where: list[set[int]] = [set() for _ in range(n)]
     for i, row in enumerate(a):
         for col in row:
             where[col].add(i)
     # Trace row operations so an inconsistent row yields its multipliers:
-    # trace[i] maps original rows to their multiplier in current row i.
+    # trace[i] maps original rows to their multiplier in row i as it is now.
     trace = [{i: 1} for i in range(m)]
 
     def certificate(row: int) -> Inconsistency:
@@ -120,38 +120,36 @@ def solve_exact(matrix: QMatrix, rhs: Sequence):
         if not a[i] and b[i]:
             return certificate(i)
 
+    # Rows keep their index: at[p] is the row in place p of the elimination
+    # order and place[r] the place of row r; the pivots take the first places.
+    at = list(range(m))
+    place = list(range(m))
     pivots: list[tuple[int, int]] = []
-    pivot_row = 0
     for col in range(n):
-        if pivot_row >= m:
+        done = len(pivots)
+        if done == m:
             break
-        candidates = [r for r in where[col] if r >= pivot_row and col in a[r]]
+        candidates = [r for r in where[col] if place[r] >= done and col in a[r]]
         if not candidates:
             continue
         best = min(candidates, key=lambda r: (abs(a[r][col].numerator),
-                                              a[r][col].denominator, r))
-        a[best], a[pivot_row] = a[pivot_row], a[best]
-        b[best], b[pivot_row] = b[pivot_row], b[best]
-        trace[best], trace[pivot_row] = trace[pivot_row], trace[best]
-        for r in (best, pivot_row):
-            for c in a[r]:
-                where[c].add(r)
-        pivot, value = a[pivot_row], a[pivot_row][col]
-        # after the swap the old pivot row, if it was a candidate, sits at best
-        for r in sorted(best if r == pivot_row else r
-                        for r in candidates if r != best):
+                                              a[r][col].denominator, place[r]))
+        other = at[done]
+        at[done], at[place[best]] = best, other
+        place[best], place[other] = done, place[best]
+        pivot, value = a[best], a[best][col]
+        for r in sorted((r for r in candidates if r != best), key=place.__getitem__):
             factor = _divide(a[r][col], value)
             _subtract(a[r], factor, pivot)
             for c in pivot:
                 where[c].add(r)
-            b[r] = _integral(b[r] - factor * b[pivot_row])
-            _subtract(trace[r], factor, trace[pivot_row])
+            b[r] = _integral(b[r] - factor * b[best])
+            _subtract(trace[r], factor, trace[best])
             if not a[r] and b[r]:
                 return certificate(r)
-        pivots.append((pivot_row, col))
-        pivot_row += 1
+        pivots.append((best, col))
 
-    # Every row below the pivots is now empty with b[r] = 0: an empty row
+    # Every row but the pivots is now empty with b[r] = 0: an empty row
     # is never updated, and the checks above return on any other one.
     # solution[col] is still zero when its own row is summed.
     solution: list[Scalar] = [0] * n

@@ -17,6 +17,7 @@ objects and never mutate their operands.
 
 from __future__ import annotations
 
+import functools
 import math
 from fractions import Fraction
 from collections.abc import Iterable, Iterator, Mapping, Sequence
@@ -83,61 +84,43 @@ def _grevlex_key(exps: Monomial):
 
 
 class MonomialOrder:
-    """Total order on monomials, compatible with multiplication.
-
-    ``key`` maps a monomial to a tuple that compares the way the order
-    does, so ``max(monos, key=order.key)`` picks the leading monomial.
+    """Total order on monomials, compatible with multiplication, given by
+    two keys: ``max(monos, key=order.key)`` picks the leading monomial,
+    and a ``heapq`` of ``(order.descending_key(m), m)`` pops the largest
+    first.  There is one instance per order, so orders compare by
+    identity.
     """
 
-    __slots__ = ("kind", "block")
+    __slots__ = ("name", "key", "descending_key")
 
-    def __init__(self, kind: str, block: int = 0):
-        if kind not in ("lex", "degrevlex", "elimination"):
-            raise ValueError(f"unknown monomial order {kind!r}")
-        if kind == "elimination" and block < 1:
-            raise ValueError("elimination order needs a positive block size")
-        self.kind = kind
-        self.block = block if kind == "elimination" else 0
-
-    def key(self, mono: Monomial):
-        if self.kind == "lex":
-            return mono
-        if self.kind == "degrevlex":
-            return _grevlex_key(mono)
-        k = self.block
-        return (_grevlex_key(mono[:k]), _grevlex_key(mono[k:]))
-
-    def descending_key(self, mono: Monomial):
-        """A key whose ascending order is this order's descending order, so
-        a ``heapq`` of ``(descending_key(m), m)`` pops the largest first."""
-        if self.kind == "lex":
-            return tuple(-e for e in mono)
-        if self.kind == "degrevlex":
-            return (-sum(mono), mono[::-1])
-        head, tail = mono[:self.block], mono[self.block:]
-        return (-sum(head), head[::-1], -sum(tail), tail[::-1])
-
-    def __eq__(self, other):
-        if not isinstance(other, MonomialOrder):
-            return NotImplemented
-        return self.kind == other.kind and self.block == other.block
-
-    def __hash__(self):
-        return hash((self.kind, self.block))
+    def __init__(self, name: str, key, descending_key):
+        self.name = name
+        self.key = key
+        self.descending_key = descending_key
 
     def __repr__(self):
-        if self.kind == "elimination":
-            return f"elimination({self.block})"
-        return self.kind
+        return self.name
 
 
-LEX = MonomialOrder("lex")
-DEGREVLEX = MonomialOrder("degrevlex")
+LEX = MonomialOrder("lex", lambda mono: mono, lambda mono: tuple(-e for e in mono))
+DEGREVLEX = MonomialOrder("degrevlex", _grevlex_key,
+                          lambda mono: (-sum(mono), mono[::-1]))
 
 
+@functools.cache
 def elimination(block: int) -> MonomialOrder:
     """Block order whose first ``block`` variables dominate the rest."""
-    return MonomialOrder("elimination", block)
+    if block < 1:
+        raise ValueError("elimination order needs a positive block size")
+
+    def key(mono: Monomial):
+        return (_grevlex_key(mono[:block]), _grevlex_key(mono[block:]))
+
+    def descending_key(mono: Monomial):
+        head, tail = mono[:block], mono[block:]
+        return (-sum(head), head[::-1], -sum(tail), tail[::-1])
+
+    return MonomialOrder(f"elimination({block})", key, descending_key)
 
 
 class Polynomial:

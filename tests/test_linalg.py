@@ -69,6 +69,15 @@ def test_doctored_certificate_fails_verification():
     assert not wrong_len.verify(matrix, rhs)
 
 
+def test_the_first_inconsistent_row_in_elimination_order_certifies():
+    # row 1 is the pivot; rows 0 and 2 both turn inconsistent, and row 0,
+    # which gave its place to the pivot, comes first
+    matrix = QMatrix(1, [[(0, 3)], [(0, 1)], [(0, 1)]])
+    outcome = solve_exact(matrix, [1, 0, 5])
+    assert outcome == Inconsistency((Fraction(1), Fraction(-3), Fraction(0)),
+                                    Fraction(1))
+
+
 def test_zero_multipliers_are_skipped():
     matrix = QMatrix(1, [[(0, 1)], [(0, 1)], [(0, 2)]])
     rhs = [1, 2, 2]

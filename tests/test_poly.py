@@ -170,6 +170,14 @@ def test_elimination_order_separates_blocks():
             assert order.key(a) > order.key(b)
 
 
+def test_each_order_is_one_instance():
+    assert elimination(2) is elimination(2)
+    assert [repr(order) for order in (LEX, DEGREVLEX, elimination(1))] == \
+        ["lex", "degrevlex", "elimination(1)"]
+    with pytest.raises(ValueError, match="positive block size"):
+        elimination(0)
+
+
 def test_diff_product_rule():
     rng = random.Random(107)
     for _ in range(200):

@@ -1,0 +1,59 @@
+"""One sha256 over the outputs of the benchmark's commands.
+
+Builds the ``corpus``, ``search`` and ``ideals`` workloads of
+``perfbench/workloads.py`` at seeds 3 and 7, runs every ``lnd`` command
+of each pass once through ``lndtools.cli.run_command``, and prints the
+number of commands and one digest over their ``(exit code, report)``
+pairs.  The corpus scripts are skipped: the golden transcripts cover
+them.  Two checkouts that print the same digest give the same outputs
+on all of these commands.
+
+    python3 tools/output_digest.py
+"""
+
+from __future__ import annotations
+
+import hashlib
+import json
+import os
+import sys
+import tempfile
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+sys.path.insert(0, str(ROOT / "src"))
+sys.path.insert(0, str(ROOT / "perfbench"))
+
+import workloads  # noqa: E402
+from lndtools.cli import run_command  # noqa: E402
+
+SEEDS = (3, 7)
+
+
+def main() -> int:
+    digest = hashlib.sha256()
+    count = 0
+    start = os.getcwd()
+    for seed in SEEDS:
+        for name in workloads.WORKLOADS:
+            workload = workloads.build(name, seed, ROOT)
+            with tempfile.TemporaryDirectory() as scratch:
+                for file_name, text in workload.files.items():
+                    (Path(scratch) / file_name).write_text(text, encoding="utf-8")
+                os.chdir(ROOT / "corpus" if name == "corpus" else scratch)
+                try:
+                    for command in workload.commands:
+                        if command.argv[0] == "python3":
+                            continue
+                        code, report = run_command(list(command.argv))
+                        digest.update(json.dumps([code, report]).encode() + b"\n")
+                        count += 1
+                finally:
+                    os.chdir(start)
+    print(f"{count} commands")
+    print(f"sha256 {digest.hexdigest()}")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
