@@ -31,6 +31,7 @@ from .poly import (
     Monomial,
     MonomialOrder,
     Polynomial,
+    _cleared,
     _divide,
     elimination,
     mono_div,
@@ -46,16 +47,9 @@ Lead = tuple[Monomial, int, tuple[tuple[Monomial, int], ...]]
 _CONTENT_EVERY = 8   # pseudo-division steps between two divisions by the content
 
 
-def _cleared(f: Polynomial) -> tuple[dict[Monomial, int], int]:
-    """Integer terms F and the positive integer d with f = F/d."""
-    d = lcm(*[c.denominator for c in f.terms.values()])
-    return f.terms if d == 1 else {m: c.numerator * (d // c.denominator)
-                                   for m, c in f.terms.items()}, d
-
-
 def _primitive(f: Polynomial, order: MonomialOrder) -> tuple[Lead, int, int]:
     """(``Lead`` of the primitive part P of a nonzero f, n, d) with f = n/d*P."""
-    terms, d = _cleared(f)
+    terms, d = _cleared(f.terms)
     lm = max(terms, key=order.key)
     n = gcd(*terms.values()) * (1 if terms[lm] > 0 else -1)
     tail = tuple((m, c // n) for m, c in terms.items() if m != lm)
@@ -156,7 +150,7 @@ def reduce_poly(f: Polynomial, divisors: Sequence[Polynomial],
         leads = [_primitive(d, order)[0] for d in divisors if d]
     if not leads or f.is_zero:
         return f
-    terms, d = _cleared(f)
+    terms, d = _cleared(f.terms)
     r, s = _remainder(_Dividend(terms.items(), order), leads, d)
     return Polynomial._from_clean(
         f.nvars, r if s == 1 else {m: _divide(c, s) for m, c in r.items()})
@@ -171,7 +165,7 @@ def divide_exact(f: Polynomial, g: Polynomial) -> Polynomial:
     if g.nvars != f.nvars:
         raise ValueError("polynomial has wrong variable count")
     (lm, lc, tail), n, d = _primitive(g, DEGREVLEX)
-    terms, e = _cleared(f)
+    terms, e = _cleared(f.terms)
     work = _Dividend(terms.items(), DEGREVLEX)
     quotient: dict[Monomial, int] = {}
     while (term := work.pop_leading()) is not None:
@@ -251,7 +245,7 @@ def buchberger(generators: Iterable[Polynomial], order: MonomialOrder,
 
     unit = (Polynomial.constant(nvars, 1),)
     for g in generators:
-        if not add(_Dividend(_cleared(g)[0].items(), order)):
+        if not add(_Dividend(_cleared(g.terms)[0].items(), order)):
             return unit
     while pairs:
         _, i, j, l = heappop(pairs)

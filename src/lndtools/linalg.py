@@ -1,24 +1,25 @@
 """Exact linear algebra over the rationals.
 
-Sparse Gaussian elimination on row dicts with fraction-free-ish pivoting:
-the pivot in each column is the candidate with the smallest numerator
-(then smallest denominator, then earliest in the elimination order), which
-keeps intermediate fractions modest.  Infeasible systems come back with a
-checkable certificate: a row vector y with y*A = 0 and y*b != 0.
-
-Entries follow the coefficient rule of :mod:`lndtools.poly`: a plain
-``int`` when integral, otherwise a ``Fraction`` whose denominator is not
-1, and two ``int``s are divided only through ``_divide``.  Solutions and
-certificates are handed out as ``Fraction``s.
+Sparse Gaussian elimination on integer rows, each with one positive
+denominator: row r stands for ``a[r]/den[r] = b[r]/den[r]``, and its trace
+of multipliers shares ``den[r]``.  A row is cleared of the pivot column by
+integer multiples of itself and the pivot row, then divided by the gcd of
+all its integers, since sparse pivoting breaks the exact divisions of
+Bareiss (1968).  The pivot in each column is the candidate whose rational
+entry has the smallest reduced numerator (then reduced denominator, then
+place in the elimination order), which keeps the integers modest.
+Infeasible systems come back with a checkable certificate: a row vector y
+with y*A = 0 and y*b != 0.  Solutions and certificates are ``Fraction``s.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import gcd, lcm
 from typing import Iterable, Sequence
 
-from .poly import Scalar, _divide, _exact, _integral
+from .poly import Scalar, _cleared, _divide, _exact, _integral
 
 
 class QMatrix:
@@ -46,8 +47,8 @@ class QMatrix:
                     rows: Iterable[tuple[tuple[int, Scalar], ...]]) -> "QMatrix":
         """Wrap rows that are clean by construction, without merging or
         sorting: each is a tuple of ``(column, value)`` pairs in strictly
-        increasing column order, every value a nonzero entry as the module
-        docstring states.  Columns are still checked against ``cols``."""
+        increasing column order, every value nonzero and clean as in
+        :mod:`lndtools.poly`.  Columns are still checked against ``cols``."""
         out = cls.__new__(cls)
         out.entries = tuple(rows)
         for row in out.entries:
@@ -81,10 +82,13 @@ class Inconsistency:
         return not any(combined.values()) and total == self.value != 0
 
 
-def _subtract(target: dict, factor: Scalar, source: dict) -> None:
-    """target -= factor * source, dropping the entries that cancel."""
+def _combine(target: dict, f: int, h: int, source: dict) -> None:
+    """target = f*target - h*source, dropping the entries that cancel."""
+    if f != 1:
+        for key in target:
+            target[key] *= f
     for key, value in source.items():
-        updated = _integral(target.get(key, 0) - factor * value)
+        updated = target.get(key, 0) - h * value
         if updated:
             target[key] = updated
         else:
@@ -101,7 +105,17 @@ def solve_exact(matrix: QMatrix, rhs: Sequence):
     b = [_exact(v) for v in rhs]
     if len(b) != m:
         raise ValueError("right-hand side length does not match row count")
+    # Row r stands for the equation a[r]/den[r] = b[r]/den[r], all of it
+    # integral.  A system that holds a Fraction is cleared row by row, the
+    # right-hand side with its row as column -1; an all-int one is kept.
     a = [dict(row) for row in matrix.entries]
+    den = [1] * m
+    if lcm(*[v.denominator for row in a for v in row.values()],
+           *[v.denominator for v in b]) > 1:
+        for r, row in enumerate(a):
+            row[-1] = b[r]
+            a[r], den[r] = _cleared(row)
+            b[r] = a[r].pop(-1)
     # where[col] holds every row with an entry in col, and perhaps rows
     # whose entry there has cancelled since
     where: list[set[int]] = [set() for _ in range(n)]
@@ -109,12 +123,13 @@ def solve_exact(matrix: QMatrix, rhs: Sequence):
         for col in row:
             where[col].add(i)
     # Trace row operations so an inconsistent row yields its multipliers:
-    # trace[i] maps original rows to their multiplier in row i as it is now.
-    trace = [{i: 1} for i in range(m)]
+    # trace[i]/den[i] maps original rows to their multiplier in row i now.
+    trace = [{i: d} for i, d in enumerate(den)]
 
     def certificate(row: int) -> Inconsistency:
-        return Inconsistency(tuple(Fraction(trace[row].get(i, 0)) for i in range(m)),
-                             Fraction(b[row]))
+        t, d = trace[row], den[row]
+        return Inconsistency(tuple(Fraction(t.get(i, 0), d) for i in range(m)),
+                             Fraction(b[row], d))
 
     for i in range(m):
         if not a[i] and b[i]:
@@ -125,6 +140,12 @@ def solve_exact(matrix: QMatrix, rhs: Sequence):
     at = list(range(m))
     place = list(range(m))
     pivots: list[tuple[int, int]] = []
+
+    def key(r: int) -> tuple[int, int, int]:
+        # the reduced numerator and denominator of the entry a[r][col]/den[r]
+        g = gcd(a[r][col], den[r])
+        return abs(a[r][col]) // g, den[r] // g, place[r]
+
     for col in range(n):
         done = len(pivots)
         if done == m:
@@ -132,25 +153,36 @@ def solve_exact(matrix: QMatrix, rhs: Sequence):
         candidates = [r for r in where[col] if place[r] >= done and col in a[r]]
         if not candidates:
             continue
-        best = min(candidates, key=lambda r: (abs(a[r][col].numerator),
-                                              a[r][col].denominator, place[r]))
+        best = min(candidates, key=key)
         other = at[done]
         at[done], at[place[best]] = best, other
         place[best], place[other] = done, place[best]
         pivot, value = a[best], a[best][col]
         for r in sorted((r for r in candidates if r != best), key=place.__getitem__):
-            factor = _divide(a[r][col], value)
-            _subtract(a[r], factor, pivot)
+            # row r becomes f*row r - h*pivot over f*den[r], with f > 0 and
+            # f/h = value/a[r][col] in lowest terms: the pivot's den cancels
+            g = gcd(a[r][col], value) * (1 if value > 0 else -1)
+            f, h = value // g, a[r][col] // g
+            _combine(a[r], f, h, pivot)
+            _combine(trace[r], f, h, trace[best])
             for c in pivot:
                 where[c].add(r)
-            b[r] = _integral(b[r] - factor * b[best])
-            _subtract(trace[r], factor, trace[best])
+            b[r] = f * b[r] - h * b[best]
+            den[r] *= f
+            content = gcd(den[r], b[r], *a[r].values(), *trace[r].values())
+            if content > 1:
+                den[r] //= content
+                b[r] //= content
+                for entries in (a[r], trace[r]):
+                    for c in entries:
+                        entries[c] //= content
             if not a[r] and b[r]:
                 return certificate(r)
         pivots.append((best, col))
 
     # Every row but the pivots is now empty with b[r] = 0: an empty row
     # is never updated, and the checks above return on any other one.
+    # den[row] cancels, so the pivot rows are solved on their integers;
     # solution[col] is still zero when its own row is summed.
     solution: list[Scalar] = [0] * n
     for row, col in reversed(pivots):

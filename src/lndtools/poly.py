@@ -6,8 +6,8 @@ exact rational coefficients, so every computation in the package is
 exact.  A coefficient is a plain ``int`` when it is integral and a
 ``Fraction`` whose denominator is not 1 otherwise, never a float: most
 coefficients are integers, and ``int`` arithmetic is many times faster
-than ``Fraction`` arithmetic.  ``groebner`` works on integer coefficients
-internally; only the ``Polynomial``s it returns follow this rule.  Two
+than ``Fraction`` arithmetic.  ``groebner`` and ``linalg`` work on
+integers internally, cleared of denominators by ``_cleared``.  Two
 ``int`` coefficients are divided only through ``_divide``, never with
 ``/``.  Reads that return a single coefficient (``leading_term``,
 ``constant_term``) give a ``Fraction``, so that callers may divide what
@@ -52,6 +52,14 @@ def _divide(a: Scalar, b: Scalar) -> Scalar:
         q, r = divmod(a, b)
         return Fraction(a, b) if r else q
     return _integral(a / b)
+
+
+def _cleared(coeffs: Mapping) -> tuple[Mapping, int]:
+    """Integer values F and the positive integer d with coeffs = F/d, key
+    by key; F is ``coeffs`` itself when every value is an ``int``."""
+    d = math.lcm(*[c.denominator for c in coeffs.values()])
+    return coeffs if d == 1 else {k: c.numerator * (d // c.denominator)
+                                  for k, c in coeffs.items()}, d
 
 
 def mono_mul(a: Monomial, b: Monomial) -> Monomial:

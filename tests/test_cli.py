@@ -1,5 +1,7 @@
 import ast
+import hashlib
 import importlib
+import importlib.util
 import os
 import subprocess
 import sys
@@ -617,3 +619,19 @@ def test_slice_none_certificates_at_degree_12(spec, lines):
     code, report = run_command(["slice-none", spec, "--max-deg", "12"])
     assert code == EXIT_NO
     assert report.splitlines() == lines
+
+
+def test_output_digest_exit_code_says_whether_the_digest_matches(monkeypatch, capsys):
+    monkeypatch.setattr(sys, "path", list(sys.path))   # the tool extends it
+    spec = importlib.util.spec_from_file_location(
+        "output_digest", ROOT / "tools" / "output_digest.py")
+    tool = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tool)
+    monkeypatch.setattr(tool.workloads, "WORKLOADS", ())
+    empty, other = hashlib.sha256().hexdigest(), "0" * 64
+    assert tool.main([]) == 0
+    assert tool.main(["--expect", empty]) == 0
+    assert tool.main(["--expect", other]) == 1
+    out = capsys.readouterr().out
+    assert out.count(f"0 commands\nsha256 {empty}\n") == 3
+    assert out.endswith(f"expected {other}: the outputs differ\n")

@@ -4,7 +4,15 @@ from fractions import Fraction
 import pytest
 
 from helpers import random_fraction
-from lndtools import Inconsistency, QMatrix, solve_exact
+from lndtools import (
+    Derivation,
+    Ideal,
+    Inconsistency,
+    Polynomial,
+    QMatrix,
+    build_preimage_system,
+    solve_exact,
+)
 
 # (largest row and column count, density, number of cases)
 SHAPES = [(5, 0.7, 200), (40, 0.05, 1000)]
@@ -232,3 +240,41 @@ def test_matches_the_fraction_reference():
             solved += 1
             assert all(type(x) is Fraction for x in got)
     assert solved >= 20 and refuted >= 20
+
+
+def test_rows_with_different_denominators_give_the_pinned_certificate():
+    # the rows clear over 6, 30 and 42; rows 0 and 1 become the pivots and
+    # row 2 turns inconsistent, with multipliers over the denominator 7
+    matrix = QMatrix(2, [[(0, Fraction(1, 2)), (1, Fraction(1, 3))],
+                         [(0, Fraction(2, 3)), (1, Fraction(1, 5))],
+                         [(0, Fraction(1, 6)), (1, Fraction(2, 7))]])
+    rhs = [1, Fraction(1, 2), Fraction(1, 3)]
+    outcome = solve_exact(matrix, rhs)
+    assert outcome == Inconsistency(
+        (Fraction(-9, 7), Fraction(5, 7), Fraction(1)), Fraction(-25, 42))
+    assert outcome == reference_solve(matrix, rhs)
+    assert outcome.verify(matrix, rhs)
+
+
+@pytest.mark.parametrize("k", [2, 3, 4])
+def test_danielewski_systems_match_the_fraction_reference(k):
+    # x*z^k = p(y) with p = y^3/3 + y/2, d(x) = p'(y) = y^2 + 1/2,
+    # d(y) = z^k, d(z) = 0: the image rows of x carry a Fraction, and z^n
+    # has a preimage of degree <= k + 1 only at n = k (namely y)
+    x, y, z = (Polynomial.variable(3, i) for i in range(3))
+    p = y ** 3 * Fraction(1, 3) + y * Fraction(1, 2)
+    d = Derivation(Ideal(3, [x * z ** k - p]),
+                   [y ** 2 + Polynomial.constant(3, Fraction(1, 2)), z ** k,
+                    Polynomial.zero(3)])
+    system = build_preimage_system(d, k + 1)
+    assert any(type(v) is Fraction
+               for row in system.image_rows.values() for _, v in row)
+    outcomes = []
+    for n in range(1, k + 1):
+        _, matrix, rhs = system.equations(d.ring.normal_form(z ** n))
+        outcome = solve_exact(matrix, rhs)
+        assert outcome == reference_solve(matrix, rhs)
+        if isinstance(outcome, Inconsistency):
+            assert outcome.verify(matrix, rhs)
+        outcomes.append(type(outcome))
+    assert outcomes == [Inconsistency] * (k - 1) + [tuple]

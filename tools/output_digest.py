@@ -6,13 +6,16 @@ of each pass once through ``lndtools.cli.run_command``, and prints the
 number of commands and one digest over their ``(exit code, report)``
 pairs.  The corpus scripts are skipped: the golden transcripts cover
 them.  Two checkouts that print the same digest give the same outputs
-on all of these commands.
+on all of these commands.  With ``--expect`` the exit code says whether
+the digest is the given one: 0 when it is, and 1, with the expected
+digest printed under the computed one, when it is not.
 
-    python3 tools/output_digest.py
+    python3 tools/output_digest.py [--expect SHA256]
 """
 
 from __future__ import annotations
 
+import argparse
 import hashlib
 import json
 import os
@@ -30,7 +33,11 @@ from lndtools.cli import run_command  # noqa: E402
 SEEDS = (3, 7)
 
 
-def main() -> int:
+def main(argv: list[str] | None = None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("--expect", metavar="SHA256",
+                        help="exit 1 unless the digest is this one")
+    expect = parser.parse_args(argv).expect
     digest = hashlib.sha256()
     count = 0
     start = os.getcwd()
@@ -52,6 +59,9 @@ def main() -> int:
                     os.chdir(start)
     print(f"{count} commands")
     print(f"sha256 {digest.hexdigest()}")
+    if expect is not None and expect.lower() != digest.hexdigest():
+        print(f"expected {expect}: the outputs differ")
+        return 1
     return 0
 
 
