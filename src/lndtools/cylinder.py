@@ -9,7 +9,8 @@ Dixmier map), and return exact linear-algebra infeasibility certificates
 when no slice of bounded degree exists.  The search is a semi-decision:
 "no" is only ever reported when h itself fails the kernel test, which is
 conclusive because kernels of locally nilpotent derivations on domains
-are factorially closed.
+are factorially closed.  Every power of h is solved against one preimage
+system, d on the standard monomials of bounded degree, eliminated once.
 """
 
 from __future__ import annotations
@@ -22,9 +23,10 @@ from fractions import Fraction
 from typing import Callable, NamedTuple, Sequence
 
 from .derivation import Derivation
-from .groebner import Ideal, gcd_via_lcm, radical_membership, standard_monomials
-from .linalg import Inconsistency, QMatrix, solve_exact
-from .poly import DEGREVLEX, Monomial, Polynomial, Scalar
+from .groebner import (Ideal, MonomialNormalForms, gcd_via_lcm, radical_membership,
+                       standard_monomials)
+from .linalg import Elimination, Inconsistency, QMatrix, solve_exact
+from .poly import DEGREVLEX, Monomial, Polynomial, Scalar, _cleared, _divide, mono_mul
 from .ratfun import RationalFunction, ratfun_eq_mod
 
 
@@ -154,11 +156,12 @@ class PreimageSystem(NamedTuple):
     was built with: column j is ``columns[j]``.  ``image_rows`` maps each
     monomial of a reduced image, in descending order, to its row of the
     matrix: the ``(column, coefficient)`` pairs in column order.  Every
-    target of a search is solved against the same rows."""
+    target is solved against these rows by their one ``elimination``."""
 
     columns: tuple[Monomial, ...]
     derivation: Derivation
     image_rows: dict[Monomial, tuple[tuple[int, Scalar], ...]]
+    elimination: Elimination
 
     def equations(self, target: Polynomial):
         """``(rows, matrix, rhs)`` of d(f) = target, for a target reduced
@@ -177,26 +180,31 @@ class PreimageSystem(NamedTuple):
 def build_preimage_system(derivation: Derivation,
                           max_degree: int) -> PreimageSystem:
     """The images under the derivation of the standard monomials of degree
-    <= max_degree, and the rows they make.  Requires a degree-compatible
-    order so that these span the image of every residue class of bounded
-    degree."""
+    <= max_degree, the rows they make, and the elimination of their matrix.
+    Requires a degree-compatible order so that these span the image of every
+    residue class of bounded degree.  d(x^a) is the normal form of the sum
+    of a_i*c*x^(a-e_i)*t over i and the terms c*t of d(x_i)."""
     if max_degree < 0:
         raise ValueError("max_degree must be non-negative")
     ring = derivation.ring
     if ring.order != DEGREVLEX:
         raise ValueError("bounded preimage search needs a degree-compatible order")
     columns = tuple(standard_monomials(ring, max_degree))
-    images = tuple(derivation.apply(Polynomial.monomial(ring.nvars, m))
-                   for m in columns)
-    monomials = set().union(*(img.terms for img in images))
-    rows: dict[Monomial, list] = {
-        m: [] for m in sorted(monomials, key=ring.order.key, reverse=True)}
+    table = MonomialNormalForms(ring)
+    images = [_cleared(g.terms) for g in derivation.images]
+    rows: dict[Monomial, list] = {}
     # columns in ascending order, so each row's pairs come sorted
-    for col, img in enumerate(images):
-        for mono, coeff in img.terms.items():
-            rows[mono].append((col, coeff))
-    image_rows = {m: tuple(pairs) for m, pairs in rows.items()}
-    return PreimageSystem(columns, derivation, image_rows)
+    for col, a in enumerate(columns):
+        image, den = table.of_sum(
+            (a[i] * c, e, mono_mul((*a[:i], a[i] - 1, *a[i + 1:]), t))
+            for i, (terms, e) in enumerate(images) if a[i] for t, c in terms.items())
+        for mono, coeff in image.items():
+            rows.setdefault(mono, []).append((col, _divide(coeff, den)))
+    image_rows = {m: tuple(rows[m])
+                  for m in sorted(rows, key=ring.order.key, reverse=True)}
+    del table   # before the elimination, which then peaks alone
+    matrix = QMatrix._from_clean(len(columns), image_rows.values())
+    return PreimageSystem(columns, derivation, image_rows, Elimination(matrix))
 
 
 def preimage_search(system: PreimageSystem, target: Polynomial) -> PreimageResult:
@@ -207,7 +215,7 @@ def preimage_search(system: PreimageSystem, target: Polynomial) -> PreimageResul
     ring = derivation.ring
     target = ring.normal_form(target)
     rows, matrix, rhs = system.equations(target)
-    solved = solve_exact(matrix, rhs)
+    solved = solve_exact(matrix, rhs, elimination=system.elimination)
     if isinstance(solved, Inconsistency):
         if not solved.verify(matrix, rhs):
             raise CertificateError("inconsistency certificate does not verify")

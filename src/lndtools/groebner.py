@@ -310,6 +310,35 @@ class Ideal:
         return f"Ideal({self.nvars} vars, basis size {len(self.basis)})"
 
 
+class MonomialNormalForms:
+    """Normal forms modulo an ideal, as integers over one positive den.  A
+    monomial's is kept for the life of the table, as in FGLM (Faugère et al.
+    1993): x^m, or -NF(x^(m-lm)*tail)/lc for the ``Lead`` lc*lm + tail that
+    division takes first; NF is linear, so these are ``normal_form``'s."""
+
+    def __init__(self, ideal: Ideal):
+        self.leads, self.table = ideal.leads, {}
+
+    def of_sum(self, parts: Iterable[tuple[int, int, Monomial]]):
+        """``(F, den)``, coprime, of the sum of c/d*x^m over the ``(c, d, m)``."""
+        parts = [(c, d, self.of_monomial(m)) for c, d, m in parts]
+        den = lcm(*[d * e for _, d, (_, e) in parts])
+        total: dict[Monomial, int] = {}
+        for c, d, (terms, e) in parts:
+            f = c * (den // (d * e))
+            for m, v in terms.items():
+                total[m] = total.get(m, 0) + f * v
+        g = gcd(den, *total.values())
+        return {m: v // g for m, v in total.items() if v}, den // g
+
+    def of_monomial(self, m: Monomial) -> tuple[dict[Monomial, int], int]:
+        if (nf := self.table.get(m)) is None:
+            lead = next((e for e in self.leads if mono_divides(e[0], m)), None)
+            nf = self.table[m] = ({m: 1}, 1) if lead is None else self.of_sum(
+                (-c, lead[1], mono_mul(mono_div(m, lead[0]), u)) for u, c in lead[2])
+        return nf
+
+
 def radical_membership(f: Polynomial, ideal: Ideal) -> bool:
     """Rabinowitsch test: f lies in the radical iff 1 lies in
     I + (1 - t*f) after adjoining a fresh variable t."""

@@ -1,25 +1,27 @@
 """Exact linear algebra over the rationals.
 
 Sparse Gaussian elimination on integer rows, each with one positive
-denominator: row r stands for ``a[r]/den[r] = b[r]/den[r]``, and its trace
-of multipliers shares ``den[r]``.  A row is cleared of the pivot column by
+denominator: row r stands for ``a[r]/den[r]``, and its trace of
+multipliers shares ``den[r]``.  A row is cleared of the pivot column by
 integer multiples of itself and the pivot row, then divided by the gcd of
 all its integers, since sparse pivoting breaks the exact divisions of
 Bareiss (1968).  The pivot in each column is the candidate whose rational
 entry has the smallest reduced numerator (then reduced denominator, then
-place in the elimination order), which keeps the integers modest.
-Infeasible systems come back with a checkable certificate: a row vector y
-with y*A = 0 and y*b != 0.  Solutions and certificates are ``Fraction``s.
+place in the elimination order), which keeps the integers modest.  A
+matrix is eliminated once, and each right-hand side b replayed through
+the traces: a checkable certificate y with y*A = 0 and y*b != 0, or a
+solution with its free variables zero, all of it ``Fraction``s.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd, lcm
+from itertools import chain
+from math import gcd
 from typing import Iterable, Sequence
 
-from .poly import Scalar, _cleared, _divide, _exact, _integral
+from .poly import _ZERO, Scalar, _cleared, _divide, _exact, _integral
 
 
 class QMatrix:
@@ -95,97 +97,106 @@ def _combine(target: dict, f: int, h: int, source: dict) -> None:
             del target[key]
 
 
-def solve_exact(matrix: QMatrix, rhs: Sequence):
-    """Solve A*x = b exactly.
+class Elimination:
+    """The elimination of a matrix A, done once for every right-hand side b,
+    which takes no part in the pivots, the traces or the order rows empty in."""
 
-    Returns a tuple of Fractions (free variables pinned to zero) or an
-    :class:`Inconsistency` certificate.
-    """
-    m, n = matrix.rows, matrix.cols
-    b = [_exact(v) for v in rhs]
-    if len(b) != m:
-        raise ValueError("right-hand side length does not match row count")
-    # Row r stands for the equation a[r]/den[r] = b[r]/den[r], all of it
-    # integral.  A system that holds a Fraction is cleared row by row, the
-    # right-hand side with its row as column -1; an all-int one is kept.
-    a = [dict(row) for row in matrix.entries]
-    den = [1] * m
-    if lcm(*[v.denominator for row in a for v in row.values()],
-           *[v.denominator for v in b]) > 1:
-        for r, row in enumerate(a):
-            row[-1] = b[r]
-            a[r], den[r] = _cleared(row)
-            b[r] = a[r].pop(-1)
-    # where[col] holds every row with an entry in col, and perhaps rows
-    # whose entry there has cancelled since
-    where: list[set[int]] = [set() for _ in range(n)]
-    for i, row in enumerate(a):
-        for col in row:
-            where[col].add(i)
-    # Trace row operations so an inconsistent row yields its multipliers:
-    # trace[i]/den[i] maps original rows to their multiplier in row i now.
-    trace = [{i: d} for i, d in enumerate(den)]
+    def __init__(self, matrix: QMatrix):
+        m, n = matrix.rows, matrix.cols
+        cleared = [_cleared(dict(row)) for row in matrix.entries]
+        a, den = [row for row, _ in cleared], [d for _, d in cleared]
+        # where[col] holds every row with an entry in col, and perhaps rows
+        # whose entry there has cancelled since
+        where: list[set[int]] = [set() for _ in range(n)]
+        for i, row in enumerate(a):
+            for col in row:
+                where[col].add(i)
+        # trace[i]/den[i] maps original rows to their multiplier in row i now
+        trace = [{i: d} for i, d in enumerate(den)]
+        # rows empty from the start, and those that empty in the order they do
+        empty, emptied = [i for i in range(m) if not a[i]], []
 
-    def certificate(row: int) -> Inconsistency:
-        t, d = trace[row], den[row]
-        return Inconsistency(tuple(Fraction(t.get(i, 0), d) for i in range(m)),
-                             Fraction(b[row], d))
+        # Rows keep their index: at[p] is the row in place p of the elimination
+        # order and place[r] the place of row r; the pivots take the first places.
+        at, place = list(range(m)), list(range(m))
+        pivots: list[tuple[int, int]] = []
 
-    for i in range(m):
-        if not a[i] and b[i]:
-            return certificate(i)
+        def key(r: int) -> tuple[int, int, int]:
+            # the reduced numerator and denominator of the entry a[r][col]/den[r]
+            g = gcd(a[r][col], den[r])
+            return abs(a[r][col]) // g, den[r] // g, place[r]
 
-    # Rows keep their index: at[p] is the row in place p of the elimination
-    # order and place[r] the place of row r; the pivots take the first places.
-    at = list(range(m))
-    place = list(range(m))
-    pivots: list[tuple[int, int]] = []
+        for col in range(n):
+            done = len(pivots)
+            if done == m:
+                break
+            candidates = [r for r in where[col] if place[r] >= done and col in a[r]]
+            if not candidates:
+                continue
+            best = min(candidates, key=key)
+            other = at[done]
+            at[done], at[place[best]] = best, other
+            place[best], place[other] = done, place[best]
+            pivot, value = a[best], a[best][col]
+            for r in sorted((r for r in candidates if r != best), key=place.__getitem__):
+                # row r becomes f*row r - h*pivot over f*den[r], with f > 0 and
+                # f/h = value/a[r][col] in lowest terms: the pivot's den cancels
+                g = gcd(a[r][col], value) * (1 if value > 0 else -1)
+                f, h = value // g, a[r][col] // g
+                _combine(a[r], f, h, pivot)
+                _combine(trace[r], f, h, trace[best])
+                for c in pivot:
+                    where[c].add(r)
+                den[r] *= f
+                content = gcd(den[r], *a[r].values(), *trace[r].values())
+                if content > 1:
+                    den[r] //= content
+                    for entries in (a[r], trace[r]):
+                        for c in entries:
+                            entries[c] //= content
+                if not a[r]:
+                    emptied.append(r)
+            pivots.append((best, col))
+        self.matrix, self.a, self.den, self.trace = matrix, a, den, trace
+        self.pivots, self.empty, self.emptied = pivots, empty, emptied
 
-    def key(r: int) -> tuple[int, int, int]:
-        # the reduced numerator and denominator of the entry a[r][col]/den[r]
-        g = gcd(a[r][col], den[r])
-        return abs(a[r][col]) // g, den[r] // g, place[r]
+    def solve(self, rhs: Sequence):
+        """A tuple of Fractions x with A*x = b, or an :class:`Inconsistency`;
+        entries of ``rhs`` past the rows of A are those of empty rows after A."""
+        m, size, trace, den = self.matrix.rows, len(rhs), self.trace, self.den
+        if size < m:
+            raise ValueError("right-hand side shorter than the row count")
+        given = [(i, v) for i, v in enumerate(map(_exact, rhs)) if v]
 
-    for col in range(n):
-        done = len(pivots)
-        if done == m:
-            break
-        candidates = [r for r in where[col] if place[r] >= done and col in a[r]]
-        if not candidates:
-            continue
-        best = min(candidates, key=key)
-        other = at[done]
-        at[done], at[place[best]] = best, other
-        place[best], place[other] = done, place[best]
-        pivot, value = a[best], a[best][col]
-        for r in sorted((r for r in candidates if r != best), key=place.__getitem__):
-            # row r becomes f*row r - h*pivot over f*den[r], with f > 0 and
-            # f/h = value/a[r][col] in lowest terms: the pivot's den cancels
-            g = gcd(a[r][col], value) * (1 if value > 0 else -1)
-            f, h = value // g, a[r][col] // g
-            _combine(a[r], f, h, pivot)
-            _combine(trace[r], f, h, trace[best])
-            for c in pivot:
-                where[c].add(r)
-            b[r] = f * b[r] - h * b[best]
-            den[r] *= f
-            content = gcd(den[r], b[r], *a[r].values(), *trace[r].values())
-            if content > 1:
-                den[r] //= content
-                b[r] //= content
-                for entries in (a[r], trace[r]):
-                    for c in entries:
-                        entries[c] //= content
-            if not a[r] and b[r]:
-                return certificate(r)
-        pivots.append((best, col))
+        def replayed(ys: dict) -> Scalar:
+            return sum(ys[i] * v for i, v in given if i in ys)
 
-    # Every row but the pivots is now empty with b[r] = 0: an empty row
-    # is never updated, and the checks above return on any other one.
-    # den[row] cancels, so the pivot rows are solved on their integers;
-    # solution[col] is still zero when its own row is summed.
-    solution: list[Scalar] = [0] * n
-    for row, col in reversed(pivots):
-        known = sum(v * solution[c] for c, v in a[row].items())
-        solution[col] = _divide(b[row] - known, a[row][col])
-    return tuple(Fraction(v) for v in solution)
+        # b[r] is replayed(trace[r]) over den[r]: the first empty row where it is
+        # nonzero certifies, those empty from the start or appended coming first.
+        for r in chain(self.empty, range(m, size), self.emptied):
+            ys, d = (trace[r], den[r]) if r < m else ({r: 1}, 1)
+            if value := replayed(ys):
+                return Inconsistency(tuple(Fraction(ys[i], d) if i in ys else _ZERO
+                                           for i in range(size)), Fraction(value, d))
+        # A pivot row is never updated once chosen, and den[row] cancels, so
+        # the pivot rows are solved on their integers; solution[col] is still
+        # zero when its own row is summed.
+        solution: list[Scalar] = [0] * self.matrix.cols
+        for row, col in reversed(self.pivots):
+            known = sum(v * solution[c] for c, v in self.a[row].items())
+            solution[col] = _divide(replayed(trace[row]) - known, self.a[row][col])
+        return tuple(Fraction(v) for v in solution)
+
+
+def solve_exact(matrix: QMatrix, rhs: Sequence, *,
+                elimination: Elimination | None = None):
+    """Solve A*x = b exactly, b having one entry per row of A; ``elimination``,
+    when given, is the :class:`Elimination` of A's leading rows, the others empty.
+    The keyword lets every target of a preimage system, eliminated once, still
+    be solved through this one function, which ``perfbench``'s tracer wraps."""
+    elimination = elimination or Elimination(matrix)
+    known = elimination.matrix
+    if len(rhs) != matrix.rows or (matrix.cols, matrix.entries) != (
+            known.cols, (*known.entries, *[()] * (matrix.rows - known.rows))):
+        raise ValueError("right-hand side or elimination does not fit the matrix")
+    return elimination.solve(rhs)

@@ -21,6 +21,7 @@ import functools
 import math
 from fractions import Fraction
 from collections.abc import Iterable, Iterator, Mapping, Sequence
+from operator import add, le, sub
 from typing import Union
 
 Monomial = tuple[int, ...]
@@ -63,20 +64,19 @@ def _cleared(coeffs: Mapping) -> tuple[Mapping, int]:
 
 
 def mono_mul(a: Monomial, b: Monomial) -> Monomial:
-    return tuple(x + y for x, y in zip(a, b))
+    return tuple(map(add, a, b))
 
 
 def mono_divides(a: Monomial, b: Monomial) -> bool:
     """True when x^a divides x^b."""
-    return all(x <= y for x, y in zip(a, b))
+    return all(map(le, a, b))
 
 
 def mono_div(a: Monomial, b: Monomial) -> Monomial:
     """Exponent vector of x^a / x^b; b must divide a."""
-    out = tuple(x - y for x, y in zip(a, b))
-    if any(e < 0 for e in out):
+    if not all(map(le, b, a)):
         raise ValueError(f"{b} does not divide {a}")
-    return out
+    return tuple(map(sub, a, b))
 
 
 def mono_lcm(a: Monomial, b: Monomial) -> Monomial:

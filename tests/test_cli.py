@@ -36,6 +36,7 @@ from lndtools.cli import (
     run_command,
 )
 from lndtools.derivation import DEFAULT_NILPOTENCY_CAP, Derivation
+from lndtools.linalg import Elimination
 from lndtools.parsing import MAX_NESTING
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -136,8 +137,8 @@ def test_hostile_inputs_end_with_their_exit_code(argv, code, stdout, stderr,
                                                  tmp_path, monkeypatch, capsys):
     if "slice-none" in argv:
         # a solver whose certificate does not verify, as a fault would give
-        monkeypatch.setattr(lndtools.cylinder, "solve_exact", lambda matrix, rhs:
-                            Inconsistency((Fraction(1),) * matrix.rows, Fraction(1)))
+        monkeypatch.setattr(Elimination, "solve", lambda self, rhs:
+                            Inconsistency((Fraction(1),) * len(rhs), Fraction(1)))
     monkeypatch.chdir(tmp_path)
     (tmp_path / "nilpotent.lnd").write_text(NILPOTENT, encoding="utf-8")
     (tmp_path / "zero.lnd").write_text(ZERO_RING, encoding="utf-8")
@@ -261,12 +262,13 @@ def test_principality_with_relations_is_unknown_when_not_principal(tmp_path):
 
 
 def test_plinth_builds_one_system_for_every_power(monkeypatch):
-    counts = {"build": 0, "apply": 0}
+    counts = {"apply": 0}
+    systems = []
     build, apply = lndtools.cylinder.build_preimage_system, Derivation.apply
 
     def counted_build(*args):
-        counts["build"] += 1
-        return build(*args)
+        systems.append(build(*args))
+        return systems[-1]
 
     def counted_apply(self, f):
         counts["apply"] += 1
@@ -276,9 +278,15 @@ def test_plinth_builds_one_system_for_every_power(monkeypatch):
     monkeypatch.setattr(Derivation, "apply", counted_apply)
     code, _ = run_command(["plinth", FP, "--elem", "y^2 - 2*x*z"])
     assert code == EXIT_UNKNOWN
-    # powers 1 to 4 share one system: d on the 165 monomials of degree
-    # <= 8 once, after the kernel test d(h) = 0
-    assert counts == {"build": 1, "apply": 166}
+    # powers 1 to 4 share one system, whose 165 columns, the monomials of
+    # degree <= 8, have their images from one table; d is applied once,
+    # in the kernel test d(h) = 0
+    assert len(systems) == 1 and len(systems[0].columns) == 165
+    assert counts == {"apply": 1}
+    # every column has its image: zero exactly on the powers of z
+    columns = systems[0].columns
+    images = {col for row in systems[0].image_rows.values() for col, _ in row}
+    assert images == {j for j, (a, b, _) in enumerate(columns) if a or b}
 
 
 @pytest.mark.parametrize("command, gens, code", [

@@ -4,8 +4,8 @@ from pathlib import Path
 
 import pytest
 
-import lndtools.cylinder
 from lndtools.cylinder import PlinthCertificate
+from lndtools.linalg import Elimination
 from helpers import (
     danielewski,
     plane,
@@ -16,6 +16,7 @@ from helpers import (
 from lndtools import (
     CertificateError,
     CylinderCertificate,
+    DEGREVLEX,
     Derivation,
     Ideal,
     Inconsistency,
@@ -134,6 +135,55 @@ def test_shared_system_matches_a_fresh_one():
                 assert result == fresh
                 outcomes.add(result.found)
     assert outcomes == {True, False}
+
+
+def column_images(system):
+    """The image of each column, read back from the system's rows."""
+    images = [{} for _ in system.columns]
+    for mono, row in system.image_rows.items():
+        for col, value in row:
+            images[col][mono] = value
+    return images
+
+
+def assert_images_match_apply(d, max_degree):
+    system = build_preimage_system(d, max_degree)
+    for mono, image in zip(system.columns, column_images(system)):
+        want = d.apply(Polynomial.monomial(d.ring.nvars, mono)).terms
+        assert image == want, mono
+        # clean coefficients: an int when integral, in the same places
+        assert [type(v) for v in image.values()] == [type(want[m]) for m in image]
+    return system
+
+
+def test_table_images_equal_derivation_apply():
+    corpus = Path(__file__).resolve().parent.parent / "corpus"
+    specs = sorted(corpus.glob("*.lnd"))
+    assert len(specs) == 5
+    for path in specs:
+        d = spec_derivation(parse_spec(path.read_text(encoding="utf-8")))
+        assert d.ring.order is DEGREVLEX
+        assert_images_match_apply(d, 8)
+    # x*z^k = p(y), d(x) = p'(y), d(y) = z^k, d(z) = 0, with seeded p; at
+    # k = 1 and deg p = 4 the leading monomial is y^4, whose coefficient 3
+    # makes the monic basis element, and so the table, carry Fractions
+    rng = random.Random(707)
+    x, y, z = (Polynomial.variable(3, i) for i in range(3))
+    for k, deg, lead in [(1, 4, 3), (1, 2, 1), (2, 2, -2), (2, 3, 5), (3, 2, 1)]:
+        coeffs = [rng.choice([-3, -2, -1, 1, 2, 3]) for _ in range(deg)] + [lead]
+        p = sum((y ** i * c for i, c in enumerate(coeffs)), Polynomial.zero(3))
+        dp = sum((y ** (i - 1) * (i * c) for i, c in enumerate(coeffs) if i),
+                 Polynomial.zero(3))
+        d = Derivation(Ideal(3, [x * z ** k - p]), [dp, z ** k, Polynomial.zero(3)])
+        assert d.check_preserves_relations() is None
+        system = assert_images_match_apply(d, 8)
+        if (k, deg) == (1, 4):
+            assert any(type(v) is Fraction
+                       for row in system.image_rows.values() for _, v in row)
+    # a monomial relation: x*y and its multiples have normal form zero
+    d = Derivation(Ideal(3, [x * y]), [x * z, 3 * y * z, x + y])
+    assert d.check_preserves_relations() is None
+    assert_images_match_apply(d, 8)
 
 
 def test_preimage_search_requires_degree_compatible_order():
@@ -416,8 +466,7 @@ def test_slice_nonexistence_checks_its_certificate(monkeypatch):
     _, matrix, rhs = build_preimage_system(d, 3).equations(one)
     doctored = Inconsistency((Fraction(1),) * matrix.rows, Fraction(1))
     assert not doctored.verify(matrix, rhs)
-    monkeypatch.setattr(lndtools.cylinder, "solve_exact",
-                        lambda matrix, rhs: doctored)
+    monkeypatch.setattr(Elimination, "solve", lambda self, rhs: doctored)
     with pytest.raises(CertificateError):
         slice_nonexistence(d, 3)
 
@@ -439,8 +488,8 @@ def test_every_inconsistency_is_verified(monkeypatch):
     result = slice_nonexistence(d, 2)
     assert verified[-1] is result.certificate and len(verified) == 4
     # a certificate that fails its check ends the search
-    monkeypatch.setattr(lndtools.cylinder, "solve_exact", lambda matrix, rhs:
-                        Inconsistency((Fraction(1),) * matrix.rows, Fraction(1)))
+    monkeypatch.setattr(Elimination, "solve", lambda self, rhs:
+                        Inconsistency((Fraction(1),) * len(rhs), Fraction(1)))
     with pytest.raises(CertificateError):
         plinth_membership(d, P("z"))
 

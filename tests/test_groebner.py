@@ -1,4 +1,5 @@
 import json
+import math
 import random
 import subprocess
 import sys
@@ -33,6 +34,7 @@ from lndtools import (
     reduce_poly,
     standard_monomials,
 )
+from lndtools.groebner import MonomialNormalForms
 
 XYZ = ["x", "y", "z"]
 ROOT = Path(__file__).resolve().parent.parent
@@ -217,6 +219,25 @@ def test_normal_form_is_stable_and_linear():
         for gen in ideal.generators:
             shift = shift + random_poly(rng, 3, max_total=2, max_terms=2) * gen
         assert nf(shift) == nf(f)
+
+
+@pytest.mark.parametrize("order", [DEGREVLEX, LEX])
+def test_monomial_normal_form_table_matches_normal_form(order):
+    rng = random.Random(306)
+    for _ in range(60):
+        ideal = random_ideal(rng, order=order)
+        table = MonomialNormalForms(ideal)
+        for _ in range(5):
+            parts = [(rng.choice([-3, -1, 1, 2]), rng.randint(1, 4),
+                      tuple(rng.randint(0, 3) for _ in range(3)))
+                     for _ in range(rng.randint(1, 4))]
+            terms, den = table.of_sum(parts)
+            assert den > 0 and math.gcd(den, *terms.values()) == 1
+            want = ideal.normal_form(sum(
+                (Polynomial.monomial(3, m, Fraction(c, d)) for c, d, m in parts),
+                Polynomial.zero(3)))
+            assert Polynomial(3, {m: Fraction(v, den) for m, v in terms.items()}) \
+                == want
 
 
 # ----------------------------------------------------------------------

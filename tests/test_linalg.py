@@ -13,6 +13,7 @@ from lndtools import (
     build_preimage_system,
     solve_exact,
 )
+from lndtools.linalg import Elimination
 
 # (largest row and column count, density, number of cases)
 SHAPES = [(5, 0.7, 200), (40, 0.05, 1000)]
@@ -217,8 +218,9 @@ def reference_solve(matrix, rhs):
 
 def test_matches_the_fraction_reference():
     # integral and fractional entries, dense and sparse, square and not:
-    # the same solution, or the same multipliers and value, every time
-    rng = random.Random(203)
+    # the same solution, or the same multipliers and value, every time, and
+    # three right-hand sides through one elimination
+    rng, others = random.Random(203), random.Random(204)
     solved = refuted = 0
     for case in range(600):
         size, density, _ = SHAPES[case % 2]
@@ -230,16 +232,22 @@ def test_matches_the_fraction_reference():
         else:
             matrix = random_matrix(rng, m, n, density)
             rhs = [random_fraction(rng) for _ in range(m)]
-        got, want = solve_exact(matrix, rhs), reference_solve(matrix, rhs)
-        assert got == want
-        if isinstance(got, Inconsistency):
-            refuted += 1
-            assert all(type(y) is Fraction for y in got.multipliers)
-            assert type(got.value) is Fraction
-        else:
-            solved += 1
-            assert all(type(x) is Fraction for x in got)
-    assert solved >= 20 and refuted >= 20
+        assert solve_exact(matrix, rhs) == reference_solve(matrix, rhs)
+        # one elimination serves this b, a consistent one and a random one
+        elimination = Elimination(matrix)
+        x0 = [random_fraction(others) for _ in range(n)]
+        other = [random_fraction(others) for _ in range(m)]
+        for b in (rhs, product(matrix, x0), other):
+            got, want = elimination.solve(b), reference_solve(matrix, b)
+            assert got == want
+            if isinstance(got, Inconsistency):
+                refuted += 1
+                assert all(type(y) is Fraction for y in got.multipliers)
+                assert type(got.value) is Fraction
+            else:
+                solved += 1
+                assert all(type(x) is Fraction for x in got)
+    assert solved >= 60 and refuted >= 60
 
 
 def test_rows_with_different_denominators_give_the_pinned_certificate():
@@ -254,6 +262,50 @@ def test_rows_with_different_denominators_give_the_pinned_certificate():
         (Fraction(-9, 7), Fraction(5, 7), Fraction(1)), Fraction(-25, 42))
     assert outcome == reference_solve(matrix, rhs)
     assert outcome.verify(matrix, rhs)
+
+
+def test_one_elimination_serves_many_right_hand_sides():
+    # row 0 is empty from the start, row 2 empties when row 1 clears column 0
+    # from it, and row 3 pivots on column 1; a fifth entry of b stands for
+    # an empty row appended to the matrix, as a target monomial outside the
+    # image gives
+    matrix = QMatrix(2, [[], [(0, 1), (1, 1)], [(0, 1), (1, 1)], [(1, 1)]])
+    full = QMatrix(2, [*matrix.entries, []])
+    elimination = Elimination(matrix)
+    assert (elimination.empty, elimination.emptied) == ([0], [2])
+    one, zero = Fraction(1), Fraction(0)
+    cases = [
+        # the row empty from the start comes first
+        ([1, 1, 2, 0, 5], Inconsistency((one, zero, zero, zero, zero), one)),
+        # then the appended row, although row 2 is inconsistent too
+        ([0, 1, 2, 0, 5], Inconsistency((zero, zero, zero, zero, one), Fraction(5))),
+        # then the rows that emptied: row 2 minus row 1
+        ([0, 1, 3, 0, 0], Inconsistency((zero, -one, one, zero, zero), Fraction(2))),
+        # consistent: x1 = 3 from row 3, then x0 = 1 - 3 from row 1
+        ([0, 1, 1, 3, 0], (Fraction(-2), Fraction(3))),
+    ]
+    for rhs, want in cases:
+        got = elimination.solve(rhs)
+        assert got == want == reference_solve(full, rhs)
+        assert got == solve_exact(full, rhs, elimination=elimination)
+        if isinstance(got, Inconsistency):
+            assert got.verify(full, rhs)
+            # every zero multiplier is the one shared Fraction(0)
+            zeros = [y for y in got.multipliers if not y]
+            assert all(type(y) is Fraction for y in got.multipliers)
+            assert len({id(y) for y in zeros}) == 1
+    with pytest.raises(ValueError):
+        elimination.solve([0, 1, 1])
+    # an elimination of another matrix is refused, not replayed: here a
+    # zero-width one would refute the consistent x0 = 1
+    assert solve_exact(QMatrix(1, [[(0, 1)]]), [1]) == (Fraction(1),)
+    for other, target in [(QMatrix(1, [[]]), QMatrix(1, [[(0, 1)]])),
+                          (matrix, QMatrix(3, [*matrix.entries, []])),
+                          (matrix, QMatrix(2, matrix.entries[:3])),
+                          (matrix, QMatrix(2, [*matrix.entries[:3], [(0, 2)], []])),
+                          (matrix, QMatrix(2, [*matrix.entries, [(0, 1)]]))]:
+        with pytest.raises(ValueError):
+            solve_exact(target, [1] * target.rows, elimination=Elimination(other))
 
 
 @pytest.mark.parametrize("k", [2, 3, 4])
