@@ -7,7 +7,11 @@ and no division except inside a rational literal; unary minus is allowed.
 A digit is a decimal digit of any script, as ``int()`` reads it.  An
 exponent is an integer literal of at most ``MAX_EXPONENT``, and a power
 may have at most ``MAX_POWER_TERMS`` terms and ``MAX_POWER_BITS``
-coefficient bits.  Points and times are expressions without variables.
+coefficient bits, and a product of two sums of t1 and t2 terms at most
+t1 * t2 = ``MAX_POWER_TERMS``.  Points and times are expressions without
+variables.  The parser builds clean terms: single terms multiply and
+raise by their exponents, a sum adds its terms into one dict, in linear
+time, and only products and powers of sums use ``Polynomial`` arithmetic.
 
 A derivation file is line oriented with ``#`` comments:
 
@@ -29,7 +33,7 @@ from typing import NamedTuple, Sequence
 
 from .derivation import Derivation
 from .groebner import Ideal
-from .poly import Polynomial, Scalar
+from .poly import Polynomial, Scalar, _divide, _integral, mono_mul
 
 _DIRECTIVES = ("ring", "vars", "rel", "der")
 
@@ -64,6 +68,8 @@ class Token(NamedTuple):
     column: int
 
 
+_new_tuple = tuple.__new__  # a Token without NamedTuple's Python-level __new__
+
 # One alternative per token kind, tried in order.  A digit is a decimal
 # digit, one that int() reads (so '٣' is 3 and '²' is no digit); a name
 # starts with a letter or '_'.  Anything else is an unexpected character.
@@ -74,25 +80,28 @@ _TOKEN = re.compile(r"""(?P<newline>\n) | (?P<blank>[ \t\r]+) | (?P<comment>\#[^
 
 def _tokenize(text: str, line: int = 1) -> list[Token]:
     tokens: list[Token] = []
-    line_start = end = 0  # end: where the input ends but for a last comment
+    line_start, match = 0, None
     for match in _TOKEN.finditer(text):
-        kind, value = match.lastgroup, match.group()
-        column = match.start() - line_start + 1
-        end = match.start() if kind == "comment" else match.end()
+        kind = match.lastgroup
+        if kind == "blank" or kind == "comment":
+            continue
         if kind == "newline":
-            line += 1
-            line_start = end
-        elif kind == "int":
+            line, line_start = line + 1, match.end()
+            continue
+        value = match.group()
+        column = match.start() - line_start + 1
+        if kind == "int":
             try:
-                tokens.append(Token(kind, int(value), line, column))
+                value = int(value)
             except ValueError:  # past sys.get_int_max_str_digits()
                 raise ParseError("integer literal too long", line, column) from None
-        elif kind == "sym" or (kind == "ident"
-                               and (value[0].isalpha() or value[0] == "_")):
-            tokens.append(Token(kind, value, line, column))
-        elif kind != "blank" and kind != "comment":
+        elif kind == "other" or (kind == "ident" and not (value[0].isalpha()
+                                                          or value[0] == "_")):
             raise ParseError(f"unexpected character {value[0]!r}", line, column)
-    tokens.append(Token("end", None, line, end - line_start + 1))
+        tokens.append(_new_tuple(Token, (kind, value, line, column)))
+    # the matches tile the text: input ends at its end or at a last comment
+    end = match.start() if match and match.lastgroup == "comment" else len(text)
+    tokens.append(_new_tuple(Token, ("end", None, line, end - line_start + 1)))
     return tokens
 
 
@@ -103,8 +112,11 @@ class _Parser:
     def __init__(self, tokens: Sequence[Token], names: Sequence[str] = ()):
         self.tokens = tokens
         self.pos = 0
-        self.names = {name: i for i, name in enumerate(names)}
         self.nvars = len(names)
+        self.one = one = (0,) * self.nvars
+        # shared: no rule writes into the terms of a factor
+        self.variables = {name: Polynomial._from_clean(self.nvars, {
+            one[:i] + (1,) + one[i + 1:]: 1}) for i, name in enumerate(names)}
         self.depth = 0
 
     def peek(self) -> Token:
@@ -116,13 +128,13 @@ class _Parser:
             self.pos += 1
         return token
 
-    def accept(self, symbol: str) -> bool:
-        """Step over ``symbol`` if it comes next."""
-        token = self.peek()
+    def accept(self, symbol: str) -> Token | None:
+        """Step over ``symbol`` and return its token if it comes next."""
+        token = self.tokens[self.pos]
         if token.kind == "sym" and token.value == symbol:
             self.pos += 1
-            return True
-        return False
+            return token
+        return None
 
     def expect(self, kind: str, message: str) -> Token:
         token = self.peek()
@@ -139,19 +151,31 @@ class _Parser:
         self.expect("end", "unexpected trailing input")
 
     def expression(self) -> Polynomial:
-        node = self.term()
-        while True:
-            if self.accept("+"):
-                node = node + self.term()
-            elif self.accept("-"):
-                node = node - self.term()
-            else:
-                return node
+        # one dict for every term, in the order that Polynomial.__add__ gives
+        terms = dict(self.term().terms)
+        while (negate := self.accept("-")) or self.accept("+"):
+            for mono, c in self.term().terms.items():
+                c = _integral(terms.get(mono, 0) + (-c if negate else c))
+                if c:
+                    terms[mono] = c
+                else:
+                    del terms[mono]
+        return Polynomial._from_clean(self.nvars, terms)
 
     def term(self) -> Polynomial:
         node = self.factor()
-        while self.accept("*"):
-            node = node * self.factor()
+        while star := self.accept("*"):
+            right = self.factor()
+            t1, t2 = len(node.terms), len(right.terms)
+            if t1 == t2 == 1:
+                [(m1, c1)], [(m2, c2)] = node.terms.items(), right.terms.items()
+                node = Polynomial._from_clean(
+                    self.nvars, {mono_mul(m1, m2): _integral(c1 * c2)})
+            elif min(t1, t2) > 1 and t1 * t2 > MAX_POWER_TERMS:
+                raise ParseError(f"product may have more than {MAX_POWER_TERMS} "
+                                 "terms", star.line, star.column)
+            else:
+                node = node * right
         return node
 
     def factor(self) -> Polynomial:
@@ -179,19 +203,24 @@ class _Parser:
             if terms * e * (b + t.bit_length()) > MAX_POWER_BITS:
                 raise ParseError(f"power may have more than {MAX_POWER_BITS} "
                                  "coefficient bits", token.line, token.column)
-            return base ** e
+            if t != 1:
+                return base ** e
+            [(mono, c)] = base.terms.items()
+            return Polynomial._from_clean(
+                self.nvars, {tuple(e * k for k in mono): _integral(c ** e)})
         return base
 
     def atom(self) -> Polynomial:
         token = self.advance()
         if token.kind == "int":
-            return Polynomial.constant(self.nvars, self.rational_literal(token.value))
+            c = self.rational_literal(token.value)
+            return Polynomial._from_clean(self.nvars, {self.one: c} if c else {})
         if token.kind == "ident":
-            index = self.names.get(token.value)
-            if index is None:
+            node = self.variables.get(token.value)
+            if node is None:
                 raise ParseError(f"unknown variable {token.value!r}",
                                  token.line, token.column)
-            return Polynomial.variable(self.nvars, index)
+            return node
         if token.kind == "sym" and token.value == "(":
             if self.depth == MAX_NESTING:
                 raise ParseError("expression nested too deeply",
@@ -206,13 +235,14 @@ class _Parser:
 
     def rational_literal(self, numerator: int) -> Scalar:
         """The literal ``numerator`` or ``numerator / int``, the only rule
-        for a number; the denominator must be a nonzero integer literal."""
+        for a number, clean (``4/2`` is 2); the denominator must be a
+        nonzero integer literal."""
         if not self.accept("/"):
             return numerator
         den = self.expect("int", "expected an integer denominator")
         if den.value == 0:
             raise ParseError("zero denominator", den.line, den.column)
-        return Fraction(numerator, den.value)
+        return _divide(numerator, den.value)
 
 
 def parse_polynomial(text: str, names: Sequence[str]) -> Polynomial:

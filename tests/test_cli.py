@@ -99,6 +99,8 @@ def test_deep_expressions_end_cleanly(text, code, report):
 NILPOTENT = "ring N\nvars x y\nrel x^2\nder x = 0\nder y = x\n"
 ZERO_RING = "ring Z\nvars x\nrel x\nrel x - 1\nder x = 0\n"
 TEN_5000 = "1" + "0" * 5000
+# 20,000 distinct terms, each a multiple of x
+LONG_SUM = " + ".join(f"x*y^{i % 200}*z^{i // 200}" for i in range(20_000))
 
 
 @pytest.mark.parametrize("argv, code, stdout, stderr", [
@@ -129,10 +131,16 @@ TEN_5000 = "1" + "0" * 5000
      "error: element vanishes on the variety; its open set is empty"),
     (["check", "zero.lnd"], EXIT_USAGE, "",
      "error: relations generate the unit ideal; the presented ring is zero"),
+    (["member", FP, "--elem", LONG_SUM, "--ideal", "x"], EXIT_YES,
+     "normal form = 0\nmember: yes", ""),
+    # the product bound refuses at the 10th '*': 286 terms times 4
+    (["kernel", FP, "--elem", "*".join(["(x+y+z+1)"] * 60)], EXIT_USAGE, "",
+     "error: line 1, column 100: product may have more than 1000 terms"),
 ], ids=["huge integer", "huge integer, kernel", "huge fraction", "huge power",
         "huge exponent", "huge printed coefficients", "huge coefficients",
         "huger coefficients", "value with minus", "value with minus after =",
-        "doctored certificate", "nilpotent element", "zero ring"])
+        "doctored certificate", "nilpotent element", "zero ring", "long sum",
+        "long product"])
 def test_hostile_inputs_end_with_their_exit_code(argv, code, stdout, stderr,
                                                  tmp_path, monkeypatch, capsys):
     if "slice-none" in argv:

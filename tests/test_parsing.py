@@ -157,6 +157,17 @@ ERROR_POSITIONS = [
     ("list", "x; y;", (1, 6, "expected a number, a variable, or '('")),
     ("list", "x; y # z\n w", (2, 2, "unexpected trailing input")),
     ("list", "x; # y", (1, 4, "expected a number, a variable, or '('")),
+    # the bounds and the atom, product and power rules
+    ("poly", "x^10001", (1, 3, "exponent above 10000")),
+    ("poly", "(10^3000)^10000", (1, 11, "power may have more than 4000000 coefficient bits")),
+    ("poly", "((x+1)*(y+1))^600", (1, 15, "power may have more than 1000 terms")),
+    ("poly", "2^x", (1, 3, "exponent must be an integer literal")),
+    ("poly", "x^-1", (1, 3, "exponent must be an integer literal")),
+    ("poly", "4/0*x", (1, 3, "zero denominator")),
+    ("poly", "x*", (1, 3, "expected a number, a variable, or '('")),
+    ("poly", "x**y", (1, 3, "expected a number, a variable, or '('")),
+    ("poly", "x*w", (1, 3, "unknown variable 'w'")),
+    ("spec", SPEC + "der x = 1/2*x^10001\nder y = 0\n", (3, 15, "exponent above 10000")),
 ]
 
 
@@ -169,6 +180,86 @@ def test_error_positions(kind, text, error):
     with pytest.raises(ParseError) as info:
         parse(text)
     assert (info.value.line, info.value.column, info.value.reason) == error
+
+
+def test_products_of_two_sums_are_bounded():
+    # 31 * 31 terms may be read; 32 * 32 are refused at the '*'
+    assert len(parse_polynomial("(x+y)^30*(x-y)^30", XY).terms) == 31
+    with pytest.raises(ParseError) as info:
+        parse_polynomial("(x+y)^31*(x-y)^31", XY)
+    assert (info.value.line, info.value.column, info.value.reason) == \
+        (1, 9, "product may have more than 1000 terms")
+    with pytest.raises(ParseError) as info:
+        parse_spec(SPEC + "der x = y\nder y = (x+y)^40*(x-y)^40\n")
+    assert (info.value.line, info.value.column, info.value.reason) == \
+        (4, 17, "product may have more than 1000 terms")
+    # a single term times a long sum is no product of two sums
+    long_sum = " + ".join(f"x^{i}*y^{j}" for i in range(40) for j in range(40))
+    assert len(parse_polynomial(f"2*x*({long_sum})*y", XY).terms) == 1600
+
+
+def random_expression(rng, depth):
+    """Random text of the expression grammar and its value, computed with
+    ``Polynomial`` arithmetic by the grammar's rules: sums and products
+    fold left, unary minus applies to a power and ``^`` to an atom."""
+    text, value = random_term(rng, depth)
+    for _ in range(rng.randint(0, 2)):
+        op = rng.choice("+-")
+        right, v = random_term(rng, depth)
+        text, value = f"{text} {op} {right}", value + v if op == "+" else value - v
+    return text, value
+
+
+def random_term(rng, depth):
+    text, value = random_factor(rng, depth)
+    for _ in range(rng.randint(0, 1)):
+        right, v = random_factor(rng, depth)
+        text, value = f"{text}*{right}", value * v
+    return text, value
+
+
+def random_factor(rng, depth):
+    text, value = random_atom(rng, depth)
+    if rng.random() < 0.4:
+        e = rng.randint(0, 4)
+        text, value = f"{text}^{e}", value ** e
+    for _ in range(rng.choice((0, 0, 1, 2, 3))):
+        text, value = "-" + text, -value
+    return text, value
+
+
+def random_atom(rng, depth):
+    kind = rng.randrange(4 if depth else 3)
+    if kind == 0:
+        i = rng.randrange(3)
+        return XYZ[i], Polynomial.variable(3, i)
+    if kind == 1:
+        n = rng.randint(0, 12)
+        return str(n), Polynomial.constant(3, n)
+    if kind == 2:
+        p, q = rng.randint(0, 12), rng.randint(1, 6)
+        return f"{p}/{q}", Polynomial.constant(3, Fraction(p, q))
+    text, value = random_expression(rng, depth - 1)
+    return f"({text})", value
+
+
+def test_parser_agrees_with_polynomial_arithmetic():
+    x = Polynomial.variable(3, 0)
+    fixed = [("4/2", Polynomial.constant(3, Fraction(4, 2))),
+             ("0*x", Polynomial.constant(3, 0) * x),
+             ("x - x", x - x),
+             ("0^0", Polynomial.constant(3, 0) ** 0),
+             ("x^0", x ** 0),
+             ("(1/2*x)^3", (Polynomial.constant(3, Fraction(1, 2)) * x) ** 3),
+             ("(-x)^2", (-x) ** 2)]
+    rng = random.Random(1800)
+    cases = fixed + [random_expression(rng, 2) for _ in range(300)]
+    assert sum(len(value.terms) > 1 for _, value in cases) > 100
+    for text, value in cases:
+        # equal terms in equal order, with equal int/Fraction types
+        terms = parse_polynomial(text, XYZ).terms
+        assert list(terms.items()) == list(value.terms.items())
+        assert list(map(type, terms.values())) == list(map(type, value.terms.values()))
 
 
 FUZZ_ALPHABET = [*"xyz0123456789+-*^()/;= _", "#", "\n", "\t",
