@@ -42,7 +42,7 @@ from .parsing import (
     parse_spec,
     spec_derivation,
 )
-from .poly import DEGREVLEX, LEX, Polynomial, elimination, monomials_up_to
+from .poly import DEGREVLEX, LEX, Polynomial, elimination
 from .printing import (
     format_exp_action,
     format_ideal,
@@ -82,7 +82,6 @@ __all__ = [
     "gcd_via_lcm",
     "lcm_via_intersection",
     "maximal_cylinder",
-    "monomials_up_to",
     "parse_fraction",
     "parse_point",
     "parse_polynomial",

@@ -10,7 +10,8 @@ when no slice of bounded degree exists.  The search is a semi-decision:
 "no" is only ever reported when h itself fails the kernel test, which is
 conclusive because kernels of locally nilpotent derivations on domains
 are factorially closed.  Every power of h is solved against one preimage
-system, d on the standard monomials of bounded degree, eliminated once.
+system, d on the standard monomials of bounded degree, whose blocks are
+each eliminated once, when a power first reaches them.
 """
 
 from __future__ import annotations

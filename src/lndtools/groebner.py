@@ -38,7 +38,6 @@ from .poly import (
     mono_divides,
     mono_lcm,
     mono_mul,
-    monomials_up_to,
 )
 
 # A divisor as division uses it: leading monomial, leading coefficient and
@@ -383,10 +382,18 @@ def gcd_via_lcm(f: Polynomial, g: Polynomial) -> Polynomial:
 
 def standard_monomials(ideal: Ideal, max_degree: int) -> list[Monomial]:
     """Monomials of total degree <= max_degree not divisible by any leading
-    monomial of the basis; a vector-space basis of the quotient up to that
-    degree when the order is degree compatible."""
-    lts = [lm for lm, _, _ in ideal.leads]
-    out = [m for m in monomials_up_to(ideal.nvars, max_degree)
-           if not any(mono_divides(l, m) for l in lts)]
-    out.sort(key=ideal.order.key)
+    monomial of the basis, in ascending order; a vector-space basis of the
+    quotient up to that degree when the order is degree compatible.  Their
+    divisors are standard too, so each degree is made from the one below in
+    degrevlex order: x_i*m for i from the last variable down to m's last."""
+    lts, one = [lm for lm, _, _ in ideal.leads], (0,) * ideal.nvars
+    layer = [] if max_degree < 0 or one in lts else [(one, 0)]
+    out = [m for m, _ in layer]
+    for _ in range(max_degree):
+        layer = [(x, i) for i in range(ideal.nvars - 1, -1, -1) for m, last in layer
+                 if last <= i for x in [(*m[:i], m[i] + 1, *m[i + 1:])]
+                 if not any(mono_divides(l, x) for l in lts)]
+        out += [m for m, _ in layer]
+    if ideal.order is not DEGREVLEX:
+        out.sort(key=ideal.order.key)
     return out

@@ -7,10 +7,12 @@ integer multiples of itself and the pivot row, then divided by the gcd of
 all its integers, since sparse pivoting breaks the exact divisions of
 Bareiss (1968).  The pivot in each column is the candidate whose rational
 entry has the smallest reduced numerator (then reduced denominator, then
-place in the elimination order), which keeps the integers modest.  A
-matrix is eliminated once, and each right-hand side b replayed through
-the traces: a checkable certificate y with y*A = 0 and y*b != 0, or a
-solution with its free variables zero, all of it ``Fraction``s.
+row index), which keeps the integers modest.  A block of rows and columns
+joined by shared entries is eliminated when a right-hand side b first
+reaches it, the coarse step of block-triangular decomposition (Dulmage &
+Mendelsohn 1958), and each b replayed through the traces: a checkable
+certificate y with y*A = 0 and y*b != 0, or a solution with its free
+variables zero, all of it ``Fraction``s.
 """
 
 from __future__ import annotations
@@ -98,47 +100,50 @@ def _combine(target: dict, f: int, h: int, source: dict) -> None:
 
 
 class Elimination:
-    """The elimination of a matrix A, done once for every right-hand side b,
-    which takes no part in the pivots, the traces or the order rows empty in."""
+    """The elimination of a matrix A for every right-hand side b, which takes
+    no part in the pivots, the traces or the order rows empty in."""
 
     def __init__(self, matrix: QMatrix):
-        m, n = matrix.rows, matrix.cols
-        cleared = [_cleared(dict(row)) for row in matrix.entries]
-        a, den = [row for row, _ in cleared], [d for _, d in cleared]
+        self.matrix = matrix
         # where[col] holds every row with an entry in col, and perhaps rows
         # whose entry there has cancelled since
-        where: list[set[int]] = [set() for _ in range(n)]
-        for i, row in enumerate(a):
-            for col in row:
-                where[col].add(i)
-        # trace[i]/den[i] maps original rows to their multiplier in row i now
-        trace = [{i: d} for i, d in enumerate(den)]
-        # rows empty from the start, and those that empty in the order they do
-        empty, emptied = [i for i in range(m) if not a[i]], []
+        self.where: list[set[int]] = [set() for _ in range(matrix.cols)]
+        for i, row in enumerate(matrix.entries):
+            for col, _ in row:
+                self.where[col].add(i)
+        # Only rows of eliminated blocks have a[r]/den[r], row r now, trace[r]/
+        # den[r], its multipliers of the original rows, and block[r], which
+        # indexes blocks: the (column, row) of each row that emptied, in the
+        # order they did, and the (row, column) of each pivot.
+        self.a, self.den, self.trace, self.block = {}, {}, {}, {}
+        self.blocks: list[tuple[list[tuple[int, int]], list[tuple[int, int]]]] = []
 
-        # Rows keep their index: at[p] is the row in place p of the elimination
-        # order and place[r] the place of row r; the pivots take the first places.
-        at, place = list(range(m)), list(range(m))
-        pivots: list[tuple[int, int]] = []
-
-        def key(r: int) -> tuple[int, int, int]:
-            # the reduced numerator and denominator of the entry a[r][col]/den[r]
-            g = gcd(a[r][col], den[r])
-            return abs(a[r][col]) // g, den[r] // g, place[r]
-
-        for col in range(n):
-            done = len(pivots)
-            if done == m:
-                break
-            candidates = [r for r in where[col] if place[r] >= done and col in a[r]]
+    def _eliminate(self, start: int) -> None:
+        """Eliminate the block of row ``start``, the rows and columns that it
+        reaches through shared columns, column by column in order."""
+        entries, where, block = self.matrix.entries, self.where, self.block
+        a, den, trace, k = self.a, self.den, self.trace, len(self.blocks)
+        rows, cols, emptied, pivots = [start], set(), [], []
+        block[start] = k
+        for r in rows:
+            a[r], den[r] = _cleared(dict(entries[r]))
+            trace[r] = {r: den[r]}
+            for col in a[r].keys() - cols:
+                cols.add(col)
+                new = [s for s in where[col] if s not in block]
+                block.update(dict.fromkeys(new, k))
+                rows += new
+        self.blocks.append((emptied, pivots))
+        pivoted = set()
+        for col in sorted(cols):
+            candidates = [r for r in where[col] if r not in pivoted and col in a[r]]
             if not candidates:
                 continue
-            best = min(candidates, key=key)
-            other = at[done]
-            at[done], at[place[best]] = best, other
-            place[best], place[other] = done, place[best]
+            best = min(candidates, key=lambda r: (
+                abs(a[r][col]) // (g := gcd(a[r][col], den[r])), den[r] // g, r))
+            candidates.remove(best)
             pivot, value = a[best], a[best][col]
-            for r in sorted((r for r in candidates if r != best), key=place.__getitem__):
+            for r in candidates:
                 # row r becomes f*row r - h*pivot over f*den[r], with f > 0 and
                 # f/h = value/a[r][col] in lowest terms: the pivot's den cancels
                 g = gcd(a[r][col], value) * (1 if value > 0 else -1)
@@ -151,49 +156,58 @@ class Elimination:
                 content = gcd(den[r], *a[r].values(), *trace[r].values())
                 if content > 1:
                     den[r] //= content
-                    for entries in (a[r], trace[r]):
-                        for c in entries:
-                            entries[c] //= content
+                    for row in (a[r], trace[r]):
+                        for c in row:
+                            row[c] //= content
                 if not a[r]:
-                    emptied.append(r)
+                    emptied.append((col, r))
+            pivoted.add(best)
             pivots.append((best, col))
-        self.matrix, self.a, self.den, self.trace = matrix, a, den, trace
-        self.pivots, self.empty, self.emptied = pivots, empty, emptied
 
     def solve(self, rhs: Sequence):
         """A tuple of Fractions x with A*x = b, or an :class:`Inconsistency`;
         entries of ``rhs`` past the rows of A are those of empty rows after A."""
-        m, size, trace, den = self.matrix.rows, len(rhs), self.trace, self.den
+        entries, m, size = self.matrix.entries, self.matrix.rows, len(rhs)
         if size < m:
             raise ValueError("right-hand side shorter than the row count")
         given = [(i, v) for i, v in enumerate(map(_exact, rhs)) if v]
+        # The first empty row where b is nonzero certifies: one empty from the
+        # start, then one appended, then one that emptied, by its column.
+        for i, v in given:
+            if i >= m or not entries[i]:
+                return Inconsistency(tuple(Fraction(1) if j == i else _ZERO
+                                           for j in range(size)), Fraction(v))
+        for i, _ in given:
+            if i not in self.block:
+                self._eliminate(i)
+        reached = [self.blocks[k] for k in {self.block[i] for i, _ in given}]
+        trace, den, a = self.trace, self.den, self.a
 
         def replayed(ys: dict) -> Scalar:
             return sum(ys[i] * v for i, v in given if i in ys)
 
-        # b[r] is replayed(trace[r]) over den[r]: the first empty row where it is
-        # nonzero certifies, those empty from the start or appended coming first.
-        for r in chain(self.empty, range(m, size), self.emptied):
-            ys, d = (trace[r], den[r]) if r < m else ({r: 1}, 1)
-            if value := replayed(ys):
-                return Inconsistency(tuple(Fraction(ys[i], d) if i in ys else _ZERO
-                                           for i in range(size)), Fraction(value, d))
+        for _, r in sorted(chain.from_iterable(emptied for emptied, _ in reached)):
+            if value := replayed(ys := trace[r]):
+                return Inconsistency(tuple(Fraction(ys[i], den[r]) if i in ys else _ZERO
+                                           for i in range(size)), Fraction(value, den[r]))
         # A pivot row is never updated once chosen, and den[row] cancels, so
         # the pivot rows are solved on their integers; solution[col] is still
-        # zero when its own row is summed.
+        # zero when its own row is summed, and in every block b misses.
         solution: list[Scalar] = [0] * self.matrix.cols
-        for row, col in reversed(self.pivots):
-            known = sum(v * solution[c] for c, v in self.a[row].items())
-            solution[col] = _divide(replayed(trace[row]) - known, self.a[row][col])
-        return tuple(Fraction(v) for v in solution)
+        for _, pivots in reached:
+            for row, col in reversed(pivots):
+                known = sum(v * solution[c] for c, v in a[row].items())
+                solution[col] = _divide(replayed(trace[row]) - known, a[row][col])
+        return tuple(Fraction(v) if v else _ZERO for v in solution)
 
 
 def solve_exact(matrix: QMatrix, rhs: Sequence, *,
                 elimination: Elimination | None = None):
     """Solve A*x = b exactly, b having one entry per row of A; ``elimination``,
     when given, is the :class:`Elimination` of A's leading rows, the others empty.
-    The keyword lets every target of a preimage system, eliminated once, still
-    be solved through this one function, which ``perfbench``'s tracer wraps."""
+    The keyword lets every target of a preimage system share one elimination
+    and still be solved through this one function, which ``perfbench``'s
+    tracer wraps."""
     elimination = elimination or Elimination(matrix)
     known = elimination.matrix
     if len(rhs) != matrix.rows or (matrix.cols, matrix.entries) != (

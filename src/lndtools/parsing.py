@@ -8,7 +8,8 @@ A digit is a decimal digit of any script, as ``int()`` reads it.  An
 exponent is an integer literal of at most ``MAX_EXPONENT``, and a power
 may have at most ``MAX_POWER_TERMS`` terms and ``MAX_POWER_BITS``
 coefficient bits, and a product of two sums of t1 and t2 terms at most
-t1 * t2 = ``MAX_POWER_TERMS``.  Points and times are expressions without
+t1 * t2 = ``MAX_POWER_TERMS`` terms and ``MAX_POWER_BITS`` coefficient
+bits, estimated alike.  Points and times are expressions without
 variables.  The parser builds clean terms: single terms multiply and
 raise by their exponents, a sum adds its terms into one dict, in linear
 time, and only products and powers of sums use ``Polynomial`` arithmetic.
@@ -47,10 +48,29 @@ MAX_NESTING = 100
 # Each of their numerators and denominators is estimated at
 # e * (b + bit length of t) bits, b the longest in the base, and the term
 # bound times that estimate may be at most MAX_POWER_BITS, so that short
-# input cannot ask for huge coefficients either.
+# input cannot ask for huge coefficients either.  A product of two sums of
+# t1 and t2 terms is bounded alike, with t1 * t2 terms of b1 + b2 + bit
+# length of min(t1, t2) bits.
 MAX_EXPONENT = 10_000
 MAX_POWER_TERMS = 1_000
 MAX_POWER_BITS = 4_000_000
+
+
+def _bits(node: Polynomial) -> int:
+    """The bit length of the longest numerator or denominator of ``node``."""
+    return max((max(abs(c.numerator), c.denominator).bit_length()
+                for c in node.terms.values()), default=0)
+
+
+def _bound(what: str, terms: int, bits: int, token: Token) -> None:
+    """Refuse, at ``token``, a power or product of more than MAX_POWER_TERMS
+    terms, or of more than MAX_POWER_BITS coefficient bits in all."""
+    if terms > MAX_POWER_TERMS:
+        raise ParseError(f"{what} may have more than {MAX_POWER_TERMS} terms",
+                         token.line, token.column)
+    if terms * bits > MAX_POWER_BITS:
+        raise ParseError(f"{what} may have more than {MAX_POWER_BITS} "
+                         "coefficient bits", token.line, token.column)
 
 
 class ParseError(Exception):
@@ -171,10 +191,10 @@ class _Parser:
                 [(m1, c1)], [(m2, c2)] = node.terms.items(), right.terms.items()
                 node = Polynomial._from_clean(
                     self.nvars, {mono_mul(m1, m2): _integral(c1 * c2)})
-            elif min(t1, t2) > 1 and t1 * t2 > MAX_POWER_TERMS:
-                raise ParseError(f"product may have more than {MAX_POWER_TERMS} "
-                                 "terms", star.line, star.column)
             else:
+                if min(t1, t2) > 1:
+                    _bound("product", t1 * t2, _bits(node) + _bits(right)
+                           + min(t1, t2).bit_length(), star)
                 node = node * right
         return node
 
@@ -194,15 +214,8 @@ class _Parser:
                 raise ParseError(f"exponent above {MAX_EXPONENT}",
                                  token.line, token.column)
             t = len(base.terms)
-            terms = math.comb(max(t, 1) - 1 + e, e)
-            if terms > MAX_POWER_TERMS:
-                raise ParseError(f"power may have more than {MAX_POWER_TERMS} "
-                                 "terms", token.line, token.column)
-            b = max((max(abs(c.numerator), c.denominator).bit_length()
-                     for c in base.terms.values()), default=0)
-            if terms * e * (b + t.bit_length()) > MAX_POWER_BITS:
-                raise ParseError(f"power may have more than {MAX_POWER_BITS} "
-                                 "coefficient bits", token.line, token.column)
+            _bound("power", math.comb(max(t, 1) - 1 + e, e),
+                   e * (_bits(base) + t.bit_length()), token)
             if t != 1:
                 return base ** e
             [(mono, c)] = base.terms.items()

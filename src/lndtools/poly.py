@@ -20,7 +20,7 @@ from __future__ import annotations
 import functools
 import math
 from fractions import Fraction
-from collections.abc import Iterable, Iterator, Mapping, Sequence
+from collections.abc import Iterable, Mapping, Sequence
 from operator import add, le, sub
 from typing import Union
 
@@ -365,21 +365,3 @@ class Polynomial:
 
         names = tuple(f"x{i}" for i in range(self.nvars))
         return f"<{format_polynomial(self, names)}>"
-
-
-def monomials_up_to(nvars: int, max_degree: int) -> Iterator[Monomial]:
-    """All exponent tuples of total degree at most ``max_degree``."""
-    if max_degree < 0:
-        return
-    mono = [0] * nvars
-
-    def rec(pos: int, budget: int):
-        if pos == nvars:
-            yield tuple(mono)
-            return
-        for e in range(budget + 1):
-            mono[pos] = e
-            yield from rec(pos + 1, budget - e)
-        mono[pos] = 0
-
-    yield from rec(0, max_degree)

@@ -9,6 +9,7 @@ membership is cross-checked by searching small powers directly.
 """
 
 import math
+from collections.abc import Iterator
 from fractions import Fraction
 
 from lndtools import (
@@ -18,10 +19,29 @@ from lndtools import (
     Inconsistency,
     Polynomial,
     QMatrix,
-    monomials_up_to,
     parse_polynomial,
     solve_exact,
 )
+
+
+def monomials_up_to(nvars: int, max_degree: int) -> Iterator[tuple[int, ...]]:
+    """All exponent tuples of total degree at most ``max_degree``, in
+    ascending lex order: every monomial an oracle may need."""
+    if max_degree < 0:
+        return
+    mono = [0] * nvars
+
+    def rec(pos: int, budget: int):
+        if pos == nvars:
+            yield tuple(mono)
+            return
+        for e in range(budget + 1):
+            mono[pos] = e
+            yield from rec(pos + 1, budget - e)
+        mono[pos] = 0
+
+    yield from rec(0, max_degree)
+
 
 # ----------------------------------------------------------------------
 # the four standard derivations

@@ -136,11 +136,14 @@ LONG_SUM = " + ".join(f"x*y^{i % 200}*z^{i // 200}" for i in range(20_000))
     # the product bound refuses at the 10th '*': 286 terms times 4
     (["kernel", FP, "--elem", "*".join(["(x+y+z+1)"] * 60)], EXIT_USAGE, "",
      "error: line 1, column 100: product may have more than 1000 terms"),
+    # and the coefficient bound at the 12th '*', where 100 factors once took 13 s
+    (["kernel", FP, "--elem", "*".join(["(10^4000*x+y)"] * 100)], EXIT_USAGE, "",
+     "error: line 1, column 168: product may have more than 4000000 coefficient bits"),
 ], ids=["huge integer", "huge integer, kernel", "huge fraction", "huge power",
         "huge exponent", "huge printed coefficients", "huge coefficients",
         "huger coefficients", "value with minus", "value with minus after =",
         "doctored certificate", "nilpotent element", "zero ring", "long sum",
-        "long product"])
+        "long product", "long product, big coefficients"])
 def test_hostile_inputs_end_with_their_exit_code(argv, code, stdout, stderr,
                                                  tmp_path, monkeypatch, capsys):
     if "slice-none" in argv:

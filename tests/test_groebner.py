@@ -13,6 +13,7 @@ from helpers import (
     is_groebner_basis,
     katsura,
     membership_by_linear_algebra,
+    monomials_up_to,
     radical_by_power_search,
     random_nonzero_poly,
     random_poly,
@@ -35,6 +36,7 @@ from lndtools import (
     standard_monomials,
 )
 from lndtools.groebner import MonomialNormalForms
+from lndtools.poly import mono_divides
 
 XYZ = ["x", "y", "z"]
 ROOT = Path(__file__).resolve().parent.parent
@@ -386,6 +388,22 @@ def test_standard_monomials_span_normal_forms():
         nf = ideal.normal_form(f)
         allowed = set(standard_monomials(ideal, max(nf.total_degree(), 0)))
         assert set(nf.terms) <= allowed
+
+
+def test_standard_monomials_are_the_filtered_enumeration():
+    # made degree by degree, they are every monomial up to the bound that no
+    # leading monomial divides, in ascending order, whatever the order
+    rng = random.Random(315)
+    for case in range(150):
+        nvars, order = rng.randint(1, 4), (DEGREVLEX, LEX, elimination(1))[case % 3]
+        ideal = random_ideal(rng, nvars, order=order)
+        leads = [lm for lm, _, _ in ideal.leads]
+        for bound in (-1, 0, 2, 5):
+            want = sorted((m for m in monomials_up_to(nvars, bound)
+                           if not any(mono_divides(l, m) for l in leads)),
+                          key=order.key)
+            assert standard_monomials(ideal, bound) == want
+    assert standard_monomials(Ideal(2, [P("1", ["x", "y"])]), 3) == []
 
 
 def test_reduce_poly_remainder_is_irreducible():

@@ -79,8 +79,8 @@ def test_doctored_certificate_fails_verification():
 
 
 def test_the_first_inconsistent_row_in_elimination_order_certifies():
-    # row 1 is the pivot; rows 0 and 2 both turn inconsistent, and row 0,
-    # which gave its place to the pivot, comes first
+    # row 1 is the pivot, before row 2 by its index; rows 0 and 2 both turn
+    # inconsistent, and row 0 comes first
     matrix = QMatrix(1, [[(0, 3)], [(0, 1)], [(0, 1)]])
     outcome = solve_exact(matrix, [1, 0, 5])
     assert outcome == Inconsistency((Fraction(1), Fraction(-3), Fraction(0)),
@@ -168,8 +168,9 @@ def test_entries_are_ints_when_integral():
 
 def reference_solve(matrix, rhs):
     """The elimination of ``solve_exact`` written out on Fractions alone,
-    with candidate rows found by scanning: the same columns in order, the
-    same pivot rule, the same row order."""
+    with candidate rows found by scanning every row: the same columns in
+    order, the same pivot rule, candidates updated in row order, and no row
+    ever moved."""
     m, n = matrix.rows, matrix.cols
     a = [{c: Fraction(v) for c, v in row} for row in matrix.entries]
     b = [Fraction(v) for v in rhs]
@@ -188,27 +189,24 @@ def reference_solve(matrix, rhs):
     for i in range(m):
         if not a[i] and b[i]:
             return certificate(i)
-    pivots, p = [], 0
+    pivots = []
     for col in range(n):
-        if p >= m:
-            break
-        candidates = [r for r in range(p, m) if col in a[r]]
+        pivoted = {row for row, _ in pivots}
+        candidates = [r for r in range(m) if r not in pivoted and col in a[r]]
         if not candidates:
             continue
         best = min(candidates, key=lambda r: (abs(a[r][col].numerator),
                                               a[r][col].denominator, r))
-        a[best], a[p] = a[p], a[best]
-        b[best], b[p] = b[p], b[best]
-        trace[best], trace[p] = trace[p], trace[best]
-        for r in sorted(best if r == p else r for r in candidates if r != best):
-            factor = a[r][col] / a[p][col]
-            subtract(a[r], factor, a[p])
-            b[r] -= factor * b[p]
-            subtract(trace[r], factor, trace[p])
+        for r in candidates:
+            if r == best:
+                continue
+            factor = a[r][col] / a[best][col]
+            subtract(a[r], factor, a[best])
+            b[r] -= factor * b[best]
+            subtract(trace[r], factor, trace[best])
             if not a[r] and b[r]:
                 return certificate(r)
-        pivots.append((p, col))
-        p += 1
+        pivots.append((best, col))
     solution = [Fraction(0)] * n
     for row, col in reversed(pivots):
         known = sum((v * solution[c] for c, v in a[row].items()), Fraction(0))
@@ -272,7 +270,6 @@ def test_one_elimination_serves_many_right_hand_sides():
     matrix = QMatrix(2, [[], [(0, 1), (1, 1)], [(0, 1), (1, 1)], [(1, 1)]])
     full = QMatrix(2, [*matrix.entries, []])
     elimination = Elimination(matrix)
-    assert (elimination.empty, elimination.emptied) == ([0], [2])
     one, zero = Fraction(1), Fraction(0)
     cases = [
         # the row empty from the start comes first
@@ -294,6 +291,11 @@ def test_one_elimination_serves_many_right_hand_sides():
             zeros = [y for y in got.multipliers if not y]
             assert all(type(y) is Fraction for y in got.multipliers)
             assert len({id(y) for y in zeros}) == 1
+    # the first two answers came from empty rows alone; the third eliminated
+    # the one block, rows 1 to 3: row 2 emptied at column 0, and rows 1 and
+    # 3 pivot, row 1 before row 2 by its index
+    assert elimination.block == {1: 0, 2: 0, 3: 0}
+    assert elimination.blocks == [([(0, 2)], [(1, 0), (3, 1)])]
     with pytest.raises(ValueError):
         elimination.solve([0, 1, 1])
     # an elimination of another matrix is refused, not replayed: here a
@@ -306,6 +308,77 @@ def test_one_elimination_serves_many_right_hand_sides():
                           (matrix, QMatrix(2, [*matrix.entries, [(0, 1)]]))]:
         with pytest.raises(ValueError):
             solve_exact(target, [1] * target.rows, elimination=Elimination(other))
+
+
+def block_diagonal(rng, blocks, size, density):
+    """A matrix of ``blocks`` random blocks of up to ``size`` rows and
+    columns each, its rows and columns shuffled, and the row sets of the
+    blocks."""
+    shapes = [(rng.randint(1, size), rng.randint(1, size)) for _ in range(blocks)]
+    cols = list(range(sum(n for _, n in shapes)))
+    rng.shuffle(cols)
+    rows, owners, first = [], [], 0
+    for b, (m, n) in enumerate(shapes):
+        mine = cols[first:first + n]
+        first += n
+        for _ in range(m):
+            rows.append([(c, random_fraction(rng, 5)) for c in mine
+                         if rng.random() < density])
+            owners.append(b)
+    order = list(range(len(rows)))
+    rng.shuffle(order)
+    matrix = QMatrix(len(cols), [rows[i] for i in order])
+    return matrix, [{r for r, i in enumerate(order) if owners[i] == b}
+                    for b in range(blocks)]
+
+
+def test_blocks_are_eliminated_when_first_reached():
+    # several right-hand sides through one elimination, in random order, each
+    # touching some blocks: every answer is that of a fresh elimination and
+    # of the reference, whichever blocks earlier ones eliminated
+    rng = random.Random(205)
+    solved = refuted = 0
+    for case in range(150):
+        matrix, owned = block_diagonal(rng, rng.randint(2, 5), 6,
+                                       (0.4, 0.8)[case % 2])
+        m = matrix.rows
+        targets = []
+        for _ in range(6):
+            touched = set().union(*rng.sample(owned, rng.randint(1, 2)))
+            rhs = [random_fraction(rng) if r in touched and rng.random() < 0.7
+                   else 0 for r in range(m)]
+            if rng.random() < 0.5:
+                # consistent, with x0 on the columns of the touched rows alone
+                reached = {c for r in touched for c, _ in matrix.entries[r]}
+                rhs = list(product(matrix, [random_fraction(rng) if c in reached
+                                            else 0 for c in range(matrix.cols)]))
+            targets.append(rhs)
+        rng.shuffle(targets)
+        elimination = Elimination(matrix)
+        for rhs in targets:
+            got = elimination.solve(rhs)
+            assert got == Elimination(matrix).solve(rhs) == reference_solve(matrix, rhs)
+            if isinstance(got, Inconsistency):
+                refuted += 1
+                assert got.verify(matrix, rhs)
+            else:
+                solved += 1
+                assert product(matrix, got) == tuple(Fraction(v) for v in rhs)
+    assert solved >= 100 and refuted >= 100
+
+
+def test_a_solve_leaves_the_blocks_it_does_not_reach():
+    # block A is rows 0 and 2 on columns 1 and 3, block B rows 1 and 3 on
+    # columns 0 and 2; b touches row 2 only
+    matrix = QMatrix(4, [[(1, 1), (3, 2)], [(0, 1)], [(1, 3)], [(0, 2), (2, 1)]])
+    elimination = Elimination(matrix)
+    x = elimination.solve([0, 0, 6, 0])
+    assert x == (0, Fraction(2), 0, Fraction(-1))
+    assert elimination.block == {0: 0, 2: 0}
+    assert elimination.blocks == [([], [(0, 1), (2, 3)])]
+    assert elimination.solve([0, 1, 0, 0]) == (Fraction(1), 0, Fraction(-2), 0)
+    assert sorted(elimination.block) == [0, 1, 2, 3]
+    assert len(elimination.blocks) == 2
 
 
 @pytest.mark.parametrize("k", [2, 3, 4])

@@ -193,6 +193,14 @@ def test_products_of_two_sums_are_bounded():
         parse_spec(SPEC + "der x = y\nder y = (x+y)^40*(x-y)^40\n")
     assert (info.value.line, info.value.column, info.value.reason) == \
         (4, 17, "product may have more than 1000 terms")
+    # coefficient bits are estimated as for a power: 12 factors of 13,289-bit
+    # coefficients may be read, and the 12th '*' is refused
+    big = "(10^4000*x+y)"
+    assert len(parse_polynomial("*".join([big] * 12), XY).terms) == 13
+    with pytest.raises(ParseError) as info:
+        parse_polynomial("*".join([big] * 13), XY)
+    assert (info.value.line, info.value.column, info.value.reason) == \
+        (1, 168, "product may have more than 4000000 coefficient bits")
     # a single term times a long sum is no product of two sums
     long_sum = " + ".join(f"x^{i}*y^{j}" for i in range(40) for j in range(40))
     assert len(parse_polynomial(f"2*x*({long_sum})*y", XY).terms) == 1600

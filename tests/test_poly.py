@@ -5,6 +5,7 @@ from fractions import Fraction
 import pytest
 
 from helpers import (
+    monomials_up_to,
     random_fraction,
     random_monomial,
     random_nonzero_poly,
@@ -17,7 +18,6 @@ from lndtools import (
     RationalFunction,
     divide_exact,
     elimination,
-    monomials_up_to,
     reduce_poly,
 )
 

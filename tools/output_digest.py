@@ -8,9 +8,11 @@ pairs.  The corpus scripts are skipped: the golden transcripts cover
 them.  Two checkouts that print the same digest give the same outputs
 on all of these commands.  With ``--expect`` the exit code says whether
 the digest is the given one: 0 when it is, and 1, with the expected
-digest printed under the computed one, when it is not.
+digest printed under the computed one, when it is not.  With ``--dump``
+each command is also written to PATH as one JSON line with its workload,
+seed, argv, exit code and report, so two dumps show which commands differ.
 
-    python3 tools/output_digest.py [--expect SHA256]
+    python3 tools/output_digest.py [--expect SHA256] [--dump PATH]
 """
 
 from __future__ import annotations
@@ -37,8 +39,12 @@ def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--expect", metavar="SHA256",
                         help="exit 1 unless the digest is this one")
-    expect = parser.parse_args(argv).expect
+    parser.add_argument("--dump", metavar="PATH", type=Path,
+                        help="write one JSON line per command to PATH")
+    args = parser.parse_args(argv)
+    expect = args.expect
     digest = hashlib.sha256()
+    lines = []
     count = 0
     start = os.getcwd()
     for seed in SEEDS:
@@ -55,8 +61,13 @@ def main(argv: list[str] | None = None) -> int:
                         code, report = run_command(list(command.argv))
                         digest.update(json.dumps([code, report]).encode() + b"\n")
                         count += 1
+                        lines.append(json.dumps({
+                            "workload": name, "seed": seed, "argv": command.argv,
+                            "code": code, "report": report}) + "\n")
                 finally:
                     os.chdir(start)
+    if args.dump:
+        args.dump.write_text("".join(lines), encoding="utf-8")
     print(f"{count} commands")
     print(f"sha256 {digest.hexdigest()}")
     if expect is not None and expect.lower() != digest.hexdigest():
