@@ -26,7 +26,7 @@ from typing import Callable, NamedTuple, Sequence
 from .derivation import Derivation
 from .groebner import (Ideal, MonomialNormalForms, gcd_via_lcm, radical_membership,
                        standard_monomials)
-from .linalg import Elimination, Inconsistency, QMatrix, solve_exact
+from .linalg import Inconsistency, QMatrix, solve_exact
 from .poly import DEGREVLEX, Monomial, Polynomial, Scalar, _cleared, _divide, mono_mul
 from .ratfun import RationalFunction, ratfun_eq_mod
 
@@ -155,33 +155,31 @@ class MaximalCylinderResult:
 class PreimageSystem(NamedTuple):
     """The linear map d on the standard monomials up to the degree bound it
     was built with: column j is ``columns[j]``.  ``image_rows`` maps each
-    monomial of a reduced image, in descending order, to its row of the
-    matrix: the ``(column, coefficient)`` pairs in column order.  Every
-    target is solved against these rows by their one ``elimination``."""
+    monomial of a reduced image, in descending order, to its row of
+    ``matrix``: the ``(column, coefficient)`` pairs in column order.  Every
+    target is solved against this one matrix, which keeps its elimination."""
 
     columns: tuple[Monomial, ...]
     derivation: Derivation
     image_rows: dict[Monomial, tuple[tuple[int, Scalar], ...]]
-    elimination: Elimination
+    matrix: QMatrix
 
     def equations(self, target: Polynomial):
         """``(rows, matrix, rhs)`` of d(f) = target, for a target reduced
-        modulo the relations: the image rows, then an empty row for each
-        other monomial of the target, both in descending order."""
+        modulo the relations: the image rows, then each other monomial of
+        the target, both in descending order; ``rhs`` runs past the rows of
+        the matrix at the others, whose rows are empty."""
         image_rows = self.image_rows
         extra = sorted((m for m in target.terms if m not in image_rows),
                        key=self.derivation.ring.order.key, reverse=True)
         rows = (*image_rows, *extra)
-        matrix = QMatrix._from_clean(len(self.columns),
-                                     [*image_rows.values(), *[()] * len(extra)])
-        rhs = tuple(target.terms.get(r, 0) for r in rows)
-        return rows, matrix, rhs
+        return rows, self.matrix, tuple(target.terms.get(r, 0) for r in rows)
 
 
 def build_preimage_system(derivation: Derivation,
                           max_degree: int) -> PreimageSystem:
     """The images under the derivation of the standard monomials of degree
-    <= max_degree, the rows they make, and the elimination of their matrix.
+    <= max_degree, the rows they make, and their matrix.
     Requires a degree-compatible order so that these span the image of every
     residue class of bounded degree.  d(x^a) is the normal form of the sum
     of a_i*c*x^(a-e_i)*t over i and the terms c*t of d(x_i)."""
@@ -203,9 +201,8 @@ def build_preimage_system(derivation: Derivation,
             rows.setdefault(mono, []).append((col, _divide(coeff, den)))
     image_rows = {m: tuple(rows[m])
                   for m in sorted(rows, key=ring.order.key, reverse=True)}
-    del table   # before the elimination, which then peaks alone
     matrix = QMatrix._from_clean(len(columns), image_rows.values())
-    return PreimageSystem(columns, derivation, image_rows, Elimination(matrix))
+    return PreimageSystem(columns, derivation, image_rows, matrix)
 
 
 def preimage_search(system: PreimageSystem, target: Polynomial) -> PreimageResult:
@@ -216,7 +213,7 @@ def preimage_search(system: PreimageSystem, target: Polynomial) -> PreimageResul
     ring = derivation.ring
     target = ring.normal_form(target)
     rows, matrix, rhs = system.equations(target)
-    solved = solve_exact(matrix, rhs, elimination=system.elimination)
+    solved = solve_exact(matrix, rhs)
     if isinstance(solved, Inconsistency):
         if not solved.verify(matrix, rhs):
             raise CertificateError("inconsistency certificate does not verify")

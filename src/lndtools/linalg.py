@@ -12,14 +12,15 @@ joined by shared entries is eliminated when a right-hand side b first
 reaches it, the coarse step of block-triangular decomposition (Dulmage &
 Mendelsohn 1958), and each b replayed through the traces: a checkable
 certificate y with y*A = 0 and y*b != 0, or a solution with its free
-variables zero, all of it ``Fraction``s.
+variables zero, all of it ``Fraction``s.  A matrix keeps the elimination
+its first solve makes, and entries of b past its rows stand for empty rows.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import chain
+from itertools import chain, repeat
 from math import gcd
 from typing import Iterable, Sequence
 
@@ -27,11 +28,11 @@ from .poly import _ZERO, Scalar, _cleared, _divide, _exact, _integral
 
 
 class QMatrix:
-    """Immutable sparse matrix of rationals: ``entries[i]`` holds the
-    nonzero ``(column, value)`` pairs of row i in column order, the values
-    given for one column summed."""
+    """Sparse matrix of rationals, whose entries never change: ``entries[i]``
+    holds the nonzero ``(column, value)`` pairs of row i in column order, the
+    values given for one column summed; its first solve makes ``elimination``."""
 
-    __slots__ = ("rows", "cols", "entries")
+    __slots__ = ("rows", "cols", "entries", "elimination")
 
     def __init__(self, cols: int, rows: Iterable[Iterable[tuple[int, object]]]):
         data = []
@@ -45,6 +46,7 @@ class QMatrix:
         self.entries = tuple(data)
         self.rows = len(data)
         self.cols = cols
+        self.elimination = None
 
     @classmethod
     def _from_clean(cls, cols: int,
@@ -53,32 +55,32 @@ class QMatrix:
         sorting: each is a tuple of ``(column, value)`` pairs in strictly
         increasing column order, every value nonzero and clean as in
         :mod:`lndtools.poly`.  Columns are still checked against ``cols``."""
-        out = cls.__new__(cls)
+        out = cls(cols, ())
         out.entries = tuple(rows)
         for row in out.entries:
             # pairs come in column order, so the ends bound every column
             if row and not (0 <= row[0][0] and row[-1][0] < cols):
                 raise ValueError(f"a column of {row} is outside range({cols})")
         out.rows = len(out.entries)
-        out.cols = cols
         return out
 
 
 @dataclass(frozen=True)
 class Inconsistency:
-    """Proof that A*x = b has no solution: multipliers combining the rows
-    of A to zero while combining b to a nonzero value."""
+    """Proof that A*x = b has no solution: multipliers, one per entry of b,
+    combining the rows of A to zero while combining b to a nonzero value;
+    entries of b past the rows of A stand for empty rows."""
 
     multipliers: tuple[Fraction, ...]
     value: Fraction
 
     def verify(self, matrix: QMatrix, rhs: Sequence) -> bool:
         ys = self.multipliers
-        if len(ys) != matrix.rows or len(rhs) != matrix.rows:
+        if len(ys) != len(rhs) or len(rhs) < matrix.rows:
             return False
         combined: dict[int, Scalar] = {}
         total: Scalar = 0
-        for y, row, v in zip(ys, matrix.entries, rhs):
+        for y, row, v in zip(ys, chain(matrix.entries, repeat(())), rhs):
             if y:
                 for col, value in row:
                     combined[col] = combined.get(col, 0) + y * value
@@ -101,10 +103,11 @@ def _combine(target: dict, f: int, h: int, source: dict) -> None:
 
 class Elimination:
     """The elimination of a matrix A for every right-hand side b, which takes
-    no part in the pivots, the traces or the order rows empty in."""
+    no part in the pivots, the traces or the order rows empty in.  It holds
+    A's entries and shape, not A, which holds it: no reference cycle."""
 
     def __init__(self, matrix: QMatrix):
-        self.matrix = matrix
+        self.entries, self.rows, self.cols = matrix.entries, matrix.rows, matrix.cols
         # where[col] holds every row with an entry in col, and perhaps rows
         # whose entry there has cancelled since
         self.where: list[set[int]] = [set() for _ in range(matrix.cols)]
@@ -121,7 +124,7 @@ class Elimination:
     def _eliminate(self, start: int) -> None:
         """Eliminate the block of row ``start``, the rows and columns that it
         reaches through shared columns, column by column in order."""
-        entries, where, block = self.matrix.entries, self.where, self.block
+        entries, where, block = self.entries, self.where, self.block
         a, den, trace, k = self.a, self.den, self.trace, len(self.blocks)
         rows, cols, emptied, pivots = [start], set(), [], []
         block[start] = k
@@ -167,7 +170,7 @@ class Elimination:
     def solve(self, rhs: Sequence):
         """A tuple of Fractions x with A*x = b, or an :class:`Inconsistency`;
         entries of ``rhs`` past the rows of A are those of empty rows after A."""
-        entries, m, size = self.matrix.entries, self.matrix.rows, len(rhs)
+        entries, m, size = self.entries, self.rows, len(rhs)
         if size < m:
             raise ValueError("right-hand side shorter than the row count")
         given = [(i, v) for i, v in enumerate(map(_exact, rhs)) if v]
@@ -193,7 +196,7 @@ class Elimination:
         # A pivot row is never updated once chosen, and den[row] cancels, so
         # the pivot rows are solved on their integers; solution[col] is still
         # zero when its own row is summed, and in every block b misses.
-        solution: list[Scalar] = [0] * self.matrix.cols
+        solution: list[Scalar] = [0] * self.cols
         for _, pivots in reached:
             for row, col in reversed(pivots):
                 known = sum(v * solution[c] for c, v in a[row].items())
@@ -201,16 +204,11 @@ class Elimination:
         return tuple(Fraction(v) if v else _ZERO for v in solution)
 
 
-def solve_exact(matrix: QMatrix, rhs: Sequence, *,
-                elimination: Elimination | None = None):
-    """Solve A*x = b exactly, b having one entry per row of A; ``elimination``,
-    when given, is the :class:`Elimination` of A's leading rows, the others empty.
-    The keyword lets every target of a preimage system share one elimination
-    and still be solved through this one function, which ``perfbench``'s
-    tracer wraps."""
-    elimination = elimination or Elimination(matrix)
-    known = elimination.matrix
-    if len(rhs) != matrix.rows or (matrix.cols, matrix.entries) != (
-            known.cols, (*known.entries, *[()] * (matrix.rows - known.rows))):
-        raise ValueError("right-hand side or elimination does not fit the matrix")
-    return elimination.solve(rhs)
+def solve_exact(matrix: QMatrix, rhs: Sequence):
+    """Solve A*x = b exactly: a tuple of Fractions x, or an
+    :class:`Inconsistency`.  b has an entry for each row of A, then one for
+    each empty row appended to A.  The first solve of A eliminates it, as
+    far as b reaches, and every later solve of A replays that elimination."""
+    if matrix.elimination is None:
+        matrix.elimination = Elimination(matrix)
+    return matrix.elimination.solve(rhs)

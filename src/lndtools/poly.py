@@ -222,17 +222,13 @@ class Polynomial:
         """
         if not self.terms:
             return _ZERO, self
-        num_gcd = 0
-        den_lcm = 1
-        for c in self.terms.values():
-            num_gcd = math.gcd(num_gcd, abs(c.numerator))
-            den_lcm = den_lcm * c.denominator // math.gcd(den_lcm, c.denominator)
-        content = Fraction(num_gcd, den_lcm)
-        if self.leading_term(order)[1] < 0:
-            content = -content
-        if content == 1:
-            return content, self
-        return content, self * (1 / content)
+        terms, d = _cleared(self.terms)
+        lead = terms[max(terms, key=order.key)]
+        n = math.gcd(*terms.values()) * (1 if lead > 0 else -1)
+        if n == d:
+            return Fraction(1), self
+        return Fraction(n, d), Polynomial._from_clean(
+            self.nvars, {m: c // n for m, c in terms.items()})
 
     # ------------------------------------------------------------------
     # arithmetic

@@ -1,5 +1,7 @@
+import gc
 import random
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -11,9 +13,14 @@ from lndtools import (
     Polynomial,
     QMatrix,
     build_preimage_system,
+    parse_spec,
+    preimage_search,
     solve_exact,
+    spec_derivation,
 )
 from lndtools.linalg import Elimination
+
+CORPUS = Path(__file__).resolve().parent.parent / "corpus"
 
 # (largest row and column count, density, number of cases)
 SHAPES = [(5, 0.7, 200), (40, 0.05, 1000)]
@@ -265,11 +272,10 @@ def test_rows_with_different_denominators_give_the_pinned_certificate():
 def test_one_elimination_serves_many_right_hand_sides():
     # row 0 is empty from the start, row 2 empties when row 1 clears column 0
     # from it, and row 3 pivots on column 1; a fifth entry of b stands for
-    # an empty row appended to the matrix, as a target monomial outside the
-    # image gives
+    # an empty row past the matrix, as a target monomial outside the image
+    # gives, so each answer is that of the matrix with that row appended
     matrix = QMatrix(2, [[], [(0, 1), (1, 1)], [(0, 1), (1, 1)], [(1, 1)]])
-    full = QMatrix(2, [*matrix.entries, []])
-    elimination = Elimination(matrix)
+    padded = QMatrix(2, [*matrix.entries, []])
     one, zero = Fraction(1), Fraction(0)
     cases = [
         # the row empty from the start comes first
@@ -281,33 +287,57 @@ def test_one_elimination_serves_many_right_hand_sides():
         # consistent: x1 = 3 from row 3, then x0 = 1 - 3 from row 1
         ([0, 1, 1, 3, 0], (Fraction(-2), Fraction(3))),
     ]
+    assert matrix.elimination is None
     for rhs, want in cases:
-        got = elimination.solve(rhs)
-        assert got == want == reference_solve(full, rhs)
-        assert got == solve_exact(full, rhs, elimination=elimination)
+        got = solve_exact(matrix, rhs)
+        assert got == want == reference_solve(padded, rhs)
         if isinstance(got, Inconsistency):
-            assert got.verify(full, rhs)
+            assert got.verify(matrix, rhs) and got.verify(padded, rhs)
             # every zero multiplier is the one shared Fraction(0)
             zeros = [y for y in got.multipliers if not y]
             assert all(type(y) is Fraction for y in got.multipliers)
             assert len({id(y) for y in zeros}) == 1
-    # the first two answers came from empty rows alone; the third eliminated
-    # the one block, rows 1 to 3: row 2 emptied at column 0, and rows 1 and
-    # 3 pivot, row 1 before row 2 by its index
+            # a certificate of another length, or b shorter than the matrix,
+            # is refused
+            assert not Inconsistency(got.multipliers[:4], got.value).verify(
+                matrix, rhs)
+            assert not Inconsistency(got.multipliers[:3], got.value).verify(
+                matrix, rhs[:3])
+    # every solve replayed the elimination the first one made: the first two
+    # answers came from empty rows alone; the third eliminated the one block,
+    # rows 1 to 3: row 2 emptied at column 0, and rows 1 and 3 pivot, row 1
+    # before row 2 by its index
+    elimination = matrix.elimination
     assert elimination.block == {1: 0, 2: 0, 3: 0}
     assert elimination.blocks == [([(0, 2)], [(1, 0), (3, 1)])]
+    assert solve_exact(matrix, [0, 1, 1, 3]) == (Fraction(-2), Fraction(3))
+    assert matrix.elimination is elimination
+    assert len(elimination.blocks) == 1
     with pytest.raises(ValueError):
-        elimination.solve([0, 1, 1])
-    # an elimination of another matrix is refused, not replayed: here a
-    # zero-width one would refute the consistent x0 = 1
-    assert solve_exact(QMatrix(1, [[(0, 1)]]), [1]) == (Fraction(1),)
-    for other, target in [(QMatrix(1, [[]]), QMatrix(1, [[(0, 1)]])),
-                          (matrix, QMatrix(3, [*matrix.entries, []])),
-                          (matrix, QMatrix(2, matrix.entries[:3])),
-                          (matrix, QMatrix(2, [*matrix.entries[:3], [(0, 2)], []])),
-                          (matrix, QMatrix(2, [*matrix.entries, [(0, 1)]]))]:
-        with pytest.raises(ValueError):
-            solve_exact(target, [1] * target.rows, elimination=Elimination(other))
+        solve_exact(matrix, [0, 1, 1])
+
+
+def test_an_elimination_does_not_hold_its_matrix():
+    # a matrix keeps its elimination, so the elimination must not keep the
+    # matrix: the pair would wait for the cycle collector, and every preimage
+    # system with it
+    d = spec_derivation(parse_spec((CORPUS / "ex_danielewski.lnd").read_text(
+        encoding="utf-8")))
+
+    def eliminations():
+        return sum(isinstance(o, Elimination) for o in gc.get_objects())
+
+    gc.collect()
+    gc.disable()
+    try:
+        before = eliminations()
+        system = build_preimage_system(d, 6)
+        preimage_search(system, Polynomial.constant(d.ring.nvars, 1))
+        assert system.matrix.elimination is not None
+        del system
+        assert eliminations() == before
+    finally:
+        gc.enable()
 
 
 def block_diagonal(rng, blocks, size, density):
