@@ -262,21 +262,20 @@ def dixmier_image(derivation: Derivation, slice_value: RationalFunction,
                   element: Polynomial) -> RationalFunction:
     """Projection of ``element`` onto derivation constants along the slice:
     sum((-slice)^j d^j(element) / j!)."""
-    return _dixmier_sum(derivation.ring, slice_value,
-                        derivation.iterates(element))
+    return _dixmier_sums(derivation.ring, slice_value,
+                         derivation.iterates(element), 1)[0]
 
 
-def _dixmier_sum(relations: Ideal, slice_value: RationalFunction,
-                 iterates: Sequence[Polynomial]) -> RationalFunction:
-    """sum((-slice)^j iterates[j] / j!), reduced and simplified."""
-    total = RationalFunction.zero(relations.nvars)
-    sign_slice = -slice_value
-    slice_power = RationalFunction(Polynomial.constant(relations.nvars, 1), 1)
-    for j, current in enumerate(iterates):
-        if j:
-            slice_power = slice_power * sign_slice
-        total = total + slice_power * current * Fraction(1, math.factorial(j))
-    return total.reduce_mod(relations).simplify()
+def _dixmier_sums(relations: Ideal, slice_value: RationalFunction,
+                  iterates: Sequence[Polynomial], count: int) -> list[RationalFunction]:
+    """sum((-slice)^j iterates[k + j] / j!) for k < count, each reduced and
+    simplified, from one list of the terms (-slice)^j / j!."""
+    terms = [RationalFunction(Polynomial.constant(relations.nvars, 1), 1)]
+    for j in range(1, len(iterates)):
+        terms.append(terms[-1] * -slice_value * Fraction(1, j))
+    zero = RationalFunction.zero(relations.nvars)
+    return [sum((term * it for term, it in zip(terms, iterates[k:])), zero)
+            .reduce_mod(relations).simplify() for k in range(count)]
 
 
 def dixmier_reduce(derivation: Derivation, slice_value: RationalFunction,
@@ -287,8 +286,8 @@ def dixmier_reduce(derivation: Derivation, slice_value: RationalFunction,
     if not ratfun_eq_mod(relations, derivation.apply_rational(slice_value), 1):
         raise ValueError("the given value is not a slice on this open set")
     its = derivation.iterates(element)
-    coefficients = [_dixmier_sum(relations, slice_value, its[k:])
-                    * Fraction(1, math.factorial(k)) for k in range(len(its))]
+    coefficients = [c * Fraction(1, math.factorial(k)) for k, c in
+                    enumerate(_dixmier_sums(relations, slice_value, its, len(its)))]
     for c in coefficients:
         if not ratfun_eq_mod(relations, derivation.apply_rational(c), 0):
             raise CertificateError("Dixmier coefficient is not a constant")
@@ -380,9 +379,7 @@ def principality_check(ideal: Ideal, relations: Ideal) -> PrincipalityResult:
     gens = [g for g in ideal.generators if g]
     if not gens:
         raise ValueError("need at least one nonzero generator")
-    gcd = gens[0].content_split(DEGREVLEX)[1]
-    for g in gens[1:]:
-        gcd = gcd_via_lcm(gcd, g)
+    gcd = functools.reduce(gcd_via_lcm, gens[1:], gens[0].content_split(DEGREVLEX)[1])
     if ideal.contains(gcd):
         return PrincipalityResult(Outcome.YES, gcd)
     outcome = Outcome.NO if relations.is_zero else Outcome.UNKNOWN

@@ -12,8 +12,9 @@ joined by shared entries is eliminated when a right-hand side b first
 reaches it, the coarse step of block-triangular decomposition (Dulmage &
 Mendelsohn 1958), and each b replayed through the traces: a checkable
 certificate y with y*A = 0 and y*b != 0, or a solution with its free
-variables zero, all of it ``Fraction``s.  A matrix keeps the elimination
-its first solve makes, and entries of b past its rows stand for empty rows.
+variables zero, all of it ``Fraction``s.  A matrix holds its elimination,
+as far as its solves have made it, and entries of b past its rows stand
+for empty rows.
 """
 
 from __future__ import annotations
@@ -25,44 +26,6 @@ from math import gcd
 from typing import Iterable, Sequence
 
 from .poly import _ZERO, Scalar, _cleared, _divide, _exact, _integral
-
-
-class QMatrix:
-    """Sparse matrix of rationals, whose entries never change: ``entries[i]``
-    holds the nonzero ``(column, value)`` pairs of row i in column order, the
-    values given for one column summed; its first solve makes ``elimination``."""
-
-    __slots__ = ("rows", "cols", "entries", "elimination")
-
-    def __init__(self, cols: int, rows: Iterable[Iterable[tuple[int, object]]]):
-        data = []
-        for row in rows:
-            merged: dict[int, Scalar] = {}
-            for col, value in row:
-                if not 0 <= col < cols:
-                    raise ValueError(f"column {col} outside range({cols})")
-                merged[col] = _integral(merged.get(col, 0) + _exact(value))
-            data.append(tuple(sorted((c, v) for c, v in merged.items() if v)))
-        self.entries = tuple(data)
-        self.rows = len(data)
-        self.cols = cols
-        self.elimination = None
-
-    @classmethod
-    def _from_clean(cls, cols: int,
-                    rows: Iterable[tuple[tuple[int, Scalar], ...]]) -> "QMatrix":
-        """Wrap rows that are clean by construction, without merging or
-        sorting: each is a tuple of ``(column, value)`` pairs in strictly
-        increasing column order, every value nonzero and clean as in
-        :mod:`lndtools.poly`.  Columns are still checked against ``cols``."""
-        out = cls(cols, ())
-        out.entries = tuple(rows)
-        for row in out.entries:
-            # pairs come in column order, so the ends bound every column
-            if row and not (0 <= row[0][0] and row[-1][0] < cols):
-                raise ValueError(f"a column of {row} is outside range({cols})")
-        out.rows = len(out.entries)
-        return out
 
 
 @dataclass(frozen=True)
@@ -101,29 +64,61 @@ def _combine(target: dict, f: int, h: int, source: dict) -> None:
             del target[key]
 
 
-class Elimination:
-    """The elimination of a matrix A for every right-hand side b, which takes
-    no part in the pivots, the traces or the order rows empty in.  It holds
-    A's entries and shape, not A, which holds it: no reference cycle."""
+class QMatrix:
+    """Sparse matrix of rationals, whose entries never change: ``entries[i]``
+    holds the nonzero ``(column, value)`` pairs of row i in column order, the
+    values given for one column summed; its solves build and keep its elimination."""
 
-    def __init__(self, matrix: QMatrix):
-        self.entries, self.rows, self.cols = matrix.entries, matrix.rows, matrix.cols
-        # where[col] holds every row with an entry in col, and perhaps rows
-        # whose entry there has cancelled since
-        self.where: list[set[int]] = [set() for _ in range(matrix.cols)]
-        for i, row in enumerate(matrix.entries):
-            for col, _ in row:
-                self.where[col].add(i)
+    __slots__ = ("rows", "cols", "entries", "where", "a", "den", "trace", "block", "blocks")
+
+    def __init__(self, cols: int, rows: Iterable[Iterable[tuple[int, object]]]):
+        data = []
+        for row in rows:
+            merged: dict[int, Scalar] = {}
+            for col, value in row:
+                if not 0 <= col < cols:
+                    raise ValueError(f"column {col} outside range({cols})")
+                merged[col] = _integral(merged.get(col, 0) + _exact(value))
+            data.append(tuple(sorted((c, v) for c, v in merged.items() if v)))
+        self.entries = tuple(data)
+        self.rows = len(data)
+        self.cols = cols
+        # where[col], made by the first elimination, holds every row with an
+        # entry in col, and perhaps rows whose entry there has cancelled since.
         # Only rows of eliminated blocks have a[r]/den[r], row r now, trace[r]/
         # den[r], its multipliers of the original rows, and block[r], which
         # indexes blocks: the (column, row) of each row that emptied, in the
         # order they did, and the (row, column) of each pivot.
+        self.where: list[set[int]] | None = None
         self.a, self.den, self.trace, self.block = {}, {}, {}, {}
         self.blocks: list[tuple[list[tuple[int, int]], list[tuple[int, int]]]] = []
 
+    @classmethod
+    def _from_clean(cls, cols: int,
+                    rows: Iterable[tuple[tuple[int, Scalar], ...]]) -> "QMatrix":
+        """Wrap rows that are clean by construction, without merging or
+        sorting: each is a tuple of ``(column, value)`` pairs in strictly
+        increasing column order, every value nonzero and clean as in
+        :mod:`lndtools.poly`.  Columns are still checked against ``cols``."""
+        out = cls(cols, ())
+        out.entries = tuple(rows)
+        for row in out.entries:
+            # pairs come in column order, so the ends bound every column
+            if row and not (0 <= row[0][0] and row[-1][0] < cols):
+                raise ValueError(f"a column of {row} is outside range({cols})")
+        out.rows = len(out.entries)
+        return out
+
     def _eliminate(self, start: int) -> None:
         """Eliminate the block of row ``start``, the rows and columns that it
-        reaches through shared columns, column by column in order."""
+        reaches through shared columns, column by column in order: no
+        right-hand side takes part in the pivots, the traces or the order
+        rows empty in, so every b is replayed through one elimination."""
+        if self.where is None:
+            self.where = [set() for _ in range(self.cols)]
+            for i, row in enumerate(self.entries):
+                for col, _ in row:
+                    self.where[col].add(i)
         entries, where, block = self.entries, self.where, self.block
         a, den, trace, k = self.a, self.den, self.trace, len(self.blocks)
         rows, cols, emptied, pivots = [start], set(), [], []
@@ -167,7 +162,7 @@ class Elimination:
             pivoted.add(best)
             pivots.append((best, col))
 
-    def solve(self, rhs: Sequence):
+    def _solve(self, rhs: Sequence):
         """A tuple of Fractions x with A*x = b, or an :class:`Inconsistency`;
         entries of ``rhs`` past the rows of A are those of empty rows after A."""
         entries, m, size = self.entries, self.rows, len(rhs)
@@ -207,8 +202,6 @@ class Elimination:
 def solve_exact(matrix: QMatrix, rhs: Sequence):
     """Solve A*x = b exactly: a tuple of Fractions x, or an
     :class:`Inconsistency`.  b has an entry for each row of A, then one for
-    each empty row appended to A.  The first solve of A eliminates it, as
-    far as b reaches, and every later solve of A replays that elimination."""
-    if matrix.elimination is None:
-        matrix.elimination = Elimination(matrix)
-    return matrix.elimination.solve(rhs)
+    each empty row appended to A.  A solve eliminates the blocks of A that b
+    reaches and no earlier solve did, and replays A's elimination of them."""
+    return matrix._solve(rhs)

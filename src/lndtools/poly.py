@@ -83,10 +83,6 @@ def mono_lcm(a: Monomial, b: Monomial) -> Monomial:
     return tuple(max(x, y) for x, y in zip(a, b))
 
 
-def mono_degree(a: Monomial) -> int:
-    return sum(a)
-
-
 def _grevlex_key(exps: Monomial):
     return (sum(exps), tuple(-e for e in reversed(exps)))
 
@@ -206,7 +202,7 @@ class Polynomial:
         """Total degree; -1 for the zero polynomial."""
         if not self.terms:
             return -1
-        return max(mono_degree(m) for m in self.terms)
+        return max(map(sum, self.terms))
 
     def leading_term(self, order: MonomialOrder) -> tuple[Monomial, Fraction]:
         if not self.terms:

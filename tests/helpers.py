@@ -19,6 +19,7 @@ from lndtools import (
     Inconsistency,
     Polynomial,
     QMatrix,
+    RationalFunction,
     parse_polynomial,
     solve_exact,
 )
@@ -227,6 +228,20 @@ def radical_by_power_search(f, ideal, max_power=5):
         if ideal.contains(power):
             return True
     return False
+
+
+def dixmier_sum(relations, slice_value, iterates):
+    """sum((-slice)^j iterates[j] / j!), reduced and simplified, with each
+    power of the slice built from 1 and a factorial per term: the Dixmier
+    sum of one coefficient, as ``dixmier_reduce`` once took it."""
+    total = RationalFunction.zero(relations.nvars)
+    sign_slice = -slice_value
+    slice_power = RationalFunction(Polynomial.constant(relations.nvars, 1), 1)
+    for j, current in enumerate(iterates):
+        if j:
+            slice_power = slice_power * sign_slice
+        total = total + slice_power * current * Fraction(1, math.factorial(j))
+    return total.reduce_mod(relations).simplify()
 
 
 # ----------------------------------------------------------------------

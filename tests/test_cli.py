@@ -18,6 +18,7 @@ from lndtools import (
     Ideal,
     Inconsistency,
     Outcome,
+    QMatrix,
     SearchBounds,
     parse_polynomial_list,
     parse_spec,
@@ -36,7 +37,6 @@ from lndtools.cli import (
     run_command,
 )
 from lndtools.derivation import DEFAULT_NILPOTENCY_CAP, Derivation
-from lndtools.linalg import Elimination
 from lndtools.parsing import MAX_NESTING
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -148,7 +148,7 @@ def test_hostile_inputs_end_with_their_exit_code(argv, code, stdout, stderr,
                                                  tmp_path, monkeypatch, capsys):
     if "slice-none" in argv:
         # a solver whose certificate does not verify, as a fault would give
-        monkeypatch.setattr(Elimination, "solve", lambda self, rhs:
+        monkeypatch.setattr(QMatrix, "_solve", lambda self, rhs:
                             Inconsistency((Fraction(1),) * len(rhs), Fraction(1)))
     monkeypatch.chdir(tmp_path)
     (tmp_path / "nilpotent.lnd").write_text(NILPOTENT, encoding="utf-8")

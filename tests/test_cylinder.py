@@ -1,3 +1,4 @@
+import math
 import random
 from fractions import Fraction
 from pathlib import Path
@@ -5,10 +6,11 @@ from pathlib import Path
 import pytest
 
 from lndtools.cylinder import PlinthCertificate
-from lndtools.linalg import Elimination
 from helpers import (
     danielewski,
+    dixmier_sum,
     plane,
+    random_fraction,
     random_poly,
     translation4,
     triangular3,
@@ -22,6 +24,7 @@ from lndtools import (
     Inconsistency,
     Outcome,
     Polynomial,
+    QMatrix,
     RationalFunction,
     SearchBounds,
     build_preimage_system,
@@ -361,6 +364,44 @@ def test_dixmier_reduce_applies_d_once_per_iterate(monkeypatch):
         "-3/8*y^2*z^3 + 3/4*x*z^4", "0", "1/8*z^5"]
 
 
+def test_dixmier_coefficients_match_the_per_coefficient_reference():
+    # slices y/z + p/q, x/u + p/q with p, q seeded kernel elements: every
+    # coefficient, and the image, is the very fraction, numerator and
+    # denominator, that one sum per coefficient gives
+    rng = random.Random(707)
+    cases = ((triangular3, "y", "z", ("z", "y^2 - 2*x*z")),
+             (danielewski, "y", "z", ("z",)),
+             (translation4, "x", "u", ("u", "v")))
+    for build, top, bottom, kernel in cases:
+        d, names = build()
+        nvars = len(names)
+        kernel = [parse_polynomial(k, names) for k in kernel]
+
+        def constant():
+            total = Polynomial.zero(nvars)
+            for _ in range(rng.randint(1, 2)):
+                term = Polynomial.constant(nvars, random_fraction(rng, 3))
+                for k in kernel:
+                    term = term * k ** rng.randint(0, 1)
+                total = total + term
+            return total
+
+        for _ in range(8):
+            p, q = constant(), constant() or Polynomial.constant(nvars, 1)
+            sigma = RationalFunction(parse_polynomial(top, names) * q + p,
+                                     parse_polynomial(bottom, names) * q)
+            b = d.ring.normal_form(random_poly(rng, nvars, max_total=3, max_terms=3))
+            its = d.iterates(b)
+            coeffs = dixmier_reduce(d, sigma, b)
+            # the element 0 has no iterates and the one coefficient 0
+            assert len(coeffs) == max(len(its), 1)
+            for k, c in enumerate(coeffs):
+                want = dixmier_sum(d.ring, sigma, its[k:]) * Fraction(1, math.factorial(k))
+                assert (c.num, c.den) == (want.num, want.den)
+            image, want = dixmier_image(d, sigma, b), dixmier_sum(d.ring, sigma, its)
+            assert (image.num, image.den) == (want.num, want.den)
+
+
 def test_dixmier_reduce_rejects_non_slices():
     d, _ = triangular3()
     with pytest.raises(ValueError):
@@ -466,7 +507,7 @@ def test_slice_nonexistence_checks_its_certificate(monkeypatch):
     _, matrix, rhs = build_preimage_system(d, 3).equations(one)
     doctored = Inconsistency((Fraction(1),) * matrix.rows, Fraction(1))
     assert not doctored.verify(matrix, rhs)
-    monkeypatch.setattr(Elimination, "solve", lambda self, rhs: doctored)
+    monkeypatch.setattr(QMatrix, "_solve", lambda self, rhs: doctored)
     with pytest.raises(CertificateError):
         slice_nonexistence(d, 3)
 
@@ -488,7 +529,7 @@ def test_every_inconsistency_is_verified(monkeypatch):
     result = slice_nonexistence(d, 2)
     assert verified[-1] is result.certificate and len(verified) == 4
     # a certificate that fails its check ends the search
-    monkeypatch.setattr(Elimination, "solve", lambda self, rhs:
+    monkeypatch.setattr(QMatrix, "_solve", lambda self, rhs:
                         Inconsistency((Fraction(1),) * len(rhs), Fraction(1)))
     with pytest.raises(CertificateError):
         plinth_membership(d, P("z"))

@@ -18,7 +18,6 @@ from lndtools import (
     solve_exact,
     spec_derivation,
 )
-from lndtools.linalg import Elimination
 
 CORPUS = Path(__file__).resolve().parent.parent / "corpus"
 
@@ -238,12 +237,12 @@ def test_matches_the_fraction_reference():
             matrix = random_matrix(rng, m, n, density)
             rhs = [random_fraction(rng) for _ in range(m)]
         assert solve_exact(matrix, rhs) == reference_solve(matrix, rhs)
-        # one elimination serves this b, a consistent one and a random one
-        elimination = Elimination(matrix)
+        # one fresh elimination serves this b, a consistent one and a random one
+        fresh = QMatrix._from_clean(matrix.cols, matrix.entries)
         x0 = [random_fraction(others) for _ in range(n)]
         other = [random_fraction(others) for _ in range(m)]
         for b in (rhs, product(matrix, x0), other):
-            got, want = elimination.solve(b), reference_solve(matrix, b)
+            got, want = solve_exact(fresh, b), reference_solve(matrix, b)
             assert got == want
             if isinstance(got, Inconsistency):
                 refuted += 1
@@ -287,7 +286,7 @@ def test_one_elimination_serves_many_right_hand_sides():
         # consistent: x1 = 3 from row 3, then x0 = 1 - 3 from row 1
         ([0, 1, 1, 3, 0], (Fraction(-2), Fraction(3))),
     ]
-    assert matrix.elimination is None
+    assert matrix.where is None and not matrix.block and not matrix.blocks
     for rhs, want in cases:
         got = solve_exact(matrix, rhs)
         assert got == want == reference_solve(padded, rhs)
@@ -307,35 +306,32 @@ def test_one_elimination_serves_many_right_hand_sides():
     # answers came from empty rows alone; the third eliminated the one block,
     # rows 1 to 3: row 2 emptied at column 0, and rows 1 and 3 pivot, row 1
     # before row 2 by its index
-    elimination = matrix.elimination
-    assert elimination.block == {1: 0, 2: 0, 3: 0}
-    assert elimination.blocks == [([(0, 2)], [(1, 0), (3, 1)])]
+    assert matrix.block == {1: 0, 2: 0, 3: 0}
+    assert matrix.blocks == [([(0, 2)], [(1, 0), (3, 1)])]
     assert solve_exact(matrix, [0, 1, 1, 3]) == (Fraction(-2), Fraction(3))
-    assert matrix.elimination is elimination
-    assert len(elimination.blocks) == 1
+    assert matrix.blocks == [([(0, 2)], [(1, 0), (3, 1)])]
     with pytest.raises(ValueError):
         solve_exact(matrix, [0, 1, 1])
 
 
-def test_an_elimination_does_not_hold_its_matrix():
-    # a matrix keeps its elimination, so the elimination must not keep the
-    # matrix: the pair would wait for the cycle collector, and every preimage
-    # system with it
+def test_a_dropped_system_leaves_no_matrix():
+    # a matrix holds its elimination: once its system is dropped, nothing,
+    # not even a reference cycle waiting for the collector, keeps it alive
     d = spec_derivation(parse_spec((CORPUS / "ex_danielewski.lnd").read_text(
         encoding="utf-8")))
 
-    def eliminations():
-        return sum(isinstance(o, Elimination) for o in gc.get_objects())
+    def matrices():
+        return sum(isinstance(o, QMatrix) for o in gc.get_objects())
 
     gc.collect()
     gc.disable()
     try:
-        before = eliminations()
+        before = matrices()
         system = build_preimage_system(d, 6)
         preimage_search(system, Polynomial.constant(d.ring.nvars, 1))
-        assert system.matrix.elimination is not None
+        assert system.matrix.blocks and matrices() == before + 1
         del system
-        assert eliminations() == before
+        assert matrices() == before
     finally:
         gc.enable()
 
@@ -363,9 +359,9 @@ def block_diagonal(rng, blocks, size, density):
 
 
 def test_blocks_are_eliminated_when_first_reached():
-    # several right-hand sides through one elimination, in random order, each
-    # touching some blocks: every answer is that of a fresh elimination and
-    # of the reference, whichever blocks earlier ones eliminated
+    # several right-hand sides through one matrix, in random order, each
+    # touching some blocks: every answer is that of a fresh matrix and of the
+    # reference, whichever blocks earlier ones eliminated
     rng = random.Random(205)
     solved = refuted = 0
     for case in range(150):
@@ -384,10 +380,10 @@ def test_blocks_are_eliminated_when_first_reached():
                                             else 0 for c in range(matrix.cols)]))
             targets.append(rhs)
         rng.shuffle(targets)
-        elimination = Elimination(matrix)
         for rhs in targets:
-            got = elimination.solve(rhs)
-            assert got == Elimination(matrix).solve(rhs) == reference_solve(matrix, rhs)
+            got = solve_exact(matrix, rhs)
+            fresh = QMatrix._from_clean(matrix.cols, matrix.entries)
+            assert got == solve_exact(fresh, rhs) == reference_solve(matrix, rhs)
             if isinstance(got, Inconsistency):
                 refuted += 1
                 assert got.verify(matrix, rhs)
@@ -401,14 +397,13 @@ def test_a_solve_leaves_the_blocks_it_does_not_reach():
     # block A is rows 0 and 2 on columns 1 and 3, block B rows 1 and 3 on
     # columns 0 and 2; b touches row 2 only
     matrix = QMatrix(4, [[(1, 1), (3, 2)], [(0, 1)], [(1, 3)], [(0, 2), (2, 1)]])
-    elimination = Elimination(matrix)
-    x = elimination.solve([0, 0, 6, 0])
+    x = solve_exact(matrix, [0, 0, 6, 0])
     assert x == (0, Fraction(2), 0, Fraction(-1))
-    assert elimination.block == {0: 0, 2: 0}
-    assert elimination.blocks == [([], [(0, 1), (2, 3)])]
-    assert elimination.solve([0, 1, 0, 0]) == (Fraction(1), 0, Fraction(-2), 0)
-    assert sorted(elimination.block) == [0, 1, 2, 3]
-    assert len(elimination.blocks) == 2
+    assert matrix.block == {0: 0, 2: 0}
+    assert matrix.blocks == [([], [(0, 1), (2, 3)])]
+    assert solve_exact(matrix, [0, 1, 0, 0]) == (Fraction(1), 0, Fraction(-2), 0)
+    assert sorted(matrix.block) == [0, 1, 2, 3]
+    assert len(matrix.blocks) == 2
 
 
 @pytest.mark.parametrize("k", [2, 3, 4])
