@@ -10,8 +10,9 @@ when no slice of bounded degree exists.  The search is a semi-decision:
 "no" is only ever reported when h itself fails the kernel test, which is
 conclusive because kernels of locally nilpotent derivations on domains
 are factorially closed.  Every power of h is solved against one preimage
-system, d on the standard monomials of bounded degree, whose blocks are
-each eliminated once, when a power first reaches them.
+system, d on the standard monomials of bounded degree, each column's image
+made from an earlier column's by the Leibniz rule; its blocks are each
+eliminated once, when a power first reaches them.
 """
 
 from __future__ import annotations
@@ -24,10 +25,9 @@ from fractions import Fraction
 from typing import Callable, NamedTuple, Sequence
 
 from .derivation import Derivation
-from .groebner import (Ideal, MonomialNormalForms, gcd_via_lcm, radical_membership,
-                       standard_monomials)
+from .groebner import Ideal, gcd_via_lcm, radical_membership, standard_monomials
 from .linalg import Inconsistency, QMatrix, solve_exact
-from .poly import DEGREVLEX, Monomial, Polynomial, Scalar, _cleared, _divide, mono_mul
+from .poly import DEGREVLEX, Monomial, Polynomial, Scalar, _integral, mono_mul
 from .ratfun import RationalFunction, ratfun_eq_mod
 
 
@@ -181,24 +181,31 @@ def build_preimage_system(derivation: Derivation,
     """The images under the derivation of the standard monomials of degree
     <= max_degree, the rows they make, and their matrix.
     Requires a degree-compatible order so that these span the image of every
-    residue class of bounded degree.  d(x^a) is the normal form of the sum
-    of a_i*c*x^(a-e_i)*t over i and the terms c*t of d(x_i)."""
+    residue class of bounded degree.  Columns come in ascending order from
+    1, so for x^a = x^b*x_i, x_i its last variable, x^b is an earlier
+    column, and by the Leibniz rule d(x^a) = NF(x_i*d(x^b) + x^b*d(x_i))."""
     if max_degree < 0:
         raise ValueError("max_degree must be non-negative")
     ring = derivation.ring
     if ring.order != DEGREVLEX:
         raise ValueError("bounded preimage search needs a degree-compatible order")
     columns = tuple(standard_monomials(ring, max_degree))
-    table = MonomialNormalForms(ring)
-    images = [_cleared(g.terms) for g in derivation.images]
+    images: dict[Monomial, dict[Monomial, Scalar]] = {columns[0]: {}}
     rows: dict[Monomial, list] = {}
     # columns in ascending order, so each row's pairs come sorted
-    for col, a in enumerate(columns):
-        image, den = table.of_sum(
-            (a[i] * c, e, mono_mul((*a[:i], a[i] - 1, *a[i + 1:]), t))
-            for i, (terms, e) in enumerate(images) if a[i] for t, c in terms.items())
-        for mono, coeff in image.items():
-            rows.setdefault(mono, []).append((col, _divide(coeff, den)))
+    for col, a in enumerate(columns[1:], 1):
+        i = max(j for j, e in enumerate(a) if e)
+        b = (*a[:i], a[i] - 1, *a[i + 1:])
+        total = {(*m[:i], m[i] + 1, *m[i + 1:]): c for m, c in images[b].items()}
+        for t, c in derivation.images[i].terms.items():
+            m = mono_mul(b, t)
+            if s := _integral(total.get(m, 0) + c):
+                total[m] = s
+            else:
+                del total[m]
+        images[a] = ring.normal_form(Polynomial._from_clean(ring.nvars, total)).terms
+        for mono, coeff in images[a].items():
+            rows.setdefault(mono, []).append((col, coeff))
     image_rows = {m: tuple(rows[m])
                   for m in sorted(rows, key=ring.order.key, reverse=True)}
     matrix = QMatrix._from_clean(len(columns), image_rows.values())
@@ -379,7 +386,7 @@ def principality_check(ideal: Ideal, relations: Ideal) -> PrincipalityResult:
     gens = [g for g in ideal.generators if g]
     if not gens:
         raise ValueError("need at least one nonzero generator")
-    gcd = functools.reduce(gcd_via_lcm, gens[1:], gens[0].content_split(DEGREVLEX)[1])
+    gcd = functools.reduce(gcd_via_lcm, gens[1:], gens[0].content_split()[1])
     if ideal.contains(gcd):
         return PrincipalityResult(Outcome.YES, gcd)
     outcome = Outcome.NO if relations.is_zero else Outcome.UNKNOWN

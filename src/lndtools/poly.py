@@ -210,16 +210,16 @@ class Polynomial:
         mono = max(self.terms, key=order.key)
         return mono, Fraction(self.terms[mono])
 
-    def content_split(self, order: MonomialOrder) -> tuple[Fraction, "Polynomial"]:
+    def content_split(self) -> tuple[Fraction, "Polynomial"]:
         """Split into (content, primitive part).
 
         The primitive part has coprime integer coefficients with a positive
-        leading coefficient under ``order``; self == content * primitive.
+        leading coefficient under degrevlex; self == content * primitive.
         """
         if not self.terms:
             return _ZERO, self
         terms, d = _cleared(self.terms)
-        lead = terms[max(terms, key=order.key)]
+        lead = terms[max(terms, key=DEGREVLEX.key)]
         n = math.gcd(*terms.values()) * (1 if lead > 0 else -1)
         if n == d:
             return Fraction(1), self
@@ -298,7 +298,7 @@ class Polynomial:
         if any(isinstance(c, Fraction) for c in self.terms.values()):
             # the primitive part has integer coefficients, whose products
             # need no gcd; the content is raised on its own
-            content, primitive = self.content_split(DEGREVLEX)
+            content, primitive = self.content_split()
             return primitive ** exponent * content ** exponent
         result = Polynomial.constant(self.nvars, 1)
         base = self

@@ -13,7 +13,7 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Union
 
-from .poly import DEGREVLEX, Polynomial, Scalar, mono_div
+from .poly import Polynomial, Scalar, mono_div
 
 _Operand = Union["RationalFunction", Polynomial, int, Fraction]
 
@@ -34,7 +34,7 @@ class RationalFunction:
             den = Polynomial.constant(num.nvars, 1)
         else:
             num, den = _cancel_monomial(num, den)
-        content, den = den.content_split(DEGREVLEX)
+        content, den = den.content_split()
         if content != 1 and num:
             num = num * (1 / content)
         self.num = num

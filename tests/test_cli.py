@@ -160,6 +160,27 @@ def test_hostile_inputs_end_with_their_exit_code(argv, code, stdout, stderr,
     assert (out, err) == (stdout + "\n" * bool(stdout), stderr + "\n" * bool(stderr))
 
 
+# x*y = 1 with d(x) = x*y^400: the image of x^k reduces one step per
+# factor x*y, so the systems need reductions of up to 400 steps
+RECIPROCAL = "ring R\nvars x y\nrel x*y - 1\nder x = x*y^400\nder y = -y^401\n"
+
+
+@pytest.mark.parametrize("argv, code, lines", [
+    (["plinth", "--elem", "1", "--max-deg", "400", "--max-power", "1"], EXIT_YES,
+     ["plinth membership of 1: yes", "n = 1", "f = 1/400*x^400"]),
+    (["slice-none", "--max-deg", "399"], EXIT_NO,
+     ["no slice of degree <= 399", "system: 799 equations, 799 unknowns",
+      "certificate multipliers: {1: 1}", "certificate value: 1"]),
+], ids=["plinth", "slice-none"])
+def test_deep_reductions_end_with_their_verdict(argv, code, lines, tmp_path):
+    spec = tmp_path / "reciprocal.lnd"
+    spec.write_text(RECIPROCAL, encoding="utf-8")
+    begin = time.perf_counter()
+    result, report = run_command([argv[0], str(spec), *argv[1:]])
+    assert time.perf_counter() - begin < 2.0
+    assert (result, report.splitlines()) == (code, lines)
+
+
 def test_exp_canonical_output():
     code, report = run_command(["exp", FP, "--elem", "x;y;z"])
     assert code == EXIT_YES
@@ -290,8 +311,8 @@ def test_plinth_builds_one_system_for_every_power(monkeypatch):
     code, _ = run_command(["plinth", FP, "--elem", "y^2 - 2*x*z"])
     assert code == EXIT_UNKNOWN
     # powers 1 to 4 share one system, whose 165 columns, the monomials of
-    # degree <= 8, have their images from one table; d is applied once,
-    # in the kernel test d(h) = 0
+    # degree <= 8, have their images from the Leibniz rule over earlier
+    # columns; d is applied once, in the kernel test d(h) = 0
     assert len(systems) == 1 and len(systems[0].columns) == 165
     assert counts == {"apply": 1}
     # every column has its image: zero exactly on the powers of z

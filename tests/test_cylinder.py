@@ -159,7 +159,7 @@ def assert_images_match_apply(d, max_degree):
     return system
 
 
-def test_table_images_equal_derivation_apply():
+def test_column_images_equal_derivation_apply():
     corpus = Path(__file__).resolve().parent.parent / "corpus"
     specs = sorted(corpus.glob("*.lnd"))
     assert len(specs) == 5
@@ -169,7 +169,7 @@ def test_table_images_equal_derivation_apply():
         assert_images_match_apply(d, 8)
     # x*z^k = p(y), d(x) = p'(y), d(y) = z^k, d(z) = 0, with seeded p; at
     # k = 1 and deg p = 4 the leading monomial is y^4, whose coefficient 3
-    # makes the monic basis element, and so the table, carry Fractions
+    # makes the monic basis element, and so the images, carry Fractions
     rng = random.Random(707)
     x, y, z = (Polynomial.variable(3, i) for i in range(3))
     for k, deg, lead in [(1, 4, 3), (1, 2, 1), (2, 2, -2), (2, 3, 5), (3, 2, 1)]:
@@ -187,6 +187,12 @@ def test_table_images_equal_derivation_apply():
     d = Derivation(Ideal(3, [x * y]), [x * z, 3 * y * z, x + y])
     assert d.check_preserves_relations() is None
     assert_images_match_apply(d, 8)
+    # x*y = 1 at degree 400: x^k*y^400 reduces one step per factor x*y,
+    # so each image needs up to 400 reductions
+    x, y = (Polynomial.variable(2, i) for i in range(2))
+    d = Derivation(Ideal(2, [x * y - 1]), [x * y ** 400, -y ** 401])
+    assert d.check_preserves_relations() is None
+    assert len(assert_images_match_apply(d, 400).columns) == 801
 
 
 def test_preimage_search_requires_degree_compatible_order():

@@ -1,5 +1,4 @@
 import json
-import math
 import random
 import subprocess
 import sys
@@ -35,7 +34,6 @@ from lndtools import (
     reduce_poly,
     standard_monomials,
 )
-from lndtools.groebner import MonomialNormalForms
 from lndtools.poly import mono_divides
 
 XYZ = ["x", "y", "z"]
@@ -223,25 +221,6 @@ def test_normal_form_is_stable_and_linear():
         assert nf(shift) == nf(f)
 
 
-@pytest.mark.parametrize("order", [DEGREVLEX, LEX])
-def test_monomial_normal_form_table_matches_normal_form(order):
-    rng = random.Random(306)
-    for _ in range(60):
-        ideal = random_ideal(rng, order=order)
-        table = MonomialNormalForms(ideal)
-        for _ in range(5):
-            parts = [(rng.choice([-3, -1, 1, 2]), rng.randint(1, 4),
-                      tuple(rng.randint(0, 3) for _ in range(3)))
-                     for _ in range(rng.randint(1, 4))]
-            terms, den = table.of_sum(parts)
-            assert den > 0 and math.gcd(den, *terms.values()) == 1
-            want = ideal.normal_form(sum(
-                (Polynomial.monomial(3, m, Fraction(c, d)) for c, d, m in parts),
-                Polynomial.zero(3)))
-            assert Polynomial(3, {m: Fraction(v, den) for m, v in terms.items()}) \
-                == want
-
-
 # ----------------------------------------------------------------------
 # radical membership, two routes
 
@@ -359,7 +338,7 @@ def test_common_factor_shows_up_in_gcd():
         g = random_nonzero_poly(rng, 2, max_total=2, max_terms=2, bound=3)
         d = gcd_via_lcm(f * h, g * h)
         # h divides the gcd whatever the cofactors share
-        divide_exact(d, h.content_split(DEGREVLEX)[1])
+        divide_exact(d, h.content_split()[1])
 
 
 # ----------------------------------------------------------------------
