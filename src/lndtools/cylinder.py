@@ -275,14 +275,15 @@ def dixmier_image(derivation: Derivation, slice_value: RationalFunction,
 
 def _dixmier_sums(relations: Ideal, slice_value: RationalFunction,
                   iterates: Sequence[Polynomial], count: int) -> list[RationalFunction]:
-    """sum((-slice)^j iterates[k + j] / j!) for k < count, each reduced and
-    simplified, from one list of the terms (-slice)^j / j!."""
-    terms = [RationalFunction(Polynomial.constant(relations.nvars, 1), 1)]
-    for j in range(1, len(iterates)):
-        terms.append(terms[-1] * -slice_value * Fraction(1, j))
-    zero = RationalFunction.zero(relations.nvars)
-    return [sum((term * it for term, it in zip(terms, iterates[k:])), zero)
-            .reduce_mod(relations).simplify() for k in range(count)]
+    """sum((-slice)^j iterates[k + j] / j!) for k < count by Horner's rule,
+    over the one denominator den(slice)^(J-1-k), reduced and simplified."""
+    sums = []
+    for k in range(count):
+        total = RationalFunction.zero(relations.nvars)
+        for m in range(len(iterates) - 1, k - 1, -1):
+            total = iterates[m] - slice_value * total * Fraction(1, m - k + 1)
+        sums.append(total.reduce_mod(relations).simplify())
+    return sums
 
 
 def dixmier_reduce(derivation: Derivation, slice_value: RationalFunction,

@@ -216,11 +216,7 @@ class _Parser:
             t = len(base.terms)
             _bound("power", math.comb(max(t, 1) - 1 + e, e),
                    e * (_bits(base) + t.bit_length()), token)
-            if t != 1:
-                return base ** e
-            [(mono, c)] = base.terms.items()
-            return Polynomial._from_clean(
-                self.nvars, {tuple(e * k for k in mono): _integral(c ** e)})
+            return base ** e
         return base
 
     def atom(self) -> Polynomial:

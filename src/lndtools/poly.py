@@ -295,13 +295,14 @@ class Polynomial:
     def __pow__(self, exponent: int) -> "Polynomial":
         if not isinstance(exponent, int) or exponent < 0:
             raise ValueError("exponent must be a non-negative integer")
-        if any(isinstance(c, Fraction) for c in self.terms.values()):
-            # the primitive part has integer coefficients, whose products
-            # need no gcd; the content is raised on its own
-            content, primitive = self.content_split()
-            return primitive ** exponent * content ** exponent
+        if len(self.terms) == 1:
+            [(mono, c)] = self.terms.items()
+            return Polynomial._from_clean(
+                self.nvars, {tuple(exponent * k for k in mono): _integral(c ** exponent)})
+        # the primitive part has integer coefficients, whose products need
+        # no gcd; the content is raised on its own
+        content, base = self.content_split()
         result = Polynomial.constant(self.nvars, 1)
-        base = self
         e = exponent
         while e:
             if e & 1:
@@ -309,7 +310,7 @@ class Polynomial:
             e >>= 1
             if e:
                 base = base * base
-        return result
+        return result if content == 1 else result * content ** exponent
 
     def __eq__(self, other) -> bool:
         if isinstance(other, (int, Fraction)):

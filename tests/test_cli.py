@@ -420,6 +420,17 @@ def test_benchmark_traced_names_resolve():
         assert callable(obj), (module_name, path)
 
 
+def test_goldens_run_every_command(monkeypatch):
+    # the golden transcripts are the list of pinned invocations: each
+    # command is run by at least one, and the only other block is the script
+    monkeypatch.syspath_prepend(str(ROOT / "perfbench"))
+    workloads = importlib.import_module("workloads")
+    argvs = [argv for golden in (CORPUS / "golden").glob("*.txt")
+             for argv, _, _ in workloads.parse_golden(golden.read_text(encoding="utf-8"))]
+    assert {argv[1] for argv in argvs if argv[0] == "lnd"} == {c.name for c in COMMANDS}
+    assert [argv for argv in argvs if argv[0] != "lnd"] == [["python3", "check_p2.py"]]
+
+
 @pytest.mark.parametrize("workload", ["search", "ideals"])
 def test_benchmark_round_passes_its_checks(workload, tmp_path, monkeypatch):
     # one round of a benchmark workload, as its worker runs it, read by the

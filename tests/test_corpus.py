@@ -1,11 +1,12 @@
 """Golden tests pinning the command-line reports for the bundled examples.
 
-Each golden file interleaves the exact invocation, its exit code, and the
-report text.  Regenerate after an intentional output change with
-
-    REGENERATE_GOLDEN=1 python3 -m pytest tests/test_corpus.py
-
-and review the diff before committing it.
+The golden files are the list of commands.  Each block, read with the
+benchmark's ``parse_golden``, is run again from inside ``corpus/``: an
+``lnd`` block through ``run_command``, ``python3 check_p2.py`` through
+the script's ``run()``.  To add a command, append a block of ``$ lnd …``,
+``exit 0`` and one placeholder line (a block with an empty report does
+not round-trip), regenerate with ``REGENERATE_GOLDEN=1 python3 -m pytest
+tests/test_corpus.py``, and review the diff before committing it.
 """
 
 import importlib.util
@@ -21,115 +22,36 @@ ROOT = Path(__file__).resolve().parent.parent
 CORPUS = ROOT / "corpus"
 GOLDEN = CORPUS / "golden"
 
-INVOCATIONS = {
-    "ex_fp": [
-        ["check"],
-        ["exp", "--elem", "x;y;z"],
-        ["orbit", "--point", "0;0;1", "--time", "2"],
-        ["orbit", "--point", "0;1;0", "--time", "5"],
-        ["fixed"],
-        ["kernel", "--elem", "z;y^2 - 2*x*z"],
-        ["kernel", "--elem", "x"],
-        ["plinth", "--elem", "z"],
-        ["plinth", "--elem", "y^2 - 2*x*z"],
-        ["cylinder", "--elem", "z"],
-        ["cylinder", "--elem", "x"],
-        ["trivialize", "--h", "z", "--elem", "x"],
-        ["trivialize", "--h", "z", "--elem", "x^2"],
-        ["slice-none", "--max-deg", "6"],
-        ["plinth-verify", "--gens", "z"],
-        ["principal", "--gens", "z"],
-        ["maximal-cylinder", "--gens", "z"],
-        ["gb", "--ideal", "x^2 + y; x*y - 1"],
-        ["gb", "--ideal", "x^2 + y; x*y - 1", "--order", "lex"],
-        ["member", "--elem", "x^3", "--ideal", "x^2 + y; x*y - 1"],
-        ["radmember", "--elem", "x*y", "--ideal", "x^2*y^3"],
-        ["radmember", "--elem", "x", "--ideal", "x^2*y^3"],
-        ["gcd", "--elems", "x^2 - y^2; x^2 + 2*x*y + y^2"],
-    ],
-    "ex_p2": [
-        ["check"],
-        ["exp", "--elem", "x;y;z"],
-        ["kernel", "--elem", "y^2 - 2*x*z"],
-    ],
-    "ex_danielewski": [
-        ["check"],
-        ["kernel", "--elem", "z"],
-        ["orbit", "--point", "0;1;1", "--time", "3"],
-        ["plinth", "--elem", "z"],
-        ["cylinder", "--elem", "z"],
-        ["trivialize", "--h", "z", "--elem", "x"],
-        ["slice-none", "--max-deg", "6"],
-        ["plinth-verify", "--gens", "z"],
-        ["maximal-cylinder", "--gens", "z"],
-        ["member", "--elem", "y^2", "--ideal", "y^2 - 2*x*z - 1"],
-    ],
-    "ex_a4": [
-        ["check"],
-        ["kernel", "--elem", "u;v;x*v - y*u"],
-        ["fixed"],
-        ["cylinder", "--elem", "u"],
-        ["cylinder", "--elem", "v"],
-        ["plinth", "--elem", "x*v - y*u", "--max-power", "2", "--max-deg", "6"],
-        ["plinth-verify", "--gens", "u;v"],
-        ["principal", "--gens", "u;v"],
-        ["maximal-cylinder", "--gens", "u;v"],
-        ["slice-none", "--max-deg", "6"],
-    ],
-    "ex_plane": [
-        ["check"],
-        ["exp", "--elem", "x;y"],
-        ["fixed"],
-        ["orbit", "--point", "1;3", "--time", "1/2"],
-        ["cylinder", "--elem", "y^2"],
-        ["plinth", "--elem", "y"],
-        ["slice-none", "--max-deg", "4"],
-    ],
-}
 
-
-def render_blocks(stem):
-    spec_path = CORPUS / f"{stem}.lnd"
-    blocks = []
-    for invocation in INVOCATIONS[stem]:
-        command, args = invocation[0], invocation[1:]
-        shown = shlex.join(["lnd", command, spec_path.name] + args)
-        code, report = run_command([command, str(spec_path)] + args)
-        blocks.append(f"$ {shown}\nexit {code}\n{report}\n")
-    return "\n".join(blocks)
-
-
-def _p2_script_block():
-    path = CORPUS / "check_p2.py"
-    loader = importlib.util.spec_from_file_location("check_p2", path)
+def run_script(name):
+    loader = importlib.util.spec_from_file_location(Path(name).stem, CORPUS / name)
     module = importlib.util.module_from_spec(loader)
     loader.loader.exec_module(module)
-    code, report = module.run()
-    return f"$ python3 {path.name}\nexit {code}\n{report}\n"
+    return module.run()
 
 
-def expected_text(stem):
-    text = render_blocks(stem)
-    if stem == "ex_p2":
-        text += "\n" + _p2_script_block()
-    return text
+def run_block(argv):
+    """(exit code, report) of a golden block's command, run again."""
+    return run_command(argv[1:]) if argv[0] == "lnd" else run_script(argv[1])
 
 
-@pytest.mark.parametrize("stem", sorted(INVOCATIONS))
-def test_golden_reports(stem):
+@pytest.mark.parametrize("stem", sorted(p.stem for p in GOLDEN.glob("*.txt")))
+def test_golden_reports(stem, monkeypatch):
     golden_path = GOLDEN / f"{stem}.txt"
-    text = expected_text(stem)
+    monkeypatch.syspath_prepend(str(ROOT / "perfbench"))
+    workloads = importlib.import_module("workloads")
+    monkeypatch.chdir(CORPUS)
+    rerun = [(argv, *run_block(argv)) for argv, _, _ in
+             workloads.parse_golden(golden_path.read_text(encoding="utf-8"))]
+    text = "\n".join(f"$ {shlex.join(argv)}\nexit {code}\n{report}\n"
+                     for argv, code, report in rerun)
     if os.environ.get("REGENERATE_GOLDEN"):
         golden_path.write_text(text, encoding="utf-8")
     assert golden_path.read_text(encoding="utf-8") == text
 
 
 def test_p2_script_passes():
-    path = CORPUS / "check_p2.py"
-    loader = importlib.util.spec_from_file_location("check_p2", path)
-    module = importlib.util.module_from_spec(loader)
-    loader.loader.exec_module(module)
-    code, report = module.run()
+    code, report = run_script("check_p2.py")
     assert code == 0
     assert report.splitlines()[-1] == "kernel checks pass"
     assert "d(z^2/h) = 0" in report

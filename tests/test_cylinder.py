@@ -408,6 +408,27 @@ def test_dixmier_coefficients_match_the_per_coefficient_reference():
             assert (image.num, image.den) == (want.num, want.den)
 
 
+def test_dixmier_sums_keep_one_power_of_the_slice_denominator(monkeypatch):
+    # by Horner's rule a sum over J iterates has a denominator dividing
+    # den(slice)^(J-1) before simplify, whose gcd costs grow with it; a sum
+    # of the terms (-slice)^j/j! would multiply their denominators (12 here)
+    d, names = translation4()
+    sigma = RationalFunction(parse_polynomial("x*(u*y - v*x + 2) + v", names),
+                             parse_polynomial("u*(u*y - v*x + 2)", names))
+    element = parse_polynomial("x^3", names)
+    assert len(d.iterates(element)) == 4
+    degrees, simplify = [], RationalFunction.simplify
+
+    def recording(self):
+        degrees.append(self.den.total_degree())
+        return simplify(self)
+
+    monkeypatch.setattr(RationalFunction, "simplify", recording)
+    image = dixmier_image(d, sigma, element)
+    assert degrees and max(degrees) <= 3 * sigma.den.total_degree() == 9
+    assert image == dixmier_sum(d.ring, sigma, d.iterates(element))
+
+
 def test_dixmier_reduce_rejects_non_slices():
     d, _ = triangular3()
     with pytest.raises(ValueError):
