@@ -9,10 +9,11 @@ Dixmier map), and return exact linear-algebra infeasibility certificates
 when no slice of bounded degree exists.  The search is a semi-decision:
 "no" is only ever reported when h itself fails the kernel test, which is
 conclusive because kernels of locally nilpotent derivations on domains
-are factorially closed.  Every power of h is solved against one preimage
-system, d on the standard monomials of bounded degree, each column's image
-made from an earlier column's by the Leibniz rule; its blocks are each
-eliminated once, when a power first reaches them.
+are factorially closed.  Integer weights that make d and the relations
+homogeneous split the preimage system, d on the standard monomials of
+bounded degree, into classes.  A power of h is solved on the classes it
+reaches, with images and systems shared by a command's powers and elements,
+and a system's blocks each eliminated when a target first reaches them.
 """
 
 from __future__ import annotations
@@ -22,11 +23,11 @@ import math
 from dataclasses import dataclass, replace
 from enum import Enum
 from fractions import Fraction
-from typing import Callable, NamedTuple, Sequence
+from typing import NamedTuple, Sequence
 
 from .derivation import Derivation
 from .groebner import Ideal, gcd_via_lcm, radical_membership, standard_monomials
-from .linalg import Inconsistency, QMatrix, solve_exact
+from .linalg import Inconsistency, QMatrix, null_space, solve_exact
 from .poly import DEGREVLEX, Monomial, Polynomial, Scalar, _integral, mono_mul
 from .ratfun import RationalFunction, ratfun_eq_mod
 
@@ -153,8 +154,8 @@ class MaximalCylinderResult:
 
 
 class PreimageSystem(NamedTuple):
-    """The linear map d on the standard monomials up to the degree bound it
-    was built with: column j is ``columns[j]``.  ``image_rows`` maps each
+    """The linear map d on its columns, standard monomials of bounded
+    degree: column j is ``columns[j]``.  ``image_rows`` maps each
     monomial of a reduced image, in descending order, to its row of
     ``matrix``: the ``(column, coefficient)`` pairs in column order.  Every
     target is solved against this one matrix, which keeps its elimination."""
@@ -176,34 +177,79 @@ class PreimageSystem(NamedTuple):
         return rows, self.matrix, tuple(target.terms.get(r, 0) for r in rows)
 
 
-def build_preimage_system(derivation: Derivation,
-                          max_degree: int) -> PreimageSystem:
-    """The images under the derivation of the standard monomials of degree
-    <= max_degree, the rows they make, and their matrix.
-    Requires a degree-compatible order so that these span the image of every
-    residue class of bounded degree.  Columns come in ascending order from
-    1, so for x^a = x^b*x_i, x_i its last variable, x^b is an earlier
-    column, and by the Leibniz rule d(x^a) = NF(x_i*d(x^b) + x^b*d(x_i))."""
-    if max_degree < 0:
-        raise ValueError("max_degree must be non-negative")
+class Grading:
+    """A basis of the integer weights w on the variables, with shifts, such
+    that each term t of d(x_i) has w(t) = w(x_i) + shift and the relations'
+    reduced basis is w-homogeneous; a monomial's class is its weights.  So d
+    maps class c into c + shift and normal forms keep classes: each block of
+    a preimage system lies in one class, and those a target reaches in the
+    classes w(m) - shift of its monomials m.  One grading serves a command
+    at one degree bound: it finds its weights when a first system is asked
+    for, and keeps the images and systems it has built."""
+
+    def __init__(self, derivation: Derivation, max_degree: int):
+        self.derivation, self.max_degree = derivation, max_degree
+        self.weights: tuple[tuple[int, ...], ...] | None = None
+        self.images: dict[Monomial, dict[Monomial, Scalar]] = {}
+        self.systems: dict[frozenset, PreimageSystem] = {}
+
+    def _grade(self):
+        ring, n = self.derivation.ring, self.derivation.ring.nvars
+        equations = [[*enumerate(t), (i, -1), (n, -1)]
+                     for i, image in enumerate(self.derivation.images) for t in image.terms]
+        equations += [[(j, e - f) for j, (e, f) in enumerate(zip(m, lead))]
+                      for g, (lead, _, _) in zip(ring.basis, ring.leads) for m in g.terms]
+        lattice = null_space(QMatrix(n + 1, equations))
+        if any(sum(v[j] * e for j, e in row) for v in lattice for row in equations):
+            raise CertificateError("the grading leaves d or the relations inhomogeneous")
+        self.weights, self.shift = tuple(v[:n] for v in lattice), tuple(v[n] for v in lattice)
+        self.columns = tuple(standard_monomials(ring, self.max_degree))
+        self.classes = tuple(map(self.weigh, self.columns))
+
+    def weigh(self, monomial: Monomial) -> tuple[int, ...]:
+        return tuple(sum(map(int.__mul__, w, monomial)) for w in self.weights)
+
+    def system(self, target: Polynomial) -> PreimageSystem:
+        """The preimage system on the classes that ``target`` reaches."""
+        if self.weights is None:
+            self._grade()
+        classes = frozenset(tuple(c - s for c, s in zip(self.weigh(m), self.shift))
+                            for m in target.terms)
+        if classes not in self.systems:
+            columns = tuple(m for m, c in zip(self.columns, self.classes) if c in classes)
+            self.systems[classes] = build_preimage_system(self.derivation, columns,
+                                                          self.images)
+        return self.systems[classes]
+
+
+def build_preimage_system(derivation: Derivation, columns: tuple[Monomial, ...],
+                          images: dict[Monomial, dict[Monomial, Scalar]]
+                          ) -> PreimageSystem:
+    """The images under the derivation of ``columns``, standard monomials,
+    the rows they make, and their matrix.  Requires a degree-compatible
+    order so that the standard monomials of degree <= D span the image of
+    every residue class of degree <= D.  The image of x^a is the normal form
+    of its Leibniz sum, sum_j a_j*x^(a-e_j)*d(x_j); it is kept in ``images``,
+    which the systems of one derivation may share."""
     ring = derivation.ring
     if ring.order != DEGREVLEX:
         raise ValueError("bounded preimage search needs a degree-compatible order")
-    columns = tuple(standard_monomials(ring, max_degree))
-    images: dict[Monomial, dict[Monomial, Scalar]] = {columns[0]: {}}
     rows: dict[Monomial, list] = {}
-    # columns in ascending order, so each row's pairs come sorted
-    for col, a in enumerate(columns[1:], 1):
-        i = max(j for j, e in enumerate(a) if e)
-        b = (*a[:i], a[i] - 1, *a[i + 1:])
-        total = {(*m[:i], m[i] + 1, *m[i + 1:]): c for m, c in images[b].items()}
-        for t, c in derivation.images[i].terms.items():
-            m = mono_mul(b, t)
-            if s := _integral(total.get(m, 0) + c):
-                total[m] = s
-            else:
-                del total[m]
-        images[a] = ring.normal_form(Polynomial._from_clean(ring.nvars, total)).terms
+    # columns in order, so each row's pairs come sorted
+    for col, a in enumerate(columns):
+        if a not in images:
+            total: dict[Monomial, Scalar] = {}
+            for j, e in enumerate(a):
+                if not e:
+                    continue
+                b = (*a[:j], e - 1, *a[j + 1:])
+                for t, c in derivation.images[j].terms.items():
+                    m = mono_mul(b, t)
+                    if s := _integral(total.get(m, 0) + e * c):
+                        total[m] = s
+                    else:
+                        del total[m]
+            images[a] = ring.normal_form(Polynomial._from_clean(ring.nvars, total)).terms
         for mono, coeff in images[a].items():
             rows.setdefault(mono, []).append((col, coeff))
     image_rows = {m: tuple(rows[m])
@@ -234,12 +280,15 @@ def preimage_search(system: PreimageSystem, target: Polynomial) -> PreimageResul
 
 def plinth_membership(derivation: Derivation, element: Polynomial,
                       bounds: SearchBounds = SearchBounds(),
-                      system: Callable[[], PreimageSystem] | None = None
-                      ) -> SearchResult:
+                      grading: Grading | None = None) -> SearchResult:
     """Decide whether some power of ``element`` is a kernel element that
-    is also an image, within the given bounds.  ``system``, when given,
-    returns the derivation's preimage system at ``bounds.max_degree``, for
-    callers that search several elements against one system."""
+    is also an image, within the given bounds.  Each power is solved on the
+    classes of ``grading`` that it reaches; callers that search several
+    elements share one, made for ``derivation`` at ``bounds.max_degree``."""
+    if grading is None:
+        grading = Grading(derivation, bounds.max_degree)
+    elif grading.derivation is not derivation or grading.max_degree != bounds.max_degree:
+        raise ValueError("the grading was made for another derivation or degree bound")
     if element.is_zero:
         raise ValueError("the zero element is excluded; its open set is empty")
     relations = derivation.ring
@@ -253,12 +302,10 @@ def plinth_membership(derivation: Derivation, element: Polynomial,
         # Kernels are factorially closed in a domain, so no power of a
         # non-kernel element can ever land in the kernel: a conclusive no.
         return SearchResult(Outcome.NO, h, bounds, obstruction=image)
-    preimages = (build_preimage_system(derivation, bounds.max_degree)
-                 if system is None else system())
     power = Polynomial.constant(relations.nvars, 1)
     for n in range(1, bounds.max_power + 1):
         power = relations.normal_form(power * h)
-        search = preimage_search(preimages, power)
+        search = preimage_search(grading.system(power), power)
         if search.found:
             cert = PlinthCertificate(derivation, h, n, search.preimage)
             return SearchResult(Outcome.YES, h, bounds, certificate=cert)
@@ -336,33 +383,25 @@ def slice_nonexistence(derivation: Derivation,
                        max_degree: int) -> PreimageResult:
     """Search for a global polynomial slice of bounded degree; failure is
     certified exactly, and the certificate is checked before it is given."""
-    return preimage_search(build_preimage_system(derivation, max_degree),
+    if max_degree < 0:
+        raise ValueError("max_degree must be non-negative")
+    columns = tuple(standard_monomials(derivation.ring, max_degree))
+    return preimage_search(build_preimage_system(derivation, columns, {}),
                            Polynomial.constant(derivation.ring.nvars, 1))
-
-
-def _shared_system(derivation: Derivation,
-                   bounds: SearchBounds) -> Callable[[], PreimageSystem]:
-    """The derivation's preimage system at ``bounds.max_degree``, built on
-    the first call and returned again on the others."""
-    return functools.cache(
-        lambda: build_preimage_system(derivation, bounds.max_degree))
 
 
 def plinth_claim_verify(derivation: Derivation, claimed: Sequence[Polynomial],
                         bounds: SearchBounds = SearchBounds(),
-                        system: Callable[[], PreimageSystem] | None = None
-                        ) -> PlinthClaimReport:
+                        grading: Grading | None = None) -> PlinthClaimReport:
     """Check a claimed plinth generating set: every generator must pass the
     kernel test and exhibit a power with a preimage.  Also returns the
     ideal the claimed generators span; on the variety its zero locus is
     the complement of the union of invariant principal cylinders.  One
-    preimage system serves every generator: ``system``, as for
-    ``plinth_membership``, or else one built when first needed."""
+    grading, as for ``plinth_membership``, serves every generator."""
     if not claimed:
         raise ValueError("no generators claimed")
-    if system is None:
-        system = _shared_system(derivation, bounds)
-    entries = tuple(plinth_membership(derivation, g, bounds, system)
+    grading = grading or Grading(derivation, bounds.max_degree)
+    entries = tuple(plinth_membership(derivation, g, bounds, grading)
                     for g in claimed)
     if any(e.outcome is Outcome.NO for e in entries):
         outcome = Outcome.NO
@@ -403,8 +442,8 @@ def maximal_cylinder(derivation: Derivation, claimed: Sequence[Polynomial],
     reused instead of searching again.  A claim that does not verify, or
     a principality check on its ideal that is not a yes, passes its
     outcome on."""
-    system = _shared_system(derivation, bounds)
-    claim = plinth_claim_verify(derivation, claimed, bounds, system)
+    grading = Grading(derivation, bounds.max_degree)
+    claim = plinth_claim_verify(derivation, claimed, bounds, grading)
     if claim.outcome is not Outcome.YES:
         return MaximalCylinderResult(claim.outcome, claim)
     principality = principality_check(claim.complement, derivation.ring)
@@ -413,6 +452,6 @@ def maximal_cylinder(derivation: Derivation, claimed: Sequence[Polynomial],
     h = derivation.ring.normal_form(principality.gcd)
     plinth = next((e for e in claim.entries if e.element == h), None)
     if plinth is None:
-        plinth = plinth_membership(derivation, principality.gcd, bounds, system)
+        plinth = plinth_membership(derivation, principality.gcd, bounds, grading)
     decision = cylinder_from_plinth(plinth)
     return MaximalCylinderResult(decision.outcome, claim, principality, decision)

@@ -22,7 +22,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import chain, repeat
-from math import gcd
+from math import gcd, lcm
 from typing import Iterable, Sequence
 
 from .poly import _ZERO, Scalar, _cleared, _divide, _exact, _integral
@@ -197,6 +197,25 @@ class QMatrix:
                 known = sum(v * solution[c] for c, v in a[row].items())
                 solution[col] = _divide(replayed(trace[row]) - known, a[row][col])
         return tuple(Fraction(v) if v else _ZERO for v in solution)
+
+
+def null_space(matrix: QMatrix) -> list[tuple[int, ...]]:
+    """A basis of A's rational null space in primitive integer vectors: one
+    per column with no pivot in A's elimination, 0 at the others of those."""
+    for i, row in enumerate(matrix.entries):
+        if row and i not in matrix.block:
+            matrix._eliminate(i)
+    pivots = {col for _, block in matrix.blocks for _, col in block}
+    basis = []
+    for free in sorted(set(range(matrix.cols)) - pivots):
+        x: list[Scalar] = [int(c == free) for c in range(matrix.cols)]
+        # as in _solve with b = 0: x[col] is still 0 when its row is summed
+        for row, col in reversed([p for _, block in matrix.blocks for p in block]):
+            x[col] = _divide(-sum(v * x[c] for c, v in matrix.a[row].items()),
+                             matrix.a[row][col])
+        scale = lcm(*(Fraction(v).denominator for v in x))
+        basis.append(tuple(int(v * scale) for v in x))
+    return basis
 
 
 def solve_exact(matrix: QMatrix, rhs: Sequence):

@@ -20,9 +20,17 @@ from lndtools import (
     Polynomial,
     QMatrix,
     RationalFunction,
+    build_preimage_system,
     parse_polynomial,
     solve_exact,
+    standard_monomials,
 )
+
+
+def full_system(d: Derivation, max_degree: int):
+    """The preimage system of ``d`` on every standard monomial of degree
+    <= ``max_degree``, as ``slice-none`` builds it."""
+    return build_preimage_system(d, tuple(standard_monomials(d.ring, max_degree)), {})
 
 
 def monomials_up_to(nvars: int, max_degree: int) -> Iterator[tuple[int, ...]]:

@@ -16,7 +16,6 @@ from lndtools import (
     Outcome,
     Polynomial,
     RationalFunction,
-    build_preimage_system,
     cylinder_decision,
     dixmier_reduce,
     format_exp_action,
@@ -37,6 +36,7 @@ from helpers import (
     assert_exp_group_law,
     assert_exp_multiplicative,
     danielewski,
+    full_system,
     radical_by_power_search,
     random_nonzero_poly,
     random_poly,
@@ -125,7 +125,7 @@ def test_criterion_06_no_bounded_slice():
             result = slice_nonexistence(d, 6)
             assert not result.found
             one = Polynomial.constant(d.ring.nvars, 1)
-            rows, matrix, rhs = build_preimage_system(d, 6).equations(one)
+            rows, matrix, rhs = full_system(d, 6).equations(one)
             assert rows == result.row_monomials
             assert result.certificate.verify(matrix, rhs)
             assert time.perf_counter() - begin < 60.0
@@ -292,7 +292,7 @@ def _preimage_reverification(rng):
         f = d.ring.normal_form(random_poly(rng, nvars, max_total=3,
                                            max_terms=3))
         target = d.apply(f)
-        system = build_preimage_system(d, max(f.total_degree(), 0))
+        system = full_system(d, max(f.total_degree(), 0))
         result = preimage_search(system, target)
         assert result.found
         assert d.apply(result.preimage) == target

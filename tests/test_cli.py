@@ -18,12 +18,14 @@ from lndtools import (
     Ideal,
     Inconsistency,
     Outcome,
+    Polynomial,
     QMatrix,
     SearchBounds,
     parse_polynomial_list,
     parse_spec,
     principality_check,
     spec_derivation,
+    standard_monomials,
 )
 from lndtools.cli import (
     COMMANDS,
@@ -293,55 +295,128 @@ def test_principality_with_relations_is_unknown_when_not_principal(tmp_path):
     assert "generator = z" in report
 
 
-def test_plinth_builds_one_system_for_every_power(monkeypatch):
-    counts = {"apply": 0}
-    systems = []
-    build, apply = lndtools.cylinder.build_preimage_system, Derivation.apply
+def counted_builds(monkeypatch):
+    """The gradings a command makes, and every (args, system) that
+    ``build_preimage_system`` is called with and returns, through the
+    bindings the searches use."""
+    gradings, builds = [], []
+    build = lndtools.cylinder.build_preimage_system
+
+    class CountedGrading(lndtools.cylinder.Grading):
+        def __init__(self, *args):
+            super().__init__(*args)
+            gradings.append(self)
 
     def counted_build(*args):
-        systems.append(build(*args))
-        return systems[-1]
+        builds.append((args, build(*args)))
+        return builds[-1][1]
+
+    monkeypatch.setattr(lndtools.cylinder, "Grading", CountedGrading)
+    monkeypatch.setattr(lndtools.cylinder, "build_preimage_system", counted_build)
+    return gradings, builds
+
+
+def assert_reached_classes_only(gradings, builds):
+    """The command made one grading, and each of its systems was built
+    once, on the grading's images, with the standard monomials of the
+    classes it was asked for as columns, in order."""
+    (grading,) = gradings
+    classes_of = {id(system): classes for classes, system in grading.systems.items()}
+    assert len(builds) == len(classes_of)
+    for (derivation, columns, images), system in builds:
+        assert derivation is grading.derivation and images is grading.images
+        want = [m for m in standard_monomials(derivation.ring, grading.max_degree)
+                if grading.weigh(m) in classes_of[id(system)]]
+        assert list(columns) == list(system.columns) == want
+    return grading
+
+
+# The two tests below keep their names, so their ids stay as they were;
+# they check one grading per command, whose systems are built only on the
+# classes that the command's targets reach.
+def test_plinth_builds_one_system_for_every_power(monkeypatch):
+    counts = {"apply": 0}
+    gradings, builds = counted_builds(monkeypatch)
+    apply = Derivation.apply
 
     def counted_apply(self, f):
         counts["apply"] += 1
         return apply(self, f)
 
-    monkeypatch.setattr(lndtools.cylinder, "build_preimage_system", counted_build)
     monkeypatch.setattr(Derivation, "apply", counted_apply)
     code, _ = run_command(["plinth", FP, "--elem", "y^2 - 2*x*z"])
     assert code == EXIT_UNKNOWN
-    # powers 1 to 4 share one system, whose 165 columns, the monomials of
-    # degree <= 8, have their images from the Leibniz rule over earlier
-    # columns; d is applied once, in the kernel test d(h) = 0
-    assert len(systems) == 1 and len(systems[0].columns) == 165
+    # powers 1 to 4 of h each reach one class, w(h^n) - shift, of the 165
+    # monomials of degree <= 8, and each class its own system: 10 columns
+    # in all, whose images the grading keeps; d is applied once, in the
+    # kernel test d(h) = 0
+    grading = assert_reached_classes_only(gradings, builds)
+    assert len(grading.columns) == 165
+    assert [len(classes) for classes in grading.systems] == [1, 1, 1, 1]
+    assert [len(system.columns) for _, system in builds] == [1, 2, 3, 4]
+    assert grading.images.keys() == {m for _, system in builds for m in system.columns}
     assert counts == {"apply": 1}
     # every column has its image: zero exactly on the powers of z
-    columns = systems[0].columns
-    images = {col for row in systems[0].image_rows.values() for col, _ in row}
-    assert images == {j for j, (a, b, _) in enumerate(columns) if a or b}
+    for _, system in builds:
+        images = {col for row in system.image_rows.values() for col, _ in row}
+        assert images == {j for j, (a, b, _) in enumerate(system.columns) if a or b}
 
 
 @pytest.mark.parametrize("command, gens, code", [
     ("plinth-verify", "u;v", EXIT_YES),
     ("maximal-cylinder", "u;v", EXIT_NO),
     # the principal generator u is not a claimed one, so it is searched
-    # again, on the same system
+    # again, on the system that 2*u and 3*u reach
     ("maximal-cylinder", "2*u;3*u", EXIT_YES),
 ])
 def test_claim_builds_one_system_for_every_generator(monkeypatch, command,
                                                      gens, code):
-    builds = []
-    build = lndtools.cylinder.build_preimage_system
-
-    def counted_build(*args):
-        builds.append(args)
-        return build(*args)
-
-    monkeypatch.setattr(lndtools.cylinder, "build_preimage_system", counted_build)
+    gradings, builds = counted_builds(monkeypatch)
     result, report = run_command([command, A4, "--gens", gens])
     assert result == code, report
     assert "claim verified: yes" in report
-    assert len(builds) == 1
+    # one grading serves every generator; each generator's first power
+    # reaches its own class, u or v, and 2*u, 3*u and u share one
+    assert_reached_classes_only(gradings, builds)
+    assert len(builds) == {"u;v": 2, "2*u;3*u": 1}[gens]
+
+
+def test_a_grading_is_made_for_its_search(monkeypatch):
+    # a search that fails the kernel test finds no weights, and a grading
+    # made for another degree bound is refused
+    gradings, builds = counted_builds(monkeypatch)
+    code, _ = run_command(["plinth-verify", FP, "--gens", "x"])
+    assert code == EXIT_NO
+    assert [g.weights for g in gradings] == [None] and builds == []
+    (grading,) = gradings
+    d = spec_derivation(parse_spec(Path(FP).read_text(encoding="utf-8")))
+    z = Polynomial.variable(3, 2)
+    for derivation, max_degree in [(grading.derivation, grading.max_degree + 1),
+                                   (d, grading.max_degree)]:
+        with pytest.raises(ValueError, match="another derivation or degree bound"):
+            lndtools.cylinder.plinth_membership(derivation, z, SearchBounds(4, max_degree),
+                                                grading)
+
+
+@pytest.mark.parametrize("argv", [
+    ["plinth", FP, "--elem", "z"],
+    ["cylinder", FP, "--elem", "z"],
+    ["maximal-cylinder", A4, "--gens", "u;v"],
+])
+def test_a_wrong_grading_is_refused(monkeypatch, argv):
+    # one weight off by one: some d(x_i) is no longer homogeneous, and a
+    # class system could miss a preimage, so the search must not start
+    null_space = lndtools.cylinder.null_space
+
+    def wrong(matrix):
+        first, *rest = null_space(matrix)
+        return [(first[0] + 1, *first[1:]), *rest]
+
+    monkeypatch.setattr(lndtools.cylinder, "null_space", wrong)
+    code, report = run_command(argv)
+    assert code == EXIT_SOFTWARE
+    assert report == ("internal error: CertificateError: "
+                      "the grading leaves d or the relations inhomogeneous")
 
 
 def test_trivialize_builds_no_dixmier_images(monkeypatch):

@@ -5,10 +5,11 @@ from pathlib import Path
 
 import pytest
 
-from lndtools.cylinder import PlinthCertificate
+from lndtools.cylinder import Grading, PlinthCertificate
 from helpers import (
     danielewski,
     dixmier_sum,
+    full_system,
     plane,
     random_fraction,
     random_poly,
@@ -27,7 +28,6 @@ from lndtools import (
     QMatrix,
     RationalFunction,
     SearchBounds,
-    build_preimage_system,
     cylinder_decision,
     dixmier_image,
     dixmier_reduce,
@@ -74,7 +74,7 @@ def test_kernel_check():
 def test_preimage_of_z_is_exactly_y():
     d, _ = triangular3()
     for bound in (1, 4, 8):
-        result = preimage_search(build_preimage_system(d, bound), P("z"))
+        result = preimage_search(full_system(d, bound), P("z"))
         assert result.found
         assert result.preimage == P("y")
 
@@ -87,7 +87,7 @@ def test_constructed_targets_always_resolve():
         nvars = d.ring.nvars
         f = d.ring.normal_form(random_poly(rng, nvars, max_total=3, max_terms=3))
         target = d.apply(f)
-        system = build_preimage_system(d, max(f.total_degree(), 0))
+        system = full_system(d, max(f.total_degree(), 0))
         result = preimage_search(system, target)
         assert result.found
         assert d.apply(result.preimage) == target
@@ -100,8 +100,8 @@ def test_feasibility_is_monotone_in_the_bound():
         f = random_poly(rng, 3, max_total=2, max_terms=3)
         target = d.apply(f)
         bound = max(f.total_degree(), 0)
-        low = preimage_search(build_preimage_system(d, bound), target)
-        high = preimage_search(build_preimage_system(d, bound + 2), target)
+        low = preimage_search(full_system(d, bound), target)
+        high = preimage_search(full_system(d, bound + 2), target)
         assert low.found and high.found
 
 
@@ -109,7 +109,7 @@ def test_unreachable_target_yields_checkable_certificate():
     d, _ = triangular3()
     one = P("1")
     for bound in (0, 3, 6):
-        system = build_preimage_system(d, bound)
+        system = full_system(d, bound)
         result = preimage_search(system, one)
         assert not result.found
         rows, matrix, rhs = system.equations(one)
@@ -127,17 +127,65 @@ def test_shared_system_matches_a_fresh_one():
         d, _ = example()
         nvars = d.ring.nvars
         for bound in (1, 3):
-            shared = build_preimage_system(d, bound)
+            shared = full_system(d, bound)
             targets = [Polynomial.constant(nvars, 1)]
             for _ in range(12):
                 f = random_poly(rng, nvars, max_total=bound, max_terms=3)
                 targets += [d.apply(f), random_poly(rng, nvars, max_total=3)]
             for target in targets:
                 result = preimage_search(shared, target)
-                fresh = preimage_search(build_preimage_system(d, bound), target)
+                fresh = preimage_search(full_system(d, bound), target)
                 assert result == fresh
                 outcomes.add(result.found)
     assert outcomes == {True, False}
+
+
+def grading_cases():
+    """(derivation, elements, max_degree, grading rank) to search on."""
+    xy = ["x", "y"]
+    rank0 = Derivation(Ideal(2), [P("1 + y", xy), P("1", xy)])
+    yield rank0, [P("2*x - 2*y - y^2", xy), P("1", xy), P("x", xy)], 4, 0
+    # x*z^2 = p(y), p seeded: D(z) is a cylinder at n = 2 and no lower
+    rng = random.Random(2510)
+    x, y, z = (Polynomial.variable(3, i) for i in range(3))
+    coeffs = [rng.choice([-3, -2, -1, 1, 2, 3]) for _ in range(4)]
+    p = sum((y ** i * c for i, c in enumerate(coeffs)), Polynomial.zero(3))
+    dp = sum((y ** (i - 1) * (i * c) for i, c in enumerate(coeffs) if i),
+             Polynomial.zero(3))
+    surface = Derivation(Ideal(3, [x * z ** 2 - p]), [dp, z ** 2, Polynomial.zero(3)])
+    yield surface, [z, z + 1], 8, 1
+    corpus = Path(__file__).resolve().parent.parent / "corpus"
+    a4 = spec_derivation(parse_spec((corpus / "ex_a4.lnd").read_text(encoding="utf-8")))
+    uv = ["x", "y", "u", "v"]
+    yield a4, [P(e, uv) for e in ("u", "v", "u + v", "u*v - 1", "x*v - y*u")], 4, 3
+    # z + 1 spans two classes on the Danielewski surface
+    d, _ = danielewski()
+    yield d, [P("z"), P("z + 1"), P("z^2 - 3*z")], 6, 1
+
+
+def test_class_systems_agree_with_the_full_system():
+    # the oracle: on every power, a class system finds the full system's
+    # preimage, or both find none; a class system's images are d's
+    outcomes, spans = set(), set()
+    for d, elements, max_degree, rank in grading_cases():
+        grading = Grading(d, max_degree)
+        full = full_system(d, max_degree)
+        for h in elements:
+            power = Polynomial.constant(d.ring.nvars, 1)
+            for _ in range(3):
+                power = d.ring.normal_form(power * h)
+                system = grading.system(power)
+                result = preimage_search(system, power)
+                assert result.preimage == preimage_search(full, power).preimage
+                outcomes.add(result.found)
+                spans.add(len({grading.weigh(m) for m in power.terms}))
+                assert set(system.columns) <= set(full.columns)
+                if rank == 0:
+                    assert system.columns == full.columns
+                for mono, image in zip(system.columns, column_images(system)):
+                    assert image == d.apply(Polynomial.monomial(d.ring.nvars, mono)).terms
+        assert len(grading.weights) == rank
+    assert outcomes == {True, False} and max(spans) > 1
 
 
 def column_images(system):
@@ -150,7 +198,7 @@ def column_images(system):
 
 
 def assert_images_match_apply(d, max_degree):
-    system = build_preimage_system(d, max_degree)
+    system = full_system(d, max_degree)
     for mono, image in zip(system.columns, column_images(system)):
         want = d.apply(Polynomial.monomial(d.ring.nvars, mono)).terms
         assert image == want, mono
@@ -203,7 +251,7 @@ def test_preimage_search_requires_degree_compatible_order():
     d = Derivation(ring, [parse_polynomial("y", names),
                           parse_polynomial("0", names)])
     with pytest.raises(ValueError):
-        preimage_search(build_preimage_system(d, 2), parse_polynomial("y", names))
+        preimage_search(full_system(d, 2), parse_polynomial("y", names))
 
 
 # ----------------------------------------------------------------------
@@ -523,7 +571,7 @@ def test_no_global_slice_certificates():
         result = slice_nonexistence(d, 6)
         assert not result.found
         one = Polynomial.constant(d.ring.nvars, 1)
-        rows, matrix, rhs = build_preimage_system(d, 6).equations(one)
+        rows, matrix, rhs = full_system(d, 6).equations(one)
         assert result.certificate.verify(matrix, rhs)
         assert result.nonzero_multipliers()
 
@@ -531,7 +579,7 @@ def test_no_global_slice_certificates():
 def test_slice_nonexistence_checks_its_certificate(monkeypatch):
     d, _ = triangular3()
     one = Polynomial.constant(d.ring.nvars, 1)
-    _, matrix, rhs = build_preimage_system(d, 3).equations(one)
+    _, matrix, rhs = full_system(d, 3).equations(one)
     doctored = Inconsistency((Fraction(1),) * matrix.rows, Fraction(1))
     assert not doctored.verify(matrix, rhs)
     monkeypatch.setattr(QMatrix, "_solve", lambda self, rhs: doctored)

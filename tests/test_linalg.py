@@ -1,23 +1,25 @@
 import gc
+import math
 import random
 from fractions import Fraction
 from pathlib import Path
 
 import pytest
 
-from helpers import random_fraction
+from helpers import full_system, random_fraction
 from lndtools import (
     Derivation,
     Ideal,
     Inconsistency,
     Polynomial,
     QMatrix,
-    build_preimage_system,
     parse_spec,
     preimage_search,
     solve_exact,
     spec_derivation,
 )
+
+from lndtools.linalg import null_space
 
 CORPUS = Path(__file__).resolve().parent.parent / "corpus"
 
@@ -148,6 +150,44 @@ def test_consistent_by_construction_always_solves():
             outcome = solve_exact(matrix, rhs)
             assert not isinstance(outcome, Inconsistency)
             assert product(matrix, outcome) == rhs
+
+
+def rank(matrix):
+    """The rank of A by Gaussian elimination on Fractions."""
+    rows = [[Fraction(dict(row).get(c, 0)) for c in range(matrix.cols)]
+            for row in matrix.entries]
+    count = 0
+    for col in range(matrix.cols):
+        pivot = next((r for r in rows[count:] if r[col]), None)
+        if pivot is None:
+            continue
+        rows.remove(pivot)
+        rows = rows[:count] + [pivot] + [
+            [v - r[col] / pivot[col] * p for v, p in zip(r, pivot)] for r in rows[count:]]
+        count += 1
+    return count
+
+
+def test_null_space_is_a_primitive_integer_basis():
+    rng = random.Random(2512)
+    dims = set()
+    for _ in range(200):
+        matrix = random_matrix(rng, rng.randint(0, 5), rng.randint(1, 6),
+                               density=rng.choice([0.2, 0.5, 0.8]))
+        basis = null_space(matrix)
+        assert len(basis) == matrix.cols - rank(matrix)
+        for v in basis:
+            assert all(type(e) is int for e in v) and math.gcd(*v) == 1
+            assert not any(product(matrix, v))
+        assert rank(QMatrix(matrix.cols, [enumerate(v) for v in basis])) == len(basis)
+        dims.add(len(basis))
+    assert dims == set(range(7))
+    # the grading of x*z^2 = y^3 + 1 with d(x) = 3*y^2, d(y) = z^2, on the
+    # unknowns (w(x), w(y), w(z), shift): rows w(t) - w(x_i) - shift for the
+    # terms t of d(x_i), and the differences of weights in the relation
+    system = QMatrix(4, [[(1, 2), (0, -1), (3, -1)], [(2, 2), (1, -1), (3, -1)],
+                         [(0, -1), (1, 3), (2, -2)], [(0, -1), (2, -2)]])
+    assert null_space(system) == [(-2, 0, 1, 2)]
 
 
 def test_out_of_range_column_is_rejected():
@@ -327,7 +367,7 @@ def test_a_dropped_system_leaves_no_matrix():
     gc.disable()
     try:
         before = matrices()
-        system = build_preimage_system(d, 6)
+        system = full_system(d, 6)
         preimage_search(system, Polynomial.constant(d.ring.nvars, 1))
         assert system.matrix.blocks and matrices() == before + 1
         del system
@@ -416,7 +456,7 @@ def test_danielewski_systems_match_the_fraction_reference(k):
     d = Derivation(Ideal(3, [x * z ** k - p]),
                    [y ** 2 + Polynomial.constant(3, Fraction(1, 2)), z ** k,
                     Polynomial.zero(3)])
-    system = build_preimage_system(d, k + 1)
+    system = full_system(d, k + 1)
     assert any(type(v) is Fraction
                for row in system.image_rows.values() for _, v in row)
     outcomes = []

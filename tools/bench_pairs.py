@@ -9,12 +9,17 @@ that is removed afterwards.  For every workload of ``BENCHMARK.json``,
 pairs at seed 13 and the benchmark's run length, the parent first in odd
 pairs, so that slow spells of a shared machine fall on both sides.  Then
 two traced ``search`` passes per side, alternating, give the per-layer
-figures.  The file holds, per workload and side, the first pair's result
-line, every run, and the median and quartiles of each end-to-end metric;
-per metric, the pairs the change won, the relative change of the median,
-whether that is within the bound of ``BENCHMARK.json``, and the parent's
-interquartile range over its median; and the ``src/lndtools`` line count
-of each side.  A run that fails ends the tool with exit code 1.
+figures, and two processes per side and workload, alternating, each run
+one warm-up pass and three passes through ``run_command`` and report their
+peak RSS and the CPU time of each pass.  The file holds, per workload and
+side, the first pair's result line, every run, with the number of samples
+each kept (the worker holds every report until it ends, so its
+``peak_rss_mb`` grows with them), and the median and quartiles of each
+end-to-end metric; per metric, the pairs the change won, the relative
+change of the median, whether that is within the bound of
+``BENCHMARK.json``, and the parent's interquartile range over its median;
+and the ``src/lndtools`` line count of each side.  A run that fails ends
+the tool with exit code 1.
 """
 
 from __future__ import annotations
@@ -33,7 +38,33 @@ BENCHMARK = json.loads((ROOT / "BENCHMARK.json").read_text(encoding="utf-8"))
 WORKLOADS = [w["name"] for w in BENCHMARK["workloads"]]
 END_TO_END = {m["name"]: m for m in BENCHMARK["end_to_end"]}
 SIDES = ("parent", "change")
-PAIRS, SEED, TRACE_RUNS = 10, 13, 2
+PAIRS, SEED, TRACE_RUNS, PASS_RUNS = 10, 13, 2, 2
+
+# argv: checkout, workload, seed; one warm-up pass and three passes of the
+# workload's lnd commands in this process, then one JSON line
+PASSES = """
+import json, os, resource, sys, tempfile, time
+from pathlib import Path
+root, name, seed = Path(sys.argv[1]), sys.argv[2], int(sys.argv[3])
+sys.path[:0] = [str(root / "src"), str(root / "perfbench")]
+import workloads
+from lndtools.cli import run_command
+workload = workloads.build(name, seed, root)
+commands = [list(c.argv) for c in workload.commands if c.argv[0] != "python3"]
+cpu = []
+with tempfile.TemporaryDirectory() as scratch:
+    for file_name, text in workload.files.items():
+        (Path(scratch) / file_name).write_text(text, encoding="utf-8")
+    os.chdir(root / "corpus" if name == "corpus" else scratch)
+    for _ in range(4):
+        start = time.process_time()
+        for argv in commands:
+            run_command(argv)
+        cpu.append(round(time.process_time() - start, 4))
+    os.chdir(root)
+print(json.dumps({"maxrss_mb": round(resource.getrusage(resource.RUSAGE_SELF)
+                                     .ru_maxrss / 1024, 2), "pass_cpu_s": cpu[1:]}))
+"""
 
 
 def run(checkout: Path, workload: str, trace: int) -> tuple[dict, dict]:
@@ -51,10 +82,23 @@ def run(checkout: Path, workload: str, trace: int) -> tuple[dict, dict]:
     return context, json.loads(lines[-1])
 
 
-def summary(results: list[dict]) -> dict:
-    """One side of a workload: the first run, every run, and the spread."""
+def passes(checkout: Path, workload: str) -> dict:
+    """Peak RSS and per-pass CPU of one warm-up and three passes in one
+    process, as ``PASSES`` reports them."""
+    argv = [sys.executable, "-c", PASSES, str(checkout), workload, str(SEED)]
+    done = subprocess.run(argv, capture_output=True, text=True)
+    if done.returncode != 0:
+        raise SystemExit(f"passes of {workload} in {checkout} exited with "
+                         f"{done.returncode}: {done.stderr.strip()}")
+    return json.loads(done.stdout.strip().splitlines()[-1])
+
+
+def summary(results: list[dict], samples: list[int]) -> dict:
+    """One side of a workload: the first run, every run with the samples
+    it kept, and the spread."""
     runs = {name: [round(r["metrics"][name]["value"], 4) for r in results]
             for name in END_TO_END}
+    runs["samples"] = samples
     return {
         "first_pair": results[0],
         "median": {name: round(statistics.median(v), 4) for name, v in runs.items()},
@@ -119,15 +163,17 @@ def main(argv: list[str] | None = None) -> int:
         workloads = {}
         for workload in WORKLOADS:
             results: dict[str, list] = {side: [] for side in SIDES}
+            samples: dict[str, list] = {side: [] for side in SIDES}
             for pair in range(PAIRS):
                 for side in SIDES if pair % 2 == 0 else SIDES[::-1]:
                     context, result = run(checkouts[side], workload, 0)
                     contexts[side] = context
                     results[side].append(result)
+                    samples[side].append(context["samples"])
                     print(f"{workload} pair {pair + 1} {side}: verdicts_per_s "
                           f"{result['metrics']['verdicts_per_s']['value']:.2f}",
                           file=sys.stderr)
-            sides = {side: summary(results[side]) for side in SIDES}
+            sides = {side: summary(results[side], samples[side]) for side in SIDES}
             workloads[workload] = {"pairs": PAIRS, **sides,
                                    "comparison": comparison(*sides.values())}
         trace: dict = {side: {} for side in SIDES}
@@ -136,6 +182,12 @@ def main(argv: list[str] | None = None) -> int:
                 _, result = run(checkouts[side], "search", 1)
                 for name, metric in result["metrics"].items():
                     trace[side].setdefault(name, []).append(round(metric["value"], 4))
+        in_process: dict = {side: {} for side in SIDES}
+        for workload in WORKLOADS:
+            for n in range(PASS_RUNS):
+                for side in SIDES if n % 2 == 0 else SIDES[::-1]:
+                    in_process[side].setdefault(workload, []).append(
+                        passes(checkouts[side], workload))
     finally:
         shutil.rmtree(scratch, ignore_errors=True)
     context = contexts.get("change", {})
@@ -152,13 +204,19 @@ def main(argv: list[str] | None = None) -> int:
             "whether it is within the benchmark's bound, and the parent's "
             "interquartile range over its median.  'trace' holds the per-layer "
             f"figures of {TRACE_RUNS} traced search passes per side (--trace 1),"
-            " alternating, one value per pass." + (args.note and f"  {args.note}")),
+            " alternating, one value per pass.  'runs' also holds the samples of "
+            "each run, since the worker's peak_rss_mb grows with them.  "
+            f"'in_process' holds, per side and workload, {PASS_RUNS} processes, "
+            "alternating, each with its peak RSS after one warm-up pass and three "
+            "passes through run_command, and the CPU seconds of those three."
+            + (args.note and f"  {args.note}")),
         "parent_commit": commit,
         "machine": f"{context.get('cpu_model')}, {context.get('nproc')} cores",
         "python": context.get("python"),
         "src_lines": {side: contexts[side]["src_lines"] for side in SIDES
                       if side in contexts},
         "trace": trace,
+        "in_process": in_process,
         "workloads": workloads,
     }
     args.out.write_text(json.dumps(report, indent=1) + "\n", encoding="utf-8")
