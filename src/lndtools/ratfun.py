@@ -3,8 +3,8 @@
 The normal form divides numerator and denominator by the same scalar so
 that the denominator has coprime integer coefficients with a positive
 leading coefficient, and strips any common monomial factor.  Cancelling a
-common polynomial factor needs a Groebner computation, so it only happens
-in :meth:`RationalFunction.simplify`, which callers invoke at the points
+common polynomial factor needs a polynomial gcd, so it only happens in
+:meth:`RationalFunction.simplify`, which callers invoke at the points
 where fractions would otherwise grow.
 """
 
@@ -105,7 +105,9 @@ class RationalFunction:
     # ------------------------------------------------------------------
 
     def simplify(self) -> "RationalFunction":
-        """Cancel the full polynomial gcd of numerator and denominator."""
+        """Cancel the full polynomial gcd of numerator and denominator,
+        found by ``groebner.gcd_via_lcm``: integer evaluation, with a
+        Groebner basis only when that gives up."""
         if self.num.is_zero or self.den.total_degree() == 0:
             return self
         from .groebner import divide_exact, gcd_via_lcm

@@ -103,6 +103,11 @@ ZERO_RING = "ring Z\nvars x\nrel x\nrel x - 1\nder x = 0\n"
 TEN_5000 = "1" + "0" * 5000
 # 20,000 distinct terms, each a multiple of x
 LONG_SUM = " + ".join(f"x*y^{i % 200}*z^{i // 200}" for i in range(20_000))
+# a planted factor of degree 6 under coprime cofactors of degree 24; the
+# gcd through the ideal intersection alone takes over 2 s
+PLANTED = "(3*x^2*y - x*z + 7)^2"
+PLANTED_PAIR = (f"{PLANTED}*(12*x^3 - 7*y^2*z + 5*x*z - 11)^8; "
+                f"{PLANTED}*(9*y^3 + 4*x*z^2 - 13*y + 2)^8")
 
 
 @pytest.mark.parametrize("argv, code, stdout, stderr", [
@@ -141,11 +146,13 @@ LONG_SUM = " + ".join(f"x*y^{i % 200}*z^{i // 200}" for i in range(20_000))
     # and the coefficient bound at the 12th '*', where 100 factors once took 13 s
     (["kernel", FP, "--elem", "*".join(["(10^4000*x+y)"] * 100)], EXIT_USAGE, "",
      "error: line 1, column 168: product may have more than 4000000 coefficient bits"),
+    (["gcd", FP, "--elems", PLANTED_PAIR], EXIT_YES,
+     "gcd = 9*x^4*y^2 - 6*x^3*y*z + x^2*z^2 + 42*x^2*y - 14*x*z + 49", ""),
 ], ids=["huge integer", "huge integer, kernel", "huge fraction", "huge power",
         "huge exponent", "huge printed coefficients", "huge coefficients",
         "huger coefficients", "value with minus", "value with minus after =",
         "doctored certificate", "nilpotent element", "zero ring", "long sum",
-        "long product", "long product, big coefficients"])
+        "long product", "long product, big coefficients", "large planted gcd"])
 def test_hostile_inputs_end_with_their_exit_code(argv, code, stdout, stderr,
                                                  tmp_path, monkeypatch, capsys):
     if "slice-none" in argv:
@@ -545,8 +552,10 @@ def test_algebra_commands():
 
 
 def test_a_wrong_lcm_is_an_internal_error(monkeypatch, capsys):
-    # gcd divides the product of its arguments by their lcm, which must
-    # divide it; a division that fails there is a fault of the program
+    # when the heuristic gives up, gcd divides the product of its arguments
+    # by their lcm, which must divide it; a division that fails there is a
+    # fault of the program
+    monkeypatch.setattr(lndtools.groebner, "_HEU_TRIES", 0)
     monkeypatch.setattr(lndtools.groebner, "lcm_via_intersection",
                         lambda f, g: f + 1)
     assert main(["gcd", FP, "--elems", "x^2 - 1; x - 1"]) == EXIT_SOFTWARE

@@ -291,7 +291,8 @@ def test_lcm_and_gcd_known_values():
     assert lcm_via_intersection(P("x + y"), P("x - y")) == P("x^2 - y^2")
 
 
-def test_gcd_runs_one_groebner_basis(monkeypatch):
+def counted_buchberger(monkeypatch):
+    """The list of calls that ``groebner.buchberger`` gets from now on."""
     from lndtools import groebner
 
     calls = []
@@ -301,10 +302,80 @@ def test_gcd_runs_one_groebner_basis(monkeypatch):
         return buchberger(*args)
 
     monkeypatch.setattr(groebner, "buchberger", counted)
+    return calls
+
+
+def test_gcd_runs_one_groebner_basis(monkeypatch):
+    # a heuristic that gives up at once leaves the gcd to the lcm
+    from lndtools import groebner
+
+    monkeypatch.setattr(groebner, "_HEU_TRIES", 0)
+    calls = counted_buchberger(monkeypatch)
     assert gcd_via_lcm(P("x^2 - y^2"), P("x^2 + 2*x*y + y^2")) == P("x + y")
     assert len(calls) == 1
     assert lcm_via_intersection(P("2"), P("3")) == P("1")
     assert lcm_via_intersection(P("x*y"), P("y*z")) == P("x*y*z")
+
+
+def test_heuristic_gcd_runs_no_groebner_basis(monkeypatch):
+    calls = counted_buchberger(monkeypatch)
+    assert gcd_via_lcm(P("x^2 - y^2"), P("x^2 + 2*x*y + y^2")) == P("x + y")
+    assert gcd_via_lcm(P("x*y"), P("x^2")) == P("x")
+    assert gcd_via_lcm(P("6*x + 6"), P("4")) == P("1")
+    assert calls == []
+
+
+def intersection_gcd(f, g):
+    return divide_exact(f * g, lcm_via_intersection(f, g)).content_split()[1]
+
+
+def planted_gcd_pairs():
+    """Seeded pairs with a common factor in 1 to 4 variables, scaled by
+    integers, fractions and negative numbers."""
+    rng = random.Random(326)
+    pairs = []
+    for nvars in (1, 2, 3, 4):
+        for _ in range(15):
+            h, a, b = (random_nonzero_poly(rng, nvars, max_total=2, max_terms=3, bound=5)
+                       for _ in range(3))
+            pairs.append((a * h * rng.choice((1, -6, 12, Fraction(-3, 2))),
+                          b * h * rng.choice((1, -1, 10, Fraction(5, 7)))))
+    return pairs
+
+
+GCD_CASES = [
+    ("6*(x + 1)*(y - 2)", "-4*(x + 1)*(x*y + 3)"),          # integer content
+    ("(1/2*x + 1/3)*(y - 1/5)", "(3*x + 2)*(2/7*z + 1)"),   # fractions
+    ("-(x^2 + y)*(z - 1)", "-(x^2 + y)*(y + 2)"),           # negative leads
+    ("-x^2 - y", "x^2 + y"),
+    ("x^2*y*(x + 1)", "x*y^3*(x - 1)"),                     # monomial factors
+    ("x^3*y^2", "x*y^4*z"),
+    ("x^2 - y", "x^2*y^2 - 2*x^2*y + x^2 - y^3 + 2*y^2 - y"),
+    ("6", "4"),                                             # constants
+    ("6", "x + 1"),
+    ("-2/3", "10*x*y - 4"),
+    ("x^2 + y", "x*y - 1"),                                 # coprime
+    ("(x + y + z + 1)^3", "(x - y + 2*z - 3)^3"),
+    ("(2*x*y - 3*z^2 + 1)^2*(x - 1)", "(2*x*y - 3*z^2 + 1)*(x^2 + 1)"),
+]
+
+
+def test_gcd_agrees_with_the_intersection(monkeypatch):
+    from lndtools import groebner
+
+    fallbacks = []
+    monkeypatch.setattr(groebner, "lcm_via_intersection",
+                        lambda f, g: fallbacks.append((f, g)) or lcm_via_intersection(f, g))
+    pairs = planted_gcd_pairs() + [(P(f), P(g)) for f, g in GCD_CASES]
+    for f, g in pairs:
+        assert gcd_via_lcm(f, g) == intersection_gcd(f, g), (f, g)
+    assert fallbacks == []
+    # xi must exceed twice the smaller norm, so xi^2 passes the bit bound
+    # and the answer comes from the intersection
+    h = P("x") * 10 ** 40000 + 1
+    f, g = h * P("x + 2"), h * P("y - 3")
+    assert gcd_via_lcm(f, g) == intersection_gcd(f, g) == h
+    assert fallbacks == [(f, g)]
 
 
 def test_gcd_times_lcm_matches_product():

@@ -1,4 +1,5 @@
 import random
+import time
 from fractions import Fraction
 
 import pytest
@@ -102,6 +103,34 @@ def test_simplify_cancels_polynomial_gcd():
         blown = RationalFunction(a.num * h, a.den * h)
         assert blown.simplify() == a
         assert blown == a
+
+
+def dixmier_like_numerator():
+    """78 seeded terms of total degree at most 15 in x, y, u, v, as the
+    first Dixmier sum of a translation in four variables has."""
+    rng = random.Random(12)
+    terms = {}
+    while len(terms) < 78:
+        degree = rng.randint(0, 15)
+        cuts = sorted(rng.randint(0, degree) for _ in range(3))
+        mono = (cuts[0], cuts[1] - cuts[0], cuts[2] - cuts[1], degree - cuts[2])
+        terms[mono] = rng.randint(-9, 9) or 1
+    return Polynomial(4, terms)
+
+
+def test_simplify_of_a_dixmier_sum_is_quick():
+    # through the ideal intersection, the first of these ran for minutes
+    names = ["x", "y", "u", "v"]
+    num = dixmier_like_numerator()
+    den = parse_polynomial("(3*u^2*v - u)^3", names)
+    shared = parse_polynomial("3*u*v - 1 + x*y", names)
+    assert (len(num.terms), num.total_degree()) == (78, 15)
+    begin = time.perf_counter()
+    coprime = RationalFunction(num, den).simplify()
+    cancelled = RationalFunction(num * shared, den * shared).simplify()
+    assert time.perf_counter() - begin < 2.0
+    assert (coprime.num, coprime.den) == (num, den)
+    assert (cancelled.num, cancelled.den) == (num, den)
 
 
 def test_reduce_mod_surface():
