@@ -12,8 +12,9 @@ conclusive because kernels of locally nilpotent derivations on domains
 are factorially closed.  Integer weights that make d and the relations
 homogeneous split the preimage system, d on the standard monomials of
 bounded degree, into classes.  A power of h is solved on the classes it
-reaches, with images and systems shared by a command's powers and elements,
-and a system's blocks each eliminated when a target first reaches them.
+reaches, listed directly as lattice points under the degree bound, with
+images and systems shared by a command's powers and elements, and a
+system's blocks each eliminated when a target first reaches them.
 """
 
 from __future__ import annotations
@@ -28,7 +29,8 @@ from typing import NamedTuple, Sequence
 from .derivation import Derivation
 from .groebner import Ideal, gcd_via_lcm, radical_membership, standard_monomials
 from .linalg import Inconsistency, QMatrix, null_space, solve_exact
-from .poly import DEGREVLEX, Monomial, Polynomial, Scalar, _integral, mono_mul
+from .poly import (DEGREVLEX, Monomial, Polynomial, Scalar, _integral, mono_divides,
+                   mono_mul)
 from .ratfun import RationalFunction, ratfun_eq_mod
 
 
@@ -183,9 +185,10 @@ class Grading:
     reduced basis is w-homogeneous; a monomial's class is its weights.  So d
     maps class c into c + shift and normal forms keep classes: each block of
     a preimage system lies in one class, and those a target reaches in the
-    classes w(m) - shift of its monomials m.  One grading serves a command
-    at one degree bound: it finds its weights when a first system is asked
-    for, and keeps the images and systems it has built."""
+    classes w(m) - shift of its monomials m, whose members alone it lists.
+    One grading serves a command at one degree bound: it finds its weights
+    when a first system is asked for, and keeps the images and systems it
+    has built."""
 
     def __init__(self, derivation: Derivation, max_degree: int):
         self.derivation, self.max_degree = derivation, max_degree
@@ -203,21 +206,51 @@ class Grading:
         if any(sum(v[j] * e for j, e in row) for v in lattice for row in equations):
             raise CertificateError("the grading leaves d or the relations inhomogeneous")
         self.weights, self.shift = tuple(v[:n] for v in lattice), tuple(v[n] for v in lattice)
-        self.columns = tuple(standard_monomials(ring, self.max_degree))
-        self.classes = tuple(map(self.weigh, self.columns))
 
     def weigh(self, monomial: Monomial) -> tuple[int, ...]:
         return tuple(sum(map(int.__mul__, w, monomial)) for w in self.weights)
 
+    def members(self, weight: tuple[int, ...]) -> list[Monomial]:
+        """The monomials of degree <= ``max_degree`` and weights ``weight``,
+        standard or not, exponent by exponent: a branch is cut when the weight
+        still needed lies outside what the degree left can add on the later
+        variables, and the last exponent is solved for when it has weight."""
+        n, out = self.derivation.ring.nvars, []
+        by_var = [[w[j] for w in self.weights] for j in range(n)]
+        reach = [[(min(0, *w[j:]), max(0, *w[j:])) for w in self.weights]
+                 for j in range(n)]
+        last = by_var[-1]
+        k = next((k for k, w in enumerate(last) if w), None)
+
+        def extend(prefix: Monomial, left: int, need: list[int]):
+            j = len(prefix)
+            for c, (lo, hi) in zip(need, reach[j]):
+                if not left * lo <= c <= left * hi:
+                    return
+            if j < n - 1:
+                for e in range(left + 1):
+                    extend((*prefix, e), left - e, [c - e * w for c, w in zip(need, by_var[j])])
+            elif k is None:
+                out.extend((*prefix, e) for e in range(left + 1))
+            elif [need[k] // last[k] * w for w in last] == need:
+                out.append((*prefix, need[k] // last[k]))
+
+        extend((), self.max_degree, list(weight))
+        return out
+
     def system(self, target: Polynomial) -> PreimageSystem:
-        """The preimage system on the classes that ``target`` reaches."""
+        """The preimage system on the classes that ``target`` reaches: their
+        standard monomials, listed class by class, in ascending order."""
         if self.weights is None:
             self._grade()
         classes = frozenset(tuple(c - s for c, s in zip(self.weigh(m), self.shift))
                             for m in target.terms)
         if classes not in self.systems:
-            columns = tuple(m for m, c in zip(self.columns, self.classes) if c in classes)
-            self.systems[classes] = build_preimage_system(self.derivation, columns,
+            ring = self.derivation.ring
+            columns = sorted((m for c in classes for m in self.members(c)
+                              if not any(mono_divides(l, m) for l, _, _ in ring.leads)),
+                             key=ring.order.key)
+            self.systems[classes] = build_preimage_system(self.derivation, tuple(columns),
                                                           self.images)
         return self.systems[classes]
 

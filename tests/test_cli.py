@@ -190,6 +190,17 @@ def test_deep_reductions_end_with_their_verdict(argv, code, lines, tmp_path):
     assert (result, report.splitlines()) == (code, lines)
 
 
+def test_large_degree_lists_only_the_reached_classes():
+    # of the 635,376 monomials of degree <= 60 in four variables, only x
+    # lies in the class that u reaches; listing and weighing them all took
+    # seconds
+    begin = time.perf_counter()
+    code, report = run_command(["cylinder", A4, "--elem", "u", "--max-deg", "60"])
+    assert time.perf_counter() - begin < 1.0
+    assert code == EXIT_YES
+    assert report.splitlines()[:3] == ["cylinder D(u): yes", "n = 1", "f = x"]
+
+
 def test_exp_canonical_output():
     code, report = run_command(["exp", FP, "--elem", "x;y;z"])
     assert code == EXIT_YES
@@ -351,14 +362,26 @@ def test_plinth_builds_one_system_for_every_power(monkeypatch):
         return apply(self, f)
 
     monkeypatch.setattr(Derivation, "apply", counted_apply)
+    listed = []
+    members = lndtools.cylinder.Grading.members
+
+    def counted_members(self, weight):
+        listed.append(members(self, weight))
+        return listed[-1]
+
+    def refuse(*args):
+        raise AssertionError("a graded search listed every standard monomial")
+
+    monkeypatch.setattr(lndtools.cylinder.Grading, "members", counted_members)
+    monkeypatch.setattr(lndtools.cylinder, "standard_monomials", refuse)
     code, _ = run_command(["plinth", FP, "--elem", "y^2 - 2*x*z"])
     assert code == EXIT_UNKNOWN
     # powers 1 to 4 of h each reach one class, w(h^n) - shift, of the 165
     # monomials of degree <= 8, and each class its own system: 10 columns
-    # in all, whose images the grading keeps; d is applied once, in the
-    # kernel test d(h) = 0
+    # in all, the only monomials the grading lists, whose images it keeps;
+    # d is applied once, in the kernel test d(h) = 0
     grading = assert_reached_classes_only(gradings, builds)
-    assert len(grading.columns) == 165
+    assert sum(map(len, listed)) == 10
     assert [len(classes) for classes in grading.systems] == [1, 1, 1, 1]
     assert [len(system.columns) for _, system in builds] == [1, 2, 3, 4]
     assert grading.images.keys() == {m for _, system in builds for m in system.columns}

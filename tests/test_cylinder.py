@@ -158,15 +158,25 @@ def grading_cases():
     a4 = spec_derivation(parse_spec((corpus / "ex_a4.lnd").read_text(encoding="utf-8")))
     uv = ["x", "y", "u", "v"]
     yield a4, [P(e, uv) for e in ("u", "v", "u + v", "u*v - 1", "x*v - y*u")], 4, 3
+    # the least degree bounds: the constants alone, then the variables too
+    for max_degree in (0, 1):
+        yield a4, [P(e, uv) for e in ("u", "u*v - 1")], max_degree, 3
+        yield surface, [z, z + 1], max_degree, 1
     # z + 1 spans two classes on the Danielewski surface
     d, _ = danielewski()
     yield d, [P("z"), P("z + 1"), P("z^2 - 3*z")], 6, 1
+    # weights (-1, 0, 1) and shift 1: z reaches class 0, which holds the
+    # relation's leading monomial y^2, and the listing must drop it
+    text = (corpus / "ex_danielewski.lnd").read_text(encoding="utf-8")
+    yield spec_derivation(parse_spec(text)), [P("z"), P("x*z + y")], 7, 1
 
 
 def test_class_systems_agree_with_the_full_system():
     # the oracle: on every power, a class system finds the full system's
-    # preimage, or both find none; a class system's images are d's
-    outcomes, spans = set(), set()
+    # preimage, or both find none; a class system's columns are the full
+    # system's columns of the classes it reaches, in order, and its images
+    # are d's
+    outcomes, spans, dropped = set(), set(), set()
     for d, elements, max_degree, rank in grading_cases():
         grading = Grading(d, max_degree)
         full = full_system(d, max_degree)
@@ -179,13 +189,17 @@ def test_class_systems_agree_with_the_full_system():
                 assert result.preimage == preimage_search(full, power).preimage
                 outcomes.add(result.found)
                 spans.add(len({grading.weigh(m) for m in power.terms}))
-                assert set(system.columns) <= set(full.columns)
-                if rank == 0:
-                    assert system.columns == full.columns
+                reached = {tuple(c - s for c, s in zip(grading.weigh(m), grading.shift))
+                           for m in power.terms}
+                assert system.columns == tuple(m for m in full.columns
+                                               if grading.weigh(m) in reached)
+                dropped.update(m for c in reached for m in grading.members(c)
+                               if m not in system.columns)
                 for mono, image in zip(system.columns, column_images(system)):
                     assert image == d.apply(Polynomial.monomial(d.ring.nvars, mono)).terms
         assert len(grading.weights) == rank
     assert outcomes == {True, False} and max(spans) > 1
+    assert (0, 2, 0) in dropped
 
 
 def column_images(system):

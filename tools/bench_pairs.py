@@ -1,6 +1,7 @@
 """Alternating parent/change pairs of benchmark runs, in one JSON file.
 
-    python3 tools/bench_pairs.py --parent COMMIT --out BENCH_<n>.json [--note TEXT]
+    python3 tools/bench_pairs.py --parent COMMIT --out BENCH_<n>.json \
+        [--held-out SEED] [--note TEXT]
 
 The change is this checkout's working tree, which must differ from the
 parent, the commit ``--parent`` names, cloned into a temporary directory
@@ -18,8 +19,16 @@ each kept (the worker holds every report until it ends, so its
 end-to-end metric; per metric, the pairs the change won, the relative
 change of the median, whether that is within the bound of
 ``BENCHMARK.json``, and the parent's interquartile range over its median;
-and the ``src/lndtools`` line count of each side.  A run that fails ends
-the tool with exit code 1.
+and the ``src/lndtools`` line count of each side.  With ``--held-out``,
+three more pairs per workload at that seed, one not used while the change
+was written, are kept in the same shape under ``held_out``.  A run that
+fails ends the tool with exit code 1.
+
+Standard output gets one line per end-to-end metric of every workload
+(and of every held-out workload): the parent's and the change's medians,
+the relative change of the median against the metric's bound, the pairs
+the change won, and a flag when the change is past its bound or within 2
+points of it, with the median samples of each side beside ``peak_rss_mb``.
 """
 
 from __future__ import annotations
@@ -38,7 +47,8 @@ BENCHMARK = json.loads((ROOT / "BENCHMARK.json").read_text(encoding="utf-8"))
 WORKLOADS = [w["name"] for w in BENCHMARK["workloads"]]
 END_TO_END = {m["name"]: m for m in BENCHMARK["end_to_end"]}
 SIDES = ("parent", "change")
-PAIRS, SEED, TRACE_RUNS, PASS_RUNS = 10, 13, 2, 2
+PAIRS, SEED, HELD_OUT_PAIRS, TRACE_RUNS, PASS_RUNS = 10, 13, 3, 2, 2
+NEAR = 0.02   # a relative change this close to its bound is flagged
 
 # argv: checkout, workload, seed; one warm-up pass and three passes of the
 # workload's lnd commands in this process, then one JSON line
@@ -67,10 +77,10 @@ print(json.dumps({"maxrss_mb": round(resource.getrusage(resource.RUSAGE_SELF)
 """
 
 
-def run(checkout: Path, workload: str, trace: int) -> tuple[dict, dict]:
+def run(checkout: Path, workload: str, trace: int, seed: int = SEED) -> tuple[dict, dict]:
     """(context, result) of one ``perfbench/run.py`` run in ``checkout``."""
     argv = [sys.executable, "perfbench/run.py", "--workload", workload,
-            "--seed", str(SEED), "--seconds", str(BENCHMARK["run_seconds"]),
+            "--seed", str(seed), "--seconds", str(BENCHMARK["run_seconds"]),
             "--trace", str(trace)]
     done = subprocess.run(argv, cwd=checkout, capture_output=True, text=True)
     lines = done.stdout.strip().splitlines()
@@ -137,10 +147,49 @@ def comparison(parent: dict, change: dict) -> dict:
     return out
 
 
+def pairs(checkouts: dict[str, Path], workload: str, seed: int, count: int,
+          contexts: dict[str, dict]) -> dict:
+    """``count`` alternating pairs of one workload at ``seed``, the parent
+    first in odd pairs: each side's summary and their comparison."""
+    results: dict[str, list] = {side: [] for side in SIDES}
+    samples: dict[str, list] = {side: [] for side in SIDES}
+    for pair in range(count):
+        for side in SIDES if pair % 2 == 0 else SIDES[::-1]:
+            context, result = run(checkouts[side], workload, 0, seed)
+            contexts[side] = context
+            results[side].append(result)
+            samples[side].append(context["samples"])
+            print(f"{workload} seed {seed} pair {pair + 1} {side}: verdicts_per_s "
+                  f"{result['metrics']['verdicts_per_s']['value']:.2f}", file=sys.stderr)
+    sides = {side: summary(results[side], samples[side]) for side in SIDES}
+    return {"pairs": count, "seed": seed, **sides, "comparison": comparison(*sides.values())}
+
+
+def metric_lines(name: str, entry: dict) -> list[str]:
+    """One line per end-to-end metric of a workload's pairs."""
+    lines = []
+    for metric, c in entry["comparison"].items():
+        bound = END_TO_END[metric]["bound"]
+        relative = c["relative_change_of_median"]
+        margin = bound + (relative if END_TO_END[metric]["better"] == "higher" else -relative)
+        flag = ("  PAST BOUND" if not c["within_bound"]
+                else "  NEAR BOUND" if margin <= NEAR else "")
+        line = (f"{name} seed {entry['seed']} {metric}: {entry['parent']['median'][metric]} -> "
+                f"{entry['change']['median'][metric]} ({relative:+.1%}, bound "
+                f"{bound:.0%}), change won {c['change_wins']} of {entry['pairs']}{flag}")
+        if metric == "peak_rss_mb":
+            line += (f"; samples {entry['parent']['median']['samples']:.0f} -> "
+                     f"{entry['change']['median']['samples']:.0f}")
+        lines.append(line)
+    return lines
+
+
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--out", required=True, type=Path)
     parser.add_argument("--parent", required=True, help="the commit to compare with")
+    parser.add_argument("--held-out", type=int, metavar="SEED",
+                        help=f"also run {HELD_OUT_PAIRS} pairs per workload at this seed")
     parser.add_argument("--note", default="", help="what the change is")
     args = parser.parse_args(argv)
     found = subprocess.run(["git", "rev-parse", "--verify", args.parent + "^{commit}"],
@@ -160,22 +209,9 @@ def main(argv: list[str] | None = None) -> int:
                        cwd=parent, check=True)
         checkouts = {"parent": parent, "change": ROOT}
         contexts: dict[str, dict] = {}
-        workloads = {}
-        for workload in WORKLOADS:
-            results: dict[str, list] = {side: [] for side in SIDES}
-            samples: dict[str, list] = {side: [] for side in SIDES}
-            for pair in range(PAIRS):
-                for side in SIDES if pair % 2 == 0 else SIDES[::-1]:
-                    context, result = run(checkouts[side], workload, 0)
-                    contexts[side] = context
-                    results[side].append(result)
-                    samples[side].append(context["samples"])
-                    print(f"{workload} pair {pair + 1} {side}: verdicts_per_s "
-                          f"{result['metrics']['verdicts_per_s']['value']:.2f}",
-                          file=sys.stderr)
-            sides = {side: summary(results[side], samples[side]) for side in SIDES}
-            workloads[workload] = {"pairs": PAIRS, **sides,
-                                   "comparison": comparison(*sides.values())}
+        workloads = {w: pairs(checkouts, w, SEED, PAIRS, contexts) for w in WORKLOADS}
+        held_out = {w: pairs(checkouts, w, args.held_out, HELD_OUT_PAIRS, contexts)
+                    for w in WORKLOADS} if args.held_out is not None else {}
         trace: dict = {side: {} for side in SIDES}
         for n in range(TRACE_RUNS):
             for side in SIDES if n % 2 == 0 else SIDES[::-1]:
@@ -208,7 +244,9 @@ def main(argv: list[str] | None = None) -> int:
             "each run, since the worker's peak_rss_mb grows with them.  "
             f"'in_process' holds, per side and workload, {PASS_RUNS} processes, "
             "alternating, each with its peak RSS after one warm-up pass and three "
-            "passes through run_command, and the CPU seconds of those three."
+            "passes through run_command, and the CPU seconds of those three.  "
+            f"'held_out' holds {HELD_OUT_PAIRS} more pairs per workload in the same "
+            "shape at the seed that 'seed' names, when one was given."
             + (args.note and f"  {args.note}")),
         "parent_commit": commit,
         "machine": f"{context.get('cpu_model')}, {context.get('nproc')} cores",
@@ -218,13 +256,11 @@ def main(argv: list[str] | None = None) -> int:
         "trace": trace,
         "in_process": in_process,
         "workloads": workloads,
+        "held_out": held_out,
     }
     args.out.write_text(json.dumps(report, indent=1) + "\n", encoding="utf-8")
-    for name, entry in workloads.items():
-        c = entry["comparison"]["verdicts_per_s"]
-        print(f"{name}: verdicts_per_s {entry['parent']['median']['verdicts_per_s']}"
-              f" -> {entry['change']['median']['verdicts_per_s']}, change won "
-              f"{c['change_wins']} of {PAIRS}")
+    for name, entry in [*workloads.items(), *held_out.items()]:
+        print("\n".join(metric_lines(name, entry)))
     return 0
 
 
