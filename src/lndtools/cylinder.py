@@ -14,7 +14,11 @@ homogeneous split the preimage system, d on the standard monomials of
 bounded degree, into classes.  A power of h is solved on the classes it
 reaches, listed directly as lattice points under the degree bound, with
 images and systems shared by a command's powers and elements, and a
-system's blocks each eliminated when a target first reaches them.
+system's blocks each eliminated when a target first reaches them.  The
+Dixmier sums are polynomials over a power of the slice's denominator,
+built by Horner's rule and made a fraction once each; the checks that
+they and the slice are what they claim use the quotient rule without the
+gcd that ``simplify`` would cancel, which cannot change such a check.
 """
 
 from __future__ import annotations
@@ -98,7 +102,7 @@ class CylinderCertificate(PlinthCertificate):
         if len(self.dixmier_images) != deriv.ring.nvars:
             raise CertificateError("need one Dixmier image per ring variable")
         for image in self.dixmier_images:
-            if not ratfun_eq_mod(deriv.ring, deriv.apply_rational(image), 0):
+            if not ratfun_eq_mod(deriv.ring, deriv._quotient_rule(image), 0):
                 raise CertificateError("Dixmier image is not a derivation constant")
 
 
@@ -355,14 +359,25 @@ def dixmier_image(derivation: Derivation, slice_value: RationalFunction,
 
 def _dixmier_sums(relations: Ideal, slice_value: RationalFunction,
                   iterates: Sequence[Polynomial], count: int) -> list[RationalFunction]:
-    """sum((-slice)^j iterates[k + j] / j!) for k < count by Horner's rule,
-    over the one denominator den(slice)^(J-1-k), reduced and simplified."""
+    """sum((-slice)^j iterates[k + j] / j!) for k < count by Horner's rule
+    on numerators: with slice = P/Q, a running total N/Q^j steps to
+    (iterates[m]*Q^(j+1) - P*N/(m-k+1))/Q^(j+1), and j starts again at 0
+    when N vanishes.  Each sum is one fraction N/Q^j, reduced and
+    simplified."""
+    top, bottom = slice_value.num, slice_value.den
+    powers = [Polynomial.constant(relations.nvars, 1)]   # powers[j] = Q^j
     sums = []
     for k in range(count):
-        total = RationalFunction.zero(relations.nvars)
+        total, j = Polynomial.zero(relations.nvars), 0
         for m in range(len(iterates) - 1, k - 1, -1):
-            total = iterates[m] - slice_value * total * Fraction(1, m - k + 1)
-        sums.append(total.reduce_mod(relations).simplify())
+            if not total:
+                total, j = iterates[m], 0
+                continue
+            if len(powers) == j + 1:
+                powers.append(powers[j] * bottom)
+            total = iterates[m] * powers[j + 1] - top * (total * Fraction(1, m - k + 1))
+            j += 1
+        sums.append(RationalFunction(total, powers[j]).reduce_mod(relations).simplify())
     return sums
 
 
@@ -371,13 +386,13 @@ def dixmier_reduce(derivation: Derivation, slice_value: RationalFunction,
     """Coefficients c_k, all derivation constants, with
     element = sum(c_k * slice^k) modulo the relations."""
     relations = derivation.ring
-    if not ratfun_eq_mod(relations, derivation.apply_rational(slice_value), 1):
+    if not ratfun_eq_mod(relations, derivation._quotient_rule(slice_value), 1):
         raise ValueError("the given value is not a slice on this open set")
     its = derivation.iterates(element)
-    coefficients = [c * Fraction(1, math.factorial(k)) for k, c in
-                    enumerate(_dixmier_sums(relations, slice_value, its, len(its)))]
+    coefficients = [RationalFunction(c.num * Fraction(1, math.factorial(k)), c.den)
+                    for k, c in enumerate(_dixmier_sums(relations, slice_value, its, len(its)))]
     for c in coefficients:
-        if not ratfun_eq_mod(relations, derivation.apply_rational(c), 0):
+        if not ratfun_eq_mod(relations, derivation._quotient_rule(c), 0):
             raise CertificateError("Dixmier coefficient is not a constant")
     reconstructed = RationalFunction.zero(relations.nvars)
     for k, c in enumerate(coefficients):

@@ -141,14 +141,22 @@ class Derivation:
         return Ideal(self.ring.nvars, gens, self.ring.order)
 
     def apply_rational(self, value: RationalFunction) -> RationalFunction:
-        """Quotient-rule extension to fractions with invertible denominator."""
+        """Quotient-rule extension to fractions with invertible denominator,
+        simplified."""
+        return self._quotient_rule(value).simplify()
+
+    def _quotient_rule(self, value: RationalFunction) -> RationalFunction:
+        """The quotient rule's fraction over den^2, not simplified.  It
+        decides a comparison with 0 or 1 modulo the relations as the
+        simplified one does: all that ``simplify`` cancels is a factor of
+        den^2, which is nonzero there."""
         if self.ring.normal_form(value.den).is_zero:
             raise ZeroDivisionError("denominator lies in the relation ideal")
         # Unreduced, so that numerator and denominator stay aligned as
         # free-ring representatives.
         num = value.den * self._leibniz(value.num) \
             - value.num * self._leibniz(value.den)
-        return RationalFunction(num, value.den * value.den).simplify()
+        return RationalFunction(num, value.den * value.den)
 
     def __repr__(self):
         return f"Derivation on {self.ring!r}"

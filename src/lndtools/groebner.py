@@ -293,8 +293,12 @@ class Ideal:
         self.leads = tuple(_primitive(g, order)[0] for g in self.basis)
 
     def normal_form(self, f: Polynomial) -> Polynomial:
+        """The remainder of f by the basis; f itself when no leading
+        monomial of the basis divides any of its terms."""
         if f.nvars != self.nvars:
             raise ValueError("polynomial has wrong variable count")
+        if not any(all(map(le, lm, m)) for lm, _, _ in self.leads for m in f.terms):
+            return f
         return reduce_poly(f, self.basis, self.order, leads=self.leads)
 
     def contains(self, f: Polynomial) -> bool:

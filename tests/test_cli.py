@@ -793,3 +793,13 @@ def test_output_digest_exit_code_says_whether_the_digest_matches(monkeypatch, ca
     out = capsys.readouterr().out
     assert out.count(f"0 commands\nsha256 {empty}\n") == 3
     assert out.endswith(f"expected {other}: the outputs differ\n")
+    # a prefix of 8 or more hex digits, as the documents write a digest
+    assert tool.main(["--expect", empty[:8]]) == 0
+    assert tool.main(["--expect", empty[:12].upper()]) == 0
+    assert tool.main(["--expect", other[:8]]) == 1
+    assert capsys.readouterr().out.endswith(f"expected {other[:8]}: the outputs differ\n")
+    for bad in (empty[:7], empty[:8] + "g", empty + "0", ""):
+        with pytest.raises(SystemExit) as exc:
+            tool.main(["--expect", bad])
+        assert exc.value.code == 2
+        assert "prefix of 8 or more hex digits" in capsys.readouterr().err

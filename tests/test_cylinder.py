@@ -5,7 +5,8 @@ from pathlib import Path
 
 import pytest
 
-from lndtools.cylinder import Grading, PlinthCertificate
+import lndtools.cylinder
+from lndtools.cylinder import Grading, PlinthCertificate, _dixmier_sums
 from helpers import (
     danielewski,
     dixmier_sum,
@@ -468,6 +469,26 @@ def test_dixmier_coefficients_match_the_per_coefficient_reference():
                 assert (c.num, c.den) == (want.num, want.den)
             image, want = dixmier_image(d, sigma, b), dixmier_sum(d.ring, sigma, its)
             assert (image.num, image.den) == (want.num, want.den)
+    # on the surface: a Horner total that vanishes before the last step, so
+    # the power of the denominator starts again from 1 (at k = 0 the
+    # numerator x*(y+1) - x*(2y+2)/2 is 0) ...
+    d, _ = danielewski()
+    sigma = RationalFunction(P("x"), P("y + 1"))
+    its = [P("z"), P("x"), P("2*y + 2")]
+    sums = _dixmier_sums(d.ring, sigma, its, len(its))
+    assert [format_ratfun(s, XYZ) for s in sums] == ["z", "-x", "2*y + 2"]
+    for k, c in enumerate(sums):
+        want = dixmier_sum(d.ring, sigma, its[k:])
+        assert (c.num, c.den) == (want.num, want.den)
+    # ... and a slice whose numerator and denominator share the monomial z,
+    # where a numerator N and z^j share a power of z, which the one fraction
+    # per sum strips as a total made a fraction at every step did
+    sigma = RationalFunction(P("y + z"), P("z"))
+    for b in (P("x"), P("x^2 + y"), P("x*y*z - 3*x^2")):
+        its = d.iterates(b)
+        for k, c in enumerate(dixmier_reduce(d, sigma, b)):
+            want = dixmier_sum(d.ring, sigma, its[k:]) * Fraction(1, math.factorial(k))
+            assert (c.num, c.den) == (want.num, want.den)
 
 
 def test_dixmier_sums_keep_one_power_of_the_slice_denominator(monkeypatch):
@@ -493,8 +514,29 @@ def test_dixmier_sums_keep_one_power_of_the_slice_denominator(monkeypatch):
 
 def test_dixmier_reduce_rejects_non_slices():
     d, _ = triangular3()
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="not a slice"):
         dixmier_reduce(d, RationalFunction(P("y"), P("z^2")), P("x"))
+    surface, _ = danielewski()
+    with pytest.raises(ValueError, match="not a slice"):
+        dixmier_reduce(surface, RationalFunction(P("x"), P("z")), P("x"))
+
+
+@pytest.mark.parametrize("added, message", [("x", "not a constant"),
+                                             ("1", "do not reconstruct")])
+def test_dixmier_reduce_rejects_doctored_coefficients(monkeypatch, added, message):
+    # whatever computed the sums, each is checked as a derivation constant
+    # and all of them against the element: x/z added to the first is not a
+    # constant, and 1/z is a constant but a wrong one
+    d, _ = danielewski()
+    sums = lndtools.cylinder._dixmier_sums
+
+    def doctored(relations, slice_value, iterates, count):
+        out = sums(relations, slice_value, iterates, count)
+        return [out[0] + RationalFunction(P(added), P("z")), *out[1:]]
+
+    monkeypatch.setattr(lndtools.cylinder, "_dixmier_sums", doctored)
+    with pytest.raises(CertificateError, match=message):
+        dixmier_reduce(d, RationalFunction(P("y"), P("z")), P("x"))
 
 
 def test_certificate_constructor_rejects_doctored_slices():

@@ -495,6 +495,33 @@ def test_normal_form_matches_the_reference_division():
         assert ideal.normal_form(f) == reference_remainder(f, ideal.basis, ideal.order)
 
 
+# the relation bases of the golden transcripts: ex_danielewski.lnd's, and
+# the --ideal arguments of member, gb and radmember
+GOLDEN_BASES = (("y^2 - 2*x*z - 1",), ("x^2 + y", "x*y - 1"), ("x^2*y^3",))
+
+
+@pytest.mark.parametrize("order", [DEGREVLEX, LEX])
+def test_normal_form_returns_an_irreducible_polynomial_itself(order):
+    # a polynomial no leading monomial divides is its own normal form, and
+    # is returned as it is; any other agrees with reduce_poly on the basis
+    rng = random.Random(318)
+    kept = reduced = 0
+    for gens in GOLDEN_BASES:
+        ideal = Ideal(3, [P(g) for g in gens], order)
+        leads = [g.leading_term(order)[0] for g in ideal.basis]
+        for _ in range(60):
+            f = random_poly(rng, 3, max_total=4, max_terms=5)
+            nf = ideal.normal_form(f)
+            assert nf == reduce_poly(f, ideal.basis, order)
+            assert ideal.normal_form(nf) is nf
+            if any(mono_divides(lm, m) for lm in leads for m in f.terms):
+                reduced += 1
+            else:
+                assert nf is f
+                kept += 1
+    assert kept > 20 and reduced > 20
+
+
 def test_long_pseudo_divisions_match_the_reference_division():
     # many steps by leading coefficients 2 and 3, so the dividend is scaled
     # often and its content is divided out along the way

@@ -7,8 +7,10 @@ number of commands and one digest over their ``(exit code, report)``
 pairs.  The corpus scripts are skipped: the golden transcripts cover
 them.  Two checkouts that print the same digest give the same outputs
 on all of these commands.  With ``--expect`` the exit code says whether
-the digest is the given one: 0 when it is, and 1, with the expected
-digest printed under the computed one, when it is not.  With ``--dump``
+the digest is the given one, or begins with the given prefix of at least
+8 hex digits: 0 when it does, and 1, with the expected digest printed
+under the computed one, when it does not; a shorter prefix, or one that
+is not hex, is a usage error.  With ``--dump``
 each command is also written to PATH as one JSON line with its workload,
 seed, argv, exit code and report, so two dumps show which commands differ.
 
@@ -21,6 +23,7 @@ import argparse
 import hashlib
 import json
 import os
+import re
 import sys
 import tempfile
 from pathlib import Path
@@ -35,10 +38,17 @@ from lndtools.cli import run_command  # noqa: E402
 SEEDS = (3, 7)
 
 
+def _digest_prefix(text: str) -> str:
+    if not re.fullmatch(r"[0-9a-fA-F]{8,64}", text):
+        raise argparse.ArgumentTypeError(
+            f"{text!r} is not a sha256 digest or a prefix of 8 or more hex digits")
+    return text.lower()
+
+
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("--expect", metavar="SHA256",
-                        help="exit 1 unless the digest is this one")
+    parser.add_argument("--expect", metavar="SHA256", type=_digest_prefix,
+                        help="exit 1 unless the digest is this one or begins with it")
     parser.add_argument("--dump", metavar="PATH", type=Path,
                         help="write one JSON line per command to PATH")
     args = parser.parse_args(argv)
@@ -70,7 +80,7 @@ def main(argv: list[str] | None = None) -> int:
         args.dump.write_text("".join(lines), encoding="utf-8")
     print(f"{count} commands")
     print(f"sha256 {digest.hexdigest()}")
-    if expect is not None and expect.lower() != digest.hexdigest():
+    if expect is not None and not digest.hexdigest().startswith(expect):
         print(f"expected {expect}: the outputs differ")
         return 1
     return 0
