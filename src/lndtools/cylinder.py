@@ -205,7 +205,7 @@ class Grading:
         equations = [[*enumerate(t), (i, -1), (n, -1)]
                      for i, image in enumerate(self.derivation.images) for t in image.terms]
         equations += [[(j, e - f) for j, (e, f) in enumerate(zip(m, lead))]
-                      for g, (lead, _, _) in zip(ring.basis, ring.leads) for m in g.terms]
+                      for g, lead in zip(ring.basis, ring.leads) for m in g.terms]
         lattice = null_space(QMatrix(n + 1, equations))
         if any(sum(v[j] * e for j, e in row) for v in lattice for row in equations):
             raise CertificateError("the grading leaves d or the relations inhomogeneous")
@@ -252,7 +252,7 @@ class Grading:
         if classes not in self.systems:
             ring = self.derivation.ring
             columns = sorted((m for c in classes for m in self.members(c)
-                              if not any(mono_divides(l, m) for l, _, _ in ring.leads)),
+                              if not any(mono_divides(l, m) for l in ring.leads)),
                              key=ring.order.key)
             self.systems[classes] = build_preimage_system(self.derivation, tuple(columns),
                                                           self.images)
@@ -395,8 +395,8 @@ def dixmier_reduce(derivation: Derivation, slice_value: RationalFunction,
         if not ratfun_eq_mod(relations, derivation._quotient_rule(c), 0):
             raise CertificateError("Dixmier coefficient is not a constant")
     reconstructed = RationalFunction.zero(relations.nvars)
-    for k, c in enumerate(coefficients):
-        reconstructed = reconstructed + c * slice_value ** k
+    for c in reversed(coefficients):   # Horner's rule in the slice
+        reconstructed = reconstructed * slice_value + c
     if not ratfun_eq_mod(relations, reconstructed, element):
         raise CertificateError("Dixmier coefficients do not reconstruct the element")
     # no trailing zero: the last is d^(J-1)(element)/(J-1)!; 0 has no iterates

@@ -8,12 +8,19 @@ evaluation, checked by exact division, with the lcm as the fallback.
 Division and Buchberger work on primitive integer polynomials by
 pseudo-division (Becker & Weispfenning 1993); fractions are made, and
 basis elements made monic, only where a ``Polynomial`` is returned.
-Division takes each leading term from a heap keyed by
-``MonomialOrder.descending_key``, so every monomial's order key is
-computed once.  Buchberger keeps the leading monomials of its elements
-in a list, selects pairs from a heap by the normal strategy, and prunes
-them by the Gebauer–Möller update (Gebauer & Möller 1988), which applies
-Buchberger's coprime rule and chain criterion.
+Inside them a monomial is one ``int`` (packed exponent vectors, Monagan
+& Pearce 2007): the values of the order's weight rows in its high fields
+and the exponents in its low ones, each field with a guard bit above it.
+A product is ``+``, a quotient ``-``, the order is ``<``, and a
+divisibility test is one ``&``; division pops each leading term from a
+heap of negated ints.  A call starts with 16-bit fields and begins again
+at twice the width when a monomial outgrows them.  Terms are packed on
+the way in and unpacked on the way out, through a bounded memo of the
+monomials met lately.  Buchberger keeps the leading
+monomials of its elements as tuples too, selects pairs from a heap by
+the normal strategy, and prunes them by the Gebauer–Möller update
+(Gebauer & Möller 1988), which applies Buchberger's coprime rule and
+chain criterion.
 
 Every basis returned here is the reduced Groebner basis: monic,
 auto-reduced, sorted by descending leading monomial.  Reduced bases are
@@ -23,10 +30,11 @@ never change the output; the verification layers rely on that.
 
 from __future__ import annotations
 
+import functools
 from heapq import heapify, heappop, heappush
 from math import gcd, lcm
-from operator import add, le
-from typing import Iterable, Sequence
+from operator import le, mul
+from typing import Iterable, Mapping, Sequence
 
 from .poly import (
     DEGREVLEX,
@@ -36,51 +44,129 @@ from .poly import (
     _cleared,
     _divide,
     elimination,
-    mono_div,
     mono_divides,
     mono_lcm,
     mono_mul,
 )
 
 # A divisor as division uses it: leading monomial, leading coefficient and
-# the remaining terms of a primitive integer polynomial, with lc > 0.
-Lead = tuple[Monomial, int, tuple[tuple[Monomial, int], ...]]
+# the remaining terms of a primitive integer polynomial, with lc > 0, its
+# monomials packed by a ``_Packing``.
+Lead = tuple[int, int, tuple[tuple[int, int], ...]]
+_WIDTH = 16          # bits of a packed field at the first try of a call
+_MEMO_SIZE = 4096    # entries of a packing's memo of tuples and packed ints
 _CONTENT_EVERY = 8   # pseudo-division steps between two divisions by the content
 _HEU_TRIES = 6       # evaluation points GCDHEU tries at each level before giving up
 _HEU_MAX_BITS = 200_000  # GCDHEU gives up when xi^deg would pass this many bits
 
 
-def _primitive(f: Polynomial, order: MonomialOrder) -> tuple[Lead, int, int]:
-    """(``Lead`` of the primitive part P of a nonzero f, n, d) with f = n/d*P."""
-    terms, d = _cleared(f.terms)
-    lm = max(terms, key=order.key)
-    n = gcd(*terms.values()) * (1 if terms[lm] > 0 else -1)
-    tail = tuple((m, c // n) for m, c in terms.items() if m != lm)
-    return (lm, terms[lm] // n, tail), n, d
+class _Widen(Exception):
+    """A packed monomial outgrew its fields; the call starts again at twice
+    the width.  Deliberately neither an ``ArithmeticError``, which
+    ``_divides`` reads as "does not divide", nor a ``ValueError``, which the
+    command line reports as bad input."""
+
+
+class _Packing:
+    """Monomials in ``nvars`` variables under ``order`` as single ints.
+
+    Each field has ``width`` bits and a guard bit above them.  The high
+    fields hold the values of ``order.rows(nvars)``, top row highest, and
+    the low ones the exponents.  Packing is linear, so a product is ``+``
+    and a quotient ``-``, and while every field stays below ``2**width``
+    ints compare as the order does.  A tuple is packed only when its total
+    degree is below ``2**width``, which bounds each field, the rows being
+    0/1; a product that reaches it in some field sets that field's guard
+    bit.  x^a divides x^b exactly when ``pack(b) - pack(a)`` has no guard
+    bit of an exponent field set: the lowest exponent of b below a's
+    borrows and sets its field's guard.
+    """
+
+    __slots__ = ("limit", "units", "shifts", "mask", "guards", "divides", "memo")
+
+    def __init__(self, order: MonomialOrder, nvars: int, width: int):
+        rows = order.rows(nvars)
+        step = width + 1
+        self.limit, self.mask = 1 << width, (1 << width) - 1
+        self.shifts = tuple(step * i for i in range(nvars))
+        tops = [step * (nvars + len(rows) - 1 - r) for r in range(len(rows))]
+        self.units = tuple(sum(row[i] << top for row, top in zip(rows, tops)) + (1 << s)
+                           for i, s in enumerate(self.shifts))
+        self.guards = sum(1 << (step * f + width) for f in range(nvars + len(rows)))
+        self.divides = sum(1 << (s + width) for s in self.shifts)
+        # the packed int of each tuple lately packed or unpacked, and the
+        # tuple of each such int: division and Buchberger meet the same
+        # few monomials again and again.  Emptied at _MEMO_SIZE entries.
+        self.memo: dict = {}
+
+    def _remember(self, mono: Monomial, packed: int) -> None:
+        memo = self.memo
+        if len(memo) >= _MEMO_SIZE:
+            memo.clear()
+        memo[mono] = packed
+        memo[packed] = mono
+
+    def pack(self, mono: Monomial) -> int:
+        packed = self.memo.get(mono)
+        if packed is None:
+            if sum(mono) >= self.limit:
+                raise _Widen
+            packed = sum(map(mul, mono, self.units))
+            self._remember(mono, packed)
+        return packed
+
+    def pack_all(self, monos: Iterable[Monomial]) -> list[int]:
+        memo, pack = self.memo, self.pack
+        return [memo.get(m) or pack(m) for m in monos]   # 1 packs to 0: pack finds it
+
+    def unpack(self, packed: int) -> Monomial:
+        mono = self.memo.get(packed)
+        if mono is None:
+            mask = self.mask
+            mono = tuple([packed >> s & mask for s in self.shifts])
+            self._remember(mono, packed)
+        return mono
+
+    def lead(self, terms: Mapping[Monomial, int]) -> tuple[Lead, int]:
+        """(``Lead`` of the primitive part P of nonzero integer terms F, n)
+        with F = n*P."""
+        packed = dict(zip(self.pack_all(terms), terms.values()))
+        lm = max(packed)
+        n = gcd(*packed.values()) * (1 if packed[lm] > 0 else -1)
+        lc = packed.pop(lm) // n
+        return (lm, lc, tuple((m, c // n) for m, c in packed.items())), n
+
+    def dividend(self, terms: Mapping[Monomial, int]) -> _Dividend:
+        """A ``_Dividend`` of the integer terms."""
+        return _Dividend(dict(zip(self.pack_all(terms), terms.values())), self)
+
+
+@functools.lru_cache(maxsize=32)
+def _packing(order: MonomialOrder, nvars: int, width: int) -> _Packing:
+    return _Packing(order, nvars, width)
 
 
 class _Dividend:
-    """The integer terms of a polynomial under division, with a heap of
-    ``(order.descending_key(m), m)`` entries that yields them leading term
-    first.  A term that cancels leaves its entry behind, and popping skips
-    it; a term that cancels and comes back gets a second entry, and the
-    two pop one after the other, since division only ever adds terms below
-    the one being divided."""
+    """The integer terms of a polynomial under division, keyed by packed
+    monomial, with a heap of the negated keys that yields them leading
+    term first.  A term that cancels leaves its entry behind, and popping
+    skips it; a term that cancels and comes back gets a second entry, and
+    the two pop one after the other, since division only ever adds terms
+    below the one being divided."""
 
-    __slots__ = ("terms", "heap", "key")
+    __slots__ = ("terms", "heap", "packing")
 
-    def __init__(self, terms: Iterable[tuple[Monomial, int]],
-                 order: MonomialOrder):
-        self.key = key = order.descending_key
-        self.terms = dict(terms)
-        self.heap = [(key(m), m) for m in self.terms]
+    def __init__(self, terms: dict[int, int], packing: _Packing):
+        self.terms = terms
+        self.heap = [-m for m in terms]
         heapify(self.heap)
+        self.packing = packing
 
-    def pop_leading(self) -> tuple[Monomial, int] | None:
+    def pop_leading(self) -> tuple[int, int] | None:
         """Remove the leading term and return it; None when none is left."""
         heap, terms = self.heap, self.terms
         while heap:
-            mono = heappop(heap)[1]
+            mono = -heappop(heap)
             coeff = terms.pop(mono, None)
             if coeff is not None:
                 return mono, coeff
@@ -90,16 +176,18 @@ class _Dividend:
         """terms *= a."""
         self.terms = {m: c * a for m, c in self.terms.items()}
 
-    def subtract(self, factor: int, shift: Monomial,
-                 tail: Iterable[tuple[Monomial, int]]) -> None:
+    def subtract(self, factor: int, shift: int,
+                 tail: Iterable[tuple[int, int]]) -> None:
         """terms -= factor * x^shift * tail; zero terms are dropped."""
-        terms, heap, key = self.terms, self.heap, self.key
-        for m2, c2 in tail:
-            m = tuple(map(add, m2, shift))
+        terms, heap, guards = self.terms, self.heap, self.packing.guards
+        for m, c2 in tail:
+            m += shift
             c = terms.get(m)
             if c is None:
+                if m & guards:
+                    raise _Widen
                 terms[m] = -factor * c2
-                heappush(heap, (key(m), m))
+                heappush(heap, -m)
             else:
                 c -= factor * c2
                 if c:
@@ -109,22 +197,24 @@ class _Dividend:
 
 
 def _remainder(work: _Dividend, divisors: Sequence[Lead],
-               scale: int = 1) -> tuple[dict[Monomial, int], int]:
+               scale: int = 1) -> tuple[dict[int, int], int]:
     """Pseudo-divide, trying divisors in list order; returns (r, s) where r/s
     is the rational remainder of work/scale, r's terms in descending order."""
-    remainder: dict[Monomial, int] = {}
+    divides = work.packing.divides
+    remainder: dict[int, int] = {}
     steps = 0
     while (term := work.pop_leading()) is not None:
         mono, coeff = term
         for lm, lc, tail in divisors:
-            if all(map(le, lm, mono)):
+            shift = mono - lm
+            if not shift & divides:
                 g = gcd(coeff, lc)
                 if g != lc:
                     a = lc // g
                     work.scale(a)
                     remainder = {m: c * a for m, c in remainder.items()}
                     scale *= a
-                work.subtract(coeff // g, mono_div(mono, lm), tail)
+                work.subtract(coeff // g, shift, tail)
                 steps += 1
                 if steps % _CONTENT_EVERY == 0 and scale > 1 and (
                         g := gcd(scale, *work.terms.values(), *remainder.values())) > 1:
@@ -139,55 +229,88 @@ def _remainder(work: _Dividend, divisors: Sequence[Lead],
 
 def reduce_poly(f: Polynomial, divisors: Sequence[Polynomial],
                 order: MonomialOrder, *,
-                leads: Sequence[Lead] | None = None) -> Polynomial:
+                leads: dict[int, list[Lead]] | None = None) -> Polynomial:
     """Remainder of multivariate division of f by the divisor list.
 
     Divisors are tried in list order, so the result is deterministic; for
     a Groebner basis it is the normal form regardless of that order.
-    ``leads``, when given, holds the ``Lead`` of each nonzero divisor
-    under ``order``, in list order, as ``Ideal`` keeps them for its basis.
+    ``leads``, when given, maps a field width to the packed ``Lead`` of
+    each nonzero divisor under ``order``, in list order, as ``Ideal`` keeps
+    them for its basis; a width it lacks is added.
     """
     if any(d.nvars != f.nvars for d in divisors):
         raise ValueError("polynomial has wrong variable count")
-    if leads is None:
-        leads = [_primitive(d, order)[0] for d in divisors if d]
-    if not leads or f.is_zero:
+    if f.is_zero or not any(divisors):
         return f
     terms, d = _cleared(f.terms)
-    r, s = _remainder(_Dividend(terms.items(), order), leads, d)
-    return Polynomial._from_clean(
-        f.nvars, r if s == 1 else {m: _divide(c, s) for m, c in r.items()})
+    if leads is None:
+        leads = {}
+    width = _WIDTH
+    while True:
+        packing = _packing(order, f.nvars, width)
+        try:
+            packed = leads.get(width)
+            if packed is None:
+                packed = leads[width] = [packing.lead(_cleared(g.terms)[0])[0]
+                                         for g in divisors if g]
+            r, s = _remainder(packing.dividend(terms), packed, d)
+            break
+        except _Widen:
+            width *= 2
+    unpack = packing.unpack
+    if s == 1:
+        return Polynomial._from_clean(f.nvars, {unpack(m): c for m, c in r.items()})
+    return Polynomial._from_clean(f.nvars, {unpack(m): _divide(c, s) for m, c in r.items()})
+
+
+def _exact_quotient(f: Polynomial, g: Polynomial) -> tuple[dict[int, int], _Packing, int]:
+    """(Q, packing, s) with f/g = Q/s, Q's monomials packed by ``packing``
+    under degrevlex; raises ArithmeticError when g does not divide f.
+    With f = F/e and g = (n/d)*G, G primitive, F/G is integral when it
+    exists (Gauss's lemma), so each step is an exact divmod."""
+    (terms, e), (divisor, d) = _cleared(f.terms), _cleared(g.terms)
+    width = _WIDTH
+    while True:
+        packing = _packing(DEGREVLEX, f.nvars, width)
+        try:
+            (lm, lc, tail), n = packing.lead(divisor)
+            work = packing.dividend(terms)
+            divides = packing.divides
+            quotient: dict[int, int] = {}
+            while (term := work.pop_leading()) is not None:
+                mono, coeff = term
+                factor, rest = divmod(coeff, lc)
+                shift = mono - lm
+                if rest or shift & divides:
+                    raise ArithmeticError("division is not exact")
+                # the leading monomial of work falls at each step, so no shift repeats
+                quotient[shift] = factor * d
+                work.subtract(factor, shift, tail)
+            return quotient, packing, e * n
+        except _Widen:
+            width *= 2
 
 
 def divide_exact(f: Polynomial, g: Polynomial) -> Polynomial:
     """Quotient f/g when the division is exact; raises ArithmeticError
-    otherwise.  With f = F/e and g = (n/d)*G, G primitive, F/G is integral
-    when it exists (Gauss's lemma), so each step is an exact divmod."""
+    otherwise."""
     if g.is_zero:
         raise ZeroDivisionError("division by the zero polynomial")
     if g.nvars != f.nvars:
         raise ValueError("polynomial has wrong variable count")
-    (lm, lc, tail), n, d = _primitive(g, DEGREVLEX)
-    terms, e = _cleared(f.terms)
-    work = _Dividend(terms.items(), DEGREVLEX)
-    quotient: dict[Monomial, int] = {}
-    while (term := work.pop_leading()) is not None:
-        mono, coeff = term
-        factor, rest = divmod(coeff, lc)
-        if rest or not mono_divides(lm, mono):
-            raise ArithmeticError("division is not exact")
-        shift = mono_div(mono, lm)
-        # the leading monomial of work falls at each step, so no shift repeats
-        quotient[shift] = factor
-        work.subtract(factor, shift, tail)
+    quotient, packing, s = _exact_quotient(f, g)
+    unpack = packing.unpack
     return Polynomial._from_clean(
-        f.nvars, {m: _divide(q * d, e * n) for m, q in quotient.items()})
+        f.nvars, {unpack(m): _divide(q, s) for m, q in quotient.items()})
 
 
 def buchberger(generators: Iterable[Polynomial], order: MonomialOrder,
-               nvars: int) -> tuple[Polynomial, ...]:
+               nvars: int, *,
+               leads: dict[int, list[Lead]] | None = None) -> tuple[Polynomial, ...]:
     """Reduced Groebner basis of the ideal spanned by ``generators``, which
-    have ``nvars`` variables.
+    have ``nvars`` variables; each element lists its terms from the leading
+    one down.  ``leads``, when given, gets the packed ``Lead`` of each
+    element under the field width the run ended at.
 
     Each generator, then each S-polynomial, is reduced by the elements in
     play, and a nonzero remainder joins them, made primitive, through the
@@ -207,78 +330,102 @@ def buchberger(generators: Iterable[Polynomial], order: MonomialOrder,
     left in play are then a minimal basis, and reducing their tails and
     making them monic gives the reduced one.
     """
-    one = (0,) * nvars
-    leads: list[Lead] = []      # every element found, primitive, by index
+    gens = [_cleared(g.terms)[0] for g in generators]
+    width = _WIDTH
+    while True:
+        try:
+            basis, packed = _buchberger(gens, nvars, _packing(order, nvars, width))
+            break
+        except _Widen:
+            width *= 2
+    if leads is not None:
+        leads[width] = packed
+    return basis
+
+
+def _buchberger(gens: Sequence[Mapping[Monomial, int]], nvars: int,
+                packing: _Packing) -> tuple[tuple[Polynomial, ...], list[Lead]]:
+    """``buchberger`` on integer generators at one field width: the basis
+    and the packed ``Lead`` of each of its elements."""
+    divides, pack, unpack = packing.divides, packing.pack, packing.unpack
+    elements: list[Lead] = []   # every element found, primitive, by index
+    lms: list[Monomial] = []    # the leading monomial of each, as a tuple
     active: list[int] = []      # indices of the elements in play
-    pairs: list = []            # heap of (order.key(lcm), i, j, lcm), i < j
+    pairs: list = []            # heap of (packed lcm, i, j, lcm), i < j
 
     def add(work: _Dividend) -> bool:
         """Reduce work and add its remainder; False when that is a constant."""
-        r = _remainder(work, [leads[a] for a in active])[0]
+        r = _remainder(work, [elements[a] for a in active])[0]
         if not r:
             return True
-        lk = next(iter(r))
-        if lk == one:
+        plk = next(iter(r))
+        if not plk:   # the monomial 1
             return False
-        n = gcd(*r.values()) * (1 if r[lk] > 0 else -1)
-        lc = r.pop(lk) // n
-        k = len(leads)
-        leads.append((lk, lc, tuple((m, c // n) for m, c in r.items())))
+        n = gcd(*r.values()) * (1 if r[plk] > 0 else -1)
+        lc = r.pop(plk) // n
+        k = len(elements)
+        elements.append((plk, lc, tuple((m, c // n) for m, c in r.items())))
+        lk = unpack(plk)
+        lms.append(lk)
         # new pairs: one is kept unless a later one, or one kept already,
         # has an lcm dividing its own; coprime ones are kept here only so
         # that they still count as divisors
-        new = [(i, mono_lcm(leads[i][0], lk)) for i in active]
+        new = [(i, mono_lcm(lms[i], lk)) for i in active]
         kept: list[tuple[int, Monomial]] = []
         for n, (i, l) in enumerate(new):
-            if (mono_mul(leads[i][0], lk) == l
+            if (mono_mul(lms[i], lk) == l
                     or not any(mono_divides(l2, l) for _, l2 in new[n + 1:])
                     and not any(mono_divides(l2, l) for _, l2 in kept)):
                 kept.append((i, l))
         waiting = [entry for entry in pairs
-                   if not mono_divides(lk, entry[3])
-                   or mono_lcm(leads[entry[1]][0], lk) == entry[3]
-                   or mono_lcm(leads[entry[2]][0], lk) == entry[3]]
-        waiting.extend((order.key(l), i, k, l) for i, l in kept
-                       if mono_mul(leads[i][0], lk) != l)
+                   if (entry[0] - plk) & divides
+                   or mono_lcm(lms[entry[1]], lk) == entry[3]
+                   or mono_lcm(lms[entry[2]], lk) == entry[3]]
+        waiting.extend((pack(l), i, k, l) for i, l in kept if mono_mul(lms[i], lk) != l)
         heapify(waiting)
         pairs[:] = waiting
-        active[:] = [a for a in active if not mono_divides(lk, leads[a][0])]
+        active[:] = [a for a in active if (elements[a][0] - plk) & divides]
         active.append(k)
         return True
 
-    unit = (Polynomial.constant(nvars, 1),)
-    for g in generators:
-        if not add(_Dividend(_cleared(g.terms)[0].items(), order)):
-            return unit
+    for terms in gens:
+        if not add(packing.dividend(terms)):
+            return (Polynomial.constant(nvars, 1),), [(0, 1, ())]
     while pairs:
-        _, i, j, l = heappop(pairs)
-        lmi, lci, tail_i = leads[i]
-        lmj, lcj, tail_j = leads[j]
-        si, ci = mono_div(l, lmi), lcm(lci, lcj) // lci
-        work = _Dividend(((mono_mul(m, si), ci * c) for m, c in tail_i), order)
-        work.subtract(ci * lci // lcj, mono_div(l, lmj), tail_j)
+        l, i, j, _ = heappop(pairs)
+        lmi, lci, tail_i = elements[i]
+        lmj, lcj, tail_j = elements[j]
+        ci = lcm(lci, lcj) // lci
+        work = _Dividend({}, packing)
+        work.subtract(-ci, l - lmi, tail_i)
+        work.subtract(ci * lci // lcj, l - lmj, tail_j)
         if not add(work):
-            return unit
+            return (Polynomial.constant(nvars, 1),), [(0, 1, ())]
     # No tail term of an element is divisible by its own leading monomial,
     # so reducing by the others gives the normal form of the tail.
-    basis = []
-    for a in sorted(active, key=lambda a: order.key(leads[a][0]), reverse=True):
-        lm, lc, tail = leads[a]
-        others = [leads[b] for b in active if b != a]
-        rest, s = _remainder(_Dividend(tail, order), others)
-        basis.append(Polynomial._from_clean(
-            nvars, {lm: 1, **{m: _divide(c, s * lc) for m, c in rest.items()}}))
-    return tuple(basis)
+    basis, packed = [], []
+    for a in sorted(active, key=lambda a: elements[a][0], reverse=True):
+        lm, lc, tail = elements[a]
+        others = [elements[b] for b in active if b != a]
+        rest, s = (_remainder(_Dividend(dict(tail), packing), others) if others
+                   else (dict(tail), 1))
+        basis.append(Polynomial._from_clean(nvars, {lms[a]: 1, **{
+            unpack(m): _divide(c, s * lc) for m, c in rest.items()}}))
+        g = gcd(s * lc, *rest.values())
+        packed.append((lm, s * lc // g, tuple((m, c // g) for m, c in rest.items())))
+    return tuple(basis), packed
 
 
 class Ideal:
     """An ideal together with its reduced Groebner basis.
 
-    The basis, and the ``Lead`` of each of its elements that division
-    uses, are computed once at construction; instances are immutable.
+    The basis, the leading monomial of each of its elements (``leads``), and
+    the packed ``Lead`` of each element that division uses, at each field
+    width a division has needed, are kept; instances are immutable apart
+    from that cache.
     """
 
-    __slots__ = ("nvars", "order", "generators", "basis", "leads")
+    __slots__ = ("nvars", "order", "generators", "basis", "leads", "_packed")
 
     def __init__(self, nvars: int, generators: Iterable[Polynomial] = (),
                  order: MonomialOrder = DEGREVLEX):
@@ -289,17 +436,18 @@ class Ideal:
         self.nvars = nvars
         self.order = order
         self.generators = gens
-        self.basis = buchberger(gens, order, nvars)
-        self.leads = tuple(_primitive(g, order)[0] for g in self.basis)
+        self._packed: dict[int, list[Lead]] = {}
+        self.basis = buchberger(gens, order, nvars, leads=self._packed)
+        self.leads = tuple(next(iter(g.terms)) for g in self.basis)
 
     def normal_form(self, f: Polynomial) -> Polynomial:
         """The remainder of f by the basis; f itself when no leading
         monomial of the basis divides any of its terms."""
         if f.nvars != self.nvars:
             raise ValueError("polynomial has wrong variable count")
-        if not any(all(map(le, lm, m)) for lm, _, _ in self.leads for m in f.terms):
+        if not any(all(map(le, lm, m)) for lm in self.leads for m in f.terms):
             return f
-        return reduce_poly(f, self.basis, self.order, leads=self.leads)
+        return reduce_poly(f, self.basis, self.order, leads=self._packed)
 
     def contains(self, f: Polynomial) -> bool:
         return self.normal_form(f).is_zero
@@ -358,9 +506,9 @@ def _scaled(f: Polynomial, n: int) -> Polynomial:
 
 def _evaluate(f: Polynomial, v: int, xi: int) -> Polynomial:
     """f with variable v set to the integer xi."""
-    powers = [1]
-    for _ in range(max(m[v] for m in f.terms)):
-        powers.append(powers[-1] * xi)
+    # only the powers that occur: a list of all of them up to the degree
+    # takes memory quadratic in it
+    powers = {e: xi ** e for e in {m[v] for m in f.terms}}
     values: dict[Monomial, int] = {}
     for m, c in f.terms.items():
         k = (*m[:v], 0, *m[v + 1:])
@@ -388,7 +536,7 @@ def _interpolate(h: Polynomial, v: int, xi: int) -> Polynomial:
 
 def _divides(h: Polynomial, f: Polynomial) -> bool:
     try:
-        divide_exact(f, h)
+        _exact_quotient(f, h)
     except ArithmeticError:
         return False
     return True
@@ -457,7 +605,7 @@ def standard_monomials(ideal: Ideal, max_degree: int) -> list[Monomial]:
     quotient up to that degree when the order is degree compatible.  Their
     divisors are standard too, so each degree is made from the one below in
     degrevlex order: x_i*m for i from the last variable down to m's last."""
-    lts, one = [lm for lm, _, _ in ideal.leads], (0,) * ideal.nvars
+    lts, one = ideal.leads, (0,) * ideal.nvars
     layer = [] if max_degree < 0 or one in lts else [(one, 0)]
     out = [m for m, _ in layer]
     for _ in range(max_degree):

@@ -88,27 +88,41 @@ def _grevlex_key(exps: Monomial):
 
 
 class MonomialOrder:
-    """Total order on monomials, compatible with multiplication, given by
-    two keys: ``max(monos, key=order.key)`` picks the leading monomial,
-    and a ``heapq`` of ``(order.descending_key(m), m)`` pops the largest
-    first.  There is one instance per order, so orders compare by
-    identity.
+    """Total order on monomials, compatible with multiplication.
+
+    ``max(monos, key=order.key)`` picks the leading monomial.  The order is
+    also given as 0/1 weight rows (Robbiano 1985): ``order.rows(nvars)``
+    lists them, and x^a > x^b when the row values of a, read top row first,
+    are lexicographically larger than those of b.  Degrevlex has the partial
+    sums ``a1+...+an, a1+...+a(n-1), ..., a1``, lex the exponents
+    themselves, and an elimination order the degrevlex rows of its first
+    block and then of the rest.  ``groebner`` packs the row values and the
+    exponents into one ``int`` whose ``<`` is the order.  There is one
+    instance per order, so orders compare by identity.
     """
 
-    __slots__ = ("name", "key", "descending_key")
+    __slots__ = ("name", "key", "rows")
 
-    def __init__(self, name: str, key, descending_key):
+    def __init__(self, name: str, key, rows):
         self.name = name
         self.key = key
-        self.descending_key = descending_key
+        self.rows = rows
 
     def __repr__(self):
         return self.name
 
 
-LEX = MonomialOrder("lex", lambda mono: mono, lambda mono: tuple(-e for e in mono))
+def _grevlex_rows(start: int, stop: int, nvars: int) -> list[tuple[int, ...]]:
+    """Degrevlex rows of the variables start..stop-1 among nvars."""
+    return [tuple(int(start <= i < k) for i in range(nvars))
+            for k in range(stop, start, -1)]
+
+
+LEX = MonomialOrder("lex", lambda mono: mono,
+                    lambda nvars: [tuple(int(i == k) for i in range(nvars))
+                                   for k in range(nvars)])
 DEGREVLEX = MonomialOrder("degrevlex", _grevlex_key,
-                          lambda mono: (-sum(mono), mono[::-1]))
+                          lambda nvars: _grevlex_rows(0, nvars, nvars))
 
 
 @functools.cache
@@ -120,11 +134,11 @@ def elimination(block: int) -> MonomialOrder:
     def key(mono: Monomial):
         return (_grevlex_key(mono[:block]), _grevlex_key(mono[block:]))
 
-    def descending_key(mono: Monomial):
-        head, tail = mono[:block], mono[block:]
-        return (-sum(head), head[::-1], -sum(tail), tail[::-1])
+    def rows(nvars: int):
+        return (_grevlex_rows(0, min(block, nvars), nvars)
+                + _grevlex_rows(block, nvars, nvars))
 
-    return MonomialOrder(f"elimination({block})", key, descending_key)
+    return MonomialOrder(f"elimination({block})", key, rows)
 
 
 class Polynomial:

@@ -148,11 +148,17 @@ PLANTED_PAIR = (f"{PLANTED}*(12*x^3 - 7*y^2*z + 5*x*z - 11)^8; "
      "error: line 1, column 168: product may have more than 4000000 coefficient bits"),
     (["gcd", FP, "--elems", PLANTED_PAIR], EXIT_YES,
      "gcd = 9*x^4*y^2 - 6*x^3*y*z + x^2*z^2 + 42*x^2*y - 14*x*z + 49", ""),
+    # exponents past 2^16 widen the packed monomials of the division
+    (["member", FP, "--elem", "(x^10000)^7", "--ideal", "(x^8192)^8 - y"], EXIT_NO,
+     "normal form = x^4464*y\nmember: no", ""),
+    (["member", FP, "--elem", "(x^10000)^7 - x^4464*y", "--ideal", "(x^8192)^8 - y"],
+     EXIT_YES, "normal form = 0\nmember: yes", ""),
 ], ids=["huge integer", "huge integer, kernel", "huge fraction", "huge power",
         "huge exponent", "huge printed coefficients", "huge coefficients",
         "huger coefficients", "value with minus", "value with minus after =",
         "doctored certificate", "nilpotent element", "zero ring", "long sum",
-        "long product", "long product, big coefficients", "large planted gcd"])
+        "long product", "long product, big coefficients", "large planted gcd",
+        "exponents past 2^16", "exponents past 2^16, member"])
 def test_hostile_inputs_end_with_their_exit_code(argv, code, stdout, stderr,
                                                  tmp_path, monkeypatch, capsys):
     if "slice-none" in argv:
@@ -803,3 +809,26 @@ def test_output_digest_exit_code_says_whether_the_digest_matches(monkeypatch, ca
             tool.main(["--expect", bad])
         assert exc.value.code == 2
         assert "prefix of 8 or more hex digits" in capsys.readouterr().err
+
+
+def test_ab_commands_times_both_sides_and_compares_their_outputs(monkeypatch, capsys):
+    if subprocess.run(["git", "rev-parse", "--verify", "HEAD"], cwd=ROOT,
+                      capture_output=True).returncode != 0:
+        pytest.skip("needs a git checkout to read the parent from")
+    monkeypatch.setattr(sys, "path", list(sys.path))   # the tool extends it
+    spec = importlib.util.spec_from_file_location(
+        "ab_commands", ROOT / "tools" / "ab_commands.py")
+    tool = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tool)
+    try:
+        assert tool.main(["--parent", "HEAD", "--workload", "corpus", "--reps", "1",
+                          "--commands", "4"]) == 0
+    finally:
+        for name in [m for m in sys.modules if m.split(".")[0] == tool.PARENT_PACKAGE]:
+            del sys.modules[name]
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[0].startswith("corpus seed 13, 1 reps")
+    kinds = [line.split() for line in lines[1:]]
+    assert kinds[-1][:2] == ["total", "4"]
+    assert sum(int(row[1]) for row in kinds[:-1]) == 4
+    assert all(float(row[2]) > 0 and float(row[3]) > 0 for row in kinds)

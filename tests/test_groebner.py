@@ -2,7 +2,9 @@ import json
 import random
 import subprocess
 import sys
+import tracemalloc
 from fractions import Fraction
+from operator import add, mul
 from pathlib import Path
 
 import pytest
@@ -34,6 +36,7 @@ from lndtools import (
     reduce_poly,
     standard_monomials,
 )
+from lndtools import groebner
 from lndtools.poly import mono_divides
 
 XYZ = ["x", "y", "z"]
@@ -325,6 +328,20 @@ def test_heuristic_gcd_runs_no_groebner_basis(monkeypatch):
     assert calls == []
 
 
+def test_gcd_evaluation_computes_only_the_powers_that_occur():
+    # a list of every power of xi up to the degree held about 9 MB here,
+    # and half a gigabyte at degree 2^16
+    f = P("x^8000*y + 1")
+    tracemalloc.start()
+    try:
+        value = groebner._evaluate(f, 0, 4)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert value == P("y") * 4 ** 8000 + 1
+    assert peak < 1_000_000
+
+
 def intersection_gcd(f, g):
     return divide_exact(f * g, lcm_via_intersection(f, g)).content_split()[1]
 
@@ -447,7 +464,7 @@ def test_standard_monomials_are_the_filtered_enumeration():
     for case in range(150):
         nvars, order = rng.randint(1, 4), (DEGREVLEX, LEX, elimination(1))[case % 3]
         ideal = random_ideal(rng, nvars, order=order)
-        leads = [lm for lm, _, _ in ideal.leads]
+        leads = ideal.leads
         for bound in (-1, 0, 2, 5):
             want = sorted((m for m in monomials_up_to(nvars, bound)
                            if not any(mono_divides(l, m) for l in leads)),
@@ -560,3 +577,110 @@ def _run_apart(script):
                           text=True, timeout=10, cwd=ROOT / "src")
     assert done.returncode == 0, done.stderr
     return done.stdout
+
+
+# ----------------------------------------------------------------------
+# packed monomials and widening
+
+ORDERS = [LEX, DEGREVLEX, elimination(1), elimination(2)]
+
+
+@pytest.mark.parametrize("order", ORDERS, ids=repr)
+def test_packed_monomials_keep_the_order_products_and_divisibility(order):
+    # at 16- and 32-bit fields: int < is the order, + the product, the guard
+    # bits of a difference say whether one monomial divides the other, and
+    # a monomial of degree 2^width or more is refused
+    rng = random.Random(331)
+    edge = (2 ** 16 - 1, 2 ** 16)
+    monos = [(2 ** 16 - 1, 0, 0), (0, 0, 2 ** 16 - 1), (2 ** 16, 0, 0), (0, 0, 0)]
+    monos += [tuple(rng.choice(edge) if rng.random() < 0.2 else rng.randrange(4)
+                    for _ in range(3)) for _ in range(36)]
+    for width in (16, 32):
+        packing = groebner._packing(order, 3, width)
+        packed = {}
+        for m in monos:
+            if sum(m) >= 2 ** width:
+                with pytest.raises(groebner._Widen):
+                    packing.pack(m)
+            else:
+                packed[m] = packing.pack(m)
+                assert packing.unpack(packed[m]) == m
+        assert len(packed) > len(monos) // 2
+        for a, pa in packed.items():
+            for b, pb in packed.items():
+                assert (pa < pb) == (order.key(a) < order.key(b))
+                assert (not (pb - pa) & packing.divides) == mono_divides(a, b)
+                product = tuple(map(add, a, b))
+                fields = [sum(map(mul, row, product)) for row in order.rows(3)]
+                if max(fields + list(product)) < 2 ** width:
+                    assert not (pa + pb) & packing.guards
+                    assert packing.unpack(pa + pb) == product
+                    if sum(product) < 2 ** width:
+                        assert pa + pb == packing.pack(product)
+                else:
+                    assert (pa + pb) & packing.guards
+
+
+@pytest.fixture
+def widths(monkeypatch):
+    """The field widths the kernel packs at while a test runs."""
+    seen = set()
+    packing = groebner._packing
+
+    def spy(order, nvars, width):
+        seen.add(width)
+        return packing(order, nvars, width)
+
+    monkeypatch.setattr(groebner, "_packing", spy)
+    return seen
+
+
+# generators and a dividend past 16-bit fields: the first set from the
+# start, the others only in an S-polynomial or a product of the division
+ENTRY = (["(x^8192)^8 - y", "(x^8192)^8*z - 1"],
+         "(x^10000)^7*y*z + x^3*(y^10000)^4 - 2*(z^8192)^8*z^4")
+WIDENING_CASES = [pytest.param(order, *ENTRY, id=f"{order!r}, from the start")
+                  for order in ORDERS] + [
+    pytest.param(order, gens, f, id=f"{order!r}, on the way")
+    for order, gens, f in [
+        (LEX, ["x - (y^10000)^4", "x^2*z - 1"], "x^2*(y^10000)^3 + 3*x"),
+        (elimination(1), ["x - (y^10000)^4", "x^2*z - 1"], "x^2*(y^10000)^3 + 3*x"),
+        (elimination(2), ["x*y - (z^10000)^4", "x^2*y^2 - 1"], "x^2*y^2*(z^10000)^3 + z"),
+        (DEGREVLEX, ["(x^10000)^4*y - 1", "x*(z^10000)^3 - y"], "(x^10000)^4*x*y*z + z^3"),
+    ]]
+
+
+@pytest.mark.parametrize("order, generators, dividend", WIDENING_CASES)
+def test_kernel_widens_past_16_bit_fields(order, generators, dividend, widths):
+    gens, f = [P(g) for g in generators], P(dividend)
+    basis = buchberger(gens, order, 3)
+    assert 32 in widths
+    assert is_groebner_basis(basis, order)
+    ideal = Ideal(3, gens, order)
+    assert ideal.basis == basis
+    assert reduce_poly(f, gens, order) == reference_remainder(f, gens, order)
+    assert ideal.normal_form(f) == reference_remainder(f, basis, order)
+    member = f * gens[0] + gens[1]
+    assert ideal.contains(member) and not ideal.contains(member + 1)
+
+
+def test_divide_exact_widens_past_16_bit_fields(widths):
+    g, h = P("(x^8192)^8*y - z^3 + 1"), P("x^2*y - z")
+    assert divide_exact(g * h, h) == g
+    assert divide_exact(g * h, g) == h
+    assert widths == {16, 32}
+    with pytest.raises(ArithmeticError):
+        divide_exact(g * h + 1, h)
+
+
+def test_gcd_checks_that_need_widening_are_not_read_as_failures(monkeypatch, widths):
+    # the candidate GCDHEU finds is checked by exact divisions past 16-bit
+    # fields; were their signal read as "does not divide", the gcd would
+    # fall back to the intersection
+    fallbacks = []
+    monkeypatch.setattr(groebner, "lcm_via_intersection",
+                        lambda f, g: fallbacks.append((f, g)) or lcm_via_intersection(f, g))
+    f, g = P("(x^8192)^8*y*(y*z + 1)"), P("x*(y*z + 1)*(z - 3)")
+    assert gcd_via_lcm(f, g) == P("x*y*z + x")
+    assert fallbacks == [] and 32 in widths
+    assert intersection_gcd(f, g) == P("x*y*z + x")

@@ -1,6 +1,7 @@
 import math
 import random
 from fractions import Fraction
+from operator import mul
 
 import pytest
 
@@ -121,15 +122,15 @@ def test_leading_term_is_multiplicative():
 def test_order_keys_are_total_and_multiplicative():
     rng = random.Random(104)
     for order in (LEX, DEGREVLEX, elimination(2)):
-        key = order.key
+        key, rows = order.key, order.rows(3)
         for _ in range(200):
             a = random_monomial(rng, 3)
             b = random_monomial(rng, 3)
             c = random_monomial(rng, 3)
             assert (key(a) == key(b)) == (a == b)
-            # the heap key of division lists the same order backwards
-            down = order.descending_key
-            assert (down(a) < down(b)) == (key(a) > key(b))
+            # the weight rows, read top row first, give the same order
+            weigh = [tuple(sum(map(mul, row, m)) for row in rows) for m in (a, b)]
+            assert (weigh[0] < weigh[1]) == (key(a) < key(b))
             if key(a) < key(b):
                 shifted_a = tuple(i + j for i, j in zip(a, c))
                 shifted_b = tuple(i + j for i, j in zip(b, c))
