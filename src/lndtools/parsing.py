@@ -10,9 +10,13 @@ may have at most ``MAX_POWER_TERMS`` terms and ``MAX_POWER_BITS``
 coefficient bits, and a product of two sums of t1 and t2 terms at most
 t1 * t2 = ``MAX_POWER_TERMS`` terms and ``MAX_POWER_BITS`` coefficient
 bits, estimated alike.  Points and times are expressions without
-variables.  The parser builds clean terms: single terms multiply and
-raise by their exponents, a sum adds its terms into one dict, in linear
-time, and only products and powers of sums use ``Polynomial`` arithmetic.
+variables.  One ``re.findall`` reads a text as a list of string tokens.
+The parser carries a value of a single term as a ``(coefficient,
+monomial)`` pair, which multiplies and raises by its exponent directly; it
+builds a ``Polynomial`` only for a sum, adding its terms into one dict in
+linear time, and for a product or power that involves a sum, with
+``Polynomial`` arithmetic.  Lines and columns are worked out only when a
+text fails to parse.
 
 A derivation file is line oriented with ``#`` comments:
 
@@ -30,7 +34,7 @@ import math
 import re
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import NamedTuple, Sequence
+from typing import NoReturn, Sequence
 
 from .derivation import Derivation
 from .groebner import Ideal
@@ -56,21 +60,18 @@ MAX_POWER_TERMS = 1_000
 MAX_POWER_BITS = 4_000_000
 
 
-def _bits(node: Polynomial) -> int:
-    """The bit length of the longest numerator or denominator of ``node``."""
-    return max((max(abs(c.numerator), c.denominator).bit_length()
-                for c in node.terms.values()), default=0)
+def _bits(c: Scalar) -> int:
+    """The bit length of the longer of the numerator and denominator of c."""
+    return max(abs(c.numerator), c.denominator).bit_length()
 
 
-def _bound(what: str, terms: int, bits: int, token: Token) -> None:
-    """Refuse, at ``token``, a power or product of more than MAX_POWER_TERMS
-    terms, or of more than MAX_POWER_BITS coefficient bits in all."""
-    if terms > MAX_POWER_TERMS:
-        raise ParseError(f"{what} may have more than {MAX_POWER_TERMS} terms",
-                         token.line, token.column)
-    if terms * bits > MAX_POWER_BITS:
-        raise ParseError(f"{what} may have more than {MAX_POWER_BITS} "
-                         "coefficient bits", token.line, token.column)
+def _items(node):
+    """The (monomial, coefficient) items of a ``(coefficient, monomial)``
+    pair or of a ``Polynomial``."""
+    if type(node) is tuple:
+        c, mono = node
+        return ((mono, c),) if c else ()
+    return node.terms.items()
 
 
 class ParseError(Exception):
@@ -81,192 +82,223 @@ class ParseError(Exception):
         self.column = column
 
 
-class Token(NamedTuple):
-    kind: str  # "ident", "int", "sym", "end"
-    value: object
-    line: int
-    column: int
+# One match per token, with the blanks, line breaks and comments before it;
+# the text's end is the empty token.  A digit is a decimal digit, one that
+# int() reads (so '٣' is 3 and '²' is no digit); a name starts with a letter
+# or '_'.  Any other character is a token of its own: a symbol, or an
+# unexpected character, which only the error path looks for.
+_TOKEN = re.compile(r"(?:[ \t\r\n]+|\#[^\n]*)*(\d+|\w+|.|\Z)")
+_SYMBOLS = frozenset("-+*^()=/;")
 
 
-_new_tuple = tuple.__new__  # a Token without NamedTuple's Python-level __new__
-
-# One alternative per token kind, tried in order.  A digit is a decimal
-# digit, one that int() reads (so '٣' is 3 and '²' is no digit); a name
-# starts with a letter or '_'.  Anything else is an unexpected character.
-_TOKEN = re.compile(r"""(?P<newline>\n) | (?P<blank>[ \t\r]+) | (?P<comment>\#[^\n]*)
-                      | (?P<int>\d+) | (?P<ident>\w+) | (?P<sym>[-+*^()=/;])
-                      | (?P<other>.)""", re.VERBOSE | re.DOTALL)
+def _is_name(token: str) -> bool:
+    return token[:1].isalpha() or token[:1] == "_"
 
 
-def _tokenize(text: str, line: int = 1) -> list[Token]:
-    tokens: list[Token] = []
-    line_start, match = 0, None
-    for match in _TOKEN.finditer(text):
-        kind = match.lastgroup
-        if kind == "blank" or kind == "comment":
-            continue
-        if kind == "newline":
-            line, line_start = line + 1, match.end()
-            continue
-        value = match.group()
-        column = match.start() - line_start + 1
-        if kind == "int":
+def _error(text: str, line: int, index: int, reason: str) -> ParseError:
+    """``reason`` at token ``index`` of ``text``, whose first line is
+    ``line``; but the text is read whole before it is parsed, so its first
+    lexical error, if it has one, wins."""
+    matches = list(_TOKEN.finditer(text))
+    at = matches[index].start(1)
+    last_line = text.rfind("\n") + 1
+    if not matches[index][1] and "#" in text[last_line:]:
+        at = text.index("#", last_line)  # input ends at a last comment
+    for match in matches:
+        token = match[1]
+        if token[:1].isdecimal():
             try:
-                value = int(value)
+                int(token)
             except ValueError:  # past sys.get_int_max_str_digits()
-                raise ParseError("integer literal too long", line, column) from None
-        elif kind == "other" or (kind == "ident" and not (value[0].isalpha()
-                                                          or value[0] == "_")):
-            raise ParseError(f"unexpected character {value[0]!r}", line, column)
-        tokens.append(_new_tuple(Token, (kind, value, line, column)))
-    # the matches tile the text: input ends at its end or at a last comment
-    end = match.start() if match and match.lastgroup == "comment" else len(text)
-    tokens.append(_new_tuple(Token, ("end", None, line, end - line_start + 1)))
-    return tokens
+                reason, at = "integer literal too long", match.start(1)
+                break
+        elif token and not _is_name(token) and token not in _SYMBOLS:
+            reason, at = f"unexpected character {token[0]!r}", match.start(1)
+            break
+    return ParseError(reason, line + text.count("\n", 0, at),
+                      at - text.rfind("\n", 0, at))
 
 
 class _Parser:
-    """Recursive descent over one token list.  An expression may use the
-    variables in ``names``; with none it is a rational number."""
+    """Recursive descent over the tokens of one text.  An expression may use
+    the variables in ``names``; with none it is a rational number.  A value
+    of a single term is a ``(coefficient, monomial)`` pair, any other a
+    ``Polynomial``; ``poly`` turns either into a ``Polynomial``."""
 
-    def __init__(self, tokens: Sequence[Token], names: Sequence[str] = ()):
-        self.tokens = tokens
+    def __init__(self, text: str, names: Sequence[str] = (), line: int = 1):
+        self.text, self.line = text, line
+        self.tokens = _TOKEN.findall(text)
         self.pos = 0
         self.nvars = len(names)
         self.one = one = (0,) * self.nvars
-        # shared: no rule writes into the terms of a factor
-        self.variables = {name: Polynomial._from_clean(self.nvars, {
-            one[:i] + (1,) + one[i + 1:]: 1}) for i, name in enumerate(names)}
+        # only names a name token can be: '²' would match a refused token
+        self.variables = {name: one[:i] + (1,) + one[i + 1:]
+                          for i, name in enumerate(names) if _is_name(name)}
         self.depth = 0
 
-    def peek(self) -> Token:
-        return self.tokens[self.pos]
+    def fail(self, message: str, index: int) -> NoReturn:
+        raise _error(self.text, self.line, index, message) from None
 
-    def advance(self) -> Token:
-        token = self.tokens[self.pos]
-        if token.kind != "end":
+    def next(self) -> str:
+        self.pos += 1
+        return self.tokens[self.pos - 1]
+
+    def accept(self, symbol: str) -> bool:
+        """Step over ``symbol`` if it comes next."""
+        if self.tokens[self.pos] == symbol:
             self.pos += 1
-        return token
-
-    def accept(self, symbol: str) -> Token | None:
-        """Step over ``symbol`` and return its token if it comes next."""
-        token = self.tokens[self.pos]
-        if token.kind == "sym" and token.value == symbol:
-            self.pos += 1
-            return token
-        return None
-
-    def expect(self, kind: str, message: str) -> Token:
-        token = self.peek()
-        if token.kind != kind:
-            raise ParseError(message, token.line, token.column)
-        return self.advance()
+            return True
+        return False
 
     def expect_symbol(self, symbol: str):
         if not self.accept(symbol):
-            token = self.peek()
-            raise ParseError(f"expected {symbol!r}", token.line, token.column)
+            self.fail(f"expected {symbol!r}", self.pos)
 
     def expect_end(self):
-        self.expect("end", "unexpected trailing input")
+        if self.tokens[self.pos]:
+            self.fail("unexpected trailing input", self.pos)
 
-    def expression(self) -> Polynomial:
+    def name(self, message: str) -> str:
+        token = self.next()
+        if not _is_name(token):
+            self.fail(message, self.pos - 1)
+        return token
+
+    def integer(self, message: str) -> int:
+        token = self.tokens[self.pos]
+        self.pos += 1
+        if not token[:1].isdecimal():
+            self.fail(message, self.pos - 1)
+        try:
+            return int(token)
+        except ValueError:  # past sys.get_int_max_str_digits()
+            self.fail("integer literal too long", self.pos - 1)
+
+    def bound(self, what: str, terms: int, bits: int, index: int):
+        """Refuse, at token ``index``, a power or product of more than
+        MAX_POWER_TERMS terms, or of more than MAX_POWER_BITS coefficient
+        bits in all."""
+        if terms > MAX_POWER_TERMS:
+            self.fail(f"{what} may have more than {MAX_POWER_TERMS} terms", index)
+        if terms * bits > MAX_POWER_BITS:
+            self.fail(f"{what} may have more than {MAX_POWER_BITS} "
+                      "coefficient bits", index)
+
+    def poly(self, node) -> Polynomial:
+        if type(node) is tuple:
+            return Polynomial._from_clean(self.nvars, dict(_items(node)))
+        return node
+
+    def expression(self):
+        tokens = self.tokens
+        node = self.term()
+        if tokens[self.pos] != "+" and tokens[self.pos] != "-":
+            return node
         # one dict for every term, in the order that Polynomial.__add__ gives
-        terms = dict(self.term().terms)
-        while (negate := self.accept("-")) or self.accept("+"):
-            for mono, c in self.term().terms.items():
-                c = _integral(terms.get(mono, 0) + (-c if negate else c))
+        terms = dict(_items(node))
+        while (sign := tokens[self.pos]) == "+" or sign == "-":
+            self.pos += 1
+            for mono, c in _items(self.term()):
+                c = _integral(terms.get(mono, 0) + (c if sign == "+" else -c))
                 if c:
                     terms[mono] = c
                 else:
                     del terms[mono]
         return Polynomial._from_clean(self.nvars, terms)
 
-    def term(self) -> Polynomial:
+    def term(self):
+        tokens = self.tokens
         node = self.factor()
-        while star := self.accept("*"):
+        while tokens[star := self.pos] == "*":
+            self.pos += 1
             right = self.factor()
+            if type(node) is tuple and type(right) is tuple:
+                node = _integral(node[0] * right[0]), mono_mul(node[1], right[1])
+                continue
+            node, right = self.poly(node), self.poly(right)
             t1, t2 = len(node.terms), len(right.terms)
-            if t1 == t2 == 1:
-                [(m1, c1)], [(m2, c2)] = node.terms.items(), right.terms.items()
-                node = Polynomial._from_clean(
-                    self.nvars, {mono_mul(m1, m2): _integral(c1 * c2)})
-            else:
-                if min(t1, t2) > 1:
-                    _bound("product", t1 * t2, _bits(node) + _bits(right)
+            if min(t1, t2) > 1:
+                self.bound("product", t1 * t2, max(map(_bits, node.terms.values()))
+                           + max(map(_bits, right.terms.values()))
                            + min(t1, t2).bit_length(), star)
-                node = node * right
+            node = node * right
         return node
 
-    def factor(self) -> Polynomial:
-        negate = False
-        while self.accept("-"):
+    def factor(self):
+        """A power of an atom, after any unary minus."""
+        tokens, negate = self.tokens, False
+        while tokens[self.pos] == "-":
+            self.pos += 1
             negate = not negate
-        node = self.power()
-        return -node if negate else node
+        node = self.atom()
+        if tokens[self.pos] == "^":
+            self.pos += 1
+            node = self.power(node)
+        if negate:
+            return (-node[0], node[1]) if type(node) is tuple else -node
+        return node
 
-    def power(self) -> Polynomial:
-        base = self.atom()
-        if self.accept("^"):
-            token = self.expect("int", "exponent must be an integer literal")
-            e = token.value
-            if e > MAX_EXPONENT:
-                raise ParseError(f"exponent above {MAX_EXPONENT}",
-                                 token.line, token.column)
-            t = len(base.terms)
-            _bound("power", math.comb(max(t, 1) - 1 + e, e),
-                   e * (_bits(base) + t.bit_length()), token)
-            return base ** e
-        return base
+    def power(self, base):
+        e = self.integer("exponent must be an integer literal")
+        at = self.pos - 1
+        if e > MAX_EXPONENT:
+            self.fail(f"exponent above {MAX_EXPONENT}", at)
+        if type(base) is tuple:
+            c, mono = base
+            self.bound("power", 1, e * (_bits(c) + 1), at)
+            return _integral(c ** e), tuple(e * k for k in mono)
+        t = len(base.terms)
+        self.bound("power", math.comb(max(t, 1) - 1 + e, e),
+                   e * (max(map(_bits, base.terms.values()), default=0)
+                        + t.bit_length()), at)
+        return base ** e
 
-    def atom(self) -> Polynomial:
-        token = self.advance()
-        if token.kind == "int":
-            c = self.rational_literal(token.value)
-            return Polynomial._from_clean(self.nvars, {self.one: c} if c else {})
-        if token.kind == "ident":
-            node = self.variables.get(token.value)
-            if node is None:
-                raise ParseError(f"unknown variable {token.value!r}",
-                                 token.line, token.column)
-            return node
-        if token.kind == "sym" and token.value == "(":
+    def atom(self):
+        token = self.tokens[self.pos]
+        mono = self.variables.get(token)
+        if mono is not None:
+            self.pos += 1
+            return 1, mono
+        if token[:1].isdecimal():
+            return self.rational_literal(), self.one
+        self.pos += 1
+        if token == "(":
             if self.depth == MAX_NESTING:
-                raise ParseError("expression nested too deeply",
-                                 token.line, token.column)
+                self.fail("expression nested too deeply", self.pos - 1)
             self.depth += 1
             node = self.expression()
             self.depth -= 1
             self.expect_symbol(")")
             return node
-        raise ParseError("expected a number, a variable, or '('",
-                         token.line, token.column)
+        self.fail(f"unknown variable {token!r}" if _is_name(token)
+                  else "expected a number, a variable, or '('", self.pos - 1)
 
-    def rational_literal(self, numerator: int) -> Scalar:
-        """The literal ``numerator`` or ``numerator / int``, the only rule
-        for a number, clean (``4/2`` is 2); the denominator must be a
-        nonzero integer literal."""
+    def rational_literal(self) -> Scalar:
+        """An integer literal, or ``int / int``, the only rule for a number,
+        clean (``4/2`` is 2); the denominator must be a nonzero integer
+        literal."""
+        numerator = self.integer("expected a number, a variable, or '('")
         if not self.accept("/"):
             return numerator
-        den = self.expect("int", "expected an integer denominator")
-        if den.value == 0:
-            raise ParseError("zero denominator", den.line, den.column)
-        return _divide(numerator, den.value)
+        den = self.integer("expected an integer denominator")
+        if den == 0:
+            self.fail("zero denominator", self.pos - 1)
+        return _divide(numerator, den)
 
 
 def parse_polynomial(text: str, names: Sequence[str]) -> Polynomial:
-    parser = _Parser(_tokenize(text), names)
-    poly = parser.expression()
+    parser = _Parser(text, names)
+    poly = parser.poly(parser.expression())
     parser.expect_end()
     return poly
 
 
 def parse_polynomial_list(text: str, names: Sequence[str]) -> list[Polynomial]:
     """Parse a ';'-separated list of polynomial expressions."""
-    parser = _Parser(_tokenize(text), names)
-    out = [parser.expression()]
+    parser = _Parser(text, names)
+    out = [parser.poly(parser.expression())]
     while parser.accept(";"):
-        out.append(parser.expression())
+        out.append(parser.poly(parser.expression()))
     parser.expect_end()
     return out
 
@@ -301,49 +333,43 @@ def parse_spec(text: str) -> DerivationSpec:
 
     for lineno, raw in enumerate(text.splitlines(), start=1):
         last_line = lineno
-        parser = _Parser(_tokenize(raw, lineno), variables or ())
-        head = parser.advance()
-        if head.kind == "end":
+        parser = _Parser(raw, variables or (), lineno)
+        head = parser.next()
+        if not head:
             continue
-        if head.kind != "ident" or head.value not in _DIRECTIVES:
-            raise ParseError("expected a directive: ring, vars, rel, or der",
-                             head.line, head.column)
-        if head.value == "ring":
+        if head not in _DIRECTIVES:
+            parser.fail("expected a directive: ring, vars, rel, or der", 0)
+        if head == "ring":
             if name is not None:
-                raise ParseError("duplicate ring directive", head.line, head.column)
-            name = parser.expect("ident", "expected a ring name").value
+                parser.fail("duplicate ring directive", 0)
+            name = parser.name("expected a ring name")
             parser.expect_end()
-        elif head.value == "vars":
+        elif head == "vars":
             if variables is not None:
-                raise ParseError("duplicate vars directive", head.line, head.column)
+                parser.fail("duplicate vars directive", 0)
             seen: list[str] = []
-            while parser.peek().kind == "ident":
-                token = parser.advance()
-                if token.value in seen:
-                    raise ParseError(f"duplicate variable {token.value!r}",
-                                     token.line, token.column)
-                seen.append(token.value)
+            while _is_name(parser.tokens[parser.pos]):
+                token = parser.next()
+                if token in seen:
+                    parser.fail(f"duplicate variable {token!r}", parser.pos - 1)
+                seen.append(token)
             parser.expect_end()
             if not seen:
-                raise ParseError("vars needs at least one variable",
-                                 head.line, head.column)
+                parser.fail("vars needs at least one variable", 0)
             variables = tuple(seen)
         elif variables is None:
-            raise ParseError("vars must be declared before rel and der lines",
-                             head.line, head.column)
-        elif head.value == "rel":
-            relations.append(parser.expression())
+            parser.fail("vars must be declared before rel and der lines", 0)
+        elif head == "rel":
+            relations.append(parser.poly(parser.expression()))
             parser.expect_end()
         else:
-            target = parser.expect("ident", "expected a variable name")
-            if target.value not in variables:
-                raise ParseError(f"unknown variable {target.value!r}",
-                                 target.line, target.column)
-            if target.value in images:
-                raise ParseError(f"duplicate der line for {target.value!r}",
-                                 target.line, target.column)
+            target = parser.name("expected a variable name")
+            if target not in variables:
+                parser.fail(f"unknown variable {target!r}", parser.pos - 1)
+            if target in images:
+                parser.fail(f"duplicate der line for {target!r}", parser.pos - 1)
             parser.expect_symbol("=")
-            images[target.value] = parser.expression()
+            images[target] = parser.poly(parser.expression())
             parser.expect_end()
 
     if name is None:

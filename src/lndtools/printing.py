@@ -13,7 +13,10 @@ from typing import Sequence
 
 from .poly import DEGREVLEX, Monomial, MonomialOrder, Polynomial, Scalar
 
-# Integers of at most this many bits go to ``Decimal`` whole.
+# Integers of at most this many bits go to ``str``: 2,000 bits are at most
+# 603 digits, below the least limit that sys.set_int_max_str_digits()
+# accepts (640).  Up to _DECIMAL_BITS bits go to ``Decimal`` whole.
+_STR_BITS = 2000
 _DECIMAL_BITS = 4096
 
 
@@ -25,6 +28,8 @@ def format_number(value: Scalar) -> str:
         return (f"{format_number(value.numerator)}/"
                 f"{format_number(value.denominator)}")
     n = int(value)
+    if n.bit_length() <= _STR_BITS:
+        return str(n)
     if n.bit_length() <= _DECIMAL_BITS:
         return str(Decimal(n))
     # Decimal(n) takes time quadratic in the digits, a Decimal product less:

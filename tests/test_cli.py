@@ -832,3 +832,23 @@ def test_ab_commands_times_both_sides_and_compares_their_outputs(monkeypatch, ca
     assert kinds[-1][:2] == ["total", "4"]
     assert sum(int(row[1]) for row in kinds[:-1]) == 4
     assert all(float(row[2]) > 0 and float(row[3]) > 0 for row in kinds)
+
+
+def test_parser_diff_finds_no_difference_against_head(monkeypatch, capsys):
+    if subprocess.run(["git", "rev-parse", "--verify", "HEAD"], cwd=ROOT,
+                      capture_output=True).returncode != 0:
+        pytest.skip("needs a git checkout to read the parent from")
+    monkeypatch.setattr(sys, "path", list(sys.path))   # the tool extends it
+    spec = importlib.util.spec_from_file_location(
+        "parser_diff", ROOT / "tools" / "parser_diff.py")
+    tool = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tool)
+    try:
+        assert tool.main(["--parent", "HEAD", "--cases", "200"]) == 0
+    finally:
+        for name in [m for m in sys.modules
+                     if m.split(".")[0] == tool.ab_commands.PARENT_PACKAGE]:
+            del sys.modules[name]
+    first = capsys.readouterr().out.splitlines()[0]
+    assert first.endswith(", 0 differ")
+    assert int(first.split()[0]) > 200    # the workloads' texts come on top

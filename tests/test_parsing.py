@@ -124,6 +124,10 @@ def test_digits_are_what_int_reads():
     assert parse_polynomial("٣*x", XY) == parse_polynomial("3*x", XY)
     assert parse_fraction("١/٢") == Fraction(1, 2)
     assert parse_polynomial("x²", ["x²"]) == Polynomial.variable(1, 0)
+    # a declared name that no name token can be is refused as text
+    with pytest.raises(ParseError) as info:
+        parse_polynomial("²", ["²"])
+    assert str(info.value) == "line 1, column 1: unexpected character '²'"
     with pytest.raises(ParseError) as info:
         parse_polynomial("x^²", XY)
     assert str(info.value) == "line 1, column 3: unexpected character '²'"
@@ -168,6 +172,16 @@ ERROR_POSITIONS = [
     ("poly", "x**y", (1, 3, "expected a number, a variable, or '('")),
     ("poly", "x*w", (1, 3, "unknown variable 'w'")),
     ("spec", SPEC + "der x = 1/2*x^10001\nder y = 0\n", (3, 15, "exponent above 10000")),
+    # a lexical error anywhere in the text wins over a syntax error before it
+    ("poly", "x x ½", (1, 5, "unexpected character '½'")),
+    ("poly", "x x 1" + "0" * 5000, (1, 5, "integer literal too long")),
+    ("poly", "(x ½", (1, 4, "unexpected character '½'")),
+    ("spec", SPEC + "der x = y y ½", (3, 13, "unexpected character '½'")),
+    # the end of input is at a last comment, or past the last line break
+    ("poly", "x + # c", (1, 5, "expected a number, a variable, or '('")),
+    ("poly", "x +\n # c\n", (3, 1, "expected a number, a variable, or '('")),
+    ("poly", "x^2^3", (1, 4, "unexpected trailing input")),
+    ("poly", "2*x^99999", (1, 5, "exponent above 10000")),
 ]
 
 
@@ -268,6 +282,22 @@ def test_parser_agrees_with_polynomial_arithmetic():
         terms = parse_polynomial(text, XYZ).terms
         assert list(terms.items()) == list(value.terms.items())
         assert list(map(type, terms.values())) == list(map(type, value.terms.values()))
+
+
+def test_a_sum_of_single_terms_builds_one_polynomial(monkeypatch):
+    built = []
+    from_clean = Polynomial._from_clean.__func__
+
+    def counted(cls, nvars, terms):
+        built.append(terms)
+        return from_clean(cls, nvars, terms)
+
+    monkeypatch.setattr(Polynomial, "_from_clean", classmethod(counted))
+    terms = parse_polynomial("x^2*y - 3*x*y^2 + 1/2*x - 7", XY).terms
+    assert len(built) == 1
+    assert list(terms.items()) == [((2, 1), 1), ((1, 2), -3),
+                                   ((1, 0), Fraction(1, 2)), ((0, 0), -7)]
+    assert list(map(type, terms.values())) == [int, int, Fraction, int]
 
 
 FUZZ_ALPHABET = [*"xyz0123456789+-*^()/;= _", "#", "\n", "\t",
@@ -372,16 +402,23 @@ def test_format_number_prints_huge_values_in_full():
     big = random.Random(1000000).getrandbits(1_000_000) | 1 << 999_999
     # big and big + 1 are coprime, so the fraction is in lowest terms at once
     fraction = Fraction(-big, big + 1)
+    # the longest int printed by str, and the shortest printed otherwise
+    edges = [(1 << 2000) - 1, 1 << 2000, -(1 << 2000) + 1, -(1 << 2000)]
     limit = sys.get_int_max_str_digits()
     sys.set_int_max_str_digits(0)
     try:
         expected = str(fraction)
+        expected_edges = list(map(str, edges))
+        # the least limit that may be set
+        sys.set_int_max_str_digits(640)
+        numerator = expected.split("/")[0]
+        assert format_number(fraction) == expected
+        assert format_number(-big) == numerator
+        assert format_number(big) == numerator[1:]
+        assert [(n.bit_length(), format_number(n)) for n in edges] == \
+            list(zip([2000, 2001, 2000, 2001], expected_edges))
     finally:
         sys.set_int_max_str_digits(limit)
-    numerator = expected.split("/")[0]
-    assert format_number(fraction) == expected
-    assert format_number(-big) == numerator
-    assert format_number(big) == numerator[1:]
 
 
 def test_format_polynomial_canonical_examples():
