@@ -12,9 +12,10 @@ conclusive because kernels of locally nilpotent derivations on domains
 are factorially closed.  Integer weights that make d and the relations
 homogeneous split the preimage system, d on the standard monomials of
 bounded degree, into classes.  A power of h is solved on the classes it
-reaches, listed directly as lattice points under the degree bound, with
-images and systems shared by a command's powers and elements, and a
-system's blocks each eliminated when a target first reaches them.  The
+reaches, listed directly as lattice points under the degree bound and
+sorted as packed ints, with images, made by the packed Leibniz kernel,
+and systems shared by a command's powers and elements, and a system's
+blocks each eliminated when a target first reaches them.  The
 Dixmier sums are polynomials over a power of the slice's denominator,
 built by Horner's rule and made a fraction once each; the checks that
 they and the slice are what they claim use the quotient rule without the
@@ -33,8 +34,7 @@ from typing import NamedTuple, Sequence
 from .derivation import Derivation
 from .groebner import Ideal, gcd_via_lcm, radical_membership, standard_monomials
 from .linalg import Inconsistency, QMatrix, null_space, solve_exact
-from .poly import (DEGREVLEX, Monomial, Polynomial, Scalar, _integral, mono_divides,
-                   mono_mul)
+from .poly import DEGREVLEX, Monomial, Polynomial, Scalar
 from .ratfun import RationalFunction, ratfun_eq_mod
 
 
@@ -197,7 +197,7 @@ class Grading:
     def __init__(self, derivation: Derivation, max_degree: int):
         self.derivation, self.max_degree = derivation, max_degree
         self.weights: tuple[tuple[int, ...], ...] | None = None
-        self.images: dict[Monomial, dict[Monomial, Scalar]] = {}
+        self.images: dict[int, dict[int, dict[int, Scalar]]] = {}
         self.systems: dict[frozenset, PreimageSystem] = {}
 
     def _grade(self):
@@ -250,47 +250,34 @@ class Grading:
         classes = frozenset(tuple(c - s for c, s in zip(self.weigh(m), self.shift))
                             for m in target.terms)
         if classes not in self.systems:
-            ring = self.derivation.ring
-            columns = sorted((m for c in classes for m in self.members(c)
-                              if not any(mono_divides(l, m) for l in ring.leads)),
-                             key=ring.order.key)
-            self.systems[classes] = build_preimage_system(self.derivation, tuple(columns),
-                                                          self.images)
+            columns = self.derivation.ring._standard_sorted(
+                [m for c in classes for m in self.members(c)])
+            self.systems[classes] = build_preimage_system(self.derivation, columns, self.images)
         return self.systems[classes]
 
 
 def build_preimage_system(derivation: Derivation, columns: tuple[Monomial, ...],
-                          images: dict[Monomial, dict[Monomial, Scalar]]
+                          images: dict[int, dict[int, dict[int, Scalar]]]
                           ) -> PreimageSystem:
     """The images under the derivation of ``columns``, standard monomials,
     the rows they make, and their matrix.  Requires a degree-compatible
     order so that the standard monomials of degree <= D span the image of
     every residue class of degree <= D.  The image of x^a is the normal form
-    of its Leibniz sum, sum_j a_j*x^(a-e_j)*d(x_j); it is kept in ``images``,
-    which the systems of one derivation may share."""
-    ring = derivation.ring
-    if ring.order != DEGREVLEX:
+    of its Leibniz sum, sum_j a_j*x^(a-e_j)*d(x_j), made by the packed
+    Leibniz kernel; its entries, keyed by packed monomial, are kept in
+    ``images`` under the field width and the packed column, so that the
+    systems of one derivation may share them.  Rows are sorted as packed
+    ints, which is degrevlex, and each row monomial is unpacked once."""
+    if derivation.ring.order != DEGREVLEX:
         raise ValueError("bounded preimage search needs a degree-compatible order")
-    rows: dict[Monomial, list] = {}
+    packing, column_images = derivation._images_of(columns, images)
+    rows: dict[int, list] = {}
     # columns in order, so each row's pairs come sorted
-    for col, a in enumerate(columns):
-        if a not in images:
-            total: dict[Monomial, Scalar] = {}
-            for j, e in enumerate(a):
-                if not e:
-                    continue
-                b = (*a[:j], e - 1, *a[j + 1:])
-                for t, c in derivation.images[j].terms.items():
-                    m = mono_mul(b, t)
-                    if s := _integral(total.get(m, 0) + e * c):
-                        total[m] = s
-                    else:
-                        del total[m]
-            images[a] = ring.normal_form(Polynomial._from_clean(ring.nvars, total)).terms
-        for mono, coeff in images[a].items():
+    for col, image in enumerate(column_images):
+        for mono, coeff in image.items():
             rows.setdefault(mono, []).append((col, coeff))
-    image_rows = {m: tuple(rows[m])
-                  for m in sorted(rows, key=ring.order.key, reverse=True)}
+    unpack = packing.unpack
+    image_rows = {unpack(m): tuple(rows[m]) for m in sorted(rows, reverse=True)}
     matrix = QMatrix._from_clean(len(columns), image_rows.values())
     return PreimageSystem(columns, derivation, image_rows, matrix)
 

@@ -5,17 +5,19 @@ the Leibniz rule.  When every generator is annihilated by some iterate,
 exponentiation yields a polynomial one-parameter family of automorphisms:
 the orbit map of the corresponding additive group action.  Everything is
 computed on representatives and reduced modulo the relation ideal, which
-is sound once the derivation is known to preserve that ideal.
+is sound once the derivation is known to preserve that ideal.  The
+Leibniz sum is taken by one kernel on packed monomials, ``groebner``'s
+``_leibniz``, which also serves the preimage systems of ``cylinder``.
 """
 
 from __future__ import annotations
 
 import math
 from fractions import Fraction
-from typing import Sequence
+from typing import Iterable, Sequence
 
-from .groebner import Ideal
-from .poly import Polynomial, Scalar, _exact
+from .groebner import Ideal, _leibniz, _Packing, _widening
+from .poly import Monomial, Polynomial, Scalar, _cleared, _divide, _exact
 from .ratfun import RationalFunction
 
 DEFAULT_NILPOTENCY_CAP = 64
@@ -40,7 +42,7 @@ class Derivation:
     :meth:`check_preserves_relations` returns None.
     """
 
-    __slots__ = ("ring", "images")
+    __slots__ = ("ring", "images", "_den", "_packed")
 
     def __init__(self, ring: Ideal, images: Sequence[Polynomial]):
         if not ring.nvars:
@@ -56,18 +58,53 @@ class Derivation:
                 raise ValueError("image has wrong variable count")
         self.ring = ring
         self.images = tuple(ring.normal_form(g) for g in images)
+        self._den = math.lcm(*[c.denominator for g in self.images for c in g.terms.values()])
+        self._packed: dict[int, list] = {}
 
-    def _leibniz(self, f: Polynomial) -> Polynomial:
-        """Leibniz extension on free-ring representatives, unreduced."""
-        total = Polynomial.zero(self.ring.nvars)
-        for i, image in enumerate(self.images):
-            if image:
-                total = total + image * f.diff(i)
-        return total
+    def _image(self, packing: _Packing, terms: Iterable[tuple[int, int]], scale: int = 1,
+               reduce: bool = True) -> dict[int, Scalar]:
+        """d of the packed integer terms over ``scale`` by the kernel
+        ``_leibniz``, keyed by packed monomial: in normal form modulo the
+        relations when ``reduce``, else on free-ring representatives.  The
+        kernel takes the images as integers over their common denominator
+        ``_den``, packed once per field width."""
+        images = self._packed.get(packing.width)
+        if images is None:
+            images = self._packed[packing.width] = [
+                (shift, unit, [(m, c.numerator * (self._den // c.denominator))
+                               for m, c in zip(packing.pack_all(g.terms), g.terms.values())])
+                for shift, unit, g in zip(packing.shifts, packing.units, self.images) if g]
+        leads = self.ring._leads_at(packing) if reduce else ()
+        r, s = _leibniz(terms, images, packing, leads, scale * self._den)
+        return r if s == 1 else {m: _divide(c, s) for m, c in r.items()}
+
+    def _images_of(self, columns: Sequence[Monomial], known: dict[int, dict[int, dict]]
+                   ) -> tuple[_Packing, list[dict[int, Scalar]]]:
+        """(packing, the ``_image`` of each monomial of ``columns``), each
+        kept in ``known`` under the field width and the packed monomial, so
+        that images made at one width are never read at another."""
+        def run(packing: _Packing) -> list[dict[int, Scalar]]:
+            cache = known.setdefault(packing.width, {})
+            for a in (packed := packing.pack_all(columns)):
+                if a not in cache:
+                    cache[a] = self._image(packing, ((a, 1),))
+            return [cache[a] for a in packed]
+        return _widening(self.ring.order, self.ring.nvars, run)
+
+    def _leibniz(self, f: Polynomial, reduce: bool = False) -> Polynomial:
+        """The Leibniz sum of f on free-ring representatives, unreduced, or
+        in normal form modulo the relations when ``reduce``."""
+        if f.nvars != self.ring.nvars:
+            raise ValueError("polynomial has wrong variable count")
+        terms, e = _cleared(f.terms)
+        packing, image = _widening(self.ring.order, f.nvars, lambda packing: self._image(
+            packing, zip(packing.pack_all(terms), terms.values()), e, reduce))
+        unpack = packing.unpack
+        return Polynomial._from_clean(f.nvars, {unpack(m): c for m, c in image.items()})
 
     def apply(self, f: Polynomial) -> Polynomial:
         """Leibniz extension, reduced modulo the relations."""
-        return self.ring.normal_form(self._leibniz(f))
+        return self._leibniz(f, True)
 
     def check_preserves_relations(self) -> tuple[Polynomial, Polynomial] | None:
         """``(relation, image)`` for the first relation whose image does

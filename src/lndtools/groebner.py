@@ -16,11 +16,12 @@ divisibility test is one ``&``; division pops each leading term from a
 heap of negated ints.  A call starts with 16-bit fields and begins again
 at twice the width when a monomial outgrows them.  Terms are packed on
 the way in and unpacked on the way out, through a bounded memo of the
-monomials met lately.  Buchberger keeps the leading
-monomials of its elements as tuples too, selects pairs from a heap by
-the normal strategy, and prunes them by the Gebauer–Möller update
-(Gebauer & Möller 1988), which applies Buchberger's coprime rule and
-chain criterion.
+monomials met lately.  Packed ints carry a derivation's Leibniz sum too
+(``_leibniz``): x^(a - e_j + t) is ``a - unit_j + t``.  Buchberger keeps
+the leading monomials of its elements as tuples too, selects pairs from
+a heap by the normal strategy, and prunes them by the Gebauer–Möller
+update (Gebauer & Möller 1988), which applies Buchberger's coprime rule
+and chain criterion.
 
 Every basis returned here is the reduced Groebner basis: monic,
 auto-reduced, sorted by descending leading monomial.  Reduced bases are
@@ -33,7 +34,7 @@ from __future__ import annotations
 import functools
 from heapq import heapify, heappop, heappush
 from math import gcd, lcm
-from operator import le, mul
+from operator import le, mul, or_
 from typing import Iterable, Mapping, Sequence
 
 from .poly import (
@@ -82,12 +83,12 @@ class _Packing:
     borrows and sets its field's guard.
     """
 
-    __slots__ = ("limit", "units", "shifts", "mask", "guards", "divides", "memo")
+    __slots__ = ("width", "limit", "units", "shifts", "mask", "guards", "divides", "memo")
 
     def __init__(self, order: MonomialOrder, nvars: int, width: int):
         rows = order.rows(nvars)
         step = width + 1
-        self.limit, self.mask = 1 << width, (1 << width) - 1
+        self.width, self.limit, self.mask = width, 1 << width, (1 << width) - 1
         self.shifts = tuple(step * i for i in range(nvars))
         tops = [step * (nvars + len(rows) - 1 - r) for r in range(len(rows))]
         self.units = tuple(sum(row[i] << top for row, top in zip(rows, tops)) + (1 << s)
@@ -144,6 +145,18 @@ class _Packing:
 @functools.lru_cache(maxsize=32)
 def _packing(order: MonomialOrder, nvars: int, width: int) -> _Packing:
     return _Packing(order, nvars, width)
+
+
+def _widening(order: MonomialOrder, nvars: int, run):
+    """(packing, ``run(packing)``) at the first field width, from ``_WIDTH``
+    up by doubling, at which ``run`` raises no ``_Widen``."""
+    width = _WIDTH
+    while True:
+        packing = _packing(order, nvars, width)
+        try:
+            return packing, run(packing)
+        except _Widen:
+            width *= 2
 
 
 class _Dividend:
@@ -227,6 +240,44 @@ def _remainder(work: _Dividend, divisors: Sequence[Lead],
     return remainder, scale
 
 
+def _leibniz(terms: Iterable[tuple[int, int]], images: Sequence[tuple[int, int, Sequence]],
+             packing: _Packing, leads: Sequence[Lead], scale: int) -> tuple[dict[int, int], int]:
+    """(r, s) with r/s = d(T/scale) for packed integer terms T: over each
+    c*x^a in T, x_j with e = a_j > 0 and c_t*x^t in d(x_j), the sum of
+    e*c*c_t*x^(a - e_j + t).  ``images`` holds (the shift of x_j's field,
+    x_j packed, the packed integer terms of d(x_j)) for each d(x_j) != 0.
+    The sum is pseudo-divided by ``leads`` only when one divides a term."""
+    mask = packing.mask
+    total: dict[int, int] = {}
+    get = total.get
+    for a, c in terms:
+        for shift, unit, image in images:
+            if e := a >> shift & mask:
+                base, factor = a - unit, e * c
+                for t, ct in image:
+                    m = base + t
+                    total[m] = get(m, 0) + factor * ct
+    if 0 in total.values():
+        total = {m: c for m, c in total.items() if c}
+    if functools.reduce(or_, total, 0) & packing.guards:
+        raise _Widen
+    divides = packing.divides
+    if leads and any(not (m - lm) & divides for lm, _, _ in leads for m in total):
+        return _remainder(_Dividend(total, packing), leads, scale)
+    return total, scale
+
+
+def _packed_leads(divisors: Sequence[Polynomial], packing: _Packing,
+                  leads: dict[int, list[Lead]]) -> list[Lead]:
+    """The packed ``Lead`` of each nonzero divisor, in list order, kept in
+    ``leads`` under the packing's field width."""
+    packed = leads.get(packing.width)
+    if packed is None:
+        packed = leads[packing.width] = [packing.lead(_cleared(g.terms)[0])[0]
+                                         for g in divisors if g]
+    return packed
+
+
 def reduce_poly(f: Polynomial, divisors: Sequence[Polynomial],
                 order: MonomialOrder, *,
                 leads: dict[int, list[Lead]] | None = None) -> Polynomial:
@@ -245,50 +296,36 @@ def reduce_poly(f: Polynomial, divisors: Sequence[Polynomial],
     terms, d = _cleared(f.terms)
     if leads is None:
         leads = {}
-    width = _WIDTH
-    while True:
-        packing = _packing(order, f.nvars, width)
-        try:
-            packed = leads.get(width)
-            if packed is None:
-                packed = leads[width] = [packing.lead(_cleared(g.terms)[0])[0]
-                                         for g in divisors if g]
-            r, s = _remainder(packing.dividend(terms), packed, d)
-            break
-        except _Widen:
-            width *= 2
+    packing, (r, s) = _widening(order, f.nvars, lambda packing: _remainder(
+        packing.dividend(terms), _packed_leads(divisors, packing, leads), d))
     unpack = packing.unpack
-    if s == 1:
-        return Polynomial._from_clean(f.nvars, {unpack(m): c for m, c in r.items()})
-    return Polynomial._from_clean(f.nvars, {unpack(m): _divide(c, s) for m, c in r.items()})
+    return Polynomial._from_clean(f.nvars, {unpack(m): c if s == 1 else _divide(c, s)
+                                            for m, c in r.items()})
 
 
-def _exact_quotient(f: Polynomial, g: Polynomial) -> tuple[dict[int, int], _Packing, int]:
-    """(Q, packing, s) with f/g = Q/s, Q's monomials packed by ``packing``
+def _exact_quotient(f: Polynomial, g: Polynomial) -> tuple[_Packing, tuple[dict[int, int], int]]:
+    """(packing, (Q, s)) with f/g = Q/s, Q's monomials packed by ``packing``
     under degrevlex; raises ArithmeticError when g does not divide f.
     With f = F/e and g = (n/d)*G, G primitive, F/G is integral when it
     exists (Gauss's lemma), so each step is an exact divmod."""
     (terms, e), (divisor, d) = _cleared(f.terms), _cleared(g.terms)
-    width = _WIDTH
-    while True:
-        packing = _packing(DEGREVLEX, f.nvars, width)
-        try:
-            (lm, lc, tail), n = packing.lead(divisor)
-            work = packing.dividend(terms)
-            divides = packing.divides
-            quotient: dict[int, int] = {}
-            while (term := work.pop_leading()) is not None:
-                mono, coeff = term
-                factor, rest = divmod(coeff, lc)
-                shift = mono - lm
-                if rest or shift & divides:
-                    raise ArithmeticError("division is not exact")
-                # the leading monomial of work falls at each step, so no shift repeats
-                quotient[shift] = factor * d
-                work.subtract(factor, shift, tail)
-            return quotient, packing, e * n
-        except _Widen:
-            width *= 2
+
+    def run(packing: _Packing) -> tuple[dict[int, int], int]:
+        (lm, lc, tail), n = packing.lead(divisor)
+        work, divides = packing.dividend(terms), packing.divides
+        quotient: dict[int, int] = {}
+        while (term := work.pop_leading()) is not None:
+            mono, coeff = term
+            factor, rest = divmod(coeff, lc)
+            shift = mono - lm
+            if rest or shift & divides:
+                raise ArithmeticError("division is not exact")
+            # the leading monomial of work falls at each step, so no shift repeats
+            quotient[shift] = factor * d
+            work.subtract(factor, shift, tail)
+        return quotient, e * n
+
+    return _widening(DEGREVLEX, f.nvars, run)
 
 
 def divide_exact(f: Polynomial, g: Polynomial) -> Polynomial:
@@ -298,7 +335,7 @@ def divide_exact(f: Polynomial, g: Polynomial) -> Polynomial:
         raise ZeroDivisionError("division by the zero polynomial")
     if g.nvars != f.nvars:
         raise ValueError("polynomial has wrong variable count")
-    quotient, packing, s = _exact_quotient(f, g)
+    packing, (quotient, s) = _exact_quotient(f, g)
     unpack = packing.unpack
     return Polynomial._from_clean(
         f.nvars, {unpack(m): _divide(q, s) for m, q in quotient.items()})
@@ -331,15 +368,10 @@ def buchberger(generators: Iterable[Polynomial], order: MonomialOrder,
     making them monic gives the reduced one.
     """
     gens = [_cleared(g.terms)[0] for g in generators]
-    width = _WIDTH
-    while True:
-        try:
-            basis, packed = _buchberger(gens, nvars, _packing(order, nvars, width))
-            break
-        except _Widen:
-            width *= 2
+    packing, (basis, packed) = _widening(
+        order, nvars, lambda packing: _buchberger(gens, nvars, packing))
     if leads is not None:
-        leads[width] = packed
+        leads[packing.width] = packed
     return basis
 
 
@@ -448,6 +480,20 @@ class Ideal:
         if not any(all(map(le, lm, m)) for lm in self.leads for m in f.terms):
             return f
         return reduce_poly(f, self.basis, self.order, leads=self._packed)
+
+    def _leads_at(self, packing: _Packing) -> list[Lead]:
+        """The packed ``Lead`` of each basis element under ``packing``."""
+        return _packed_leads(self.basis, packing, self._packed)
+
+    def _standard_sorted(self, monos: Sequence[Monomial]) -> tuple[Monomial, ...]:
+        """The monomials of ``monos`` that no leading monomial of the basis
+        divides, in ascending order, which is that of their packed ints."""
+        def run(packing: _Packing) -> tuple[Monomial, ...]:
+            listed, divides = dict(zip(packing.pack_all(monos), monos)), packing.divides
+            for lm, _, _ in self._leads_at(packing):
+                listed = {p: m for p, m in listed.items() if (p - lm) & divides}
+            return tuple(map(listed.__getitem__, sorted(listed)))
+        return _widening(self.order, self.nvars, run)[1]
 
     def contains(self, f: Polynomial) -> bool:
         return self.normal_form(f).is_zero

@@ -38,17 +38,21 @@ class Inconsistency:
     value: Fraction
 
     def verify(self, matrix: QMatrix, rhs: Sequence) -> bool:
+        """Whether y*A = 0 and y*b = ``value`` != 0, checked on Y = L*y, the
+        multipliers cleared of denominators once: Y*A = L*(y*A), Y*b = L*(y*b)."""
         ys = self.multipliers
         if len(ys) != len(rhs) or len(rhs) < matrix.rows:
             return False
+        scale = lcm(*[y.denominator for y in ys if y])
         combined: dict[int, Scalar] = {}
         total: Scalar = 0
         for y, row, v in zip(ys, chain(matrix.entries, repeat(())), rhs):
             if y:
+                y = y.numerator * (scale // y.denominator)
                 for col, value in row:
                     combined[col] = combined.get(col, 0) + y * value
                 total += y * _exact(v)
-        return not any(combined.values()) and total == self.value != 0
+        return not any(combined.values()) and total == self.value * scale != 0
 
 
 def _combine(target: dict, f: int, h: int, source: dict) -> None:

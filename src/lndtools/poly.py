@@ -277,12 +277,6 @@ class Polynomial:
             return NotImplemented
         return self + (-other)
 
-    def __rsub__(self, other) -> "Polynomial":
-        other = self._coerce(other)
-        if other is None:
-            return NotImplemented
-        return other + (-self)
-
     def __mul__(self, other) -> "Polynomial":
         if isinstance(other, (int, Fraction)):
             c = _integral(other)
@@ -335,15 +329,6 @@ class Polynomial:
 
     # ------------------------------------------------------------------
     # calculus and evaluation
-
-    def diff(self, index: int) -> "Polynomial":
-        """Formal partial derivative with respect to variable ``index``."""
-        if not 0 <= index < self.nvars:
-            raise ValueError(f"variable index {index} out of range")
-        # Lowering one exponent is injective on the terms that have it.
-        return Polynomial._from_clean(self.nvars, {
-            mono[:index] + (mono[index] - 1,) + mono[index + 1:]: _integral(c * mono[index])
-            for mono, c in self.terms.items() if mono[index]})
 
     def evaluate(self, point: Sequence[Scalar]) -> Fraction:
         if len(point) != self.nvars:

@@ -49,10 +49,6 @@ class RationalFunction:
         return self.num.nvars
 
     @property
-    def is_zero(self) -> bool:
-        return self.num.is_zero
-
-    @property
     def is_polynomial(self) -> bool:
         return self.den.total_degree() == 0 and self.den.constant_term() == 1
 
@@ -67,21 +63,6 @@ class RationalFunction:
 
     __radd__ = __add__
 
-    def __neg__(self) -> "RationalFunction":
-        return RationalFunction(-self.num, self.den)
-
-    def __sub__(self, other: _Operand) -> "RationalFunction":
-        other = _as_ratfun(other, self.nvars)
-        if other is None:
-            return NotImplemented
-        return self + (-other)
-
-    def __rsub__(self, other: _Operand) -> "RationalFunction":
-        other = _as_ratfun(other, self.nvars)
-        if other is None:
-            return NotImplemented
-        return other + (-self)
-
     def __mul__(self, other: _Operand) -> "RationalFunction":
         other = _as_ratfun(other, self.nvars)
         if other is None:
@@ -89,11 +70,6 @@ class RationalFunction:
         return RationalFunction(self.num * other.num, self.den * other.den)
 
     __rmul__ = __mul__
-
-    def __pow__(self, exponent: int) -> "RationalFunction":
-        if not isinstance(exponent, int) or exponent < 0:
-            raise ValueError("exponent must be a non-negative integer")
-        return RationalFunction(self.num ** exponent, self.den ** exponent)
 
     def __eq__(self, other) -> bool:
         """Equality as fractions of the free polynomial ring."""

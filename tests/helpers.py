@@ -4,8 +4,10 @@ The oracles here deliberately avoid the code paths they are used to
 check: membership is decided by solving a linear system over monomial
 coefficients, division is done in plain ``Fraction`` arithmetic without
 the ``groebner`` module, Groebner bases are verified through the S-pair
-criterion on the finished basis with that division, and radical
-membership is cross-checked by searching small powers directly.
+criterion on the finished basis with that division, radical membership
+is cross-checked by searching small powers directly, and a derivation's
+Leibniz sum is taken in ``Polynomial`` arithmetic, reduced by that
+division, apart from the packed kernel.
 """
 
 import math
@@ -205,6 +207,30 @@ def reference_remainder(f, divisors, order):
     return Polynomial(f.nvars, remainder)
 
 
+def leibniz_oracle(d, f, reduce=True):
+    """sum_j d(x_j) * df/dx_j in ``Polynomial`` arithmetic, the derivation's
+    Leibniz sum on f as it was computed before the packed kernel, reduced
+    by the ring's basis with ``reference_remainder`` when ``reduce``."""
+    total = Polynomial.zero(d.ring.nvars)
+    for i, image in enumerate(d.images):
+        if image:
+            total = total + image * derivative(f, i)
+    return reference_remainder(total, d.ring.basis, d.ring.order) if reduce else total
+
+
+def derivative(f, i):
+    """The formal partial derivative df/dx_i, term by term."""
+    return Polynomial(f.nvars, {(*m[:i], m[i] - 1, *m[i + 1:]): c * m[i]
+                                for m, c in f.terms.items() if m[i]})
+
+
+def assert_same_terms(got, want):
+    """Equal terms, and an ``int`` or a ``Fraction`` in the same places:
+    dict equality alone takes Fraction(2) for 2."""
+    assert got == want
+    assert [type(got[m]) for m in got] == [type(want[m]) for m in got]
+
+
 def is_groebner_basis(basis, order):
     """S-pair criterion on a finished basis: every S-polynomial must
     reduce to zero against the basis itself, by the reference division."""
@@ -243,7 +269,7 @@ def dixmier_sum(relations, slice_value, iterates):
     power of the slice built from 1 and a factorial per term: the Dixmier
     sum of one coefficient, as ``dixmier_reduce`` once took it."""
     total = RationalFunction.zero(relations.nvars)
-    sign_slice = -slice_value
+    sign_slice = slice_value * -1
     slice_power = RationalFunction(Polynomial.constant(relations.nvars, 1), 1)
     for j, current in enumerate(iterates):
         if j:

@@ -176,8 +176,8 @@ def test_criterion_09_surface_cylinder_isomorphism():
 
         u_val = RationalFunction(z)
         v_val = RationalFunction(parse_polynomial("y + 1", names), z)
-        back_x = (u_val * v_val - 2) * v_val * Fraction(1, 2)
-        back_y = u_val * v_val - 1
+        back_x = (u_val * v_val + -2) * v_val * Fraction(1, 2)
+        back_y = u_val * v_val + -1
         assert ratfun_eq_mod(relations, back_x,
                              RationalFunction(x))
         assert not ratfun_eq_mod(free3, back_x,
@@ -215,7 +215,7 @@ def test_criterion_10_rational_kernel_members():
         z = parse_polynomial("z", names)
         y = parse_polynomial("y", names)
         quotient = RationalFunction(z * z, h)
-        assert d.apply_rational(quotient).is_zero
+        assert d.apply_rational(quotient) == 0
         assert d.apply_rational(RationalFunction(y * z, h)) == quotient
 
 
@@ -266,8 +266,9 @@ def _dixmier_reconstruction(rng):
         b = d.ring.normal_form(random_poly(rng, 3, max_total=3, max_terms=3))
         coeffs = dixmier_reduce(d, sigma, b)
         total = RationalFunction.zero(3)
-        for k, c in enumerate(coeffs):
-            total = total + c * sigma ** k
+        power = RationalFunction(parse_polynomial("1", names))
+        for c in coeffs:
+            total, power = total + c * power, power * sigma
         assert ratfun_eq_mod(d.ring, total,
                              RationalFunction(b))
 

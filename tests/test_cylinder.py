@@ -8,9 +8,12 @@ import pytest
 import lndtools.cylinder
 from lndtools.cylinder import Grading, PlinthCertificate, _dixmier_sums
 from helpers import (
+    assert_same_terms,
     danielewski,
     dixmier_sum,
     full_system,
+    leibniz_oracle,
+    monomials_up_to,
     plane,
     random_fraction,
     random_poly,
@@ -24,6 +27,7 @@ from lndtools import (
     Derivation,
     Ideal,
     Inconsistency,
+    LEX,
     Outcome,
     Polynomial,
     QMatrix,
@@ -197,7 +201,8 @@ def test_class_systems_agree_with_the_full_system():
                 dropped.update(m for c in reached for m in grading.members(c)
                                if m not in system.columns)
                 for mono, image in zip(system.columns, column_images(system)):
-                    assert image == d.apply(Polynomial.monomial(d.ring.nvars, mono)).terms
+                    want = leibniz_oracle(d, Polynomial.monomial(d.ring.nvars, mono))
+                    assert_same_terms(image, want.terms)
         assert len(grading.weights) == rank
     assert outcomes == {True, False} and max(spans) > 1
     assert (0, 2, 0) in dropped
@@ -212,24 +217,47 @@ def column_images(system):
     return images
 
 
-def assert_images_match_apply(d, max_degree):
+def assert_applies_as_oracle(d, f):
+    """d.apply, the unreduced Leibniz sum and the quotient rule's numerator
+    of f/(1 + the last variable) agree with ``leibniz_oracle``, coefficient
+    types included."""
+    assert_same_terms(d.apply(f).terms, leibniz_oracle(d, f).terms)
+    assert_same_terms(d._leibniz(f).terms, leibniz_oracle(d, f, reduce=False).terms)
+    nvars = d.ring.nvars
+    den = Polynomial.variable(nvars, nvars - 1) + 1
+    got = d._quotient_rule(RationalFunction(f, den))
+    want = RationalFunction(den * leibniz_oracle(d, f, reduce=False)
+                            - f * leibniz_oracle(d, den, reduce=False), den * den)
+    assert_same_terms(got.num.terms, want.num.terms)
+    assert_same_terms(got.den.terms, want.den.terms)
+
+
+def assert_images_match_oracle(d, max_degree, rng, every=1):
+    """Every ``every``-th column image of the full system at ``max_degree``
+    is the oracle's, and so is d on its column monomial and on seeded
+    polynomials with Fraction coefficients."""
     system = full_system(d, max_degree)
-    for mono, image in zip(system.columns, column_images(system)):
-        want = d.apply(Polynomial.monomial(d.ring.nvars, mono)).terms
-        assert image == want, mono
-        # clean coefficients: an int when integral, in the same places
-        assert [type(v) for v in image.values()] == [type(want[m]) for m in image]
+    nvars = d.ring.nvars
+    for mono, image in list(zip(system.columns, column_images(system)))[::every]:
+        f = Polynomial.monomial(nvars, mono)
+        assert_same_terms(image, leibniz_oracle(d, f).terms)
+        assert_applies_as_oracle(d, f)
+    for _ in range(10):
+        assert_applies_as_oracle(d, random_poly(rng, nvars, max_total=4, max_terms=4))
     return system
 
 
 def test_column_images_equal_derivation_apply():
+    # against the Polynomial-arithmetic oracle, which shares no code with
+    # the packed kernel that makes both the column images and d.apply
+    rng = random.Random(706)
     corpus = Path(__file__).resolve().parent.parent / "corpus"
     specs = sorted(corpus.glob("*.lnd"))
     assert len(specs) == 5
     for path in specs:
         d = spec_derivation(parse_spec(path.read_text(encoding="utf-8")))
         assert d.ring.order is DEGREVLEX
-        assert_images_match_apply(d, 8)
+        assert_images_match_oracle(d, 8, rng)
     # x*z^k = p(y), d(x) = p'(y), d(y) = z^k, d(z) = 0, with seeded p; at
     # k = 1 and deg p = 4 the leading monomial is y^4, whose coefficient 3
     # makes the monic basis element, and so the images, carry Fractions
@@ -242,20 +270,95 @@ def test_column_images_equal_derivation_apply():
                  Polynomial.zero(3))
         d = Derivation(Ideal(3, [x * z ** k - p]), [dp, z ** k, Polynomial.zero(3)])
         assert d.check_preserves_relations() is None
-        system = assert_images_match_apply(d, 8)
+        system = assert_images_match_oracle(d, 8, rng)
         if (k, deg) == (1, 4):
             assert any(type(v) is Fraction
                        for row in system.image_rows.values() for _, v in row)
     # a monomial relation: x*y and its multiples have normal form zero
     d = Derivation(Ideal(3, [x * y]), [x * z, 3 * y * z, x + y])
     assert d.check_preserves_relations() is None
-    assert_images_match_apply(d, 8)
+    assert_images_match_oracle(d, 8, rng)
+    # images with Fraction coefficients, over the common denominators 6
+    # and 3 in the kernel, on the free ring and on the Danielewski surface
+    half, third = Fraction(1, 2), Fraction(1, 3)
+    for ring, images in [(Ideal(3), [y * half, z * Fraction(2, 3), Polynomial.zero(3)]),
+                         (Ideal(3, [y * y - x * z * 2 - 1]),
+                          [y * third, z * third, Polynomial.zero(3)])]:
+        d = Derivation(ring, images)
+        assert d.check_preserves_relations() is None
+        system = assert_images_match_oracle(d, 6, rng)
+        assert any(type(v) is Fraction for row in system.image_rows.values() for _, v in row)
     # x*y = 1 at degree 400: x^k*y^400 reduces one step per factor x*y,
-    # so each image needs up to 400 reductions
+    # so each image needs up to 400 reductions; the oracle, in Fraction
+    # arithmetic, checks one column in 16
     x, y = (Polynomial.variable(2, i) for i in range(2))
     d = Derivation(Ideal(2, [x * y - 1]), [x * y ** 400, -y ** 401])
     assert d.check_preserves_relations() is None
-    assert len(assert_images_match_apply(d, 400).columns) == 801
+    assert len(assert_images_match_oracle(d, 400, rng, every=16).columns) == 801
+
+
+def test_derivation_under_lex_matches_the_oracle():
+    # apply, the Leibniz sum and the quotient rule pack under the ring's
+    # own order; the preimage system, which needs degrevlex, is not built
+    rng = random.Random(708)
+    x, y, z = (Polynomial.variable(3, i) for i in range(3))
+    ring = Ideal(3, [y * y - x * z * 2 - 1], LEX)
+    d = Derivation(ring, [y * Fraction(1, 3), z * Fraction(1, 3), Polynomial.zero(3)])
+    assert d.check_preserves_relations() is None
+    assert d.ring.leads != Ideal(3, [y * y - x * z * 2 - 1]).leads
+    for mono in monomials_up_to(3, 5):
+        assert_applies_as_oracle(d, Polynomial.monomial(3, mono))
+    for _ in range(30):
+        assert_applies_as_oracle(d, random_poly(rng, 3, max_total=5, max_terms=5))
+
+
+def test_kernel_restarts_at_twice_the_width():
+    # d(x) = y^70000 outgrows 16-bit fields: apply, the Leibniz sum, the
+    # quotient rule and the column images all start again at 32 bits
+    x, y = (Polynomial.variable(2, i) for i in range(2))
+    d = Derivation(Ideal(2), [y ** 70000, Polynomial.zero(2)])
+    for f in (x, x * x):
+        assert_applies_as_oracle(d, f)
+    assert d.apply(x * x) == x * y ** 70000 * 2
+    system = full_system(d, 2)
+    for mono, image in zip(system.columns, column_images(system)):
+        assert_same_terms(image, leibniz_oracle(d, Polynomial.monomial(2, mono)).terms)
+    assert (0, 70000) in system.image_rows
+    # d(x) = y^65530 packs at 16 bits, but the sums d(x^10) = 10*x^9*y^65530
+    # and d(x*y^10) = y^65540 set a guard bit, of the degree's field and of
+    # y's, which restarts the call
+    d = Derivation(Ideal(2), [y ** 65530, Polynomial.zero(2)])
+    for f in (x ** 10, x * y ** 10):
+        assert_applies_as_oracle(d, f)
+
+
+def test_grading_keeps_images_apart_by_width():
+    # d(x) = y^65530: the image of x fits 16-bit fields, that of x^10 does
+    # not, so the second system starts again at 32 bits, where the image
+    # of x, kept at 16 bits by the first, must be made anew
+    x, y = (Polynomial.variable(2, i) for i in range(2))
+    d = Derivation(Ideal(2), [y ** 65530, Polynomial.zero(2)])
+    grading = Grading(d, 10)
+    for target, preimage in [(y ** 65530, x),
+                             (y ** 65530 + x ** 9 * y ** 65530, x + x ** 10 * Fraction(1, 10))]:
+        system = grading.system(target)
+        for mono, image in zip(system.columns, column_images(system)):
+            assert_same_terms(image, leibniz_oracle(d, Polynomial.monomial(2, mono)).terms)
+        assert preimage_search(system, target).preimage == preimage
+    assert system.columns == ((1, 0), (10, 0))
+    assert sorted(grading.images) == [16, 32]
+
+
+def test_listing_keeps_the_standard_monomials_in_order():
+    # the listing drops what a leading monomial divides and sorts the rest
+    # as degrevlex does, also when a leading monomial, x*y^70000, outgrows
+    # 16-bit fields and the listing starts again at 32 bits
+    x, y = (Polynomial.variable(2, i) for i in range(2))
+    monos = [(a, b) for a in range(5) for b in range(5)][::-1]
+    for relation, standard in [(x * y ** 3, lambda m: not (m[0] and m[1] >= 3)),
+                               (x * y ** 70000, lambda m: True)]:
+        want = tuple(sorted(filter(standard, monos), key=DEGREVLEX.key))
+        assert Ideal(2, [relation])._standard_sorted(monos) == want
 
 
 def test_preimage_search_requires_degree_compatible_order():
@@ -370,7 +473,7 @@ def test_dixmier_images_frozen():
     sigma = RationalFunction(P("y"), P("z"))
     pi_x = dixmier_image(d, sigma, P("x"))
     assert pi_x == RationalFunction(P("-1/2*y^2 + x*z"), P("z"))
-    assert dixmier_image(d, sigma, P("y")).is_zero
+    assert dixmier_image(d, sigma, P("y")) == 0
     assert dixmier_image(d, sigma, P("z")) == RationalFunction(P("z"))
 
 
@@ -381,7 +484,7 @@ def test_dixmier_images_are_constants():
     for _ in range(100):
         b = random_poly(rng, 3, max_total=3, max_terms=3)
         image = dixmier_image(d, sigma, b)
-        assert d.apply_rational(image).is_zero
+        assert d.apply_rational(image) == 0
 
 
 def test_dixmier_reconstruction_random():
@@ -391,9 +494,9 @@ def test_dixmier_reconstruction_random():
     for _ in range(100):
         b = random_poly(rng, 3, max_total=3, max_terms=3)
         coeffs = dixmier_reduce(d, sigma, b)
-        total = RationalFunction.zero(3)
-        for k, c in enumerate(coeffs):
-            total = total + c * sigma ** k
+        total, power = RationalFunction.zero(3), RationalFunction(P("1"))
+        for c in coeffs:
+            total, power = total + c * power, power * sigma
         assert total == RationalFunction(b)
 
 
@@ -405,9 +508,9 @@ def test_dixmier_reconstruction_on_the_surface():
     for _ in range(60):
         b = surface.ring.normal_form(random_poly(rng, 3, max_total=3, max_terms=3))
         coeffs = dixmier_reduce(surface, sigma, b)
-        total = RationalFunction.zero(3)
-        for k, c in enumerate(coeffs):
-            total = total + c * sigma ** k
+        total, power = RationalFunction.zero(3), RationalFunction(P("1"))
+        for c in coeffs:
+            total, power = total + c * power, power * sigma
         assert ratfun_eq_mod(relations, total, RationalFunction(b))
 
 
@@ -594,7 +697,7 @@ def test_cylinder_on_the_surface_frozen():
     cert = decision.certificate
     assert cert.slice_value == RationalFunction(P("y"), P("z"))
     assert cert.dixmier_images[0] == RationalFunction(P("-1/2"), P("z"))
-    assert cert.dixmier_images[1].is_zero
+    assert cert.dixmier_images[1] == 0
     assert cert.dixmier_images[2] == RationalFunction(P("z"))
 
 
@@ -614,7 +717,7 @@ def test_cylinders_over_u_and_v():
         decision = cylinder_decision(d4, parse_polynomial(gen, names4))
         assert decision.outcome is Outcome.YES
         for image in decision.certificate.dixmier_images:
-            assert d4.apply_rational(image).is_zero
+            assert d4.apply_rational(image) == 0
 
 
 # ----------------------------------------------------------------------

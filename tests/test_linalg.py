@@ -86,6 +86,39 @@ def test_doctored_certificate_fails_verification():
     assert not wrong_len.verify(matrix, rhs)
 
 
+def test_doctored_multipliers_and_values_are_refused():
+    # the check clears the multipliers' denominators once and sums integer
+    # products; it must refuse a multiplier moved by 1 either way at any
+    # place that counts (a nonempty row, or a nonzero entry of b past the
+    # rows), and a value that is not the combination of b
+    rng = random.Random(209)
+    checked = fractional = 0
+    while checked < 30:
+        # more rows than columns: rows that empty in elimination certify,
+        # with multipliers that have denominators
+        n = rng.randint(1, 5)
+        m = n + rng.randint(1, 3)
+        matrix = random_matrix(rng, m, n, 0.8)
+        rhs = [random_fraction(rng) for _ in range(m + rng.randint(0, 1))]
+        outcome = solve_exact(matrix, rhs)
+        if not isinstance(outcome, Inconsistency):
+            continue
+        checked += 1
+        ys, value = outcome.multipliers, outcome.value
+        assert outcome.verify(matrix, rhs)
+        fractional += any(y.denominator > 1 for y in ys)
+        rows = (*matrix.entries, ())
+        for i in range(len(ys)):
+            if rows[i] or rhs[i]:
+                for delta in (1, -1):
+                    doctored = (*ys[:i], ys[i] + delta, *ys[i + 1:])
+                    assert not Inconsistency(doctored, value).verify(matrix, rhs)
+        for wrong in (value + 1, value - 1, -value, value * 2, Fraction(0)):
+            assert not Inconsistency(ys, wrong).verify(matrix, rhs)
+    # multipliers with denominators, which the check clears
+    assert fractional > 10
+
+
 def test_the_first_inconsistent_row_in_elimination_order_certifies():
     # row 1 is the pivot, before row 2 by its index; rows 0 and 2 both turn
     # inconsistent, and row 0 comes first
