@@ -187,11 +187,13 @@ def _cmd_check(args, names, derivation):
 
 
 def _cmd_exp(args, names, derivation):
+    # the parameter is s, or the first of s1, s2, ... when a variable is s
+    s = next(p for p in ("s", *(f"s{i}" for i in range(1, len(names) + 1))) if p not in names)
     lines = []
     for element in parse_polynomial_list(args.elem, names):
         action = derivation.exp_action(element)
-        lines.append(f"exp(s*d)({format_polynomial(element, names)}) = "
-                     f"{format_exp_action(action, names)}")
+        lines.append(f"exp({s}*d)({format_polynomial(element, names)}) = "
+                     f"{format_exp_action(action, names, s)}")
     return EXIT_YES, lines
 
 

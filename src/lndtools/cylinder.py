@@ -12,11 +12,11 @@ conclusive because kernels of locally nilpotent derivations on domains
 are factorially closed.  Integer weights that make d and the relations
 homogeneous split the preimage system, d on the standard monomials of
 bounded degree, into classes.  A power of h is solved on the classes it
-reaches, listed directly as lattice points under the degree bound and
-sorted as packed ints, with images, made by the packed Leibniz kernel,
-and systems shared by a command's powers and elements, and a system's
-blocks each eliminated when a target first reaches them.  The
-Dixmier sums are polynomials over a power of the slice's denominator,
+reaches, listed directly as lattice points under the degree bound, then
+filtered, sorted and imaged by the derivation in one packed pass, which
+keeps the images; systems are shared by a command's powers and elements,
+and a system's blocks each eliminated when a target first reaches them.
+The Dixmier sums are polynomials over a power of the slice's denominator,
 built by Horner's rule and made a fraction once each; the checks that
 they and the slice are what they claim use the quotient rule without the
 gcd that ``simplify`` would cancel, which cannot change such a check.
@@ -161,10 +161,11 @@ class MaximalCylinderResult:
 
 class PreimageSystem(NamedTuple):
     """The linear map d on its columns, standard monomials of bounded
-    degree: column j is ``columns[j]``.  ``image_rows`` maps each
-    monomial of a reduced image, in descending order, to its row of
-    ``matrix``: the ``(column, coefficient)`` pairs in column order.  Every
-    target is solved against this one matrix, which keeps its elimination."""
+    degree in ascending order: column j is ``columns[j]``.  ``image_rows``,
+    as ``Derivation._image_rows`` makes it, maps each monomial of a reduced
+    image, in descending order, to its row of ``matrix``: the
+    ``(column, coefficient)`` pairs in column order.  Every target is
+    solved against this one matrix, which keeps its elimination."""
 
     columns: tuple[Monomial, ...]
     derivation: Derivation
@@ -191,13 +192,12 @@ class Grading:
     a preimage system lies in one class, and those a target reaches in the
     classes w(m) - shift of its monomials m, whose members alone it lists.
     One grading serves a command at one degree bound: it finds its weights
-    when a first system is asked for, and keeps the images and systems it
-    has built."""
+    when a first system is asked for, and keeps the systems it has built;
+    their column images stay with the derivation."""
 
     def __init__(self, derivation: Derivation, max_degree: int):
         self.derivation, self.max_degree = derivation, max_degree
         self.weights: tuple[tuple[int, ...], ...] | None = None
-        self.images: dict[int, dict[int, dict[int, Scalar]]] = {}
         self.systems: dict[frozenset, PreimageSystem] = {}
 
     def _grade(self):
@@ -244,40 +244,27 @@ class Grading:
 
     def system(self, target: Polynomial) -> PreimageSystem:
         """The preimage system on the classes that ``target`` reaches: their
-        standard monomials, listed class by class, in ascending order."""
+        standard monomials, in ascending order."""
         if self.weights is None:
             self._grade()
         classes = frozenset(tuple(c - s for c, s in zip(self.weigh(m), self.shift))
                             for m in target.terms)
         if classes not in self.systems:
-            columns = self.derivation.ring._standard_sorted(
-                [m for c in classes for m in self.members(c)])
-            self.systems[classes] = build_preimage_system(self.derivation, columns, self.images)
+            self.systems[classes] = build_preimage_system(
+                self.derivation, [m for c in classes for m in self.members(c)])
         return self.systems[classes]
 
 
-def build_preimage_system(derivation: Derivation, columns: tuple[Monomial, ...],
-                          images: dict[int, dict[int, dict[int, Scalar]]]
+def build_preimage_system(derivation: Derivation, monomials: Sequence[Monomial]
                           ) -> PreimageSystem:
-    """The images under the derivation of ``columns``, standard monomials,
-    the rows they make, and their matrix.  Requires a degree-compatible
-    order so that the standard monomials of degree <= D span the image of
-    every residue class of degree <= D.  The image of x^a is the normal form
-    of its Leibniz sum, sum_j a_j*x^(a-e_j)*d(x_j), made by the packed
-    Leibniz kernel; its entries, keyed by packed monomial, are kept in
-    ``images`` under the field width and the packed column, so that the
-    systems of one derivation may share them.  Rows are sorted as packed
-    ints, which is degrevlex, and each row monomial is unpacked once."""
+    """The system whose columns are the standard monomials among
+    ``monomials``, in ascending order, with the rows that
+    ``Derivation._image_rows`` makes of their images.  Requires a
+    degree-compatible order so that the standard monomials of degree <= D
+    span the image of every residue class of degree <= D."""
     if derivation.ring.order != DEGREVLEX:
         raise ValueError("bounded preimage search needs a degree-compatible order")
-    packing, column_images = derivation._images_of(columns, images)
-    rows: dict[int, list] = {}
-    # columns in order, so each row's pairs come sorted
-    for col, image in enumerate(column_images):
-        for mono, coeff in image.items():
-            rows.setdefault(mono, []).append((col, coeff))
-    unpack = packing.unpack
-    image_rows = {unpack(m): tuple(rows[m]) for m in sorted(rows, reverse=True)}
+    columns, image_rows = derivation._image_rows(monomials)
     matrix = QMatrix._from_clean(len(columns), image_rows.values())
     return PreimageSystem(columns, derivation, image_rows, matrix)
 
@@ -420,9 +407,8 @@ def slice_nonexistence(derivation: Derivation,
     certified exactly, and the certificate is checked before it is given."""
     if max_degree < 0:
         raise ValueError("max_degree must be non-negative")
-    columns = tuple(standard_monomials(derivation.ring, max_degree))
-    return preimage_search(build_preimage_system(derivation, columns, {}),
-                           Polynomial.constant(derivation.ring.nvars, 1))
+    system = build_preimage_system(derivation, standard_monomials(derivation.ring, max_degree))
+    return preimage_search(system, Polynomial.constant(derivation.ring.nvars, 1))
 
 
 def plinth_claim_verify(derivation: Derivation, claimed: Sequence[Polynomial],

@@ -7,14 +7,15 @@ the orbit map of the corresponding additive group action.  Everything is
 computed on representatives and reduced modulo the relation ideal, which
 is sound once the derivation is known to preserve that ideal.  The
 Leibniz sum is taken by one kernel on packed monomials, ``groebner``'s
-``_leibniz``, which also serves the preimage systems of ``cylinder``.
+``_leibniz``, which also images the columns of ``cylinder``'s preimage
+systems in one packed pass that filters and sorts them too.
 """
 
 from __future__ import annotations
 
 import math
 from fractions import Fraction
-from typing import Iterable, Sequence
+from typing import Iterable, Iterator, Sequence
 
 from .groebner import Ideal, _leibniz, _Packing, _widening
 from .poly import Monomial, Polynomial, Scalar, _cleared, _divide, _exact
@@ -42,7 +43,7 @@ class Derivation:
     :meth:`check_preserves_relations` returns None.
     """
 
-    __slots__ = ("ring", "images", "_den", "_packed")
+    __slots__ = ("ring", "images", "_den", "_packed", "_columns")
 
     def __init__(self, ring: Ideal, images: Sequence[Polynomial]):
         if not ring.nvars:
@@ -60,14 +61,15 @@ class Derivation:
         self.images = tuple(ring.normal_form(g) for g in images)
         self._den = math.lcm(*[c.denominator for g in self.images for c in g.terms.values()])
         self._packed: dict[int, list] = {}
+        self._columns: dict[int, dict[int, dict[int, Scalar]]] = {}
 
-    def _image(self, packing: _Packing, terms: Iterable[tuple[int, int]], scale: int = 1,
-               reduce: bool = True) -> dict[int, Scalar]:
-        """d of the packed integer terms over ``scale`` by the kernel
-        ``_leibniz``, keyed by packed monomial: in normal form modulo the
-        relations when ``reduce``, else on free-ring representatives.  The
-        kernel takes the images as integers over their common denominator
-        ``_den``, packed once per field width."""
+    def _images(self, packing: _Packing, terms: Iterable[Iterable[tuple[int, int]]],
+                scale: int = 1, reduce: bool = True) -> Iterator[dict[int, Scalar]]:
+        """d of each list of packed integer terms over ``scale``, in order, by
+        the kernel ``_leibniz``, keyed by packed monomial: in normal form
+        modulo the relations when ``reduce``, else on free-ring
+        representatives.  The kernel takes the images as integers over their
+        common denominator ``_den``, packed once per width and fetched once here."""
         images = self._packed.get(packing.width)
         if images is None:
             images = self._packed[packing.width] = [
@@ -75,21 +77,32 @@ class Derivation:
                                for m, c in zip(packing.pack_all(g.terms), g.terms.values())])
                 for shift, unit, g in zip(packing.shifts, packing.units, self.images) if g]
         leads = self.ring._leads_at(packing) if reduce else ()
-        r, s = _leibniz(terms, images, packing, leads, scale * self._den)
-        return r if s == 1 else {m: _divide(c, s) for m, c in r.items()}
+        for t in terms:
+            r, s = _leibniz(t, images, packing, leads, scale * self._den)
+            yield r if s == 1 else {m: _divide(c, s) for m, c in r.items()}
 
-    def _images_of(self, columns: Sequence[Monomial], known: dict[int, dict[int, dict]]
-                   ) -> tuple[_Packing, list[dict[int, Scalar]]]:
-        """(packing, the ``_image`` of each monomial of ``columns``), each
-        kept in ``known`` under the field width and the packed monomial, so
-        that images made at one width are never read at another."""
-        def run(packing: _Packing) -> list[dict[int, Scalar]]:
-            cache = known.setdefault(packing.width, {})
-            for a in (packed := packing.pack_all(columns)):
-                if a not in cache:
-                    cache[a] = self._image(packing, ((a, 1),))
-            return [cache[a] for a in packed]
-        return _widening(self.ring.order, self.ring.nvars, run)
+    def _image_rows(self, monomials: Sequence[Monomial]
+                    ) -> tuple[tuple[Monomial, ...], dict[Monomial, tuple]]:
+        """(columns, rows) of d on ``monomials``, packed once: the columns are
+        those that no leading monomial of the relations divides, sorted as
+        packed ints, which is the ring's order; the rows map each monomial
+        of their images, in descending order, to its ``(column, coefficient)``
+        pairs in column order.  Each column's image is kept under the
+        field width and the packed column, so that the systems of one
+        derivation share it and no width reads another's."""
+        def run(packing: _Packing):
+            listed, divides = dict(zip(packing.pack_all(monomials), monomials)), packing.divides
+            for lm, _, _ in self.ring._leads_at(packing):
+                listed = {p: m for p, m in listed.items() if (p - lm) & divides}
+            columns, cache, rows = sorted(listed), self._columns.setdefault(packing.width, {}), {}
+            missing = [a for a in columns if a not in cache]
+            cache.update(zip(missing, self._images(packing, [((a, 1),) for a in missing])))
+            for col, a in enumerate(columns):
+                for m, c in cache[a].items():
+                    rows.setdefault(m, []).append((col, c))
+            return (tuple(map(listed.__getitem__, columns)),
+                    {packing.unpack(m): tuple(rows[m]) for m in sorted(rows, reverse=True)})
+        return _widening(self.ring.order, self.ring.nvars, run)[1]
 
     def _leibniz(self, f: Polynomial, reduce: bool = False) -> Polynomial:
         """The Leibniz sum of f on free-ring representatives, unreduced, or
@@ -97,8 +110,8 @@ class Derivation:
         if f.nvars != self.ring.nvars:
             raise ValueError("polynomial has wrong variable count")
         terms, e = _cleared(f.terms)
-        packing, image = _widening(self.ring.order, f.nvars, lambda packing: self._image(
-            packing, zip(packing.pack_all(terms), terms.values()), e, reduce))
+        packing, (image,) = _widening(self.ring.order, f.nvars, lambda packing: tuple(self._images(
+            packing, [zip(packing.pack_all(terms), terms.values())], e, reduce)))
         unpack = packing.unpack
         return Polynomial._from_clean(f.nvars, {unpack(m): c for m, c in image.items()})
 

@@ -485,16 +485,6 @@ class Ideal:
         """The packed ``Lead`` of each basis element under ``packing``."""
         return _packed_leads(self.basis, packing, self._packed)
 
-    def _standard_sorted(self, monos: Sequence[Monomial]) -> tuple[Monomial, ...]:
-        """The monomials of ``monos`` that no leading monomial of the basis
-        divides, in ascending order, which is that of their packed ints."""
-        def run(packing: _Packing) -> tuple[Monomial, ...]:
-            listed, divides = dict(zip(packing.pack_all(monos), monos)), packing.divides
-            for lm, _, _ in self._leads_at(packing):
-                listed = {p: m for p, m in listed.items() if (p - lm) & divides}
-            return tuple(map(listed.__getitem__, sorted(listed)))
-        return _widening(self.order, self.nvars, run)[1]
-
     def contains(self, f: Polynomial) -> bool:
         return self.normal_form(f).is_zero
 

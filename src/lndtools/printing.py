@@ -15,7 +15,7 @@ from .poly import DEGREVLEX, Monomial, MonomialOrder, Polynomial, Scalar
 
 # Integers of at most this many bits go to ``str``: 2,000 bits are at most
 # 603 digits, below the least limit that sys.set_int_max_str_digits()
-# accepts (640).  Up to _DECIMAL_BITS bits go to ``Decimal`` whole.
+# accepts (640).  Larger ones go to ``Decimal`` in _DECIMAL_BITS-bit pieces.
 _STR_BITS = 2000
 _DECIMAL_BITS = 4096
 
@@ -30,8 +30,6 @@ def format_number(value: Scalar) -> str:
     n = int(value)
     if n.bit_length() <= _STR_BITS:
         return str(n)
-    if n.bit_length() <= _DECIMAL_BITS:
-        return str(Decimal(n))
     # Decimal(n) takes time quadratic in the digits, a Decimal product less:
     # split n by a power of two, convert the halves, recombine them exactly.
     def convert(m: int, w: int) -> Decimal:
@@ -81,14 +79,15 @@ def format_polynomial(poly: Polynomial, names: Sequence[str],
     return "".join(pieces)
 
 
-def format_exp_action(coeffs: Sequence[Polynomial], names: Sequence[str]) -> str:
-    """The polynomial in s with the given nonzero coefficients by power
-    of s, as ``Derivation.exp_action`` returns them."""
+def format_exp_action(coeffs: Sequence[Polynomial], names: Sequence[str],
+                      parameter: str = "s") -> str:
+    """The polynomial in ``parameter`` with the given nonzero coefficients
+    by its power, as ``Derivation.exp_action`` returns them."""
     if not coeffs:
         return "0"
     pieces = []
     for k, c in enumerate(coeffs):
-        ppart = None if k == 0 else ("s" if k == 1 else f"s^{k}")
+        ppart = None if k == 0 else (parameter if k == 1 else f"{parameter}^{k}")
         if len(c.terms) == 1:
             ((mono, coeff),) = c.terms.items()
             body = _term_body(abs(coeff), mono, names, ppart)

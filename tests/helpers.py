@@ -32,7 +32,7 @@ from lndtools import (
 def full_system(d: Derivation, max_degree: int):
     """The preimage system of ``d`` on every standard monomial of degree
     <= ``max_degree``, as ``slice-none`` builds it."""
-    return build_preimage_system(d, tuple(standard_monomials(d.ring, max_degree)), {})
+    return build_preimage_system(d, standard_monomials(d.ring, max_degree))
 
 
 def monomials_up_to(nvars: int, max_degree: int) -> Iterator[tuple[int, ...]]:

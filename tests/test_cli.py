@@ -40,6 +40,7 @@ from lndtools.cli import (
 )
 from lndtools.derivation import DEFAULT_NILPOTENCY_CAP, Derivation
 from lndtools.parsing import MAX_NESTING
+from helpers import monomials_up_to
 
 ROOT = Path(__file__).resolve().parent.parent
 CORPUS = ROOT / "corpus"
@@ -215,6 +216,19 @@ def test_exp_canonical_output():
                       "exp(s*d)(z) = z")
 
 
+@pytest.mark.parametrize("variables, source, parameter", [
+    ("s t", "s", "s1"), ("s1 t s", "s", "s2"), ("r t", "r", "s")])
+def test_exp_names_its_parameter_apart_from_the_variables(tmp_path, variables, source,
+                                                          parameter):
+    # with a variable s, the action's t + s*s would read as t + s^2
+    spec = tmp_path / "param.lnd"
+    ders = "".join(f"der {v} = {source if v == 't' else 0}\n" for v in variables.split())
+    spec.write_text(f"ring P\nvars {variables}\n{ders}", encoding="utf-8")
+    code, report = run_command(["exp", str(spec), "--elem", "t"])
+    assert code == EXIT_YES
+    assert report == f"exp({parameter}*d)(t) = t + {parameter}*{source}"
+
+
 def test_orbit_and_fixed():
     code, report = run_command(["orbit", FP, "--point", "0;0;1", "--time", "2"])
     assert code == EXIT_YES
@@ -342,16 +356,20 @@ def counted_builds(monkeypatch):
 
 def assert_reached_classes_only(gradings, builds):
     """The command made one grading, and each of its systems was built
-    once, on the grading's images, with the standard monomials of the
-    classes it was asked for as columns, in order."""
+    once, from every monomial of the classes it was asked for, standard or
+    not, with their standard monomials as columns, in order."""
     (grading,) = gradings
     classes_of = {id(system): classes for classes, system in grading.systems.items()}
     assert len(builds) == len(classes_of)
-    for (derivation, columns, images), system in builds:
-        assert derivation is grading.derivation and images is grading.images
+    for (derivation, monomials), system in builds:
+        assert derivation is grading.derivation
+        classes = classes_of[id(system)]
+        assert sorted(monomials) == [m for m in monomials_up_to(derivation.ring.nvars,
+                                                                grading.max_degree)
+                                     if grading.weigh(m) in classes]
         want = [m for m in standard_monomials(derivation.ring, grading.max_degree)
-                if grading.weigh(m) in classes_of[id(system)]]
-        assert list(columns) == list(system.columns) == want
+                if grading.weigh(m) in classes]
+        assert list(system.columns) == want
     return grading
 
 
@@ -384,14 +402,14 @@ def test_plinth_builds_one_system_for_every_power(monkeypatch):
     assert code == EXIT_UNKNOWN
     # powers 1 to 4 of h each reach one class, w(h^n) - shift, of the 165
     # monomials of degree <= 8, and each class its own system: 10 columns
-    # in all, the only monomials the grading lists, whose images it keeps;
+    # in all, the only monomials the grading lists, whose images d keeps;
     # d is applied once, in the kernel test d(h) = 0
     grading = assert_reached_classes_only(gradings, builds)
     assert sum(map(len, listed)) == 10
     assert [len(classes) for classes in grading.systems] == [1, 1, 1, 1]
     assert [len(system.columns) for _, system in builds] == [1, 2, 3, 4]
-    # kept at one field width, keyed by packed column
-    ((width, kept),) = grading.images.items()
+    # kept by the derivation at one field width, keyed by packed column
+    ((width, kept),) = grading.derivation._columns.items()
     unpack = lndtools.groebner._packing(lndtools.DEGREVLEX, 3, width).unpack
     assert {unpack(a) for a in kept} == {m for _, system in builds for m in system.columns}
     assert counts == {"apply": 1}

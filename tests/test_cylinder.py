@@ -6,6 +6,7 @@ from pathlib import Path
 import pytest
 
 import lndtools.cylinder
+import lndtools.groebner
 from lndtools.cylinder import Grading, PlinthCertificate, _dixmier_sums
 from helpers import (
     assert_same_terms,
@@ -33,6 +34,7 @@ from lndtools import (
     QMatrix,
     RationalFunction,
     SearchBounds,
+    build_preimage_system,
     cylinder_decision,
     dixmier_image,
     dixmier_reduce,
@@ -346,19 +348,50 @@ def test_grading_keeps_images_apart_by_width():
             assert_same_terms(image, leibniz_oracle(d, Polynomial.monomial(2, mono)).terms)
         assert preimage_search(system, target).preimage == preimage
     assert system.columns == ((1, 0), (10, 0))
-    assert sorted(grading.images) == [16, 32]
+    assert sorted(d._columns) == [16, 32]
 
 
 def test_listing_keeps_the_standard_monomials_in_order():
-    # the listing drops what a leading monomial divides and sorts the rest
-    # as degrevlex does, also when a leading monomial, x*y^70000, outgrows
-    # 16-bit fields and the listing starts again at 32 bits
+    # a build drops what a leading monomial divides and sorts the rest as
+    # degrevlex does, also when a leading monomial, x*y^70000, outgrows
+    # 16-bit fields and the build starts again at 32 bits
     x, y = (Polynomial.variable(2, i) for i in range(2))
     monos = [(a, b) for a in range(5) for b in range(5)][::-1]
     for relation, standard in [(x * y ** 3, lambda m: not (m[0] and m[1] >= 3)),
                                (x * y ** 70000, lambda m: True)]:
-        want = tuple(sorted(filter(standard, monos), key=DEGREVLEX.key))
-        assert Ideal(2, [relation])._standard_sorted(monos) == want
+        d = Derivation(Ideal(2, [relation]), [x, -y])
+        assert d.check_preserves_relations() is None
+        system = build_preimage_system(d, monos)
+        assert system.columns == tuple(sorted(filter(standard, monos), key=DEGREVLEX.key))
+        for mono, image in zip(system.columns, column_images(system)):
+            assert_same_terms(image, leibniz_oracle(d, Polynomial.monomial(2, mono)).terms)
+
+
+def test_a_grading_packs_each_listed_monomial_once(monkeypatch):
+    # the generator images and the relations' leads are packed by a first
+    # apply; a system then packs the monomials it lists once, standard or
+    # not, to filter, sort and image them in one pass
+    d, _ = danielewski()
+    d.apply(P("x"))
+    grading = Grading(d, 6)
+    packed, listed = [], []
+    pack_all, members = lndtools.groebner._Packing.pack_all, Grading.members
+
+    def counted_pack_all(self, monos):
+        monos = list(monos)
+        packed.extend(monos)
+        return pack_all(self, monos)
+
+    def counted_members(self, weight):
+        listed.append(members(self, weight))
+        return listed[-1]
+
+    monkeypatch.setattr(lndtools.groebner._Packing, "pack_all", counted_pack_all)
+    monkeypatch.setattr(Grading, "members", counted_members)
+    system = grading.system(P("z + 1"))
+    listed = [m for group in listed for m in group]
+    assert len(listed) == len(set(listed)) and sorted(packed) == sorted(listed)
+    assert 0 < len(system.columns) < len(listed)
 
 
 def test_preimage_search_requires_degree_compatible_order():

@@ -402,8 +402,10 @@ def test_format_number_prints_huge_values_in_full():
     big = random.Random(1000000).getrandbits(1_000_000) | 1 << 999_999
     # big and big + 1 are coprime, so the fraction is in lowest terms at once
     fraction = Fraction(-big, big + 1)
-    # the longest int printed by str, and the shortest printed otherwise
-    edges = [(1 << 2000) - 1, 1 << 2000, -(1 << 2000) + 1, -(1 << 2000)]
+    # the longest int printed by str, and the shortest printed otherwise;
+    # then the longest converted in one piece, and the shortest split
+    edges = [sign * n for bits in (2000, 4096) for sign in (1, -1)
+             for n in ((1 << bits) - 1, 1 << bits)]
     limit = sys.get_int_max_str_digits()
     sys.set_int_max_str_digits(0)
     try:
@@ -416,7 +418,7 @@ def test_format_number_prints_huge_values_in_full():
         assert format_number(-big) == numerator
         assert format_number(big) == numerator[1:]
         assert [(n.bit_length(), format_number(n)) for n in edges] == \
-            list(zip([2000, 2001, 2000, 2001], expected_edges))
+            list(zip([2000, 2001] * 2 + [4096, 4097] * 2, expected_edges))
     finally:
         sys.set_int_max_str_digits(limit)
 
