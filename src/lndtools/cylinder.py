@@ -15,7 +15,7 @@ bounded degree, into classes.  A power of h is solved on the classes it
 reaches, listed directly as lattice points under the degree bound, then
 filtered, sorted and imaged by the derivation in one packed pass, which
 keeps the images; systems are shared by a command's powers and elements,
-and a system's blocks each eliminated when a target first reaches them.
+and each is eliminated once, at its first solve.
 The Dixmier sums are polynomials over a power of the slice's denominator,
 built by Horner's rule and made a fraction once each; the checks that
 they and the slice are what they claim use the quotient rule without the
@@ -188,9 +188,9 @@ class Grading:
     """A basis of the integer weights w on the variables, with shifts, such
     that each term t of d(x_i) has w(t) = w(x_i) + shift and the relations'
     reduced basis is w-homogeneous; a monomial's class is its weights.  So d
-    maps class c into c + shift and normal forms keep classes: each block of
-    a preimage system lies in one class, and those a target reaches in the
-    classes w(m) - shift of its monomials m, whose members alone it lists.
+    maps class c into c + shift and normal forms keep classes: all that a
+    target reaches lies in the classes w(m) - shift of its monomials m,
+    whose members alone it lists.
     One grading serves a command at one degree bound: it finds its weights
     when a first system is asked for, and keeps the systems it has built;
     their column images stay with the derivation."""
@@ -404,11 +404,24 @@ def cylinder_from_plinth(plinth: SearchResult) -> SearchResult:
 def slice_nonexistence(derivation: Derivation,
                        max_degree: int) -> PreimageResult:
     """Search for a global polynomial slice of bounded degree; failure is
-    certified exactly, and the certificate is checked before it is given."""
+    certified exactly.  d maps each class into one class, so only the class
+    system of 1 is solved; the result reports the full system, every standard
+    monomial of degree <= ``max_degree``, with the certificate lifted to its
+    rows, zero off the class, and checked against its matrix."""
     if max_degree < 0:
         raise ValueError("max_degree must be non-negative")
-    system = build_preimage_system(derivation, standard_monomials(derivation.ring, max_degree))
-    return preimage_search(system, Polynomial.constant(derivation.ring.nvars, 1))
+    one = Polynomial.constant(derivation.ring.nvars, 1)
+    full = build_preimage_system(derivation, standard_monomials(derivation.ring, max_degree))
+    search = preimage_search(Grading(derivation, max_degree).system(one), one)
+    rows, matrix, rhs = full.equations(one)
+    certificate = search.certificate
+    if certificate is not None:
+        lifted = dict.fromkeys(rows, Fraction(0))
+        lifted.update(zip(search.row_monomials, certificate.multipliers))
+        certificate = Inconsistency(tuple(lifted.values()), certificate.value)
+        if not certificate.verify(matrix, rhs):
+            raise CertificateError("inconsistency certificate does not verify")
+    return PreimageResult(search.preimage, certificate, rows, full.columns)
 
 
 def plinth_claim_verify(derivation: Derivation, claimed: Sequence[Polynomial],

@@ -7,14 +7,12 @@ integer multiples of itself and the pivot row, then divided by the gcd of
 all its integers, since sparse pivoting breaks the exact divisions of
 Bareiss (1968).  The pivot in each column is the candidate whose rational
 entry has the smallest reduced numerator (then reduced denominator, then
-row index), which keeps the integers modest.  A block of rows and columns
-joined by shared entries is eliminated when a right-hand side b first
-reaches it, the coarse step of block-triangular decomposition (Dulmage &
-Mendelsohn 1958), and each b replayed through the traces: a checkable
-certificate y with y*A = 0 and y*b != 0, or a solution with its free
-variables zero, all of it ``Fraction``s.  A matrix holds its elimination,
-as far as its solves have made it, and entries of b past its rows stand
-for empty rows.
+row index), which keeps the integers modest.  A matrix eliminates every
+column once, at its first solve, with no right-hand side taking part, and
+keeps that elimination: each b is replayed through the traces, giving a
+checkable certificate y with y*A = 0 and y*b != 0, or a solution with its
+free variables zero, all of it ``Fraction``s.  Entries of b past the rows
+of A stand for empty rows.
 """
 
 from __future__ import annotations
@@ -71,9 +69,10 @@ def _combine(target: dict, f: int, h: int, source: dict) -> None:
 class QMatrix:
     """Sparse matrix of rationals, whose entries never change: ``entries[i]``
     holds the nonzero ``(column, value)`` pairs of row i in column order, the
-    values given for one column summed; its solves build and keep its elimination."""
+    values given for one column summed; its first solve eliminates it, and
+    later solves replay that elimination."""
 
-    __slots__ = ("rows", "cols", "entries", "where", "a", "den", "trace", "block", "blocks")
+    __slots__ = ("rows", "cols", "entries", "a", "den", "trace", "emptied", "pivots")
 
     def __init__(self, cols: int, rows: Iterable[Iterable[tuple[int, object]]]):
         data = []
@@ -87,15 +86,12 @@ class QMatrix:
         self.entries = tuple(data)
         self.rows = len(data)
         self.cols = cols
-        # where[col], made by the first elimination, holds every row with an
-        # entry in col, and perhaps rows whose entry there has cancelled since.
-        # Only rows of eliminated blocks have a[r]/den[r], row r now, trace[r]/
-        # den[r], its multipliers of the original rows, and block[r], which
-        # indexes blocks: the (column, row) of each row that emptied, in the
-        # order they did, and the (row, column) of each pivot.
-        self.where: list[set[int]] | None = None
-        self.a, self.den, self.trace, self.block = {}, {}, {}, {}
-        self.blocks: list[tuple[list[tuple[int, int]], list[tuple[int, int]]]] = []
+        # Made by the elimination, for each nonempty row r: a[r]/den[r], row r
+        # after it, and trace[r]/den[r], its multipliers of the original rows;
+        # then the (column, row) of each row that emptied, sorted, and the
+        # (row, column) of each pivot, in order.  pivots is None until then.
+        self.a, self.den, self.trace, self.emptied = {}, {}, {}, []
+        self.pivots: list[tuple[int, int]] | None = None
 
     @classmethod
     def _from_clean(cls, cols: int,
@@ -113,31 +109,22 @@ class QMatrix:
         out.rows = len(out.entries)
         return out
 
-    def _eliminate(self, start: int) -> None:
-        """Eliminate the block of row ``start``, the rows and columns that it
-        reaches through shared columns, column by column in order: no
-        right-hand side takes part in the pivots, the traces or the order
-        rows empty in, so every b is replayed through one elimination."""
-        if self.where is None:
-            self.where = [set() for _ in range(self.cols)]
-            for i, row in enumerate(self.entries):
+    def _eliminate(self) -> None:
+        """Eliminate every column in order: no right-hand side takes part in
+        the pivots, the traces or the order rows empty in, so every b is
+        replayed through one elimination."""
+        entries, a, den, trace = self.entries, self.a, self.den, self.trace
+        # where[col] holds every row with an entry in col, and perhaps rows
+        # whose entry there has cancelled since
+        where: list[set[int]] = [set() for _ in range(self.cols)]
+        for r, row in enumerate(entries):
+            if row:
                 for col, _ in row:
-                    self.where[col].add(i)
-        entries, where, block = self.entries, self.where, self.block
-        a, den, trace, k = self.a, self.den, self.trace, len(self.blocks)
-        rows, cols, emptied, pivots = [start], set(), [], []
-        block[start] = k
-        for r in rows:
-            a[r], den[r] = _cleared(dict(entries[r]))
-            trace[r] = {r: den[r]}
-            for col in a[r].keys() - cols:
-                cols.add(col)
-                new = [s for s in where[col] if s not in block]
-                block.update(dict.fromkeys(new, k))
-                rows += new
-        self.blocks.append((emptied, pivots))
-        pivoted = set()
-        for col in sorted(cols):
+                    where[col].add(r)
+                a[r], den[r] = _cleared(dict(row))
+                trace[r] = {r: den[r]}
+        emptied, pivots, pivoted = self.emptied, [], set()
+        for col in range(self.cols):
             candidates = [r for r in where[col] if r not in pivoted and col in a[r]]
             if not candidates:
                 continue
@@ -165,6 +152,8 @@ class QMatrix:
                     emptied.append((col, r))
             pivoted.add(best)
             pivots.append((best, col))
+        emptied.sort()
+        self.pivots = pivots
 
     def _solve(self, rhs: Sequence):
         """A tuple of Fractions x with A*x = b, or an :class:`Inconsistency`;
@@ -179,42 +168,37 @@ class QMatrix:
             if i >= m or not entries[i]:
                 return Inconsistency(tuple(Fraction(1) if j == i else _ZERO
                                            for j in range(size)), Fraction(v))
-        for i, _ in given:
-            if i not in self.block:
-                self._eliminate(i)
-        reached = [self.blocks[k] for k in {self.block[i] for i, _ in given}]
+        if self.pivots is None:
+            self._eliminate()
         trace, den, a = self.trace, self.den, self.a
 
         def replayed(ys: dict) -> Scalar:
             return sum(ys[i] * v for i, v in given if i in ys)
 
-        for _, r in sorted(chain.from_iterable(emptied for emptied, _ in reached)):
+        for _, r in self.emptied:
             if value := replayed(ys := trace[r]):
                 return Inconsistency(tuple(Fraction(ys[i], den[r]) if i in ys else _ZERO
                                            for i in range(size)), Fraction(value, den[r]))
         # A pivot row is never updated once chosen, and den[row] cancels, so
         # the pivot rows are solved on their integers; solution[col] is still
-        # zero when its own row is summed, and in every block b misses.
+        # zero when its own row is summed.
         solution: list[Scalar] = [0] * self.cols
-        for _, pivots in reached:
-            for row, col in reversed(pivots):
-                known = sum(v * solution[c] for c, v in a[row].items())
-                solution[col] = _divide(replayed(trace[row]) - known, a[row][col])
+        for row, col in reversed(self.pivots):
+            known = sum(v * solution[c] for c, v in a[row].items())
+            solution[col] = _divide(replayed(trace[row]) - known, a[row][col])
         return tuple(Fraction(v) if v else _ZERO for v in solution)
 
 
 def null_space(matrix: QMatrix) -> list[tuple[int, ...]]:
     """A basis of A's rational null space in primitive integer vectors: one
     per column with no pivot in A's elimination, 0 at the others of those."""
-    for i, row in enumerate(matrix.entries):
-        if row and i not in matrix.block:
-            matrix._eliminate(i)
-    pivots = {col for _, block in matrix.blocks for _, col in block}
+    if matrix.pivots is None:
+        matrix._eliminate()
     basis = []
-    for free in sorted(set(range(matrix.cols)) - pivots):
+    for free in sorted(set(range(matrix.cols)) - {col for _, col in matrix.pivots}):
         x: list[Scalar] = [int(c == free) for c in range(matrix.cols)]
         # as in _solve with b = 0: x[col] is still 0 when its row is summed
-        for row, col in reversed([p for _, block in matrix.blocks for p in block]):
+        for row, col in reversed(matrix.pivots):
             x[col] = _divide(-sum(v * x[c] for c, v in matrix.a[row].items()),
                              matrix.a[row][col])
         scale = lcm(*(Fraction(v).denominator for v in x))
@@ -225,6 +209,6 @@ def null_space(matrix: QMatrix) -> list[tuple[int, ...]]:
 def solve_exact(matrix: QMatrix, rhs: Sequence):
     """Solve A*x = b exactly: a tuple of Fractions x, or an
     :class:`Inconsistency`.  b has an entry for each row of A, then one for
-    each empty row appended to A.  A solve eliminates the blocks of A that b
-    reaches and no earlier solve did, and replays A's elimination of them."""
+    each empty row appended to A.  The first solve eliminates A, and every
+    solve replays that elimination."""
     return matrix._solve(rhs)

@@ -163,9 +163,10 @@ PLANTED_PAIR = (f"{PLANTED}*(12*x^3 - 7*y^2*z + 5*x*z - 11)^8; "
 def test_hostile_inputs_end_with_their_exit_code(argv, code, stdout, stderr,
                                                  tmp_path, monkeypatch, capsys):
     if "slice-none" in argv:
-        # a solver whose certificate does not verify, as a fault would give
+        # a solver whose certificate does not verify on any system, as a
+        # fault would give: all ones combine b = 1 to 1, not to 2
         monkeypatch.setattr(QMatrix, "_solve", lambda self, rhs:
-                            Inconsistency((Fraction(1),) * len(rhs), Fraction(1)))
+                            Inconsistency((Fraction(1),) * len(rhs), Fraction(2)))
     monkeypatch.chdir(tmp_path)
     (tmp_path / "nilpotent.lnd").write_text(NILPOTENT, encoding="utf-8")
     (tmp_path / "zero.lnd").write_text(ZERO_RING, encoding="utf-8")
@@ -291,6 +292,37 @@ def test_slice_none():
     assert code == EXIT_NO
     assert report.splitlines()[0] == "no slice of degree <= 6"
     assert "certificate multipliers" in report
+
+
+# d(x) = 1, so x is a slice at every degree bound from 1 on
+SLICE = "ring S\nvars x y z\nder x = 1\nder y = x\nder z = y\n"
+KERNEL_PAIR = ["--gens", "z;y^2 - 2*x*z", "--max-deg", "3", "--max-power", "2"]
+UNKNOWN_CLAIM = ("z: verified (n = 1, f = y)\n"
+                 "y^2 - 2*x*z: unknown at bounds (max power 2, max degree 3)\n"
+                 "claim verified: unknown at bounds")
+
+
+@pytest.mark.parametrize("argv, code, report", [
+    (["slice-none", "slice.lnd"], EXIT_YES, "slice found of degree <= 8\nslice = x"),
+    (["slice-none", "slice.lnd", "--max-deg", "0"], EXIT_NO,
+     "no slice of degree <= 0\nsystem: 1 equations, 1 unknowns\n"
+     "certificate multipliers: {1: 1}\ncertificate value: 1"),
+    (["exp", FP, "--elem", "x*y;0;-x*y"], EXIT_YES,
+     "exp(s*d)(x*y) = x*y + s*(y^2 + x*z) + 3/2*s^2*y*z + 1/2*s^3*z^2\n"
+     "exp(s*d)(0) = 0\n"
+     "exp(s*d)(-x*y) = -x*y + s*(-y^2 - x*z) - 3/2*s^2*y*z - 1/2*s^3*z^2"),
+    (["plinth-verify", FP, *KERNEL_PAIR], EXIT_UNKNOWN, UNKNOWN_CLAIM),
+    (["maximal-cylinder", FP, *KERNEL_PAIR], EXIT_UNKNOWN, UNKNOWN_CLAIM),
+    (["maximal-cylinder", FP, "--gens", "z;x"], EXIT_NO,
+     "z: verified (n = 1, f = y)\nx: rejected, d(x) = y\nclaim verified: no"),
+    (["gb", FP, "--ideal", "0"], EXIT_YES, "order: degrevlex\nbasis: (0)"),
+], ids=["slice found", "no slice at degree 0", "exp of several terms and of 0",
+        "claim unknown at bounds", "maximal claim unknown at bounds",
+        "maximal claim rejected", "basis of the zero ideal"])
+def test_reports_that_no_golden_reaches(argv, code, report, tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "slice.lnd").write_text(SLICE, encoding="utf-8")
+    assert run_command(argv) == (code, report)
 
 
 def test_plinth_verify_and_principal():

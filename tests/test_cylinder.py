@@ -785,7 +785,7 @@ def test_every_inconsistency_is_verified(monkeypatch):
     verify = Inconsistency.verify
 
     def counted(self, matrix, rhs):
-        verified.append(self)
+        verified.append((self, matrix))
         return verify(self, matrix, rhs)
 
     monkeypatch.setattr(Inconsistency, "verify", counted)
@@ -793,13 +793,39 @@ def test_every_inconsistency_is_verified(monkeypatch):
     result = plinth_membership(d, P("y^2 - 2*x*z"), SearchBounds(3, 4))
     assert result.outcome is Outcome.UNKNOWN
     assert len(verified) == 3
+    # slice-none checks its class certificate, then the one it lifts to the
+    # full system, which it returns
     result = slice_nonexistence(d, 2)
-    assert verified[-1] is result.certificate and len(verified) == 4
+    assert len(verified) == 5
+    certificate, matrix = verified[-1]
+    assert certificate is result.certificate
+    assert matrix.cols == len(result.column_monomials) == 10
     # a certificate that fails its check ends the search
     monkeypatch.setattr(QMatrix, "_solve", lambda self, rhs:
                         Inconsistency((Fraction(1),) * len(rhs), Fraction(1)))
     with pytest.raises(CertificateError):
         plinth_membership(d, P("z"))
+
+
+def test_slice_none_solves_only_the_class_of_one(monkeypatch):
+    # the full system is built for its rows, its columns and the check of
+    # the lifted certificate, but only the class system of 1 is solved, so
+    # the full matrix is never eliminated
+    path = Path(__file__).resolve().parent.parent / "corpus" / "ex_danielewski.lnd"
+    d = spec_derivation(parse_spec(path.read_text(encoding="utf-8")))
+    built, solved = [], []
+    build, solve = lndtools.cylinder.build_preimage_system, QMatrix._solve
+    monkeypatch.setattr(lndtools.cylinder, "build_preimage_system",
+                        lambda *args: built.append(build(*args)) or built[-1])
+    monkeypatch.setattr(QMatrix, "_solve",
+                        lambda self, rhs: solved.append(self) or solve(self, rhs))
+    result = slice_nonexistence(d, 6)
+    full, part = built
+    assert full.columns == result.column_monomials and len(full.columns) == 49
+    assert solved == [part.matrix] and part.matrix.cols < full.matrix.cols
+    assert full.matrix.pivots is None
+    rows, matrix, rhs = full.equations(P("1"))
+    assert rows == result.row_monomials and result.certificate.verify(matrix, rhs)
 
 
 def test_slice_found_when_one_exists():

@@ -359,7 +359,7 @@ def test_one_elimination_serves_many_right_hand_sides():
         # consistent: x1 = 3 from row 3, then x0 = 1 - 3 from row 1
         ([0, 1, 1, 3, 0], (Fraction(-2), Fraction(3))),
     ]
-    assert matrix.where is None and not matrix.block and not matrix.blocks
+    assert matrix.pivots is None and not matrix.a and not matrix.emptied
     for rhs, want in cases:
         got = solve_exact(matrix, rhs)
         assert got == want == reference_solve(padded, rhs)
@@ -375,14 +375,12 @@ def test_one_elimination_serves_many_right_hand_sides():
                 matrix, rhs)
             assert not Inconsistency(got.multipliers[:3], got.value).verify(
                 matrix, rhs[:3])
-    # every solve replayed the elimination the first one made: the first two
-    # answers came from empty rows alone; the third eliminated the one block,
-    # rows 1 to 3: row 2 emptied at column 0, and rows 1 and 3 pivot, row 1
-    # before row 2 by its index
-    assert matrix.block == {1: 0, 2: 0, 3: 0}
-    assert matrix.blocks == [([(0, 2)], [(1, 0), (3, 1)])]
+    # the first two answers came from empty rows alone; the third eliminated
+    # every column and the fourth replayed that elimination: row 2 emptied at
+    # column 0, and rows 1 and 3 pivot, row 1 before row 2 by its index
+    assert (matrix.emptied, matrix.pivots) == ([(0, 2)], [(1, 0), (3, 1)])
     assert solve_exact(matrix, [0, 1, 1, 3]) == (Fraction(-2), Fraction(3))
-    assert matrix.blocks == [([(0, 2)], [(1, 0), (3, 1)])]
+    assert (matrix.emptied, matrix.pivots) == ([(0, 2)], [(1, 0), (3, 1)])
     with pytest.raises(ValueError):
         solve_exact(matrix, [0, 1, 1])
 
@@ -402,7 +400,7 @@ def test_a_dropped_system_leaves_no_matrix():
         before = matrices()
         system = full_system(d, 6)
         preimage_search(system, Polynomial.constant(d.ring.nvars, 1))
-        assert system.matrix.blocks and matrices() == before + 1
+        assert system.matrix.pivots and matrices() == before + 1
         del system
         assert matrices() == before
     finally:
@@ -434,7 +432,7 @@ def block_diagonal(rng, blocks, size, density):
 def test_blocks_are_eliminated_when_first_reached():
     # several right-hand sides through one matrix, in random order, each
     # touching some blocks: every answer is that of a fresh matrix and of the
-    # reference, whichever blocks earlier ones eliminated
+    # reference, whichever right-hand side made the elimination
     rng = random.Random(205)
     solved = refuted = 0
     for case in range(150):
@@ -466,17 +464,22 @@ def test_blocks_are_eliminated_when_first_reached():
     assert solved >= 100 and refuted >= 100
 
 
-def test_a_solve_leaves_the_blocks_it_does_not_reach():
+def test_the_first_solve_eliminates_every_column(monkeypatch):
     # block A is rows 0 and 2 on columns 1 and 3, block B rows 1 and 3 on
-    # columns 0 and 2; b touches row 2 only
+    # columns 0 and 2; b touches row 2 only, yet both blocks are eliminated,
+    # column by column, and a solve on block B eliminates nothing more
+    eliminated = []
+    eliminate = QMatrix._eliminate
+    monkeypatch.setattr(QMatrix, "_eliminate",
+                        lambda self: eliminated.append(self) or eliminate(self))
     matrix = QMatrix(4, [[(1, 1), (3, 2)], [(0, 1)], [(1, 3)], [(0, 2), (2, 1)]])
     x = solve_exact(matrix, [0, 0, 6, 0])
     assert x == (0, Fraction(2), 0, Fraction(-1))
-    assert matrix.block == {0: 0, 2: 0}
-    assert matrix.blocks == [([], [(0, 1), (2, 3)])]
+    assert eliminated == [matrix] and sorted(matrix.a) == [0, 1, 2, 3]
+    assert matrix.pivots == [(1, 0), (0, 1), (3, 2), (2, 3)] and not matrix.emptied
     assert solve_exact(matrix, [0, 1, 0, 0]) == (Fraction(1), 0, Fraction(-2), 0)
-    assert sorted(matrix.block) == [0, 1, 2, 3]
-    assert len(matrix.blocks) == 2
+    assert eliminated == [matrix]
+    assert matrix.pivots == [(1, 0), (0, 1), (3, 2), (2, 3)]
 
 
 @pytest.mark.parametrize("k", [2, 3, 4])
