@@ -7,7 +7,9 @@ evaluation, checked by exact division, with the lcm as the fallback.
 
 Division and Buchberger work on primitive integer polynomials by
 pseudo-division (Becker & Weispfenning 1993); fractions are made, and
-basis elements made monic, only where a ``Polynomial`` is returned.
+basis elements made monic, only where a ``Polynomial`` is returned.  A
+step whose leading coefficient does not divide the term's scales the
+dividend and the remainder; common factors cancel only at the end.
 Inside them a monomial is one ``int`` (packed exponent vectors, Monagan
 & Pearce 2007): the values of the order's weight rows in its high fields
 and the exponents in its low ones, each field with a guard bit above it.
@@ -56,7 +58,6 @@ from .poly import (
 Lead = tuple[int, int, tuple[tuple[int, int], ...]]
 _WIDTH = 16          # bits of a packed field at the first try of a call
 _MEMO_SIZE = 4096    # entries of a packing's memo of tuples and packed ints
-_CONTENT_EVERY = 8   # pseudo-division steps between two divisions by the content
 _HEU_TRIES = 6       # evaluation points GCDHEU tries at each level before giving up
 _HEU_MAX_BITS = 200_000  # GCDHEU gives up when xi^deg would pass this many bits
 
@@ -117,8 +118,7 @@ class _Packing:
         return packed
 
     def pack_all(self, monos: Iterable[Monomial]) -> list[int]:
-        memo, pack = self.memo, self.pack
-        return [memo.get(m) or pack(m) for m in monos]   # 1 packs to 0: pack finds it
+        return list(map(self.pack, monos))
 
     def unpack(self, packed: int) -> Monomial:
         mono = self.memo.get(packed)
@@ -185,10 +185,6 @@ class _Dividend:
                 return mono, coeff
         return None
 
-    def scale(self, a: int) -> None:
-        """terms *= a."""
-        self.terms = {m: c * a for m, c in self.terms.items()}
-
     def subtract(self, factor: int, shift: int,
                  tail: Iterable[tuple[int, int]]) -> None:
         """terms -= factor * x^shift * tail; zero terms are dropped."""
@@ -215,7 +211,6 @@ def _remainder(work: _Dividend, divisors: Sequence[Lead],
     is the rational remainder of work/scale, r's terms in descending order."""
     divides = work.packing.divides
     remainder: dict[int, int] = {}
-    steps = 0
     while (term := work.pop_leading()) is not None:
         mono, coeff = term
         for lm, lc, tail in divisors:
@@ -224,16 +219,10 @@ def _remainder(work: _Dividend, divisors: Sequence[Lead],
                 g = gcd(coeff, lc)
                 if g != lc:
                     a = lc // g
-                    work.scale(a)
+                    work.terms = {m: c * a for m, c in work.terms.items()}
                     remainder = {m: c * a for m, c in remainder.items()}
                     scale *= a
                 work.subtract(coeff // g, shift, tail)
-                steps += 1
-                if steps % _CONTENT_EVERY == 0 and scale > 1 and (
-                        g := gcd(scale, *work.terms.values(), *remainder.values())) > 1:
-                    work.terms = {m: c // g for m, c in work.terms.items()}
-                    remainder = {m: c // g for m, c in remainder.items()}
-                    scale //= g
                 break
         else:
             remainder[mono] = coeff
@@ -246,7 +235,7 @@ def _leibniz(terms: Iterable[tuple[int, int]], images: Sequence[tuple[int, int, 
     c*x^a in T, x_j with e = a_j > 0 and c_t*x^t in d(x_j), the sum of
     e*c*c_t*x^(a - e_j + t).  ``images`` holds (the shift of x_j's field,
     x_j packed, the packed integer terms of d(x_j)) for each d(x_j) != 0.
-    The sum is pseudo-divided by ``leads`` only when one divides a term."""
+    The sum is pseudo-divided by ``leads`` when there are any."""
     mask = packing.mask
     total: dict[int, int] = {}
     get = total.get
@@ -261,8 +250,7 @@ def _leibniz(terms: Iterable[tuple[int, int]], images: Sequence[tuple[int, int, 
         total = {m: c for m, c in total.items() if c}
     if functools.reduce(or_, total, 0) & packing.guards:
         raise _Widen
-    divides = packing.divides
-    if leads and any(not (m - lm) & divides for lm, _, _ in leads for m in total):
+    if leads:
         return _remainder(_Dividend(total, packing), leads, scale)
     return total, scale
 
@@ -342,12 +330,10 @@ def divide_exact(f: Polynomial, g: Polynomial) -> Polynomial:
 
 
 def buchberger(generators: Iterable[Polynomial], order: MonomialOrder,
-               nvars: int, *,
-               leads: dict[int, list[Lead]] | None = None) -> tuple[Polynomial, ...]:
+               nvars: int) -> tuple[Polynomial, ...]:
     """Reduced Groebner basis of the ideal spanned by ``generators``, which
     have ``nvars`` variables; each element lists its terms from the leading
-    one down.  ``leads``, when given, gets the packed ``Lead`` of each
-    element under the field width the run ended at.
+    one down.
 
     Each generator, then each S-polynomial, is reduced by the elements in
     play, and a nonzero remainder joins them, made primitive, through the
@@ -368,17 +354,12 @@ def buchberger(generators: Iterable[Polynomial], order: MonomialOrder,
     making them monic gives the reduced one.
     """
     gens = [_cleared(g.terms)[0] for g in generators]
-    packing, (basis, packed) = _widening(
-        order, nvars, lambda packing: _buchberger(gens, nvars, packing))
-    if leads is not None:
-        leads[packing.width] = packed
-    return basis
+    return _widening(order, nvars, lambda packing: _buchberger(gens, nvars, packing))[1]
 
 
 def _buchberger(gens: Sequence[Mapping[Monomial, int]], nvars: int,
-                packing: _Packing) -> tuple[tuple[Polynomial, ...], list[Lead]]:
-    """``buchberger`` on integer generators at one field width: the basis
-    and the packed ``Lead`` of each of its elements."""
+                packing: _Packing) -> tuple[Polynomial, ...]:
+    """``buchberger`` on integer generators at one field width."""
     divides, pack, unpack = packing.divides, packing.pack, packing.unpack
     elements: list[Lead] = []   # every element found, primitive, by index
     lms: list[Monomial] = []    # the leading monomial of each, as a tuple
@@ -422,7 +403,7 @@ def _buchberger(gens: Sequence[Mapping[Monomial, int]], nvars: int,
 
     for terms in gens:
         if not add(packing.dividend(terms)):
-            return (Polynomial.constant(nvars, 1),), [(0, 1, ())]
+            return (Polynomial.constant(nvars, 1),)
     while pairs:
         l, i, j, _ = heappop(pairs)
         lmi, lci, tail_i = elements[i]
@@ -432,29 +413,27 @@ def _buchberger(gens: Sequence[Mapping[Monomial, int]], nvars: int,
         work.subtract(-ci, l - lmi, tail_i)
         work.subtract(ci * lci // lcj, l - lmj, tail_j)
         if not add(work):
-            return (Polynomial.constant(nvars, 1),), [(0, 1, ())]
+            return (Polynomial.constant(nvars, 1),)
     # No tail term of an element is divisible by its own leading monomial,
     # so reducing by the others gives the normal form of the tail.
-    basis, packed = [], []
+    basis = []
     for a in sorted(active, key=lambda a: elements[a][0], reverse=True):
-        lm, lc, tail = elements[a]
+        _, lc, tail = elements[a]
         others = [elements[b] for b in active if b != a]
         rest, s = (_remainder(_Dividend(dict(tail), packing), others) if others
                    else (dict(tail), 1))
         basis.append(Polynomial._from_clean(nvars, {lms[a]: 1, **{
             unpack(m): _divide(c, s * lc) for m, c in rest.items()}}))
-        g = gcd(s * lc, *rest.values())
-        packed.append((lm, s * lc // g, tuple((m, c // g) for m, c in rest.items())))
-    return tuple(basis), packed
+    return tuple(basis)
 
 
 class Ideal:
     """An ideal together with its reduced Groebner basis.
 
-    The basis, the leading monomial of each of its elements (``leads``), and
-    the packed ``Lead`` of each element that division uses, at each field
-    width a division has needed, are kept; instances are immutable apart
-    from that cache.
+    The basis and the leading monomial of each of its elements (``leads``)
+    are kept.  The packed ``Lead`` of each element that division uses is
+    made at the first division at each field width, and kept; instances
+    are immutable apart from that cache.
     """
 
     __slots__ = ("nvars", "order", "generators", "basis", "leads", "_packed")
@@ -469,7 +448,7 @@ class Ideal:
         self.order = order
         self.generators = gens
         self._packed: dict[int, list[Lead]] = {}
-        self.basis = buchberger(gens, order, nvars, leads=self._packed)
+        self.basis = buchberger(gens, order, nvars)
         self.leads = tuple(next(iter(g.terms)) for g in self.basis)
 
     def normal_form(self, f: Polynomial) -> Polynomial:

@@ -6,7 +6,8 @@ benchmark's ``parse_golden``, is run again from inside ``corpus/``: an
 the script's ``run()``.  To add a command, append a block of ``$ lnd …``,
 ``exit 0`` and one placeholder line (a block with an empty report does
 not round-trip), regenerate with ``REGENERATE_GOLDEN=1 python3 -m pytest
-tests/test_corpus.py``, and review the diff before committing it.
+tests/test_corpus.py``, and review the diff before committing it.  The
+regenerate run also rewrites the rank-0 transcript ``tests/data/rank0.txt``.
 """
 
 import importlib.util

@@ -540,14 +540,16 @@ def test_normal_form_returns_an_irreducible_polynomial_itself(order):
 
 
 def test_long_pseudo_divisions_match_the_reference_division():
-    # many steps by leading coefficients 2 and 3, so the dividend is scaled
-    # often and its content is divided out along the way
-    f = P("(x + 2*y + 1/3*z - 5)^6")
-    divisors = [P("2*x + 3*y - 1"), P("3*y^2 - 2*z + 7/2")]
-    for order in (LEX, DEGREVLEX):
-        assert reduce_poly(f, divisors, order) == reference_remainder(f, divisors, order)
-        ideal = Ideal(3, divisors, order)
-        assert ideal.normal_form(f) == reference_remainder(f, ideal.basis, order)
+    # many steps by leading coefficients that are not 1, so the dividend and
+    # the remainder are scaled often and their coefficients grow
+    cases = [(P("(x + 2*y + 1/3*z - 5)^6"), [P("2*x + 3*y - 1"), P("3*y^2 - 2*z + 7/2")]),
+             (P("(7*x*y + 5*y*z - 3*x*z + 2)^10"),
+              [P("5*x^2 - 3*y"), P("7*y^2 + 2*z"), P("3*z^2 - 11*x")])]
+    for f, divisors in cases:
+        for order in (LEX, DEGREVLEX):
+            assert reduce_poly(f, divisors, order) == reference_remainder(f, divisors, order)
+            ideal = Ideal(3, divisors, order)
+            assert ideal.normal_form(f) == reference_remainder(f, ideal.basis, order)
 
 
 def test_normal_form_refuses_a_polynomial_in_more_variables():
