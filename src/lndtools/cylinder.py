@@ -18,8 +18,8 @@ keeps the images; systems are shared by a command's powers and elements,
 and each is eliminated once, at its first solve.
 The Dixmier sums are polynomials over a power of the slice's denominator,
 built by Horner's rule and made a fraction once each; the checks that
-they and the slice are what they claim use the quotient rule without the
-gcd that ``simplify`` would cancel, which cannot change such a check.
+they and the slice are what they claim use ``apply_rational``, whose
+quotient rule cancels no gcd, which could not change such a check.
 """
 
 from __future__ import annotations
@@ -102,7 +102,7 @@ class CylinderCertificate(PlinthCertificate):
         if len(self.dixmier_images) != deriv.ring.nvars:
             raise CertificateError("need one Dixmier image per ring variable")
         for image in self.dixmier_images:
-            if not ratfun_eq_mod(deriv.ring, deriv._quotient_rule(image), 0):
+            if not ratfun_eq_mod(deriv.ring, deriv.apply_rational(image), 0):
                 raise CertificateError("Dixmier image is not a derivation constant")
 
 
@@ -360,13 +360,13 @@ def dixmier_reduce(derivation: Derivation, slice_value: RationalFunction,
     """Coefficients c_k, all derivation constants, with
     element = sum(c_k * slice^k) modulo the relations."""
     relations = derivation.ring
-    if not ratfun_eq_mod(relations, derivation._quotient_rule(slice_value), 1):
+    if not ratfun_eq_mod(relations, derivation.apply_rational(slice_value), 1):
         raise ValueError("the given value is not a slice on this open set")
     its = derivation.iterates(element)
     coefficients = [RationalFunction(c.num * Fraction(1, math.factorial(k)), c.den)
                     for k, c in enumerate(_dixmier_sums(relations, slice_value, its, len(its)))]
     for c in coefficients:
-        if not ratfun_eq_mod(relations, derivation._quotient_rule(c), 0):
+        if not ratfun_eq_mod(relations, derivation.apply_rational(c), 0):
             raise CertificateError("Dixmier coefficient is not a constant")
     reconstructed = RationalFunction.zero(relations.nvars)
     for c in reversed(coefficients):   # Horner's rule in the slice
@@ -391,10 +391,9 @@ def cylinder_from_plinth(plinth: SearchResult) -> SearchResult:
     if plinth.outcome is not Outcome.YES:
         return plinth
     cert = plinth.certificate
-    derivation = cert.derivation
+    derivation, slice_value = cert.derivation, cert.slice_value
     nvars = derivation.ring.nvars
-    images = tuple(dixmier_image(derivation, cert.slice_value,
-                                 Polynomial.variable(nvars, i))
+    images = tuple(dixmier_image(derivation, slice_value, Polynomial.variable(nvars, i))
                    for i in range(nvars))
     full = CylinderCertificate(derivation, cert.element, cert.power,
                                cert.preimage, images)

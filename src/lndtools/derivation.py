@@ -5,10 +5,12 @@ the Leibniz rule.  When every generator is annihilated by some iterate,
 exponentiation yields a polynomial one-parameter family of automorphisms:
 the orbit map of the corresponding additive group action.  Everything is
 computed on representatives and reduced modulo the relation ideal, which
-is sound once the derivation is known to preserve that ideal.  The
-Leibniz sum is taken by one kernel on packed monomials, ``groebner``'s
-``_leibniz``, which also images the columns of ``cylinder``'s preimage
-systems in one packed pass that filters and sorts them too.
+is sound once the derivation is known to preserve that ideal.  ``apply``
+takes d of a polynomial to its normal form and ``apply_rational`` of a
+fraction by the quotient rule over den^2, not simplified.  Both, and the
+columns of ``cylinder``'s preimage systems, which one packed pass also
+filters and sorts, take the Leibniz sum by one kernel on packed
+monomials, ``groebner``'s ``_leibniz``.
 """
 
 from __future__ import annotations
@@ -64,19 +66,19 @@ class Derivation:
         self._columns: dict[int, dict[int, dict[int, Scalar]]] = {}
 
     def _images(self, packing: _Packing, terms: Iterable[Iterable[tuple[int, int]]],
-                scale: int = 1, reduce: bool = True) -> Iterator[dict[int, Scalar]]:
+                scale: int = 1) -> Iterator[dict[int, Scalar]]:
         """d of each list of packed integer terms over ``scale``, in order, by
-        the kernel ``_leibniz``, keyed by packed monomial: in normal form
-        modulo the relations when ``reduce``, else on free-ring
-        representatives.  The kernel takes the images as integers over their
-        common denominator ``_den``, packed once per width and fetched once here."""
+        the kernel ``_leibniz``, keyed by packed monomial and in normal form
+        modulo the relations.  The kernel takes the images as integers over
+        their common denominator ``_den``, packed once per width and fetched
+        once here."""
         images = self._packed.get(packing.width)
         if images is None:
             images = self._packed[packing.width] = [
                 (shift, unit, [(m, c.numerator * (self._den // c.denominator))
                                for m, c in zip(packing.pack_all(g.terms), g.terms.values())])
                 for shift, unit, g in zip(packing.shifts, packing.units, self.images) if g]
-        leads = self.ring._leads_at(packing) if reduce else ()
+        leads = self.ring._leads_at(packing)
         for t in terms:
             r, s = _leibniz(t, images, packing, leads, scale * self._den)
             yield r if s == 1 else {m: _divide(c, s) for m, c in r.items()}
@@ -104,20 +106,15 @@ class Derivation:
                     {packing.unpack(m): tuple(rows[m]) for m in sorted(rows, reverse=True)})
         return _widening(self.ring.order, self.ring.nvars, run)[1]
 
-    def _leibniz(self, f: Polynomial, reduce: bool = False) -> Polynomial:
-        """The Leibniz sum of f on free-ring representatives, unreduced, or
-        in normal form modulo the relations when ``reduce``."""
+    def apply(self, f: Polynomial) -> Polynomial:
+        """Leibniz extension, reduced modulo the relations."""
         if f.nvars != self.ring.nvars:
             raise ValueError("polynomial has wrong variable count")
         terms, e = _cleared(f.terms)
         packing, (image,) = _widening(self.ring.order, f.nvars, lambda packing: tuple(self._images(
-            packing, [zip(packing.pack_all(terms), terms.values())], e, reduce)))
+            packing, [zip(packing.pack_all(terms), terms.values())], e)))
         unpack = packing.unpack
         return Polynomial._from_clean(f.nvars, {unpack(m): c for m, c in image.items()})
-
-    def apply(self, f: Polynomial) -> Polynomial:
-        """Leibniz extension, reduced modulo the relations."""
-        return self._leibniz(f, True)
 
     def check_preserves_relations(self) -> tuple[Polynomial, Polynomial] | None:
         """``(relation, image)`` for the first relation whose image does
@@ -191,22 +188,15 @@ class Derivation:
         return Ideal(self.ring.nvars, gens, self.ring.order)
 
     def apply_rational(self, value: RationalFunction) -> RationalFunction:
-        """Quotient-rule extension to fractions with invertible denominator,
-        simplified."""
-        return self._quotient_rule(value).simplify()
-
-    def _quotient_rule(self, value: RationalFunction) -> RationalFunction:
-        """The quotient rule's fraction over den^2, not simplified.  It
-        decides a comparison with 0 or 1 modulo the relations as the
-        simplified one does: all that ``simplify`` cancels is a factor of
-        den^2, which is nonzero there."""
+        """Quotient-rule extension to fractions with invertible denominator:
+        (den*d(num) - num*d(den))/den^2 with d in normal form, not simplified.
+        Neither changes a comparison modulo the relations: the normal forms
+        move the numerator by a multiple of a relation, and all that
+        ``simplify`` would cancel is a factor of den^2, nonzero there."""
         if self.ring.normal_form(value.den).is_zero:
             raise ZeroDivisionError("denominator lies in the relation ideal")
-        # Unreduced, so that numerator and denominator stay aligned as
-        # free-ring representatives.
-        num = value.den * self._leibniz(value.num) \
-            - value.num * self._leibniz(value.den)
-        return RationalFunction(num, value.den * value.den)
+        return RationalFunction(value.den * self.apply(value.num)
+                                - value.num * self.apply(value.den), value.den * value.den)
 
     def __repr__(self):
         return f"Derivation on {self.ring!r}"

@@ -207,15 +207,15 @@ def reference_remainder(f, divisors, order):
     return Polynomial(f.nvars, remainder)
 
 
-def leibniz_oracle(d, f, reduce=True):
+def leibniz_oracle(d, f):
     """sum_j d(x_j) * df/dx_j in ``Polynomial`` arithmetic, the derivation's
     Leibniz sum on f as it was computed before the packed kernel, reduced
-    by the ring's basis with ``reference_remainder`` when ``reduce``."""
+    by the ring's basis with ``reference_remainder``."""
     total = Polynomial.zero(d.ring.nvars)
     for i, image in enumerate(d.images):
         if image:
             total = total + image * derivative(f, i)
-    return reference_remainder(total, d.ring.basis, d.ring.order) if reduce else total
+    return reference_remainder(total, d.ring.basis, d.ring.order)
 
 
 def derivative(f, i):

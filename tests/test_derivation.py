@@ -10,6 +10,7 @@ from helpers import (
     assert_exp_group_law,
     assert_exp_multiplicative,
     danielewski,
+    derivative,
     plane,
     random_fraction,
     random_poly,
@@ -23,6 +24,7 @@ from lndtools import (
     Polynomial,
     RationalFunction,
     parse_polynomial,
+    ratfun_eq_mod,
 )
 
 
@@ -264,6 +266,41 @@ def test_apply_rational_known_values():
     slope = RationalFunction(parse_polynomial("y", names),
                              parse_polynomial("z", names))
     assert d.apply_rational(slope) == 1
+
+
+def test_apply_rational_is_the_quotient_rule_over_den_squared():
+    # nothing is cancelled: each den below has a constant term and coprime
+    # coefficients, so the value's denominator is den^2 as it stands.  Its
+    # simplification is the value apply_rational gave when it simplified
+    # (pinned), exactly on the free ring and modulo the relation on the
+    # Danielewski surface, where d(num) and d(den) are now normal forms:
+    # there d(x*y/(z + 1)) simplifies to (3*x*z + 1)/(z + 1)
+    cases = [(triangular3, "y", "z + 1", "z", "z + 1"),
+             (triangular3, "x*y", "y + 2", "y^3 + 2*y^2 + 2*x*z", "y^2 + 4*y + 4"),
+             (triangular3, "x*z", "2*y^2 - 4*x*z + 2", "1/2*y*z", "y^2 - 2*x*z + 1"),
+             (danielewski, "x*y", "z + 1", "y^2 + x*z", "z + 1"),
+             (danielewski, "x^2 + y", "x*z - 3",
+              "x^2*y*z - y^2*z + x*z^2 - 6*x*y - 3*z", "x^2*z^2 - 6*x*z + 9"),
+             (danielewski, "y", "x - 1", "-y^2 + x*z - z", "x^2 - 2*x + 1")]
+    for build, num, den, pinned_num, pinned_den in cases:
+        d, names = build()
+        P = lambda text: parse_polynomial(text, names)
+        value = RationalFunction(P(num), P(den))
+        got = d.apply_rational(value)
+        assert got.den == value.den * value.den
+        # the quotient rule on free-ring Leibniz sums, not reduced: equal to
+        # the value modulo the relations, on the surface not term for term
+        free = lambda f: sum((image * derivative(f, i) for i, image in enumerate(d.images)),
+                             Polynomial.zero(3))
+        reference = RationalFunction(value.den * free(value.num) - value.num * free(value.den),
+                                     value.den * value.den)
+        assert ratfun_eq_mod(d.ring, got, reference)
+        for c in (0, 1, reference):
+            assert ratfun_eq_mod(d.ring, got, c) == ratfun_eq_mod(d.ring, reference, c)
+        simplified, pinned = got.simplify(), RationalFunction(P(pinned_num), P(pinned_den))
+        assert ratfun_eq_mod(d.ring, simplified, pinned)
+        if not d.ring.generators:
+            assert (simplified.num, simplified.den) == (pinned.num, pinned.den)
 
 
 def test_apply_rational_rejects_vanishing_denominator():

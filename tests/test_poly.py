@@ -248,9 +248,10 @@ def test_computed_terms_are_clean_random():
         g = random_poly(rng, 3)
         scalar = rng.choice((random_fraction(rng), rng.randint(-3, 3)))
         results = [f + g, f - g, -f, f + (-f), f * g, f * scalar, scalar * f,
-                   d.apply(f), d._leibniz(f), f.pad(left=1, right=2),
-                   Polynomial.zero(3)]
+                   d.apply(f), f.pad(left=1, right=2), Polynomial.zero(3)]
         divisors = [random_nonzero_poly(rng, 3, max_terms=3) for _ in range(2)]
+        quotient = d.apply_rational(RationalFunction(f, divisors[1]))
+        results.extend((quotient.num, quotient.den))
         for order in (LEX, DEGREVLEX, elimination(1)):
             results.append(reduce_poly(f, divisors, order))
         results.append(divide_exact(f * divisors[0], divisors[0]))
