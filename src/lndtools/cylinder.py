@@ -13,9 +13,9 @@ are factorially closed.  Integer weights that make d and the relations
 homogeneous split the preimage system, d on the standard monomials of
 bounded degree, into classes.  A power of h is solved on the classes it
 reaches, listed directly as lattice points under the degree bound, then
-filtered, sorted and imaged by the derivation in one packed pass, which
-keeps the images; systems are shared by a command's powers and elements,
-and each is eliminated once, at its first solve.
+filtered, sorted and imaged by the derivation in one packed pass;
+systems are shared by a command's powers and elements, and each is
+eliminated once, at its first solve.
 The Dixmier sums are polynomials over a power of the slice's denominator,
 built by Horner's rule and made a fraction once each; the checks that
 they and the slice are what they claim use ``apply_rational``, whose
@@ -192,8 +192,7 @@ class Grading:
     target reaches lies in the classes w(m) - shift of its monomials m,
     whose members alone it lists.
     One grading serves a command at one degree bound: it finds its weights
-    when a first system is asked for, and keeps the systems it has built;
-    their column images stay with the derivation."""
+    when a first system is asked for, and keeps the systems it has built."""
 
     def __init__(self, derivation: Derivation, max_degree: int):
         self.derivation, self.max_degree = derivation, max_degree
@@ -428,9 +427,12 @@ def plinth_claim_verify(derivation: Derivation, claimed: Sequence[Polynomial],
                         grading: Grading | None = None) -> PlinthClaimReport:
     """Check a claimed plinth generating set: every generator must pass the
     kernel test and exhibit a power with a preimage.  Also returns the
-    ideal the claimed generators span; on the variety its zero locus is
-    the complement of the union of invariant principal cylinders.  One
-    grading, as for ``plinth_membership``, serves every generator."""
+    ideal the claimed generators span.  Each generator that verifies is a
+    plinth element, so on the variety the zero locus of that ideal
+    contains the complement of the union of invariant principal
+    cylinders; it equals it only when the claim spans the plinth ideal up
+    to radical, which is not checked.  One grading, as for
+    ``plinth_membership``, serves every generator."""
     if not claimed:
         raise ValueError("no generators claimed")
     grading = grading or Grading(derivation, bounds.max_degree)
@@ -469,12 +471,13 @@ def principality_check(ideal: Ideal, relations: Ideal) -> PrincipalityResult:
 def maximal_cylinder(derivation: Derivation, claimed: Sequence[Polynomial],
                      bounds: SearchBounds = SearchBounds()) -> MaximalCylinderResult:
     """If the claimed plinth generators verify and span a principal ideal,
-    the cylinder over the principal generator contains every other
-    principal invariant cylinder; build its certificate.  When the
-    generator is itself one of the verified claims, its certificate is
-    reused instead of searching again.  A claim that does not verify, or
-    a principality check on its ideal that is not a yes, passes its
-    outcome on."""
+    build the certificate of the cylinder over its generator, reusing a
+    verified claim's when the generator is one.  That cylinder contains
+    every principal invariant cylinder only when the claim spans the
+    plinth ideal up to radical, which is not checked: each claimed
+    generator is checked to be a plinth element, no more.  A claim that
+    does not verify, or a principality check on its ideal that is not a
+    yes, passes its outcome on."""
     grading = Grading(derivation, bounds.max_degree)
     claim = plinth_claim_verify(derivation, claimed, bounds, grading)
     if claim.outcome is not Outcome.YES:

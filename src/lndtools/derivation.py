@@ -45,7 +45,7 @@ class Derivation:
     :meth:`check_preserves_relations` returns None.
     """
 
-    __slots__ = ("ring", "images", "_den", "_packed", "_columns")
+    __slots__ = ("ring", "images", "_den", "_packed")
 
     def __init__(self, ring: Ideal, images: Sequence[Polynomial]):
         if not ring.nvars:
@@ -63,7 +63,6 @@ class Derivation:
         self.images = tuple(ring.normal_form(g) for g in images)
         self._den = math.lcm(*[c.denominator for g in self.images for c in g.terms.values()])
         self._packed: dict[int, list] = {}
-        self._columns: dict[int, dict[int, dict[int, Scalar]]] = {}
 
     def _images(self, packing: _Packing, terms: Iterable[Iterable[tuple[int, int]]],
                 scale: int = 1) -> Iterator[dict[int, Scalar]]:
@@ -89,18 +88,14 @@ class Derivation:
         those that no leading monomial of the relations divides, sorted as
         packed ints, which is the ring's order; the rows map each monomial
         of their images, in descending order, to its ``(column, coefficient)``
-        pairs in column order.  Each column's image is kept under the
-        field width and the packed column, so that the systems of one
-        derivation share it and no width reads another's."""
+        pairs in column order."""
         def run(packing: _Packing):
             listed, divides = dict(zip(packing.pack_all(monomials), monomials)), packing.divides
             for lm, _, _ in self.ring._leads_at(packing):
                 listed = {p: m for p, m in listed.items() if (p - lm) & divides}
-            columns, cache, rows = sorted(listed), self._columns.setdefault(packing.width, {}), {}
-            missing = [a for a in columns if a not in cache]
-            cache.update(zip(missing, self._images(packing, [((a, 1),) for a in missing])))
-            for col, a in enumerate(columns):
-                for m, c in cache[a].items():
+            columns, rows = sorted(listed), {}
+            for col, image in enumerate(self._images(packing, [((a, 1),) for a in columns])):
+                for m, c in image.items():
                     rows.setdefault(m, []).append((col, c))
             return (tuple(map(listed.__getitem__, columns)),
                     {packing.unpack(m): tuple(rows[m]) for m in sorted(rows, reverse=True)})

@@ -19,9 +19,9 @@ heap of negated ints.  A call starts with 16-bit fields and begins again
 at twice the width when a monomial outgrows them.  Terms are packed on
 the way in and unpacked on the way out, through a bounded memo of the
 monomials met lately.  Packed ints carry a derivation's Leibniz sum too
-(``_leibniz``): x^(a - e_j + t) is ``a - unit_j + t``.  Buchberger keeps
-the leading monomials of its elements as tuples too, selects pairs from
-a heap by the normal strategy, and prunes them by the Gebauer–Möller
+(``_leibniz``): x^(a - e_j + t) is ``a - unit_j + t``.  Buchberger
+keeps the leading monomials of its elements packed only, selects pairs
+from a heap by the normal strategy, and prunes them by the Gebauer–Möller
 update (Gebauer & Möller 1988), which applies Buchberger's coprime rule
 and chain criterion.
 
@@ -49,7 +49,6 @@ from .poly import (
     elimination,
     mono_divides,
     mono_lcm,
-    mono_mul,
 )
 
 # A divisor as division uses it: leading monomial, leading coefficient and
@@ -362,9 +361,12 @@ def _buchberger(gens: Sequence[Mapping[Monomial, int]], nvars: int,
     """``buchberger`` on integer generators at one field width."""
     divides, pack, unpack = packing.divides, packing.pack, packing.unpack
     elements: list[Lead] = []   # every element found, primitive, by index
-    lms: list[Monomial] = []    # the leading monomial of each, as a tuple
     active: list[int] = []      # indices of the elements in play
-    pairs: list = []            # heap of (packed lcm, i, j, lcm), i < j
+    pairs: list = []            # heap of (packed lcm, i, j), i < j
+
+    def lcm_with(i: int, b: int) -> int:
+        """The packed lcm of element i's leading monomial and b."""
+        return pack(mono_lcm(unpack(elements[i][0]), unpack(b)))
 
     def add(work: _Dividend) -> bool:
         """Reduce work and add its remainder; False when that is a constant."""
@@ -378,23 +380,21 @@ def _buchberger(gens: Sequence[Mapping[Monomial, int]], nvars: int,
         lc = r.pop(plk) // n
         k = len(elements)
         elements.append((plk, lc, tuple((m, c // n) for m, c in r.items())))
-        lk = unpack(plk)
-        lms.append(lk)
         # new pairs: one is kept unless a later one, or one kept already,
         # has an lcm dividing its own; coprime ones are kept here only so
         # that they still count as divisors
-        new = [(i, mono_lcm(lms[i], lk)) for i in active]
-        kept: list[tuple[int, Monomial]] = []
+        new = [(i, lcm_with(i, plk)) for i in active]
+        kept: list[tuple[int, int]] = []
         for n, (i, l) in enumerate(new):
-            if (mono_mul(lms[i], lk) == l
-                    or not any(mono_divides(l2, l) for _, l2 in new[n + 1:])
-                    and not any(mono_divides(l2, l) for _, l2 in kept)):
+            if (elements[i][0] + plk == l
+                    or not any(not (l - l2) & divides for _, l2 in new[n + 1:])
+                    and not any(not (l - l2) & divides for _, l2 in kept)):
                 kept.append((i, l))
         waiting = [entry for entry in pairs
                    if (entry[0] - plk) & divides
-                   or mono_lcm(lms[entry[1]], lk) == entry[3]
-                   or mono_lcm(lms[entry[2]], lk) == entry[3]]
-        waiting.extend((pack(l), i, k, l) for i, l in kept if mono_mul(lms[i], lk) != l)
+                   or lcm_with(entry[1], plk) == entry[0]
+                   or lcm_with(entry[2], plk) == entry[0]]
+        waiting.extend((l, i, k) for i, l in kept if elements[i][0] + plk != l)
         heapify(waiting)
         pairs[:] = waiting
         active[:] = [a for a in active if (elements[a][0] - plk) & divides]
@@ -405,7 +405,7 @@ def _buchberger(gens: Sequence[Mapping[Monomial, int]], nvars: int,
         if not add(packing.dividend(terms)):
             return (Polynomial.constant(nvars, 1),)
     while pairs:
-        l, i, j, _ = heappop(pairs)
+        l, i, j = heappop(pairs)
         lmi, lci, tail_i = elements[i]
         lmj, lcj, tail_j = elements[j]
         ci = lcm(lci, lcj) // lci
@@ -418,11 +418,11 @@ def _buchberger(gens: Sequence[Mapping[Monomial, int]], nvars: int,
     # so reducing by the others gives the normal form of the tail.
     basis = []
     for a in sorted(active, key=lambda a: elements[a][0], reverse=True):
-        _, lc, tail = elements[a]
+        lm, lc, tail = elements[a]
         others = [elements[b] for b in active if b != a]
         rest, s = (_remainder(_Dividend(dict(tail), packing), others) if others
                    else (dict(tail), 1))
-        basis.append(Polynomial._from_clean(nvars, {lms[a]: 1, **{
+        basis.append(Polynomial._from_clean(nvars, {unpack(lm): 1, **{
             unpack(m): _divide(c, s * lc) for m, c in rest.items()}}))
     return tuple(basis)
 

@@ -3,6 +3,8 @@ import hashlib
 import importlib
 import importlib.util
 import os
+import random
+import re
 import subprocess
 import sys
 import time
@@ -21,6 +23,7 @@ from lndtools import (
     Polynomial,
     QMatrix,
     SearchBounds,
+    format_polynomial,
     parse_polynomial_list,
     parse_spec,
     principality_check,
@@ -434,16 +437,12 @@ def test_plinth_builds_one_system_for_every_power(monkeypatch):
     assert code == EXIT_UNKNOWN
     # powers 1 to 4 of h each reach one class, w(h^n) - shift, of the 165
     # monomials of degree <= 8, and each class its own system: 10 columns
-    # in all, the only monomials the grading lists, whose images d keeps;
+    # in all, the only monomials the grading lists;
     # d is applied once, in the kernel test d(h) = 0
     grading = assert_reached_classes_only(gradings, builds)
     assert sum(map(len, listed)) == 10
     assert [len(classes) for classes in grading.systems] == [1, 1, 1, 1]
     assert [len(system.columns) for _, system in builds] == [1, 2, 3, 4]
-    # kept by the derivation at one field width, keyed by packed column
-    ((width, kept),) = grading.derivation._columns.items()
-    unpack = lndtools.groebner._packing(lndtools.DEGREVLEX, 3, width).unpack
-    assert {unpack(a) for a in kept} == {m for _, system in builds for m in system.columns}
     assert counts == {"apply": 1}
     # every column has its image: zero exactly on the powers of z
     for _, system in builds:
@@ -566,6 +565,80 @@ def test_principal_agrees_with_the_library(tmp_path):
         assert code == exits[outcome], (path, gens, report)
         seen.add(outcome)
     assert seen == set(Outcome)
+
+
+# sigma(x_i) = sum_j A[i][j] x_j for a fixed unimodular integer A, and the
+# rows of its inverse
+UNIMODULAR = ((1, 1, 0), (0, 1, 1), (1, 1, 1))
+UNIMODULAR_INVERSE = ((0, -1, 1), (1, 1, -1), (-1, 0, 1))
+
+
+def test_verdicts_agree_under_a_linear_change_of_coordinates(tmp_path):
+    # sigma(p) = p(A x) is an automorphism of A^3 that keeps degrees, so
+    # d' = sigma d sigma^-1 has d'(sigma f) = sigma(h)^n exactly when
+    # d(f) = h^n, at the same degrees: plinth and cylinder agree on h and
+    # sigma(h) in exit code and n, and slice-none in exit code and
+    # unknowns.  A generic A mixes the weights, so a system split into
+    # classes on one side is split less, or not at all, on the other
+    names = ["x", "y", "z"]
+    x, y, z = variables = [Polynomial.variable(3, i) for i in range(3)]
+
+    def substitute(p, images):
+        total = Polynomial.zero(3)
+        for mono, c in p.terms.items():
+            term = Polynomial.constant(3, c)
+            for image, e in zip(images, mono):
+                term = term * image ** e
+            total = total + term
+        return total
+
+    def combine(row, polys):
+        return sum((p * a for p, a in zip(polys, row)), Polynomial.zero(3))
+
+    sigma = [combine(row, variables) for row in UNIMODULAR]
+    assert [combine(row, sigma) for row in UNIMODULAR_INVERSE] == variables
+
+    def spec(images, name):
+        path = tmp_path / f"{name}.lnd"
+        path.write_text("ring A3\nvars x y z\n" + "".join(
+            f"der {v} = {format_polynomial(g, names)}\n" for v, g in zip(names, images)),
+            encoding="utf-8")
+        return str(path)
+
+    def verdict(argv):
+        code, report = run_command(argv)
+        assert code in (EXIT_YES, EXIT_NO, EXIT_UNKNOWN), (argv, report)
+        system = re.search(r"(\d+) unknowns", report)
+        n = [line for line in report.splitlines() if line.startswith("n = ")]
+        return code, n, system and system.group(1)
+
+    rng = random.Random(5)
+    seen = set()
+    for index in range(40):
+        def in_z():
+            return sum((z ** k * rng.randint(-2, 2) for k in range(3)), Polynomial.zero(3))
+        a, b, q = rng.randint(0, 2), in_z(), in_z()
+        images = [y * a + b + y * z * rng.choice((0, 0, 1)), q,
+                  Polynomial.constant(3, rng.choice((0, 0, 1)))]
+        # conjugated: d'(x_i) = sum_j Ainv[i][j] sigma(d(x_j))
+        moved = [combine(row, [substitute(g, sigma) for g in images])
+                 for row in UNIMODULAR_INVERSE]
+        here, there = spec(images, f"d{index}"), spec(moved, f"e{index}")
+        assert verdict(["slice-none", here, "--max-deg", "3"]) \
+            == verdict(["slice-none", there, "--max-deg", "3"]), (images, moved)
+        # z, z^2 + z and q are in the kernel when d(z) = 0, and so is
+        # 2*q*x - a*y^2 - 2*b*y when also d(x) = a*y + b; y is not unless q = 0
+        for h in (z, z * (z + 1), y, q, q * x * 2 - y * y * a - y * b * 2):
+            if h.total_degree() < 1:
+                continue
+            for command in ("plinth", "cylinder"):
+                bounds = ["--max-power", "3", "--max-deg", "4"]
+                got = verdict([command, here, f"--elem={format_polynomial(h, names)}", *bounds])
+                conjugated = format_polynomial(substitute(h, sigma), names)
+                assert verdict([command, there, f"--elem={conjugated}", *bounds]) == got, \
+                    (command, images, h)
+                seen.add(got[0])
+    assert seen == {EXIT_YES, EXIT_NO, EXIT_UNKNOWN}
 
 
 def test_benchmark_traced_names_resolve():

@@ -335,8 +335,8 @@ def test_kernel_restarts_at_twice_the_width():
 
 def test_grading_keeps_images_apart_by_width():
     # d(x) = y^65530: the image of x fits 16-bit fields, that of x^10 does
-    # not, so the second system starts again at 32 bits, where the image
-    # of x, kept at 16 bits by the first, must be made anew
+    # not, so the second system starts again at 32 bits, where the images
+    # of the variables, packed at 16 bits by the first, are packed anew
     x, y = (Polynomial.variable(2, i) for i in range(2))
     d = Derivation(Ideal(2), [y ** 65530, Polynomial.zero(2)])
     grading = Grading(d, 10)
@@ -347,7 +347,7 @@ def test_grading_keeps_images_apart_by_width():
             assert_same_terms(image, leibniz_oracle(d, Polynomial.monomial(2, mono)).terms)
         assert preimage_search(system, target).preimage == preimage
     assert system.columns == ((1, 0), (10, 0))
-    assert sorted(d._columns) == [16, 32]
+    assert sorted(d._packed) == [16, 32]
 
 
 def test_listing_keeps_the_standard_monomials_in_order():
