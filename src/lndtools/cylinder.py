@@ -13,9 +13,9 @@ are factorially closed.  Integer weights that make d and the relations
 homogeneous split the preimage system, d on the standard monomials of
 bounded degree, into classes.  A power of h is solved on the classes it
 reaches, listed directly as lattice points under the degree bound, then
-filtered, sorted and imaged by the derivation in one packed pass;
-systems are shared by a command's powers and elements, and each is
-eliminated once, at its first solve.
+filtered, sorted and imaged by the derivation in one packed pass.  A
+search makes one grading once its element passes the kernel test; its
+powers share its systems, each eliminated once, at its first solve.
 The Dixmier sums are polynomials over a power of the slice's denominator,
 built by Horner's rule and made a fraction once each; the checks that
 they and the slice are what they claim use ``apply_rational``, whose
@@ -191,18 +191,15 @@ class Grading:
     maps class c into c + shift and normal forms keep classes: all that a
     target reaches lies in the classes w(m) - shift of its monomials m,
     whose members alone it lists.
-    One grading serves a command at one degree bound: it finds its weights
-    when a first system is asked for, and keeps the systems it has built."""
+    One grading serves one search at one degree bound: it finds and checks
+    its weights when it is made, and keeps the systems it has built."""
 
     def __init__(self, derivation: Derivation, max_degree: int):
         self.derivation, self.max_degree = derivation, max_degree
-        self.weights: tuple[tuple[int, ...], ...] | None = None
         self.systems: dict[frozenset, PreimageSystem] = {}
-
-    def _grade(self):
-        ring, n = self.derivation.ring, self.derivation.ring.nvars
+        ring, n = derivation.ring, derivation.ring.nvars
         equations = [[*enumerate(t), (i, -1), (n, -1)]
-                     for i, image in enumerate(self.derivation.images) for t in image.terms]
+                     for i, image in enumerate(derivation.images) for t in image.terms]
         equations += [[(j, e - f) for j, (e, f) in enumerate(zip(m, lead))]
                       for g, lead in zip(ring.basis, ring.leads) for m in g.terms]
         lattice = null_space(QMatrix(n + 1, equations))
@@ -244,8 +241,6 @@ class Grading:
     def system(self, target: Polynomial) -> PreimageSystem:
         """The preimage system on the classes that ``target`` reaches: their
         standard monomials, in ascending order."""
-        if self.weights is None:
-            self._grade()
         classes = frozenset(tuple(c - s for c, s in zip(self.weigh(m), self.shift))
                             for m in target.terms)
         if classes not in self.systems:
@@ -289,16 +284,11 @@ def preimage_search(system: PreimageSystem, target: Polynomial) -> PreimageResul
 
 
 def plinth_membership(derivation: Derivation, element: Polynomial,
-                      bounds: SearchBounds = SearchBounds(),
-                      grading: Grading | None = None) -> SearchResult:
+                      bounds: SearchBounds = SearchBounds()) -> SearchResult:
     """Decide whether some power of ``element`` is a kernel element that
-    is also an image, within the given bounds.  Each power is solved on the
-    classes of ``grading`` that it reaches; callers that search several
-    elements share one, made for ``derivation`` at ``bounds.max_degree``."""
-    if grading is None:
-        grading = Grading(derivation, bounds.max_degree)
-    elif grading.derivation is not derivation or grading.max_degree != bounds.max_degree:
-        raise ValueError("the grading was made for another derivation or degree bound")
+    is also an image, within the given bounds.  An element that passes the
+    kernel test gets its own grading, and each power is solved on the
+    classes of it that the power reaches."""
     if element.is_zero:
         raise ValueError("the zero element is excluded; its open set is empty")
     relations = derivation.ring
@@ -312,6 +302,7 @@ def plinth_membership(derivation: Derivation, element: Polynomial,
         # Kernels are factorially closed in a domain, so no power of a
         # non-kernel element can ever land in the kernel: a conclusive no.
         return SearchResult(Outcome.NO, h, bounds, obstruction=image)
+    grading = Grading(derivation, bounds.max_degree)
     power = Polynomial.constant(relations.nvars, 1)
     for n in range(1, bounds.max_power + 1):
         power = relations.normal_form(power * h)
@@ -423,21 +414,17 @@ def slice_nonexistence(derivation: Derivation,
 
 
 def plinth_claim_verify(derivation: Derivation, claimed: Sequence[Polynomial],
-                        bounds: SearchBounds = SearchBounds(),
-                        grading: Grading | None = None) -> PlinthClaimReport:
+                        bounds: SearchBounds = SearchBounds()) -> PlinthClaimReport:
     """Check a claimed plinth generating set: every generator must pass the
     kernel test and exhibit a power with a preimage.  Also returns the
     ideal the claimed generators span.  Each generator that verifies is a
     plinth element, so on the variety the zero locus of that ideal
     contains the complement of the union of invariant principal
     cylinders; it equals it only when the claim spans the plinth ideal up
-    to radical, which is not checked.  One grading, as for
-    ``plinth_membership``, serves every generator."""
+    to radical, which is not checked."""
     if not claimed:
         raise ValueError("no generators claimed")
-    grading = grading or Grading(derivation, bounds.max_degree)
-    entries = tuple(plinth_membership(derivation, g, bounds, grading)
-                    for g in claimed)
+    entries = tuple(plinth_membership(derivation, g, bounds) for g in claimed)
     if any(e.outcome is Outcome.NO for e in entries):
         outcome = Outcome.NO
     elif any(e.outcome is Outcome.UNKNOWN for e in entries):
@@ -478,8 +465,7 @@ def maximal_cylinder(derivation: Derivation, claimed: Sequence[Polynomial],
     generator is checked to be a plinth element, no more.  A claim that
     does not verify, or a principality check on its ideal that is not a
     yes, passes its outcome on."""
-    grading = Grading(derivation, bounds.max_degree)
-    claim = plinth_claim_verify(derivation, claimed, bounds, grading)
+    claim = plinth_claim_verify(derivation, claimed, bounds)
     if claim.outcome is not Outcome.YES:
         return MaximalCylinderResult(claim.outcome, claim)
     principality = principality_check(claim.complement, derivation.ring)
@@ -488,6 +474,6 @@ def maximal_cylinder(derivation: Derivation, claimed: Sequence[Polynomial],
     h = derivation.ring.normal_form(principality.gcd)
     plinth = next((e for e in claim.entries if e.element == h), None)
     if plinth is None:
-        plinth = plinth_membership(derivation, principality.gcd, bounds, grading)
+        plinth = plinth_membership(derivation, principality.gcd, bounds)
     decision = cylinder_from_plinth(plinth)
     return MaximalCylinderResult(decision.outcome, claim, principality, decision)

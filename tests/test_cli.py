@@ -390,27 +390,26 @@ def counted_builds(monkeypatch):
 
 
 def assert_reached_classes_only(gradings, builds):
-    """The command made one grading, and each of its systems was built
-    once, from every monomial of the classes it was asked for, standard or
-    not, with their standard monomials as columns, in order."""
-    (grading,) = gradings
-    classes_of = {id(system): classes for classes, system in grading.systems.items()}
-    assert len(builds) == len(classes_of)
+    """Each system of each grading the command made was built once, from
+    every monomial of the classes it was asked for, standard or not, with
+    their standard monomials as columns, in order."""
+    grading_of = {id(system): (grading, classes) for grading in gradings
+                  for classes, system in grading.systems.items()}
+    assert len(builds) == len(grading_of)
     for (derivation, monomials), system in builds:
+        grading, classes = grading_of[id(system)]
         assert derivation is grading.derivation
-        classes = classes_of[id(system)]
         assert sorted(monomials) == [m for m in monomials_up_to(derivation.ring.nvars,
                                                                 grading.max_degree)
                                      if grading.weigh(m) in classes]
         want = [m for m in standard_monomials(derivation.ring, grading.max_degree)
                 if grading.weigh(m) in classes]
         assert list(system.columns) == want
-    return grading
 
 
 # The two tests below keep their names, so their ids stay as they were;
-# they check one grading per command, whose systems are built only on the
-# classes that the command's targets reach.
+# they check one grading per search, whose systems are built only on the
+# classes that the search's powers reach.
 def test_plinth_builds_one_system_for_every_power(monkeypatch):
     counts = {"apply": 0}
     gradings, builds = counted_builds(monkeypatch)
@@ -439,7 +438,8 @@ def test_plinth_builds_one_system_for_every_power(monkeypatch):
     # monomials of degree <= 8, and each class its own system: 10 columns
     # in all, the only monomials the grading lists;
     # d is applied once, in the kernel test d(h) = 0
-    grading = assert_reached_classes_only(gradings, builds)
+    assert_reached_classes_only(gradings, builds)
+    (grading,) = gradings
     assert sum(map(len, listed)) == 10
     assert [len(classes) for classes in grading.systems] == [1, 1, 1, 1]
     assert [len(system.columns) for _, system in builds] == [1, 2, 3, 4]
@@ -454,7 +454,7 @@ def test_plinth_builds_one_system_for_every_power(monkeypatch):
     ("plinth-verify", "u;v", EXIT_YES),
     ("maximal-cylinder", "u;v", EXIT_NO),
     # the principal generator u is not a claimed one, so it is searched
-    # again, on the system that 2*u and 3*u reach
+    # again, after 2*u and 3*u
     ("maximal-cylinder", "2*u;3*u", EXIT_YES),
 ])
 def test_claim_builds_one_system_for_every_generator(monkeypatch, command,
@@ -463,27 +463,40 @@ def test_claim_builds_one_system_for_every_generator(monkeypatch, command,
     result, report = run_command([command, A4, "--gens", gens])
     assert result == code, report
     assert "claim verified: yes" in report
-    # one grading serves every generator; each generator's first power
-    # reaches its own class, u or v, and 2*u, 3*u and u share one
+    # each generator's search makes its own grading, whose one system is
+    # the class that its first power reaches: u or v
     assert_reached_classes_only(gradings, builds)
-    assert len(builds) == {"u;v": 2, "2*u;3*u": 1}[gens]
+    assert len(gradings) == len(builds) == {"u;v": 2, "2*u;3*u": 3}[gens]
+    assert [len(g.systems) for g in gradings] == [1] * len(gradings)
 
 
 def test_a_grading_is_made_for_its_search(monkeypatch):
-    # a search that fails the kernel test finds no weights, and a grading
-    # made for another degree bound is refused
+    # a search that fails the kernel test makes no grading
     gradings, builds = counted_builds(monkeypatch)
     code, _ = run_command(["plinth-verify", FP, "--gens", "x"])
     assert code == EXIT_NO
-    assert [g.weights for g in gradings] == [None] and builds == []
-    (grading,) = gradings
-    d = spec_derivation(parse_spec(Path(FP).read_text(encoding="utf-8")))
-    z = Polynomial.variable(3, 2)
-    for derivation, max_degree in [(grading.derivation, grading.max_degree + 1),
-                                   (d, grading.max_degree)]:
-        with pytest.raises(ValueError, match="another derivation or degree bound"):
-            lndtools.cylinder.plinth_membership(derivation, z, SearchBounds(4, max_degree),
-                                                grading)
+    assert gradings == [] and builds == []
+
+
+def test_one_system_serves_every_power_that_reaches_its_classes(monkeypatch):
+    # rank0.lnd has one class, so every power of x reaches it: the search
+    # makes one grading and builds one system, whose matrix is eliminated
+    # once for the four solves
+    gradings, builds = counted_builds(monkeypatch)
+    eliminated, solved = [], []
+    eliminate, solve = QMatrix._eliminate, QMatrix._solve
+    monkeypatch.setattr(QMatrix, "_eliminate",
+                        lambda self: eliminated.append(self) or eliminate(self))
+    monkeypatch.setattr(QMatrix, "_solve",
+                        lambda self, rhs: solved.append(self) or solve(self, rhs))
+    code, _ = run_command(["plinth", str(ROOT / "tests" / "data" / "rank0.lnd"),
+                           "--elem", "x", "--max-deg", "6"])
+    assert code == EXIT_UNKNOWN
+    assert_reached_classes_only(gradings, builds)
+    (grading,), ((_, system),) = gradings, builds
+    assert [len(classes) for classes in grading.systems] == [1]
+    assert solved == [system.matrix] * 4
+    assert eliminated.count(system.matrix) == 1
 
 
 @pytest.mark.parametrize("argv", [
