@@ -16,10 +16,11 @@ reaches, listed directly as lattice points under the degree bound, then
 filtered, sorted and imaged by the derivation in one packed pass.  A
 search makes one grading once its element passes the kernel test; its
 powers share its systems, each eliminated once, at its first solve.
-The Dixmier sums are polynomials over a power of the slice's denominator,
-built by Horner's rule and made a fraction once each; the checks that
-they and the slice are what they claim use ``apply_rational``, whose
-quotient rule cancels no gcd, which could not change such a check.
+The slice is in lowest terms; the Dixmier sums are polynomials over a
+power of its denominator, built by Horner's rule and made a fraction in
+lowest terms once each; the checks that they and the slice are what
+they claim use ``apply_rational``, whose quotient rule cancels no gcd,
+which could not change such a check.
 """
 
 from __future__ import annotations
@@ -82,8 +83,9 @@ class PlinthCertificate:
 
     @property
     def slice_value(self) -> RationalFunction:
-        """preimage / element^power, which has derivative one on D(element)."""
-        return RationalFunction(self.preimage, self.element ** self.power)
+        """preimage / element^power in lowest terms, which has derivative
+        one on D(element)."""
+        return RationalFunction(self.preimage, self.element ** self.power).simplify()
 
 
 @dataclass(frozen=True)

@@ -110,6 +110,8 @@ def _wrap_side(text: str) -> str:
 
 
 def format_ratfun(value, names: Sequence[str]) -> str:
+    """``num/den`` as the fraction holds them, or ``num`` over 1; callers
+    that print lowest terms simplify first."""
     num = format_polynomial(value.num, names)
     if value.is_polynomial:
         return num

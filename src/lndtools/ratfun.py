@@ -1,15 +1,13 @@
-"""Rational functions as normalized pairs of polynomials.
+"""Rational functions as pairs of polynomials, kept as they were made.
 
-The normal form divides numerator and denominator by the same scalar so
-that the denominator has coprime integer coefficients with a positive
-leading coefficient, and strips any common monomial factor.  Cancelling a
-common polynomial factor needs a polynomial gcd, so it only happens in
-:meth:`RationalFunction.simplify`, which callers invoke at the points
-where fractions would otherwise grow.
+Arithmetic, equality and reduction modulo an ideal need no normal form.
+:meth:`RationalFunction.simplify` is the one reduction, which callers
+invoke where fractions would otherwise grow and before printing one.
 """
 
 from __future__ import annotations
 
+import functools
 from fractions import Fraction
 from typing import Union
 
@@ -19,7 +17,8 @@ _Operand = Union["RationalFunction", Polynomial, int, Fraction]
 
 
 class RationalFunction:
-    """Quotient of two polynomials with a nonzero denominator."""
+    """Quotient of two polynomials with a nonzero denominator, kept as
+    given until :meth:`simplify` puts it in lowest terms."""
 
     __slots__ = ("num", "den")
 
@@ -30,13 +29,6 @@ class RationalFunction:
             raise ValueError("variable counts differ")
         if den.is_zero:
             raise ZeroDivisionError("zero denominator")
-        if num.is_zero:
-            den = Polynomial.constant(num.nvars, 1)
-        else:
-            num, den = _cancel_monomial(num, den)
-        content, den = den.content_split()
-        if content != 1 and num:
-            num = num * (1 / content)
         self.num = num
         self.den = den
 
@@ -81,18 +73,25 @@ class RationalFunction:
     # ------------------------------------------------------------------
 
     def simplify(self) -> "RationalFunction":
-        """Cancel the full polynomial gcd of numerator and denominator,
-        found by ``groebner.gcd_via_lcm``: integer evaluation, with a
-        Groebner basis only when that gives up."""
-        if self.num.is_zero or self.den.total_degree() == 0:
-            return self
-        from .groebner import divide_exact, gcd_via_lcm
+        """The fraction in lowest terms, 0 as 0/1, its denominator primitive
+        with a positive leading coefficient.  The common factor is the
+        monomial that divides every term when the denominator has one term,
+        and otherwise the gcd from ``groebner.gcd_via_lcm``."""
+        num, den = self.num, self.den
+        if num.is_zero:
+            return RationalFunction(num)
+        if len(den.terms) == 1:
+            shared = functools.reduce(lambda a, b: tuple(map(min, a, b)), num.terms, *den.terms)
+            # dividing every term by a shared monomial keeps them distinct
+            num, den = (Polynomial._from_clean(p.nvars, {
+                mono_div(m, shared): c for m, c in p.terms.items()}) for p in (num, den))
+        else:
+            from .groebner import divide_exact, gcd_via_lcm
 
-        g = gcd_via_lcm(self.num, self.den)
-        if g.total_degree() == 0:
-            return self
-        return RationalFunction(divide_exact(self.num, g),
-                                divide_exact(self.den, g))
+            g = gcd_via_lcm(num, den)
+            num, den = divide_exact(num, g), divide_exact(den, g)
+        content, den = den.content_split()
+        return RationalFunction(num * (1 / content) if content != 1 else num, den)
 
     def reduce_mod(self, ideal) -> "RationalFunction":
         """Reduce numerator and denominator to normal form mod an ideal.
@@ -110,21 +109,6 @@ class RationalFunction:
 
         names = tuple(f"x{i}" for i in range(self.nvars))
         return f"<{format_ratfun(self, names)}>"
-
-
-def _cancel_monomial(num: Polynomial, den: Polynomial):
-    """Strip the largest monomial dividing every term of both sides."""
-    shared = None
-    for poly in (num, den):
-        for mono in poly.terms:
-            shared = mono if shared is None else tuple(
-                min(a, b) for a, b in zip(shared, mono))
-            if not any(shared):
-                return num, den
-    # dividing every term by a shared monomial keeps the terms distinct
-    strip = lambda p: Polynomial._from_clean(
-        p.nvars, {mono_div(m, shared): c for m, c in p.terms.items()})
-    return strip(num), strip(den)
 
 
 def ratfun_eq_mod(ideal, a: _Operand, b: _Operand) -> bool:

@@ -22,8 +22,10 @@ from lndtools import (
     Outcome,
     Polynomial,
     QMatrix,
+    RationalFunction,
     SearchBounds,
     format_polynomial,
+    parse_polynomial,
     parse_polynomial_list,
     parse_spec,
     principality_check,
@@ -43,7 +45,7 @@ from lndtools.cli import (
 )
 from lndtools.derivation import DEFAULT_NILPOTENCY_CAP, Derivation
 from lndtools.parsing import MAX_NESTING
-from helpers import monomials_up_to
+from helpers import leibniz_oracle, monomials_up_to
 
 ROOT = Path(__file__).resolve().parent.parent
 CORPUS = ROOT / "corpus"
@@ -592,7 +594,10 @@ def test_verdicts_agree_under_a_linear_change_of_coordinates(tmp_path):
     # d(f) = h^n, at the same degrees: plinth and cylinder agree on h and
     # sigma(h) in exit code and n, and slice-none in exit code and
     # unknowns.  A generic A mixes the weights, so a system split into
-    # classes on one side is split less, or not at all, on the other
+    # classes on one side is split less, or not at all, on the other.
+    # Every printed slice and Dixmier image of a cylinder is in lowest
+    # terms, and d(slice) = 1 and d(dixmier) = 0 by the quotient rule on
+    # the Leibniz oracle, in plain polynomial arithmetic
     names = ["x", "y", "z"]
     x, y, z = variables = [Polynomial.variable(3, i) for i in range(3)]
 
@@ -618,9 +623,33 @@ def test_verdicts_agree_under_a_linear_change_of_coordinates(tmp_path):
             encoding="utf-8")
         return str(path)
 
+    def fraction(text):
+        # a side with a space, *, / or a leading minus is wrapped, so the
+        # bar is the / at depth 0 before a parenthesis or a name
+        depth = 0
+        for i, ch in enumerate(text):
+            depth += (ch == "(") - (ch == ")")
+            if ch == "/" and not depth and (text[i + 1] == "(" or text[i + 1].isalpha()):
+                return parse_polynomial(text[:i], names), parse_polynomial(text[i + 1:], names)
+        return parse_polynomial(text, names), Polynomial.constant(3, 1)
+
+    def check_fractions(path, report):
+        d = spec_derivation(parse_spec(Path(path).read_text(encoding="utf-8")))
+        printed = re.findall(r"^(slice|dixmier\(\w\)) = (.*)$", report, re.M)
+        assert [label for label, _ in printed] == ["slice", "dixmier(x)", "dixmier(y)",
+                                                   "dixmier(z)"], report
+        for label, text in printed:
+            num, den = fraction(text)
+            simplified = RationalFunction(num, den).simplify()
+            assert (simplified.num, simplified.den) == (num, den), text
+            derivative = den * leibniz_oracle(d, num) - num * leibniz_oracle(d, den)
+            assert derivative == (den * den if label == "slice" else Polynomial.zero(3)), text
+
     def verdict(argv):
         code, report = run_command(argv)
         assert code in (EXIT_YES, EXIT_NO, EXIT_UNKNOWN), (argv, report)
+        if argv[0] == "cylinder" and code == EXIT_YES:
+            check_fractions(argv[1], report)
         system = re.search(r"(\d+) unknowns", report)
         n = [line for line in report.splitlines() if line.startswith("n = ")]
         return code, n, system and system.group(1)

@@ -4,11 +4,19 @@ from fractions import Fraction
 
 import pytest
 
-from helpers import random_nonzero_poly, random_poly
+import lndtools.groebner as groebner
+from helpers import (
+    assert_same_terms,
+    random_fraction,
+    random_monomial,
+    random_nonzero_poly,
+    random_poly,
+)
 from lndtools import (
     Ideal,
     Polynomial,
     RationalFunction,
+    divide_exact,
     parse_polynomial,
     ratfun_eq_mod,
 )
@@ -37,24 +45,29 @@ def test_zero_denominator_rejected():
 
 def test_zero_numerator_collapses():
     value = R("0", "x^2 + y")
+    # the constructor keeps the pair as given; simplify makes 0 into 0/1
+    assert (value.num, value.den) == (P("0"), P("x^2 + y"))
+    value = value.simplify()
     assert value.num.is_zero
     assert value.den == Polynomial.constant(3, 1)
 
 
 def test_monomial_content_is_cancelled():
     value = R("x^2*y", "x*y")
+    assert (value.num, value.den) == (P("x^2*y"), P("x*y"))
+    assert not value.is_polynomial
+    value = value.simplify()
     assert value.num == P("x")
     assert value.is_polynomial
-    assert value.num == P("x")
 
 
 def test_denominator_is_normalized():
-    value = R("x", "2*y")
-    assert value.den == P("y")
-    assert value.num == P("1/2*x")
-    value = R("x", "-y")
-    assert value.den == P("y")
-    assert value.num == P("-x")
+    for den, num in (("2*y", "1/2*x"), ("-y", "-x")):
+        value = R("x", den)
+        assert (value.num, value.den) == (P("x"), P(den))
+        value = value.simplify()
+        assert value.den == P("y")
+        assert value.num == P(num)
 
 
 def test_equality_by_cross_multiplication():
@@ -91,6 +104,46 @@ def test_simplify_cancels_polynomial_gcd():
         blown = RationalFunction(a.num * h, a.den * h)
         assert blown.simplify() == a
         assert blown == a
+
+
+def test_simplify_is_division_by_the_gcd(monkeypatch):
+    # one reducer: over a one-term denominator the common factor is the
+    # shared monomial, so no gcd runs, and over any other it is the gcd
+    rng = random.Random(405)
+    gcd = groebner.gcd_via_lcm
+    cases = []
+    for index in range(200):
+        den = Polynomial.monomial(3, random_monomial(rng, 3), random_fraction(rng) or -3)
+        num = random_poly(rng, 3, max_total=3, max_terms=4)
+        if index % 3 == 0:
+            num = num * Polynomial.monomial(3, random_monomial(rng, 3))
+        if num:
+            g = gcd(num, den)
+            want, den_want = divide_exact(num, g), divide_exact(den, g)
+            content, den_want = den_want.content_split()
+            want = want * (1 / content)
+        else:
+            want, den_want = num, Polynomial.constant(3, 1)
+        cases.append((num, den, want, den_want))
+    assert any(not num for num, _, _, _ in cases)
+    assert any(den.total_degree() == 0 for _, den, _, _ in cases)
+    # a shared monomial is cancelled
+    assert any(den_want.total_degree() < den.total_degree() for _, den, _, den_want in cases)
+    calls = []
+
+    def counted(f, g):
+        calls.append((f, g))
+        return gcd(f, g)
+
+    monkeypatch.setattr(groebner, "gcd_via_lcm", counted)
+    for num, den, want, den_want in cases:
+        got = RationalFunction(num, den).simplify()
+        assert_same_terms(got.num.terms, want.terms)
+        assert_same_terms(got.den.terms, den_want.terms)
+    assert calls == []
+    value = R("x^2 - y^2", "2*x - 2*y").simplify()
+    assert (value.num, value.den) == (P("1/2*x + 1/2*y"), P("1"))
+    assert len(calls) == 1
 
 
 def dixmier_like_numerator():
