@@ -333,8 +333,7 @@ def _cmd_member(args, names, derivation):
 
 def _cmd_radmember(args, names, derivation):
     element = parse_polynomial(args.elem, names)
-    ideal = Ideal(len(names), parse_polynomial_list(args.ideal, names))
-    if radical_membership(element, ideal):
+    if radical_membership(element, parse_polynomial_list(args.ideal, names)):
         return EXIT_YES, ["radical member: yes"]
     return EXIT_NO, ["radical member: no"]
 
@@ -438,7 +437,8 @@ _BY_NAME = {command.name: command for command in COMMANDS}
 @cache
 def build_parser() -> _ArgumentParser:
     """The ``lnd`` argument parser, built once per process; parsing leaves
-    it unchanged, so every call of :func:`run_command` shares it."""
+    it unchanged, so every call of :func:`run_command` shares it, and so
+    do its ``commands``, each command's own parser by name."""
     parser = _ArgumentParser(
         prog="lnd",
         description="Exact computations with locally nilpotent derivations: "
@@ -447,9 +447,11 @@ def build_parser() -> _ArgumentParser:
     subparsers = parser.add_subparsers(dest="command", required=True)
     for command in COMMANDS:
         sub = subparsers.add_parser(command.name, help=command.help)
+        sub.set_defaults(command=command.name)
         sub.add_argument("spec", help="derivation file")
         for flag, kwargs in command.options:
             sub.add_argument(flag, **kwargs)
+    parser.commands = subparsers.choices
     return parser
 
 
@@ -457,8 +459,11 @@ def run_command(argv) -> tuple[int, str]:
     """Run one CLI invocation; returns the exit code and the report text.
 
     Errors come in a fixed order: reading the file, then the relation
-    gate, then the handler's own parsing and bounds."""
+    gate, then the handler's own parsing and bounds.  An ``argv`` that
+    starts with a command name goes to that command's parser alone."""
     parser = build_parser()
+    if argv and argv[0] in parser.commands:
+        parser, argv = parser.commands[argv[0]], argv[1:]
     try:
         args = parser.parse_args(argv)
     except UsageError as exc:

@@ -81,10 +81,10 @@ class PlinthCertificate:
         if self.derivation.apply(self.preimage) != target:
             raise CertificateError("preimage does not hit the claimed power")
 
-    @property
+    @functools.cached_property
     def slice_value(self) -> RationalFunction:
         """preimage / element^power in lowest terms, which has derivative
-        one on D(element)."""
+        one on D(element); simplified at the first read."""
         return RationalFunction(self.preimage, self.element ** self.power).simplify()
 
 
@@ -297,7 +297,7 @@ def plinth_membership(derivation: Derivation, element: Polynomial,
     h = relations.normal_form(element)
     # D(h) is empty when h is nilpotent: in the radical of the relations
     if h.is_zero or (not relations.is_zero
-                     and radical_membership(h, relations)):
+                     and radical_membership(h, relations.generators)):
         raise ValueError("element vanishes on the variety; its open set is empty")
     image = derivation.apply(h)
     if image:
@@ -389,6 +389,7 @@ def cylinder_from_plinth(plinth: SearchResult) -> SearchResult:
                    for i in range(nvars))
     full = CylinderCertificate(derivation, cert.element, cert.power,
                                cert.preimage, images)
+    object.__setattr__(full, "slice_value", slice_value)  # simplified once
     return replace(plinth, certificate=full)
 
 

@@ -480,13 +480,11 @@ class Ideal:
         return f"Ideal({self.nvars} vars, basis size {len(self.basis)})"
 
 
-def radical_membership(f: Polynomial, ideal: Ideal) -> bool:
-    """Rabinowitsch test: f lies in the radical iff 1 lies in
-    I + (1 - t*f) after adjoining a fresh variable t."""
-    n = ideal.nvars
-    if f.nvars != n:
-        raise ValueError("element has wrong variable count")
-    lifted = [g.pad(right=1) for g in ideal.generators]
+def radical_membership(f: Polynomial, generators: Iterable[Polynomial]) -> bool:
+    """Rabinowitsch test: f lies in the radical of the ideal I spanned by
+    ``generators`` iff 1 lies in I + (1 - t*f), t a fresh variable."""
+    n = f.nvars
+    lifted = [g.pad(right=1) for g in generators]
     t = Polynomial.variable(n + 1, n)
     saturator = Polynomial.constant(n + 1, 1) - t * f.pad(right=1)
     trick = Ideal(n + 1, (*lifted, saturator), elimination(n))

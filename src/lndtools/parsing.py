@@ -10,13 +10,14 @@ may have at most ``MAX_POWER_TERMS`` terms and ``MAX_POWER_BITS``
 coefficient bits, and a product of two sums of t1 and t2 terms at most
 t1 * t2 = ``MAX_POWER_TERMS`` terms and ``MAX_POWER_BITS`` coefficient
 bits, estimated alike.  Points and times are expressions without
-variables.  One ``re.findall`` reads a text as a list of string tokens.
-The parser carries a value of a single term as a ``(coefficient,
-monomial)`` pair, which multiplies and raises by its exponent directly; it
-builds a ``Polynomial`` only for a sum, adding its terms into one dict in
-linear time, and for a product or power that involves a sum, with
-``Polynomial`` arithmetic.  Lines and columns are worked out only when a
-text fails to parse.
+variables.  One ``re.findall`` reads a text as a list of string tokens;
+one parser reads a derivation file, one ``findall`` per line, and skips
+lines of blanks and a comment untokenized.  The parser carries a value of
+a single term as a ``(coefficient, monomial)`` pair, which multiplies and
+raises by its exponent directly; it builds a ``Polynomial`` only for a
+sum, adding its terms into one dict in linear time, and for a product or
+power that involves a sum, with ``Polynomial`` arithmetic.  Lines and
+columns are worked out only when a text fails to parse.
 
 A derivation file is line oriented with ``#`` comments:
 
@@ -125,16 +126,22 @@ class _Parser:
     of a single term is a ``(coefficient, monomial)`` pair, any other a
     ``Polynomial``; ``poly`` turns either into a ``Polynomial``."""
 
-    def __init__(self, text: str, names: Sequence[str] = (), line: int = 1):
-        self.text, self.line = text, line
-        self.tokens = _TOKEN.findall(text)
-        self.pos = 0
+    def __init__(self, text: str, names: Sequence[str] = ()):
+        self.declare(names)
+        self.read(text)
+
+    def declare(self, names: Sequence[str]):
         self.nvars = len(names)
         self.one = one = (0,) * self.nvars
         # only names a name token can be: '²' would match a refused token
         self.variables = {name: one[:i] + (1,) + one[i + 1:]
                           for i, name in enumerate(names) if _is_name(name)}
-        self.depth = 0
+
+    def read(self, text: str, line: int = 1):
+        """Start on ``text``, whose first line is ``line``."""
+        self.text, self.line = text, line
+        self.tokens = _TOKEN.findall(text)
+        self.pos = self.depth = 0
 
     def fail(self, message: str, index: int) -> NoReturn:
         raise _error(self.text, self.line, index, message) from None
@@ -329,14 +336,13 @@ def parse_spec(text: str) -> DerivationSpec:
     variables: tuple[str, ...] | None = None
     relations: list[Polynomial] = []
     images: dict[str, Polynomial] = {}
-    last_line = 1
+    parser = _Parser("")
 
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        last_line = lineno
-        parser = _Parser(raw, variables or (), lineno)
+    for lineno, raw in enumerate(lines := text.splitlines(), start=1):
+        if raw.lstrip(" \t")[:1] in ("", "#"):
+            continue  # blanks, then maybe a comment: no token
+        parser.read(raw, lineno)
         head = parser.next()
-        if not head:
-            continue
         if head not in _DIRECTIVES:
             parser.fail("expected a directive: ring, vars, rel, or der", 0)
         if head == "ring":
@@ -357,6 +363,7 @@ def parse_spec(text: str) -> DerivationSpec:
             if not seen:
                 parser.fail("vars needs at least one variable", 0)
             variables = tuple(seen)
+            parser.declare(variables)
         elif variables is None:
             parser.fail("vars must be declared before rel and der lines", 0)
         elif head == "rel":
@@ -372,6 +379,7 @@ def parse_spec(text: str) -> DerivationSpec:
             images[target] = parser.poly(parser.expression())
             parser.expect_end()
 
+    last_line = len(lines) or 1
     if name is None:
         raise ParseError("missing ring directive", last_line, 1)
     if variables is None:

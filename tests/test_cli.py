@@ -837,6 +837,55 @@ def test_relation_gate_for_every_command(tmp_path, name):
                           "d(x*y - 1) = y")
 
 
+# argvs for the two parse routes: every command with its options, then
+# what the command's parser or the whole parser must refuse
+ROUTE_ARGVS = [
+    *([name, FP, *args] for name, args in GATE_ARGS.items()),
+    ["cylinder", FP, "--elem", "z", "--max-power", "2"],
+    ["orbit", FP, "--point", "1;2;3", "--time", "1/2"],
+    ["plinth", FP, "--max-power", "2"],              # a required option missing
+    ["kernel", FP, "--elem", "x", "--colour", "red"],  # an unknown option
+    ["plinth", FP, "--elem", "z", "--max-deg", "abc"],
+    ["kernel", "--elem", "x", FP],                   # an option before the spec
+    ["kernel", "--elem", "x", "--", FP],             # '--' before the spec
+    ["kernel", "--", FP, "--elem", "x"],             # an option after '--'
+    ["kernel"],
+    ["nonsense", FP],
+    [],
+    ["--elem", "x", "kernel", FP],                   # an option before the command
+]
+
+
+@pytest.mark.parametrize("argv", ROUTE_ARGVS,
+                         ids=lambda argv: " ".join(argv).replace(FP, "ex_fp.lnd") or "empty")
+def test_both_parse_routes_agree(monkeypatch, argv):
+    # run_command hands the rest of an argv that starts with a command to
+    # that command's parser; the whole parser must read it alike
+    parser = build_parser()
+    whole = []
+
+    def counted(*args):
+        whole.append(args)
+        return type(parser).parse_args(parser, *args)
+
+    monkeypatch.setattr(parser, "parse_args", counted)
+    direct = run_command(argv)
+    assert bool(whole) == (not argv or argv[0] not in parser.commands)
+    monkeypatch.setattr(parser, "commands", {})
+    assert run_command(argv) == direct
+
+
+def test_both_parse_routes_print_the_same_help(monkeypatch, capsys):
+    with pytest.raises(SystemExit):
+        run_command(["kernel", FP, "--help"])
+    direct = capsys.readouterr().out
+    monkeypatch.setattr(build_parser(), "commands", {})
+    with pytest.raises(SystemExit):
+        run_command(["kernel", FP, "--help"])
+    assert capsys.readouterr().out == direct
+    assert direct.startswith("usage: lnd kernel ")
+
+
 def test_maximal_cylinder_reuses_the_claimed_certificate(monkeypatch):
     calls = []
     search = lndtools.cylinder.plinth_membership
@@ -850,6 +899,31 @@ def test_maximal_cylinder_reuses_the_claimed_certificate(monkeypatch):
     assert code == EXIT_YES
     assert "maximal principal cylinder: D(z)" in report
     assert len(calls) == 1
+
+
+@pytest.mark.parametrize("argv", [["cylinder", FP, "--elem", "z"],
+                                  ["cylinder", A4, "--elem", "u"],
+                                  ["maximal-cylinder", FP, "--gens", "z"]])
+def test_a_cylinder_simplifies_its_slice_once(monkeypatch, argv):
+    # one simplify for the slice, shared by the Dixmier images and the
+    # printed slice, and one for each Dixmier image
+    calls = []
+    simplify = RationalFunction.simplify
+
+    def counted(self):
+        calls.append((self.num, self.den))
+        return simplify(self)
+
+    monkeypatch.setattr(RationalFunction, "simplify", counted)
+    code, report = run_command(argv)
+    assert code == EXIT_YES
+    names = parse_spec(Path(argv[1]).read_text(encoding="utf-8")).variables
+    assert len(calls) == 1 + len(names)
+    lines = report.splitlines()
+    n = int(next(line for line in lines if line.startswith("n = "))[4:])
+    f = next(line for line in lines if line.startswith("f = "))[4:]
+    h = parse_polynomial(argv[3], names)
+    assert calls[0] == (parse_polynomial(f, names), h ** n)
 
 
 def test_readme_lists_exactly_the_commands():
@@ -996,10 +1070,13 @@ def test_ab_commands_times_both_sides_and_compares_their_outputs(monkeypatch, ca
             del sys.modules[name]
     lines = capsys.readouterr().out.splitlines()
     assert lines[0].startswith("corpus seed 13, 1 reps")
-    kinds = [line.split() for line in lines[1:]]
-    assert kinds[-1][:2] == ["total", "4"]
-    assert sum(int(row[1]) for row in kinds[:-1]) == 4
-    assert all(float(row[2]) > 0 and float(row[3]) > 0 for row in kinds)
+    rows = [line.split() for line in lines[1:]]
+    assert rows[-2][:2] == ["total", "4"]
+    assert rows[-1][:2] == ["median", "4"]
+    assert sum(int(row[1]) for row in rows[:-2]) == 4
+    assert all(float(row[2]) > 0 and float(row[3]) > 0 for row in rows)
+    # the median of four positive minima is below half their sum
+    assert all(float(rows[-1][i]) <= float(rows[-2][i]) / 2 for i in (2, 3))
 
 
 def test_parser_diff_finds_no_difference_against_head(monkeypatch, capsys):

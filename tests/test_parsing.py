@@ -148,6 +148,13 @@ ERROR_POSITIONS = [
     ("spec", SPEC + "der 2 = x\n", (3, 5, "expected a variable name")),
     ("spec", SPEC + "der x y\n", (3, 7, "expected '='")),
     ("spec", SPEC + "mul x\n", (3, 1, "expected a directive: ring, vars, rel, or der")),
+    # a line of blanks is skipped only when they are ' ' and '\t'; '\x0b'
+    # and '\x0c' break lines, as '\r' does
+    ("spec", "ring R\n\u00a0\nvars x\n", (2, 1, "unexpected character '\\xa0'")),
+    ("spec", "ring R\n\u3000\nvars x\n", (2, 1, "unexpected character '\\u3000'")),
+    ("spec", "ring R\n \t\u00a0 # c\nvars x\n", (2, 3, "unexpected character '\\xa0'")),
+    ("spec", "ring R\n\x0b\x0c\nvars x x\n", (5, 8, "duplicate variable 'x'")),
+    ("spec", "ring R\r\n \t# c\r\nvars x x\r\n", (3, 8, "duplicate variable 'x'")),
     ("poly", "x + ", (1, 5, "expected a number, a variable, or '('")),
     ("poly", "x ^ y", (1, 5, "exponent must be an integer literal")),
     ("poly", "(x + y", (1, 7, "expected ')'")),
@@ -357,6 +364,9 @@ der y = 0
     spec = parse_spec(text)
     assert spec.name == "R"
     assert spec.images[0] == parse_polynomial("y", XY)
+    # CRLF line ends, and '\x0b' and '\x0c', which break lines too
+    assert parse_spec(text.replace("\n", "\r\n")) == spec
+    assert parse_spec(text.replace("\n\n", "\n \x0b\t\x0c  # c\n")) == spec
 
 
 def test_spec_errors():

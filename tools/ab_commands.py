@@ -12,10 +12,12 @@ alternating from command to command and from rep to rep, so that slow
 spells of a shared machine fall on both.  Each command keeps its minimum
 time per side.  Standard output gets, per command kind (its subcommand)
 and in total, the number of commands, the sums of those minima in
-milliseconds and their ratio, change over parent.  Timings of whole
-passes in separate processes can swing by ten per cent on a small shared
-machine; alternating per command in one process resolves differences of
-about one per cent.  A command whose exit code or report differs between
+milliseconds and their ratio, change over parent; then a ``median`` row
+has the median of each side's minima and their ratio, the in-process
+counterpart of a pass's median latency, which the sums hide.  Timings of
+whole passes in separate processes can swing by ten per cent on a small
+shared machine; alternating per command in one process resolves
+differences of about one per cent.  A command whose exit code or report differs between
 the sides is printed, and ends the tool with exit code 1.
 """
 
@@ -24,6 +26,7 @@ from __future__ import annotations
 import argparse
 import importlib
 import os
+import statistics
 import subprocess
 import sys
 import tempfile
@@ -39,6 +42,7 @@ import workloads  # noqa: E402
 from lndtools.cli import run_command  # noqa: E402
 
 PARENT_PACKAGE = "lndtools_parent"
+SIDES = ("parent", "change")
 
 
 def git(*argv: str) -> str:
@@ -75,7 +79,7 @@ def main(argv: list[str] | None = None) -> int:
     workload = workloads.build(args.workload, args.seed, ROOT)
     commands = [list(c.argv) for c in workload.commands if c.argv[0] != "python3"]
     commands = commands[:args.commands]
-    best = {side: [float("inf")] * len(commands) for side in ("parent", "change")}
+    best = {side: [float("inf")] * len(commands) for side in SIDES}
     differ = set()
     start = os.getcwd()
     with tempfile.TemporaryDirectory() as scratch:
@@ -102,14 +106,16 @@ def main(argv: list[str] | None = None) -> int:
     kinds: dict[str, list[int]] = defaultdict(list)
     for n, command in enumerate(commands):
         kinds[command[0]].append(n)
-    rows = [*sorted(kinds.items()), ("total", range(len(commands)))]
+    rows = [(kind, len(indices), [sum(best[side][n] for n in indices) for side in SIDES])
+            for kind, indices in [*sorted(kinds.items()), ("total", range(len(commands)))]]
+    if commands:
+        rows.append(("median", len(commands), [statistics.median(best[side]) for side in SIDES]))
     print(f"{args.workload} seed {args.seed}, {args.reps} reps, minimum per command "
           f"(ms): kind, commands, parent, change, change/parent")
-    for kind, indices in rows:
-        parent = sum(best["parent"][n] for n in indices) * 1000
-        change = sum(best["change"][n] for n in indices) * 1000
+    for kind, count, (parent, change) in rows:
+        parent, change = parent * 1000, change * 1000
         ratio = f"{change / parent:.3f}" if parent else "-"
-        print(f"{kind:<16} {len(indices):>4} {parent:>10.2f} {change:>10.2f} {ratio:>7}")
+        print(f"{kind:<16} {count:>4} {parent:>10.2f} {change:>10.2f} {ratio:>7}")
     for n in sorted(differ):
         print(f"outputs differ: {' '.join(commands[n])}")
     return 1 if differ else 0
